@@ -12,9 +12,10 @@ from .construct import (OddGonSpec, TriangleSpec, cap,
                         regular_polygon_vertices, solve_corner_radii)
 from .errors import (BadRadius, ConsistencyError, DegenerateArc,
                      DegenerateHull, DegenerateLune, EmptyInterior, EvenN,
-                     InconsistentVerdicts, InvalidSpec, InvariantViolation,
-                     LunesError, NoEnclosingHemisphere, NotInHemisphere,
-                     NotSupporting, ParseError, PoleNotInterior, Unreachable)
+                     InconsistentVerdicts, InvalidResolution, InvalidSpec,
+                     InvariantViolation, LunesError, NoEnclosingHemisphere,
+                     NotInHemisphere, NotSupporting, ParseError,
+                     PoleNotInterior, Unreachable)
 from .io import (SCHEMA_VERSION, body_from_doc, body_kind, body_to_doc,
                  gamma_from_doc, gamma_to_doc, load_body, load_document,
                  load_gamma, load_report, report_from_doc, report_to_doc,

@@ -30,7 +30,7 @@ ENCLOSING_MIN_DOT = 1e-6  # strict containment margin for the enclosing hemisphe
 INTERIOR_MIN = 1e-6       # the body must contain a cap of this angular radius
 SMOOTH_TOL = 1e-8         # junction tangent turn below this counts as smooth
 CONVEXITY_TOL = 1e-8
-_CHUNK = 4_000_000        # cap on temporary matrix entries in batched queries
+_CHUNK = 262_144          # cap on temporary matrix entries in batched queries
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,8 @@ class _Arcs:
         self.sweeps = sweeps
         self.cos_r = np.cos(radii)
         self.sin_r = np.sin(radii)
+        self._cos_sw = np.cos(sweeps)
+        self._sin_sw = np.sin(sweeps)
         self.lengths = sweeps * self.sin_r
         self.cum = np.concatenate([[0.0], np.cumsum(self.lengths)])
         self.total = float(self.cum[-1])
@@ -161,43 +163,73 @@ class _Arcs:
         params = self.sample_params(n, align=align)
         return params, self.point_at(params)
 
+    def _extremes(self, d, mode: str):
+        """Closed-form extreme of p . d over each arc, for a block of directions.
+
+        Along arc i, p(t) . d = cos r (c . d) + sin r (a cos t + b sin t) with
+        a = u0 . d and b = v0 . d, so the extreme lies at the start (t = 0),
+        the end (t = sweep) or the critical angle atan2(b, a) (plus pi for the
+        minimum) when that falls inside the sweep.  Returns the (3m, k)
+        candidate values, all starts first, then all ends, then the critical
+        values (+-inf outside the sweep), and the (m, k) critical angles.
+        """
+        a = self.u0 @ d.T                 # (m, k)
+        b = self.v0 @ d.T
+        base = self.cos_r[:, None] * (self.centers @ d.T)
+        sin_r = self.sin_r[:, None]
+        v_start = base + sin_r * a
+        v_end = base + sin_r * (a * self._cos_sw[:, None] + b * self._sin_sw[:, None])
+        phi = np.arctan2(b, a)
+        r = np.hypot(a, b)
+        if mode == "min":
+            t_crit = np.mod(phi + math.pi, TWO_PI)
+            v_crit = np.where(t_crit <= self.sweeps[:, None], base - sin_r * r, np.inf)
+        else:
+            t_crit = np.mod(phi, TWO_PI)
+            v_crit = np.where(t_crit <= self.sweeps[:, None], base + sin_r * r, -np.inf)
+        return np.concatenate([v_start, v_end, v_crit]), t_crit
+
+    def _blocks(self, dirs):
+        """Directions as a (k, 3) array plus slices that keep each block's
+        temporaries under _CHUNK entries."""
+        dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+        k = dirs.shape[0]
+        step = max(1, _CHUNK // max(self.count, 1))
+        return dirs, [slice(lo, lo + step) for lo in range(0, k, step)]
+
     def support_extreme(self, dirs, mode: str = "min") -> np.ndarray:
         """Per-direction extreme of the dot product over the whole curve.
 
         mode="min" gives the support minimum (negative when the curve dips
         below the hemisphere of the direction); mode="max" the maximum.
         """
-        dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-        k = dirs.shape[0]
-        out = np.empty(k)
-        step = max(1, _CHUNK // max(self.count, 1))
-        best = np.min if mode == "min" else np.max
-        for lo in range(0, k, step):
-            d = dirs[lo:lo + step]
-            dc = self.centers @ d.T           # (m, kk)
-            a = self.u0 @ d.T
-            b = self.v0 @ d.T
-            r = np.hypot(a, b)
-            base = self.cos_r[:, None] * dc
-            v_start = base + self.sin_r[:, None] * a
-            cos_sw = np.cos(self.sweeps)[:, None]
-            sin_sw = np.sin(self.sweeps)[:, None]
-            v_end = base + self.sin_r[:, None] * (a * cos_sw + b * sin_sw)
-            phi = np.arctan2(b, a)
-            if mode == "min":
-                t_crit = np.mod(phi + math.pi, TWO_PI)
-                v_crit = base - self.sin_r[:, None] * r
-                fill = np.inf
-            else:
-                t_crit = np.mod(phi, TWO_PI)
-                v_crit = base + self.sin_r[:, None] * r
-                fill = -np.inf
-            in_range = t_crit <= self.sweeps[:, None]
-            v_crit = np.where(in_range, v_crit, fill)
-            stack = np.stack([v_start, v_end, v_crit])
-            vals = stack.min(axis=0) if mode == "min" else stack.max(axis=0)
-            out[lo:lo + step] = best(vals, axis=0)
+        dirs, blocks = self._blocks(dirs)
+        out = np.empty(dirs.shape[0])
+        for blk in blocks:
+            vals, _ = self._extremes(dirs[blk], mode)
+            out[blk] = vals.min(axis=0) if mode == "min" else vals.max(axis=0)
         return out
+
+    def support_min_at(self, dirs):
+        """support_extreme(dirs, "min") plus the arc-length parameter where
+        each minimum is attained: returns (values, params).  point_at(params)
+        is the curve's farthest point from each direction, at angular
+        distance arccos(value).
+        """
+        dirs, blocks = self._blocks(dirs)
+        vals = np.empty(dirs.shape[0])
+        params = np.empty(dirs.shape[0])
+        m = self.count
+        for blk in blocks:
+            flat, t_crit = self._extremes(dirs[blk], "min")
+            j = np.argmin(flat, axis=0)
+            cols = np.arange(flat.shape[1])
+            which, arc = np.divmod(j, m)
+            t = np.where(which == 0, 0.0,
+                         np.where(which == 1, self.sweeps[arc], t_crit[arc, cols]))
+            vals[blk] = flat[j, cols]
+            params[blk] = self.cum[arc] + self.sin_r[arc] * t
+        return vals, params
 
 
 def _support_point(seg: BoundarySegment, x: np.ndarray) -> np.ndarray:

@@ -26,6 +26,16 @@ def _parse_vec(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_vertices(text: str) -> np.ndarray:
     return np.stack([_parse_vec(part) for part in text.split(";")])
 
@@ -35,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lunes",
         description="Spherical convex bodies: widths, constant-diameter "
                     "constructions, and Wulff-shape self-duality.")
-    p.add_argument("--samples", type=int, default=720,
+    p.add_argument("--samples", type=_positive_int, default=720,
                    help="boundary/direction resolution (default 720)")
     p.add_argument("--tol", type=float, default=1e-6,
                    help="verdict tolerance in radians (default 1e-6)")

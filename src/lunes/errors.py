@@ -72,3 +72,7 @@ class InvariantViolation(LunesError):
         self.invariant = invariant
         msg = invariant if not detail else f"{invariant}: {detail}"
         super().__init__(msg)
+
+
+class InvalidResolution(LunesError):
+    """A sample count or grid resolution is below 1."""

@@ -24,10 +24,13 @@ BODY_KINDS = ("polygon", "arc_boundary", "cap")
 
 
 def _vec(x, name: str) -> list[float]:
-    seq = list(x)
-    if len(seq) != 3:
-        raise ParseError(f"{name} must have 3 components")
-    out = [float(c) for c in seq]
+    try:
+        seq = list(x)
+        if len(seq) != 3:
+            raise ParseError(f"{name} must have 3 components")
+        out = [float(c) for c in seq]
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{name} must be a list of 3 numbers") from exc
     if not all(math.isfinite(c) for c in out):
         raise ParseError(f"{name} has a non-finite component")
     return out
@@ -42,7 +45,10 @@ def _unit(x, name: str) -> np.ndarray:
 
 
 def _finite(x, name: str) -> float:
-    v = float(x)
+    try:
+        v = float(x)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{name} must be a number, got {x!r}") from exc
     if not math.isfinite(v):
         raise ParseError(f"{name} is not finite")
     return v
@@ -58,6 +64,12 @@ def _check_keys(d: dict, required: set, optional: set, where: str) -> None:
         raise ParseError(f"{where}: missing fields {sorted(missing)}")
     if unknown:
         raise ParseError(f"{where}: unknown fields {sorted(unknown)}")
+
+
+def _list(x, where: str) -> list:
+    if not isinstance(x, list):
+        raise ParseError(f"{where}: expected a list")
+    return x
 
 
 def _check_version(doc: dict, where: str) -> None:
@@ -77,7 +89,7 @@ def _load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object")
@@ -115,8 +127,11 @@ def body_from_doc(doc: dict, where: str = "body document") -> SphericalBody:
     kind = doc["kind"]
     if kind not in BODY_KINDS:
         raise ParseError(f"{where}: kind must be one of {BODY_KINDS}, got {kind!r}")
+    meta = doc.get("metadata", {})
+    if not isinstance(meta, dict):
+        raise ParseError(f"{where}: metadata must be an object")
     segs = []
-    for i, sd in enumerate(doc["segments"]):
+    for i, sd in enumerate(_list(doc["segments"], f"{where}: segments")):
         _check_keys(sd, {"center", "radius", "from", "to"}, set(),
                     f"{where}: segment {i}")
         segs.append(BoundarySegment(
@@ -124,9 +139,9 @@ def body_from_doc(doc: dict, where: str = "body document") -> SphericalBody:
             radius=_finite(sd["radius"], "radius"),
             start=_unit(sd["from"], f"{where}: segment {i} from"),
             end=_unit(sd["to"], f"{where}: segment {i} to")))
-    for i, v in enumerate(doc["vertices"]):
+    for i, v in enumerate(_list(doc["vertices"], f"{where}: vertices")):
         _unit(v, f"{where}: vertex {i}")
-    body = SphericalBody(segs, meta=doc.get("metadata") or {})
+    body = SphericalBody(segs, meta=meta)
     actual = body_kind(body)
     if actual != kind:
         raise ParseError(f"{where}: kind {kind!r} but segments describe {actual!r}")
@@ -159,12 +174,11 @@ def gamma_from_doc(doc: dict, where: str = "gamma document") -> GammaFn:
     if doc["kind"] != "gamma":
         raise ParseError(f"{where}: kind must be 'gamma', got {doc['kind']!r}")
     angles, values = [], []
-    for i, pair in enumerate(doc["samples"]):
-        seq = list(pair)
-        if len(seq) != 2:
+    for i, pair in enumerate(_list(doc["samples"], f"{where}: samples")):
+        if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError(f"{where}: sample {i} must be [angle, value]")
-        angles.append(_finite(seq[0], f"sample {i} angle"))
-        values.append(_finite(seq[1], f"sample {i} value"))
+        angles.append(_finite(pair[0], f"sample {i} angle"))
+        values.append(_finite(pair[1], f"sample {i} value"))
     return GammaFn(np.array(angles), np.array(values))
 
 
@@ -203,6 +217,9 @@ def report_from_doc(doc: dict, where: str = "report document") -> dict:
         raise ParseError(f"{where}: kind must be 'report', got {doc['kind']!r}")
     _finite(doc["thickness"], "thickness")
     _finite(doc["diameter"], "diameter")
+    for part in ("verdicts", "theorem_checks"):
+        if not isinstance(doc[part], dict):
+            raise ParseError(f"{where}: {part} must be an object")
     for name, v in doc["verdicts"].items():
         _check_keys(v, {"kind", "pass", "deviation", "tolerance", "witness"},
                     set(), f"{where}: verdict {name}")

@@ -3,10 +3,15 @@
 The width of a body relative to a supporting hemisphere K is the smallest
 thickness of a lune K intersect K' over the other supporting hemispheres K';
 the thickness is the minimum width and the diameter the largest point-pair
-distance.  All searches run as a coarse scan over the supporting-center
-curve (the polar dual boundary) followed by golden-section refinement, with
-the closed-form lune thickness pi - dist(centers) used as an independent
-cross-check of every returned width.
+distance.  Everything rests on one exact primitive: the farthest point of an
+arc-bounded curve from a point p is where p . x is smallest, which has a
+closed form on every circular arc.  A width is pi minus the farthest
+distance along the supporting-center curve (the polar dual boundary); the
+diameter of a curve takes one golden-section search over the first point
+with the farthest partner exact; the thickness is pi minus the diameter of
+the supporting-center curve.  Every returned width is evaluated from its
+lune's semicircle midpoints and cross-checked against the closed form
+pi - dist(centers).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .body import SMOOTH_TOL, SphericalBody
-from .errors import ConsistencyError, NotSupporting
+from .errors import ConsistencyError, InvalidResolution, NotSupporting
 from .search import golden_max
 from .sphere import Hemisphere, dist, lune_make, normalize
 
@@ -76,48 +81,50 @@ def _jsonable(obj):
     return obj
 
 
-def _row_dist(p, q):
-    """Rowwise great-circle distance between (k,3) arrays."""
-    cr = np.cross(p, q)
-    return np.arctan2(np.linalg.norm(cr, axis=-1), np.sum(p * q, axis=-1))
+def _resolution(n) -> int:
+    """The sample count n as an int; counts below 1 are rejected."""
+    if not n >= 1:
+        raise InvalidResolution(f"sample count must be at least 1, got {n!r}")
+    return int(n)
 
 
 def _samples(arcs, n):
-    n_eff = max(int(n), arcs.count, 8)
-    return arcs.sample_points(n_eff)
+    return arcs.sample_points(max(_resolution(n), arcs.count, 8))
 
 
-def _refine_farthest(arcs, fixed_pts, t0, bracket):
-    """Per-row golden refinement of max_t dist(fixed_pts[i], curve(t))."""
-    fixed_pts = np.atleast_2d(fixed_pts)
+def _farthest(arcs, pts) -> np.ndarray:
+    """Exact distance from each point to the farthest point of the curve.
 
-    def f(t):
-        return _row_dist(fixed_pts, arcs.point_at(t))
+    Measured to the point where the support minimum is attained rather than
+    as arccos(minimum), which loses digits at distances near 0 and pi.
+    """
+    _, params = arcs.support_min_at(pts)
+    return dist(pts, arcs.point_at(params))
 
-    t, v = golden_max(f, t0 - bracket, t0 + bracket)
-    return t, v
 
+def _curve_diameter(arcs, n):
+    """Largest distance between two points of a closed arc curve.
 
-def _refine_pair(arcs_a, arcs_b, s0, t0, bracket, rounds: int = 3):
-    """Coordinate-ascent refinement of dist(a(s), b(t)) from a coarse pair."""
-    s = np.array([s0], dtype=float)
-    t = np.array([t0], dtype=float)
-    val = 0.0
-    for _ in range(rounds):
-        pa = arcs_a.point_at(s)
+    Every sample's farthest partner is exact (the per-arc closed form of
+    the support minimum), so one golden-section search over the first point,
+    around the best sample, settles the diameter.  Returns (value, p, q)
+    with dist(p, q) = value.
+    """
+    params, pts = _samples(arcs, n)
+    near = arcs.support_extreme(pts, "min")
+    i = int(np.argmin(near))
+    bracket = 2.0 * arcs.total / len(params)
 
-        def f_t(tt):
-            return _row_dist(np.repeat(pa, len(tt), axis=0), arcs_b.point_at(tt))
+    def f(s):
+        return -arcs.support_extreme(arcs.point_at(s), "min")
 
-        t, _ = golden_max(f_t, t - bracket, t + bracket)
-        pb = arcs_b.point_at(t)
-
-        def f_s(ss):
-            return _row_dist(arcs_a.point_at(ss), np.repeat(pb, len(ss), axis=0))
-
-        s, v = golden_max(f_s, s - bracket, s + bracket)
-        val = float(v[0])
-    return float(s[0]), float(t[0]), val
+    s, v = golden_max(f, params[i] - bracket, params[i] + bracket)
+    if -v[0] > near[i]:  # the refinement never ends below the best sample
+        s = params[i:i + 1]
+    p = arcs.point_at(s)
+    _, t = arcs.support_min_at(p)
+    q = arcs.point_at(t)[0]
+    return float(dist(p[0], q)), p[0], q
 
 
 def _checked_width(k, kp) -> float:
@@ -134,20 +141,19 @@ def _checked_width(k, kp) -> float:
 def width_at(body: SphericalBody, support_center, n: int = 720) -> WidthSample:
     """Width of the body relative to the supporting hemisphere H(support_center).
 
-    Scans n supporting centers for the narrowest lune through H(support_center)
-    and refines the opposing center by golden-section search; the result is
-    checked against the dual form pi - max distance along the supporting curve.
+    The narrowest lune through H(support_center) pairs it with the supporting
+    center farthest from support_center, which the closed-form support
+    minimum over the supporting-center curve gives exactly; n (at least 1)
+    is validated like every metric's resolution but not needed.  The lune
+    thickness is checked against the closed form pi - dist(centers).
     """
+    _resolution(n)
     k = normalize(np.asarray(support_center, dtype=float))
     margin = float(body.support_min(k)[0])
     if abs(margin) > SUPPORT_TOL:
         raise NotSupporting(f"support minimum {margin:.3g} is not zero")
     arcs = body.dual_arcs
-    params, pts = _samples(arcs, n)
-    dots = pts @ k
-    j = int(np.argmin(dots))  # farthest supporting center = narrowest lune
-    bracket = 2.0 * arcs.total / len(params)
-    t, far = _refine_farthest(arcs, k.reshape(1, 3), np.array([params[j]]), bracket)
+    _, t = arcs.support_min_at(k)
     opposing = arcs.point_at(t)[0]
     width = _checked_width(k, opposing)
     return WidthSample(support_center=k, width=width, opposing_center=opposing)
@@ -156,18 +162,12 @@ def width_at(body: SphericalBody, support_center, n: int = 720) -> WidthSample:
 def thickness(body: SphericalBody, n: int = 720) -> ThicknessResult:
     """Minimal width over all supporting hemispheres.
 
-    Equals pi minus the diameter of the supporting-center curve; computed by
-    a coarse pairwise scan plus two-sided refinement, with the witness lune
-    evaluated from its semicircle midpoints as an independent check.
+    Equals pi minus the diameter of the supporting-center curve (the polar
+    dual boundary), computed from n samples with exact farthest partners
+    and one golden-section search; the witness lune is evaluated from its
+    semicircle midpoints and checked against pi - dist(centers).
     """
-    arcs = body.dual_arcs
-    params, pts = _samples(arcs, n)
-    gram = pts @ pts.T
-    i, j = np.unravel_index(int(np.argmin(gram)), gram.shape)
-    bracket = 2.0 * arcs.total / len(params)
-    s, t, _ = _refine_pair(arcs, arcs, params[i], params[j], bracket)
-    k = arcs.point_at(np.array([s]))[0]
-    kp = arcs.point_at(np.array([t]))[0]
+    _, k, kp = _curve_diameter(body.dual_arcs, n)
     width = _checked_width(k, kp)
     return ThicknessResult(value=width, witness=WidthSample(k, width, kp))
 
@@ -175,18 +175,12 @@ def thickness(body: SphericalBody, n: int = 720) -> ThicknessResult:
 def diameter(body: SphericalBody, n: int = 720) -> DiameterResult:
     """Largest distance between two points of the body.
 
-    Attained on the boundary; coarse pairwise scan over boundary samples plus
-    two-sided golden refinement.  For polygons with diameter at most pi/2 the
-    result is checked against exhaustive vertex-pair enumeration.
+    Attained on the boundary; computed from n boundary samples with exact
+    farthest partners and one golden-section search.  For polygons with
+    diameter at most pi/2 the result is checked against exhaustive
+    vertex-pair enumeration.
     """
-    arcs = body.arcs
-    params, pts = _samples(arcs, n)
-    gram = pts @ pts.T
-    i, j = np.unravel_index(int(np.argmin(gram)), gram.shape)
-    bracket = 2.0 * arcs.total / len(params)
-    s, t, val = _refine_pair(arcs, arcs, params[i], params[j], bracket)
-    p = arcs.point_at(np.array([s]))[0]
-    q = arcs.point_at(np.array([t]))[0]
+    val, p, q = _curve_diameter(body.arcs, n)
     if body.is_polygon and val <= HALF_PI + 1e-8:
         verts = body.vertices
         vmax = float(np.max(dist(verts[:, None, :], verts[None, :, :])))
@@ -196,21 +190,11 @@ def diameter(body: SphericalBody, n: int = 720) -> DiameterResult:
     return DiameterResult(value=val, p=p, q=q)
 
 
-def _width_profile(body: SphericalBody, n: int):
-    """Refined widths at n supporting centers (returns centers, widths)."""
-    arcs = body.dual_arcs
-    params, pts = _samples(arcs, n)
-    gram = pts @ pts.T
-    jbest = np.argmin(gram, axis=1)
-    bracket = 2.0 * arcs.total / len(params)
-    _, far = _refine_farthest(arcs, pts, params[jbest], bracket)
-    widths = math.pi - far
-    return pts, widths
-
-
 def is_constant_width(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdict:
-    """Whether the refined width profile is constant within tol."""
-    centers, widths = _width_profile(body, n)
+    """Whether the widths at n supporting centers are constant within tol."""
+    arcs = body.dual_arcs
+    _, centers = _samples(arcs, n)
+    widths = math.pi - _farthest(arcs, centers)
     i_min = int(np.argmin(widths))
     i_max = int(np.argmax(widths))
     deviation = float(widths[i_max] - widths[i_min])
@@ -225,16 +209,13 @@ def is_constant_diameter(body: SphericalBody, tol: float = 1e-6,
                          n: int = 720) -> Verdict:
     """Whether every boundary point has a partner at the full diameter.
 
-    Fails (with the worst point as witness) when some boundary point's
-    farthest partner falls short of the diameter by more than tol.
+    Fails (with the worst point as witness) when some of n boundary samples
+    has its farthest partner short of the diameter by more than tol.
     """
     diam = diameter(body, n).value
     arcs = body.arcs
-    params, pts = _samples(arcs, n)
-    gram = pts @ pts.T
-    jbest = np.argmin(gram, axis=1)
-    bracket = 2.0 * arcs.total / len(params)
-    _, far = _refine_farthest(arcs, pts, params[jbest], bracket)
+    _, pts = _samples(arcs, n)
+    far = _farthest(arcs, pts)
     shortfall = diam - far
     i_worst = int(np.argmax(shortfall))
     deviation = max(0.0, float(shortfall[i_worst]))
@@ -255,6 +236,7 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720,
     isolated extreme points pass vacuously.  Bodies with more than max_probes
     corners are probed on an evenly spaced subset.
     """
+    _resolution(n)
     corner_idx = [k for k in range(len(body.segments))
                   if not body.segments[k].is_full_circle
                   and body._turns[k] > SMOOTH_TOL]
@@ -266,8 +248,6 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720,
         corner_idx = [corner_idx[i] for i in sorted(set(sel.tolist()))]
     thick = thickness(body, n).value
     dual = body.dual_arcs
-    params, pts = _samples(dual, n)
-    dual_diam = math.pi - thick
     corners = np.stack([body.segments[k].end for k in corner_idx])
     m = body.enclosing_center
 
@@ -277,11 +257,7 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720,
     depth = 10.0 * tol
     w_dir = normalize(m - (corners @ m)[:, None] * corners)
     cut_centers = -math.sin(depth) * corners + math.cos(depth) * w_dir
-    dots = cut_centers @ pts.T
-    jbest = np.argmin(dots, axis=1)
-    bracket = 2.0 * dual.total / len(params)
-    _, far = _refine_farthest(dual, cut_centers, params[jbest], bracket)
-    drops = far - dual_diam
+    drops = _farthest(dual, cut_centers) - (math.pi - thick)
     bad = np.where(drops <= tol)[0]
     if len(bad):
         i = int(bad[0])
@@ -294,38 +270,38 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720,
     # about e (a dual junction arc); pairing each with the center at angle
     # pi - thickness through e yields every candidate lune with e at a
     # semicircle midpoint.  The lune contains the body iff the partner
-    # center's support minimum is nonnegative.
+    # center's support minimum is nonnegative.  All corners are scanned and
+    # refined together; a corner whose turn is below the dual's smoothness
+    # cut has no junction arc and counts as smooth.
     row_of = {int(body._dual_jmap[r]): r for r in range(dual.count)
               if body._dual_jmap[r] >= 0}
-    cos_t, sin_t = math.cos(thick), math.sin(thick)
-    n_scan = 33
+    probed = [pos for pos, k in enumerate(corner_idx) if k in row_of]
     worst = None
-    for pos, k in enumerate(corner_idx):
-        r = row_of.get(k)
-        if r is None:
-            continue  # turn below the dual's smoothness cut; treat as smooth
-        e = corners[pos]
-        lo, hi = dual.cum[r], dual.cum[r + 1]
-        phis = np.linspace(lo, hi, n_scan)
-        cand = -cos_t * dual.point_at(phis) + sin_t * e
-        vals = body.support_min(cand)
-        jb = int(np.argmax(vals))
+    if probed:
+        rows = np.array([row_of[corner_idx[pos]] for pos in probed])
+        e = corners[probed]
+        lo, hi = dual.cum[rows], dual.cum[rows + 1]
+        cos_t, sin_t = math.cos(thick), math.sin(thick)
+        n_scan = 33
+        phis = np.linspace(lo, hi, n_scan, axis=1)
+        cand = -cos_t * dual.point_at(phis.ravel()) + sin_t * np.repeat(e, n_scan, axis=0)
+        jb = np.argmax(body.support_min(cand).reshape(len(probed), n_scan), axis=1)
+        start = phis[np.arange(len(probed)), jb]
         span = (hi - lo) / (n_scan - 1)
 
-        def f(phi, e=e):
+        def f(phi):
             c = -cos_t * dual.point_at(np.clip(phi, lo, hi)) + sin_t * e
             return body.support_min(c)
 
-        _, best = golden_max(f, np.array([phis[jb] - span]),
-                             np.array([phis[jb] + span]))
-        best = float(best[0])
-        if best < -tol:
+        _, best = golden_max(f, start - span, start + span)
+        fails = np.nonzero(best < -tol)[0]
+        if len(fails):
+            i = int(fails[0])
             return Verdict(kind="reduced_necessary", passed=False,
-                           deviation=float(-best), tolerance=tol,
-                           witness={"mode": "lune_search", "corner": e,
-                                    "support_margin": best})
-        if worst is None or best < worst:
-            worst = best
+                           deviation=float(-best[i]), tolerance=tol,
+                           witness={"mode": "lune_search", "corner": e[i],
+                                    "support_margin": float(best[i])})
+        worst = float(best.min())
     return Verdict(kind="reduced_necessary", passed=True, deviation=0.0,
                    tolerance=tol,
                    witness={"probes": len(corner_idx),

@@ -36,12 +36,6 @@ def golden_max(f, lo, hi, iters: int = 48):
     return x, f(x)
 
 
-def golden_min(f, lo, hi, iters: int = 48):
-    """Golden-section minimization built on golden_max."""
-    x, v = golden_max(lambda t: -f(t), lo, hi, iters=iters)
-    return x, -v
-
-
 def bisect_increasing(f, lo: float, hi: float, target: float, tol: float,
                       max_iter: int = 200) -> float:
     """Solve f(x) = target for f nondecreasing on [lo, hi].

@@ -118,6 +118,40 @@ class TestGammaAndReportDocuments:
         assert all(isinstance(x, bool) for x in doc["theorem_checks"].values())
 
 
+def _malformed(doc, key, value):
+    doc = copy.deepcopy(doc)
+    if key == "radius":
+        doc["segments"][0]["radius"] = value
+    elif key == "sample":
+        doc["samples"][0] = value
+    else:
+        doc[key] = value
+    return doc
+
+
+class TestMalformedDocuments:
+    """Wrong types and shapes are input errors (ParseError), not crashes."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("radius", "x"), ("radius", None), ("metadata", [1]), ("vertices", None),
+    ], ids=["radius_string", "radius_null", "metadata_list", "vertices_null"])
+    def test_body(self, tmp_path, key, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(
+            _malformed(io.body_to_doc(construct.cap(Z, 0.5)), key, value)))
+        with pytest.raises(ParseError):
+            io.load_body(str(path))
+
+    @pytest.mark.parametrize("key, value", [("sample", [0, "a"]), ("samples", 5)],
+                             ids=["sample_string", "samples_number"])
+    def test_gamma(self, tmp_path, key, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(
+            _malformed(io.gamma_to_doc(wulff.GammaFn.constant(1.0)), key, value)))
+        with pytest.raises(ParseError):
+            io.load_gamma(str(path))
+
+
 class TestRenderSvg:
     def test_boundary_path_counts(self, tmp_path, octant, cd_triangle):
         view = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
@@ -247,6 +281,20 @@ class TestCli:
                        cwd=tmp_path).returncode == 2
         assert run_cli("construct", "cap", "--center", "0,0,1", "--rho",
                        "2.0", "--out", "bad.json", cwd=tmp_path).returncode == 2
+
+    def test_malformed_document_exit_2(self, tmp_path):
+        doc = _malformed(io.body_to_doc(construct.cap(Z, 0.5)), "radius", "x")
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        r = run_cli("check", "constant-width", "bad.json", cwd=tmp_path)
+        assert r.returncode == 2, r.stdout + r.stderr
+        assert "Traceback" not in r.stderr, r.stderr
+
+    def test_nonpositive_samples_exit_2(self, tmp_path):
+        io.save_body(construct.cap(Z, 0.5), str(tmp_path / "cap.json"))
+        for samples in ("0", "-5"):
+            r = run_cli("--samples", samples, "analyze", "cap.json", cwd=tmp_path)
+            assert r.returncode == 2, r.stdout + r.stderr
+            assert "--samples" in r.stderr and "Traceback" not in r.stderr, r.stderr
 
     def test_deterministic_output_files(self, tmp_path):
         for name in ("r1.json", "r2.json"):

@@ -8,7 +8,7 @@ from conftest import random_cd_triangle_vertices
 
 from lunes import body as bd
 from lunes import construct, metrics, sphere
-from lunes.errors import NotSupporting
+from lunes.errors import InvalidResolution, NotSupporting
 
 HALF_PI = math.pi / 2
 Z = np.array([0.0, 0.0, 1.0])
@@ -205,3 +205,17 @@ class TestDualityRoutes:
                 assert dm <= HALF_PI + 1e-6
             if th < HALF_PI - 0.05:
                 assert dm < HALF_PI - 1e-6
+
+
+class TestResolution:
+    @pytest.mark.parametrize("fn", [
+        metrics.thickness, metrics.diameter, metrics.is_constant_width,
+        metrics.is_constant_diameter, metrics.reduced_check, metrics.classify])
+    def test_sample_count_below_one_rejected(self, octant, fn):
+        for n in (0, -5):
+            with pytest.raises(InvalidResolution):
+                fn(octant, n=n)
+
+    def test_width_at_rejects_sample_count_below_one(self, octant):
+        with pytest.raises(InvalidResolution):
+            metrics.width_at(octant, np.array([1.0, 0.0, 0.0]), n=0)
