@@ -1,17 +1,23 @@
 """Convex bodies on the sphere bounded by cyclic sequences of circular arcs.
 
-A body is stored as its boundary: arcs of circles of angular radius at most
-pi/2, each oriented counterclockwise as seen from its circle center, with the
-body on the left.  The polar dual (the curve of supporting-hemisphere
-centers) has a closed form per arc, which gives exact membership and support
-queries: a point lies in the body iff its dot product with every supporting
-center is nonnegative.
+A body is stored as its boundary, in arrays: for m arcs, the circle centers,
+start and end points (m x 3) and the angular radii (m).  Every radius is at
+most pi/2, and every arc runs counterclockwise as seen from its circle
+center, with the body on the left.  Validation, the polar dual and the arc
+tables behind every query are computed on these arrays in bulk, once per
+body; BoundarySegment is a per-arc view, built only when asked for.
+
+The polar dual (the curve of supporting-hemisphere centers) has a closed
+form per arc, which gives exact membership and support queries: a point lies
+in the body iff its dot product with every supporting center is nonnegative.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -33,12 +39,69 @@ CONVEXITY_TOL = 1e-8
 _CHUNK = 262_144          # cap on temporary matrix entries in batched queries
 
 
+class Boundary(NamedTuple):
+    """A cyclic sequence of m boundary arcs, as arrays."""
+
+    centers: np.ndarray  # (m, 3) circle centers
+    radii: np.ndarray    # (m,) angular radii
+    starts: np.ndarray   # (m, 3) start points
+    ends: np.ndarray     # (m, 3) end points
+
+
+def _validated(b: Boundary) -> Boundary:
+    """The per-arc checks, on all arcs at once.
+
+    Vectors must be unit within UNIT_TOL and are rescaled to unit length
+    unless already within 1e-13 of it (which keeps them bit-stable); a
+    radius within 1e-9 of pi/2 snaps to pi/2 and must lie in [1e-9, pi/2];
+    both endpoints must lie at the radius from the center.  Returns
+    read-only copies.
+    """
+    vecs = {}
+    for name, key in (("center", "centers"), ("start", "starts"), ("end", "ends")):
+        v = np.array(getattr(b, key), dtype=float).reshape(-1, 3)
+        n = np.linalg.norm(v, axis=1)
+        bad = np.flatnonzero(np.abs(n - 1.0) > UNIT_TOL)
+        if len(bad):
+            k = int(bad[0])
+            raise InvariantViolation(
+                "unit norm", f"segment {k} {name} has norm {float(n[k])!r}")
+        rescale = np.abs(n - 1.0) > 1e-13
+        v[rescale] /= n[rescale, None]
+        vecs[key] = v
+    r = np.array(b.radii, dtype=float).reshape(-1)
+    r[np.abs(r - HALF_PI) <= 1e-9] = HALF_PI
+    bad = np.flatnonzero(~((r >= 1e-9) & (r <= HALF_PI)))
+    if len(bad):
+        raise InvariantViolation(
+            "radius range", f"radius {float(r[bad[0]])!r} outside (0, pi/2]")
+    for name, key in (("start", "starts"), ("end", "ends")):
+        d = dist(vecs["centers"], vecs[key])
+        bad = np.flatnonzero(np.abs(d - r) > RADIUS_MATCH_TOL)
+        if len(bad):
+            k = int(bad[0])
+            raise InvariantViolation(
+                "segment radius",
+                f"segment {k} {name} at distance {float(d[k])!r} from center, "
+                f"radius {float(r[k])!r}")
+    out = Boundary(vecs["centers"], r, vecs["starts"], vecs["ends"])
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _full_circles(b: Boundary) -> np.ndarray:
+    """Arcs whose start equals their end (within 1e-12): full circles."""
+    return np.linalg.norm(b.starts - b.ends, axis=1) < 1e-12
+
+
 @dataclass(frozen=True)
 class BoundarySegment:
     """One boundary arc: circle center, angular radius, start and end points.
 
     start == end (within 1e-12) denotes the full circle; radius pi/2 denotes
     a great-circle edge.  The arc runs counterclockwise as seen from center.
+    Construction runs the per-arc checks of a body's boundary.
     """
 
     center: np.ndarray
@@ -47,34 +110,29 @@ class BoundarySegment:
     end: np.ndarray
 
     def __post_init__(self):
-        for name in ("center", "start", "end"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            n = np.linalg.norm(v)
-            if abs(n - 1.0) > UNIT_TOL:
-                raise InvariantViolation("unit norm", f"segment {name} has norm {n!r}")
-            if abs(n - 1.0) > 1e-13:  # keep already-unit vectors bit-stable
-                v = v / n
-            object.__setattr__(self, name, v)
-        r = float(self.radius)
-        if abs(r - HALF_PI) <= 1e-9:
-            r = HALF_PI
-        if not (1e-9 <= r <= HALF_PI):
-            raise InvariantViolation("radius range", f"radius {r!r} outside (0, pi/2]")
-        object.__setattr__(self, "radius", r)
-        for name in ("start", "end"):
-            d = float(dist(self.center, getattr(self, name)))
-            if abs(d - r) > RADIUS_MATCH_TOL:
-                raise InvariantViolation(
-                    "segment radius",
-                    f"{name} at distance {d!r} from center, radius {r!r}")
-
-    @property
-    def is_great(self) -> bool:
-        return self.radius == HALF_PI
+        b = _validated(Boundary(self.center, self.radius, self.start, self.end))
+        object.__setattr__(self, "center", b.centers[0])
+        object.__setattr__(self, "radius", float(b.radii[0]))
+        object.__setattr__(self, "start", b.starts[0])
+        object.__setattr__(self, "end", b.ends[0])
 
     @property
     def is_full_circle(self) -> bool:
         return bool(np.linalg.norm(self.start - self.end) < 1e-12)
+
+
+def _stacked(segments) -> Boundary:
+    """BoundarySegments or (center, radius, start, end) tuples as arrays."""
+    rows = [(s.center, s.radius, s.start, s.end) if isinstance(s, BoundarySegment)
+            else tuple(s) for s in segments]
+    if not rows:
+        return Boundary(np.empty((0, 3)), np.empty(0), np.empty((0, 3)),
+                        np.empty((0, 3)))
+    return Boundary(*(np.array(col, dtype=float) for col in zip(*rows)))
+
+
+def _views(b: Boundary) -> tuple:
+    return tuple(BoundarySegment(c, float(r), s, e) for c, r, s, e in zip(*b))
 
 
 class _Arcs:
@@ -96,33 +154,22 @@ class _Arcs:
         self.count = len(radii)
 
     @classmethod
-    def from_segments(cls, segments) -> "_Arcs":
-        m = len(segments)
-        centers = np.empty((m, 3))
-        radii = np.empty(m)
-        u0 = np.empty((m, 3))
-        v0 = np.empty((m, 3))
-        sweeps = np.empty(m)
-        for i, seg in enumerate(segments):
-            centers[i] = seg.center
-            radii[i] = seg.radius
-            cr = math.cos(seg.radius)
-            sr = math.sin(seg.radius)
-            u = (seg.start - cr * seg.center) / sr
-            u = u / np.linalg.norm(u)
-            v = np.cross(seg.center, u)
-            u0[i] = u
-            v0[i] = v
-            if seg.is_full_circle:
-                sweeps[i] = TWO_PI
-            else:
-                e = (seg.end - cr * seg.center) / sr
-                sw = math.atan2(float(e @ v), float(e @ u)) % TWO_PI
-                if sw < 1e-12:
-                    raise InvariantViolation(
-                        "degenerate segment", "zero-length boundary arc")
-                sweeps[i] = sw
-        return cls(centers, radii, u0, v0, sweeps)
+    def from_boundary(cls, b: Boundary) -> "_Arcs":
+        """Arc frames and sweeps: u0 points from the circle center's axis to
+        the start, v0 = center x u0, and the sweep runs from the start to the
+        end (2 pi for a full circle)."""
+        cos_r = np.cos(b.radii)[:, None]
+        sin_r = np.sin(b.radii)[:, None]
+        u0 = (b.starts - cos_r * b.centers) / sin_r
+        u0 /= np.linalg.norm(u0, axis=1, keepdims=True)
+        v0 = np.cross(b.centers, u0)
+        e = (b.ends - cos_r * b.centers) / sin_r
+        sweeps = np.mod(np.arctan2(np.sum(e * v0, axis=1), np.sum(e * u0, axis=1)),
+                        TWO_PI)
+        sweeps[_full_circles(b)] = TWO_PI
+        if np.any(sweeps < 1e-12):
+            raise InvariantViolation("degenerate segment", "zero-length boundary arc")
+        return cls(b.centers, b.radii, u0, v0, sweeps)
 
     def point_at(self, s):
         """Boundary point at cumulative arc-length parameter s (vectorized)."""
@@ -232,46 +279,45 @@ class _Arcs:
         return vals, params
 
 
-def _support_point(seg: BoundarySegment, x: np.ndarray) -> np.ndarray:
-    """Center of the hemisphere supporting the body at boundary point x of seg."""
-    if seg.is_great:
-        return seg.center
-    c = (seg.center - math.cos(seg.radius) * x) / math.sin(seg.radius)
-    return c / np.linalg.norm(c)
-
-
-def _dual_segments(segments):
+def _dual(b: Boundary, full: np.ndarray):
     """Closed-form polar dual boundary.
 
     Each arc of radius rho dualizes to an arc of radius pi/2 - rho about the
     same center (a single point when rho = pi/2); each corner junction
     contributes a great arc about the junction point sweeping the supporting
-    centers.  Returns (dual segment list, junction index per dual segment,
-    junction turn angles).
+    centers.  The pieces keep the boundary order, each arc's own piece before
+    the one of the junction at its end.  Returns the dual boundary (not yet
+    validated), the turn angle at the end of every arc, and the dual row of
+    the great arc at each corner (-1 at a smooth junction).
     """
-    m = len(segments)
-    pieces = []
-    jmap = []
-    turns = np.zeros(m)
-    for k, seg in enumerate(segments):
-        if not seg.is_great:
-            pieces.append(BoundarySegment(
-                center=seg.center, radius=HALF_PI - seg.radius,
-                start=_support_point(seg, seg.start),
-                end=_support_point(seg, seg.end)))
-            jmap.append(-1)
-        if seg.is_full_circle:
-            continue
-        nxt = segments[(k + 1) % m]
-        n1 = _support_point(seg, seg.end)
-        n2 = _support_point(nxt, nxt.start)
-        turn = float(dist(n1, n2))
-        turns[k] = turn
-        if turn > SMOOTH_TOL:
-            pieces.append(BoundarySegment(
-                center=seg.end, radius=HALF_PI, start=n1, end=n2))
-            jmap.append(k)
-    return pieces, np.array(jmap, dtype=int), turns
+    m = len(b.radii)
+    great = b.radii == HALF_PI
+    cos_r = np.cos(b.radii)[:, None]
+    sin_r = np.sin(b.radii)[:, None]
+
+    def supporting(x):
+        """Center of the hemisphere supporting the body at x[i] on arc i."""
+        c = (b.centers - cos_r * x) / sin_r
+        c /= np.linalg.norm(c, axis=1, keepdims=True)
+        return np.where(great[:, None], b.centers, c)
+
+    at_start = supporting(b.starts)
+    at_end = supporting(b.ends)
+    at_next = np.roll(at_start, -1, axis=0)
+    turns = np.where(full, 0.0, dist(at_end, at_next))
+    keep = np.column_stack([~great, ~full & (turns > SMOOTH_TOL)]).ravel()
+
+    def interleaved(arc_piece, corner_piece):
+        pieces = np.stack([arc_piece, corner_piece], axis=1)
+        return pieces.reshape((2 * m,) + pieces.shape[2:])[keep]
+
+    dual = Boundary(centers=interleaved(b.centers, b.ends),
+                    radii=interleaved(HALF_PI - b.radii, np.full(m, HALF_PI)),
+                    starts=interleaved(at_start, at_end),
+                    ends=interleaved(at_end, at_next))
+    row = np.cumsum(keep) - 1
+    corner_row = np.where(keep[1::2], row[1::2], -1)
+    return dual, turns, corner_row
 
 
 @dataclass
@@ -286,36 +332,46 @@ class ExtremeSet:
 class SphericalBody:
     """Closed convex region of the sphere, inside some open hemisphere.
 
-    Validation at construction: unit vectors, radii in (0, pi/2], consecutive
-    segments sharing endpoints, convex (leftward) junction turns, monotone
-    winding about the enclosing center, strict containment in the enclosing
-    open hemisphere, and nonempty interior.
+    `segments` is a Boundary of arrays, or a sequence of BoundarySegments or
+    (center, radius, start, end) tuples.  Validation at construction, on the
+    boundary and on its polar dual: unit vectors, radii in (0, pi/2],
+    endpoints on their circles, consecutive segments sharing endpoints,
+    convex (leftward) junction turns, monotone winding about the enclosing
+    center, strict containment in the enclosing open hemisphere, and
+    nonempty interior.
+
+    The boundary is held in `centers`, `radii`, `starts` and `ends`
+    (read-only arrays), the polar dual boundary in `dual_boundary`, and the
+    arc tables of both in `arcs` and `dual_arcs`.
     """
 
     def __init__(self, segments, enclosing_center=None, meta=None):
-        segments = tuple(
-            s if isinstance(s, BoundarySegment) else BoundarySegment(*s)
-            for s in segments)
-        if not segments:
+        b = _validated(segments if isinstance(segments, Boundary)
+                       else _stacked(segments))
+        m = len(b.radii)
+        if m == 0:
             raise InvariantViolation("closed boundary", "no segments")
-        if any(s.is_full_circle for s in segments) and len(segments) > 1:
+        full = _full_circles(b)
+        if full.any() and m > 1:
             raise InvariantViolation(
                 "closed boundary", "full-circle segment mixed with others")
-        m = len(segments)
-        for k in range(m):
-            gap = np.linalg.norm(segments[k].end - segments[(k + 1) % m].start)
-            if gap > CLOSURE_TOL and not segments[k].is_full_circle:
-                raise InvariantViolation(
-                    "closed boundary",
-                    f"segment {k} end misses segment {(k + 1) % m} start by {gap:.3g}")
-        self.segments = segments
+        gaps = np.linalg.norm(b.ends - np.roll(b.starts, -1, axis=0), axis=1)
+        open_ends = np.flatnonzero((gaps > CLOSURE_TOL) & ~full)
+        if len(open_ends):
+            k = int(open_ends[0])
+            raise InvariantViolation(
+                "closed boundary",
+                f"segment {k} end misses segment {(k + 1) % m} start by {gaps[k]:.3g}")
+        self.centers, self.radii, self.starts, self.ends = b
+        self.is_full_circle = bool(full[0])
         self.meta = dict(meta or {})
-        self.arcs = _Arcs.from_segments(segments)
+        self.arcs = _Arcs.from_boundary(b)
 
-        self.dual_segments, self._dual_jmap, self._turns = _dual_segments(segments)
-        if any(t < -CONVEXITY_TOL for t in self._turns):
+        dual, turns, self._corner_row = _dual(b, full)
+        self.dual_boundary = _validated(dual)
+        if np.any(turns < -CONVEXITY_TOL):
             raise InvariantViolation("convexity", "reflex junction")
-        self.dual_arcs = _Arcs.from_segments(self.dual_segments)
+        self.dual_arcs = _Arcs.from_boundary(self.dual_boundary)
 
         if enclosing_center is None:
             probe = self.arcs.point_at(
@@ -338,7 +394,7 @@ class SphericalBody:
 
     def _check_winding(self):
         u, v = orthonormal_frame(self.enclosing_center)
-        _, pts = self.arcs.sample_points(max(96, 8 * len(self.segments)), align=True)
+        _, pts = self.arcs.sample_points(max(96, 8 * self.arcs.count), align=True)
         az = np.arctan2(pts @ v, pts @ u)
         d = np.diff(np.concatenate([az, az[:1]]))
         d = np.mod(d + math.pi, TWO_PI) - math.pi
@@ -346,18 +402,33 @@ class SphericalBody:
             raise InvariantViolation(
                 "convexity", "boundary does not wind once counterclockwise")
 
+    # -- views -----------------------------------------------------------
+
+    @cached_property
+    def segments(self) -> tuple:
+        """The boundary as BoundarySegment views, built on first use."""
+        return _views(Boundary(self.centers, self.radii, self.starts, self.ends))
+
+    @cached_property
+    def dual_segments(self) -> tuple:
+        """The polar dual boundary as BoundarySegment views."""
+        return _views(self.dual_boundary)
+
     # -- queries ---------------------------------------------------------
 
     @property
     def vertices(self) -> np.ndarray:
         """Junction points between consecutive segments (corner or smooth)."""
-        if len(self.segments) == 1 and self.segments[0].is_full_circle:
-            return np.empty((0, 3))
-        return np.stack([seg.end for seg in self.segments])
+        return np.empty((0, 3)) if self.is_full_circle else self.ends
+
+    @property
+    def corners(self) -> np.ndarray:
+        """Indices of the arcs whose end is a corner (the tangent turns)."""
+        return np.flatnonzero(self._corner_row >= 0)
 
     @property
     def is_polygon(self) -> bool:
-        return all(seg.is_great for seg in self.segments)
+        return bool(np.all(self.radii == HALF_PI))
 
     def support_min(self, dirs) -> np.ndarray:
         """Minimum of p . dir over the body, per direction (shape (k,))."""
@@ -388,19 +459,19 @@ class SphericalBody:
 
 def polygon_from_vertices(vertices, enclosing_center=None) -> SphericalBody:
     """Convex spherical polygon from counterclockwise-ordered vertices."""
-    verts = [normalize(np.asarray(v, dtype=float)) for v in vertices]
-    n = len(verts)
-    if n < 3:
+    verts = np.asarray(vertices, dtype=float).reshape(-1, 3)
+    if len(verts) < 3:
         raise DegenerateHull("fewer than three vertices")
-    segs = []
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        pole = np.cross(a, b)
-        norm = np.linalg.norm(pole)
-        if norm < 1e-12:
-            raise DegenerateHull("consecutive vertices equal or antipodal")
-        segs.append(BoundarySegment(center=pole / norm, radius=HALF_PI, start=a, end=b))
-    return SphericalBody(segs, enclosing_center=enclosing_center,
+    verts = normalize(verts)
+    nxt = np.roll(verts, -1, axis=0)
+    # a x (b - a) equals a x b, without the cancellation a x b suffers when
+    # a and b nearly coincide
+    poles = np.cross(verts, nxt - verts)
+    norms = np.linalg.norm(poles, axis=1)
+    if np.any(norms < 1e-12):
+        raise DegenerateHull("consecutive vertices equal or antipodal")
+    edges = Boundary(poles / norms[:, None], np.full(len(verts), HALF_PI), verts, nxt)
+    return SphericalBody(edges, enclosing_center=enclosing_center,
                          meta={"kind": "polygon"})
 
 
@@ -493,20 +564,17 @@ def hull_from_points(points) -> SphericalBody:
 
 def boundary_sample(body: SphericalBody, n: int) -> np.ndarray:
     """n boundary points in order, arc-length-even per segment, junctions included."""
-    if n < len(body.segments):
+    if n < body.arcs.count:
         raise ValueError("need at least one sample per boundary segment")
     return body.boundary_points(n)
 
 
 def extreme_points(body: SphericalBody) -> ExtremeSet:
     """Corners (junctions where the tangent turns) plus strictly convex arcs."""
-    corners = [body.segments[k].end
-               for k in range(len(body.segments))
-               if not body.segments[k].is_full_circle and body._turns[k] > SMOOTH_TOL]
-    strict = np.array([k for k, seg in enumerate(body.segments) if not seg.is_great],
-                      dtype=int)
-    iso = np.stack(corners) if corners else np.empty((0, 3))
-    return ExtremeSet(isolated=iso, strict_arcs=strict, smooth=len(corners) == 0)
+    corners = body.corners
+    strict = np.flatnonzero(body.radii != HALF_PI)
+    return ExtremeSet(isolated=body.ends[corners], strict_arcs=strict,
+                      smooth=len(corners) == 0)
 
 
 def supporting_hemisphere_centers(body: SphericalBody, n: int = 720) -> np.ndarray:
@@ -524,7 +592,7 @@ def polar_dual(body: SphericalBody, n: int = 720) -> SphericalBody:
     so dualizing twice reproduces the body to roundoff.  n is kept as the
     resolution knob for validation sampling.
     """
-    dual = SphericalBody(body.dual_segments, enclosing_center=body.enclosing_center)
+    dual = SphericalBody(body.dual_boundary, enclosing_center=body.enclosing_center)
     _ = n
     return dual
 
@@ -540,8 +608,8 @@ def distance_to_body(body: SphericalBody, pts, tol: float = 1e-9) -> np.ndarray:
 
 def hausdorff_bodies(a: SphericalBody, b: SphericalBody, n: int = 720) -> float:
     """Symmetric boundary-sampled Hausdorff distance between two bodies."""
-    pa = a.boundary_points(max(n, len(a.segments)))
-    pb = b.boundary_points(max(n, len(b.segments)))
+    pa = a.boundary_points(max(n, a.arcs.count))
+    pb = b.boundary_points(max(n, b.arcs.count))
     d_ab = float(np.max(distance_to_body(b, pa)))
     d_ba = float(np.max(distance_to_body(a, pb)))
     return max(d_ab, d_ba)

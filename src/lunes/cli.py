@@ -8,12 +8,14 @@ subcommand.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from . import construct, io, metrics, render, wulff
 from .errors import LunesError
+from .sphere import normalize
 
 
 def _parse_vec(text: str) -> np.ndarray:
@@ -21,9 +23,27 @@ def _parse_vec(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected x,y,z, got {text!r}")
     try:
-        return np.array([float(p) for p in parts])
+        vec = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if not np.all(np.isfinite(vec)):
+        raise argparse.ArgumentTypeError(f"expected finite components, got {text!r}")
+    try:
+        normalize(vec)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a nonzero vector, got {text!r}") from None
+    return vec
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and at least 0, got {text!r}")
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -47,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "constructions, and Wulff-shape self-duality.")
     p.add_argument("--samples", type=_positive_int, default=720,
                    help="boundary/direction resolution (default 720)")
-    p.add_argument("--tol", type=float, default=1e-6,
+    p.add_argument("--tol", type=_tolerance, default=1e-6,
                    help="verdict tolerance in radians (default 1e-6)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for random constructions (default 0)")
@@ -131,7 +151,7 @@ def _run(args) -> int:
                                                    max_diam=args.max_diam)
         io.save_body(body, args.out)
         print(f"wrote {args.out} ({io.body_kind(body)}, "
-              f"{len(body.segments)} segments)")
+              f"{len(body.radii)} segments)")
         return 0
 
     if args.command == "analyze":
@@ -190,7 +210,7 @@ def _run(args) -> int:
         frame = wulff.frame_at(args.pole)
         body = wulff.induce_spherical(shape, frame, n=n)
         io.save_body(body, args.out)
-        print(f"wrote {args.out} ({len(body.segments)} segments)")
+        print(f"wrote {args.out} ({len(body.radii)} segments)")
         return 0
 
     if args.command == "roundtrip":

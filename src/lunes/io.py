@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .body import BoundarySegment, SphericalBody
+from .body import Boundary, SphericalBody
 from .errors import InvariantViolation, ParseError
 from .metrics import ClassifyReport
 from .wulff import GammaFn
@@ -34,14 +34,6 @@ def _vec(x, name: str) -> list[float]:
     if not all(math.isfinite(c) for c in out):
         raise ParseError(f"{name} has a non-finite component")
     return out
-
-
-def _unit(x, name: str) -> np.ndarray:
-    arr = np.asarray(_vec(x, name), dtype=float)
-    nrm = float(np.linalg.norm(arr))
-    if abs(nrm - 1.0) > 1e-9:
-        raise InvariantViolation(f"{name}: unit norm violated, |v| = {nrm!r}")
-    return arr
 
 
 def _finite(x, name: str) -> float:
@@ -100,7 +92,7 @@ def _load(path: str) -> dict:
 
 
 def body_kind(body: SphericalBody) -> str:
-    if len(body.segments) == 1 and body.segments[0].is_full_circle:
+    if body.is_full_circle:
         return "cap"
     return "polygon" if body.is_polygon else "arc_boundary"
 
@@ -111,11 +103,11 @@ def body_to_doc(body: SphericalBody) -> dict:
         "kind": body_kind(body),
         "vertices": [_vec(v, "vertex") for v in body.vertices],
         "segments": [{
-            "center": _vec(seg.center, "segment center"),
-            "radius": _finite(seg.radius, "segment radius"),
-            "from": _vec(seg.start, "segment start"),
-            "to": _vec(seg.end, "segment end"),
-        } for seg in body.segments],
+            "center": _vec(c, "segment center"),
+            "radius": _finite(r, "segment radius"),
+            "from": _vec(a, "segment start"),
+            "to": _vec(b, "segment end"),
+        } for c, r, a, b in zip(body.centers, body.radii, body.starts, body.ends)],
         "metadata": body.meta,
     }
 
@@ -130,18 +122,28 @@ def body_from_doc(doc: dict, where: str = "body document") -> SphericalBody:
     meta = doc.get("metadata", {})
     if not isinstance(meta, dict):
         raise ParseError(f"{where}: metadata must be an object")
-    segs = []
-    for i, sd in enumerate(_list(doc["segments"], f"{where}: segments")):
+    segs = _list(doc["segments"], f"{where}: segments")
+    names, vecs, radii = [], [], []
+    for i, sd in enumerate(segs):
         _check_keys(sd, {"center", "radius", "from", "to"}, set(),
                     f"{where}: segment {i}")
-        segs.append(BoundarySegment(
-            center=_unit(sd["center"], f"{where}: segment {i} center"),
-            radius=_finite(sd["radius"], "radius"),
-            start=_unit(sd["from"], f"{where}: segment {i} from"),
-            end=_unit(sd["to"], f"{where}: segment {i} to")))
+        for key in ("center", "from", "to"):
+            names.append(f"{where}: segment {i} {key}")
+            vecs.append(_vec(sd[key], names[-1]))
+        radii.append(_finite(sd["radius"], "radius"))
     for i, v in enumerate(_list(doc["vertices"], f"{where}: vertices")):
-        _unit(v, f"{where}: vertex {i}")
-    body = SphericalBody(segs, meta=meta)
+        names.append(f"{where}: vertex {i}")
+        vecs.append(_vec(v, names[-1]))
+    vecs = np.array(vecs, dtype=float).reshape(-1, 3)
+    norms = np.linalg.norm(vecs, axis=1)
+    bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-9)
+    if len(bad):
+        k = int(bad[0])
+        raise InvariantViolation(
+            f"{names[k]}: unit norm violated, |v| = {float(norms[k])!r}")
+    trios = vecs[:3 * len(segs)].reshape(-1, 3, 3)
+    body = SphericalBody(Boundary(trios[:, 0], np.array(radii), trios[:, 1],
+                                  trios[:, 2]), meta=meta)
     actual = body_kind(body)
     if actual != kind:
         raise ParseError(f"{where}: kind {kind!r} but segments describe {actual!r}")

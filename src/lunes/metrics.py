@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .body import SMOOTH_TOL, SphericalBody
+from .body import SphericalBody
 from .errors import ConsistencyError, InvalidResolution, NotSupporting
 from .search import golden_max
 from .sphere import Hemisphere, dist, lune_make, normalize
@@ -237,18 +237,16 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720,
     corners are probed on an evenly spaced subset.
     """
     _resolution(n)
-    corner_idx = [k for k in range(len(body.segments))
-                  if not body.segments[k].is_full_circle
-                  and body._turns[k] > SMOOTH_TOL]
-    if not corner_idx:
+    corner_idx = body.corners
+    if not len(corner_idx):
         return Verdict(kind="reduced_necessary", passed=True, deviation=0.0,
                        tolerance=tol, witness={"note": "boundary is smooth"})
     if len(corner_idx) > max_probes:
         sel = np.linspace(0, len(corner_idx) - 1, max_probes).astype(int)
-        corner_idx = [corner_idx[i] for i in sorted(set(sel.tolist()))]
+        corner_idx = corner_idx[np.unique(sel)]
     thick = thickness(body, n).value
     dual = body.dual_arcs
-    corners = np.stack([body.segments[k].end for k in corner_idx])
+    corners = body.ends[corner_idx]
     m = body.enclosing_center
 
     # (b) cap-cutting probe: removing depth d at corner e intersects the body
@@ -271,41 +269,33 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720,
     # pi - thickness through e yields every candidate lune with e at a
     # semicircle midpoint.  The lune contains the body iff the partner
     # center's support minimum is nonnegative.  All corners are scanned and
-    # refined together; a corner whose turn is below the dual's smoothness
-    # cut has no junction arc and counts as smooth.
-    row_of = {int(body._dual_jmap[r]): r for r in range(dual.count)
-              if body._dual_jmap[r] >= 0}
-    probed = [pos for pos, k in enumerate(corner_idx) if k in row_of]
-    worst = None
-    if probed:
-        rows = np.array([row_of[corner_idx[pos]] for pos in probed])
-        e = corners[probed]
-        lo, hi = dual.cum[rows], dual.cum[rows + 1]
-        cos_t, sin_t = math.cos(thick), math.sin(thick)
-        n_scan = 33
-        phis = np.linspace(lo, hi, n_scan, axis=1)
-        cand = -cos_t * dual.point_at(phis.ravel()) + sin_t * np.repeat(e, n_scan, axis=0)
-        jb = np.argmax(body.support_min(cand).reshape(len(probed), n_scan), axis=1)
-        start = phis[np.arange(len(probed)), jb]
-        span = (hi - lo) / (n_scan - 1)
+    # refined together.
+    rows = body._corner_row[corner_idx]
+    lo, hi = dual.cum[rows], dual.cum[rows + 1]
+    cos_t, sin_t = math.cos(thick), math.sin(thick)
+    n_scan = 33
+    phis = np.linspace(lo, hi, n_scan, axis=1)
+    cand = -cos_t * dual.point_at(phis.ravel()) + sin_t * np.repeat(corners, n_scan, axis=0)
+    jb = np.argmax(body.support_min(cand).reshape(len(rows), n_scan), axis=1)
+    start = phis[np.arange(len(rows)), jb]
+    span = (hi - lo) / (n_scan - 1)
 
-        def f(phi):
-            c = -cos_t * dual.point_at(np.clip(phi, lo, hi)) + sin_t * e
-            return body.support_min(c)
+    def f(phi):
+        c = -cos_t * dual.point_at(np.clip(phi, lo, hi)) + sin_t * corners
+        return body.support_min(c)
 
-        _, best = golden_max(f, start - span, start + span)
-        fails = np.nonzero(best < -tol)[0]
-        if len(fails):
-            i = int(fails[0])
-            return Verdict(kind="reduced_necessary", passed=False,
-                           deviation=float(-best[i]), tolerance=tol,
-                           witness={"mode": "lune_search", "corner": e[i],
-                                    "support_margin": float(best[i])})
-        worst = float(best.min())
+    _, best = golden_max(f, start - span, start + span)
+    fails = np.nonzero(best < -tol)[0]
+    if len(fails):
+        i = int(fails[0])
+        return Verdict(kind="reduced_necessary", passed=False,
+                       deviation=float(-best[i]), tolerance=tol,
+                       witness={"mode": "lune_search", "corner": corners[i],
+                                "support_margin": float(best[i])})
     return Verdict(kind="reduced_necessary", passed=True, deviation=0.0,
                    tolerance=tol,
                    witness={"probes": len(corner_idx),
-                            "worst_support_margin": worst})
+                            "worst_support_margin": float(best.min())})
 
 
 @dataclass

@@ -7,6 +7,9 @@ radial function.  Central (gnomonic) projection at a pole N carries these
 polygons to spherical convex bodies and back, which turns the self-duality
 question into width/diameter checks on the sphere; the equivalence report
 runs all five checks and treats any disagreement as an internal error.
+Self-duality gaps are exact polygon Hausdorff distances, taken from the two
+support functions over the merged edge-normal angles in
+O((m + k) log(m + k)) for polygons of m and k vertices.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .sphere import normalize, orthonormal_frame
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
-_BLOCK = 512  # vertex block size for pairwise polygon distance loops
 
 
 @dataclass(frozen=True)
@@ -207,28 +209,49 @@ def dual_wulff(shape: WulffShape, n: int = 720) -> WulffShape:
     return wulff_shape(gbar, n)
 
 
-def _directed_hausdorff(a: WulffShape, b: WulffShape) -> float:
-    """max over vertices of a of the Euclidean distance to polygon b (exact:
-    the maximum of a convex function over a polygon sits at a vertex)."""
-    vb = b.vertices
-    eb = np.roll(vb, -1, axis=0) - vb
-    elen2 = np.maximum(np.sum(eb * eb, axis=1), 1e-300)
-    worst = 0.0
-    for lo in range(0, len(a.vertices), _BLOCK):
-        va = a.vertices[lo:lo + _BLOCK]
-        inside = np.all(va @ b.normals.T <= b.offsets[None, :] + 1e-15, axis=1)
-        diff = va[:, None, :] - vb[None, :, :]
-        t = np.clip(np.einsum("kmj,mj->km", diff, eb) / elen2[None, :], 0.0, 1.0)
-        proj = vb[None, :, :] + t[:, :, None] * eb[None, :, :]
-        d = np.linalg.norm(va[:, None, :] - proj, axis=2).min(axis=1)
-        d = np.where(inside, 0.0, d)
-        worst = max(worst, float(d.max()))
-    return worst
+def _normal_angles(verts: np.ndarray) -> np.ndarray:
+    """Outward normal angles of the edges i -> i+1 of a convex counterclockwise
+    polygon, unwrapped to a nondecreasing run from that of edge 0.  A turn
+    below zero, which roundoff can leave at a straight vertex, holds the
+    angle where it was."""
+    edges = np.roll(verts, -1, axis=0) - verts
+    t = np.arctan2(-edges[:, 0], edges[:, 1])
+    turns = np.mod(np.diff(t) + math.pi, TWO_PI) - math.pi
+    return t[0] + np.maximum.accumulate(np.concatenate([[0.0], np.cumsum(turns)]))
+
+
+def _support_vertex(verts: np.ndarray, normals: np.ndarray, theta):
+    """The vertex attaining the polygon's support in each direction theta:
+    vertex i supports the directions between the normals of edges i-1 and i."""
+    theta = normals[0] + np.mod(theta - normals[0], TWO_PI)
+    return verts[np.searchsorted(normals, theta) % len(verts)]
 
 
 def hausdorff_polygons(a: WulffShape, b: WulffShape) -> float:
-    """Exact symmetric Hausdorff distance between two convex polygons."""
-    return max(_directed_hausdorff(a, b), _directed_hausdorff(b, a))
+    """Exact symmetric Hausdorff distance between two convex polygons.
+
+    For convex sets H(A, B) = max over unit u of |h_A(u) - h_B(u)|, h being
+    the support function.  Between consecutive edge normals of A and B
+    (merged by angle) the supporting vertices a and b are fixed, so
+    h_A - h_B = (a - b) . u is a sinusoid in the angle of u; its largest
+    magnitude on each interval lies at the interval's ends or at the
+    critical angle atan2(a - b) (plus pi) when that falls inside.  Only the
+    counterclockwise vertices are used, so the origin need not be inside.
+    """
+    ta = _normal_angles(a.vertices)
+    tb = _normal_angles(b.vertices)
+    lo = np.sort(np.mod(np.concatenate([ta, tb]), TWO_PI))
+    sweep = np.diff(np.append(lo, lo[0] + TWO_PI))
+    mid = np.mod(lo + 0.5 * sweep, TWO_PI)
+    d = _support_vertex(a.vertices, ta, mid) - _support_vertex(b.vertices, tb, mid)
+    # (a - b) . u(lo + t) = alpha cos t + beta sin t
+    cos_lo, sin_lo = np.cos(lo), np.sin(lo)
+    alpha = d[:, 0] * cos_lo + d[:, 1] * sin_lo
+    beta = d[:, 1] * cos_lo - d[:, 0] * sin_lo
+    at_end = alpha * np.cos(sweep) + beta * np.sin(sweep)
+    inside = np.mod(np.arctan2(beta, alpha), math.pi) <= sweep
+    peak = np.where(inside, np.hypot(alpha, beta), 0.0)
+    return float(np.max(np.maximum(np.maximum(np.abs(alpha), np.abs(at_end)), peak)))
 
 
 def is_self_dual(shape: WulffShape, tol: float = 1e-6,
@@ -297,7 +320,7 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
     if interior <= 1e-6:
         raise PoleNotInterior(
             f"pole has containment margin only {interior:.3g}")
-    pts = body.boundary_points(max(n, len(body.segments)))
+    pts = body.boundary_points(max(n, body.arcs.count))
     w = pts @ frame.pole
     plane = np.column_stack([pts @ frame.u / w, pts @ frame.v / w])
     try:

@@ -296,6 +296,28 @@ class TestCli:
             assert r.returncode == 2, r.stdout + r.stderr
             assert "--samples" in r.stderr and "Traceback" not in r.stderr, r.stderr
 
+    @pytest.mark.parametrize("args, flag", [
+        (["construct", "cap", "--center", "0,0,0", "--rho", "0.5", "--out", "c.json"],
+         "--center"),
+        (["construct", "cap", "--center", "0,nan,1", "--rho", "0.5", "--out", "c.json"],
+         "--center"),
+        (["wulff", "induce", "--gamma", "g.json", "--pole", "0,0,0", "--out", "b.json"],
+         "--pole"),
+        (["render", "cap.json", "--view", "0,0,0", "--out", "cap.svg"], "--view"),
+    ], ids=["zero_center", "nan_center", "zero_pole", "zero_view"])
+    def test_bad_vector_exit_2(self, tmp_path, args, flag):
+        io.save_body(construct.cap(Z, 0.5), str(tmp_path / "cap.json"))
+        r = run_cli(*args, cwd=tmp_path)
+        assert r.returncode == 2, r.stdout + r.stderr
+        assert flag in r.stderr and "Traceback" not in r.stderr, r.stderr
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tolerance_exit_2(self, tmp_path, tol):
+        io.save_body(construct.cap(Z, 0.5), str(tmp_path / "cap.json"))
+        r = run_cli("--tol", tol, "check", "constant-width", "cap.json", cwd=tmp_path)
+        assert r.returncode == 2, r.stdout + r.stderr
+        assert "--tol" in r.stderr and "Traceback" not in r.stderr, r.stderr
+
     def test_deterministic_output_files(self, tmp_path):
         for name in ("r1.json", "r2.json"):
             r = run_cli("--seed", "11", "construct", "random", "--n", "8",

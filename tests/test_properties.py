@@ -1,19 +1,26 @@
-"""Property tests on generated bodies: the closed-form farthest point and the
-width/diameter identities built on it.
+"""Property tests on generated bodies and polygons: the closed-form farthest
+point and the width/diameter identities built on it, the support-function
+polygon Hausdorff distance, the polar-dual involution, lossless persistence
+and boundary validation.
 
 Example counts are bounded and the search is derandomized, so the suite is
 deterministic and its runtime fixed; it lives apart from the acceptance gate.
 """
 
 import math
+import os
+import tempfile
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
 from lunes import body as bd
-from lunes import construct, metrics
-from lunes.errors import LunesError
+from lunes import construct, io, metrics, wulff
+from lunes.errors import InvariantViolation, LunesError
 from lunes.sphere import dist, orthonormal_frame
 
 DENSE = 4096  # boundary samples of the brute-force farthest-point oracle
@@ -107,3 +114,170 @@ def test_thickness_plus_dual_diameter_is_pi(body):
                - math.pi) <= 1e-9
     assert abs(metrics.thickness(dual).value + metrics.diameter(body).value
                - math.pi) <= 1e-9
+
+
+# -- polygon Hausdorff distance ------------------------------------------------
+
+
+def _polygon_point_distance(p, verts):
+    """Distance from p to the convex polygon (0 inside), by brute force."""
+    edges = np.roll(verts, -1, axis=0) - verts
+    rel = p - verts
+    if np.all(edges[:, 0] * rel[:, 1] - edges[:, 1] * rel[:, 0] >= 0.0):
+        return 0.0
+    t = np.clip(np.sum(rel * edges, axis=1) / np.sum(edges * edges, axis=1), 0.0, 1.0)
+    return float(np.min(np.linalg.norm(rel - t[:, None] * edges, axis=1)))
+
+
+def _brute_hausdorff(a, b):
+    """Reference: the largest vertex-to-polygon distance either way (the
+    distance to a convex set is convex, so a vertex attains the maximum)."""
+    return max(max(_polygon_point_distance(p, b) for p in a),
+               max(_polygon_point_distance(p, a) for p in b))
+
+
+@st.composite
+def convex_polygons(draw):
+    k = draw(st.integers(3, 12))
+    pts = np.array(draw(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                                 min_size=k, max_size=k)))
+    try:
+        hull = ConvexHull(pts)
+    except QhullError:
+        assume(False)
+    assume(hull.volume > 1e-2)
+    return pts[hull.vertices]  # counterclockwise
+
+
+def _near_collinear(verts, lift):
+    """verts with a vertex added at every edge midpoint, pushed out by
+    lift times the edge length (0 puts it on the edge)."""
+    edges = np.roll(verts, -1, axis=0) - verts
+    normals = np.column_stack([edges[:, 1], -edges[:, 0]])
+    mids = verts + 0.5 * edges + lift * normals
+    return np.stack([verts, mids], axis=1).reshape(-1, 2)
+
+
+@st.composite
+def polygon_pairs(draw):
+    a = draw(convex_polygons())
+    relation = draw(st.sampled_from(
+        ["nested", "disjoint", "overlapping", "identical", "near_collinear"]))
+    if relation == "nested":
+        center = a.mean(axis=0)
+        b = center + draw(st.floats(0.1, 0.9)) * (a - center)
+    elif relation == "disjoint":
+        b = draw(convex_polygons()) + np.array([3.0, draw(st.floats(-3.0, 3.0))])
+    elif relation == "overlapping":
+        b = draw(convex_polygons()) + np.array([draw(st.floats(-0.5, 0.5)),
+                                                draw(st.floats(-0.5, 0.5))])
+    elif relation == "identical":
+        b = a.copy()
+    else:
+        b = _near_collinear(a, draw(st.sampled_from([0.0, 1e-12, 1e-9])))
+    if draw(st.booleans()):
+        a, b = b, a
+    return a, b
+
+
+@settings(BOUNDED, max_examples=60)
+@given(polygon_pairs())
+def test_hausdorff_polygons_matches_brute_force(pair):
+    a, b = pair
+    got = wulff.hausdorff_polygons(SimpleNamespace(vertices=a), SimpleNamespace(vertices=b))
+    assert abs(got - _brute_hausdorff(a, b)) <= 1e-12
+
+
+# -- bodies: polar dual, persistence, validation --------------------------------
+
+
+def _cyclic_gap(body, other):
+    """Largest array difference between two boundaries under the best cyclic
+    relabelling of the arcs (inf when the arc counts differ)."""
+    if len(other.radii) != len(body.radii):
+        return math.inf
+    return min(max(float(np.max(np.abs(np.roll(getattr(other, key), s, axis=0)
+                                        - getattr(body, key))))
+                   for key in ("centers", "radii", "starts", "ends"))
+               for s in range(len(body.radii)))
+
+
+@BOUNDED
+@given(bodies)
+def test_double_polar_dual_reproduces_body(body):
+    twice = bd.polar_dual(bd.polar_dual(body))
+    assert _cyclic_gap(body, twice) <= 1e-12
+
+
+@BOUNDED
+@given(bodies)
+def test_save_load_save_is_byte_identical(body):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
+        io.save_body(body, first)
+        io.save_body(io.load_body(first), second)
+        with open(first, "rb") as fa, open(second, "rb") as fb:
+            assert fa.read() == fb.read()
+
+
+def _rotated(x, axis, angle):
+    """x rotated by angle about the unit axis (Rodrigues)."""
+    return (x * math.cos(angle) + np.cross(axis, x) * math.sin(angle)
+            + axis * (axis @ x) * (1.0 - math.cos(angle)))
+
+
+def _arcs(body):
+    return [list(row) for row in zip(body.centers, body.radii, body.starts, body.ends)]
+
+
+def _open_boundary(body):
+    arcs = _arcs(body)
+    center, _, _, end = arcs[0]
+    arcs[0][3] = _rotated(end, center, -0.1)  # slide the end back along its circle
+    return arcs
+
+
+def _off_radius(body):
+    arcs = _arcs(body)
+    center, _, _, end = arcs[0]
+    away = np.cross(center, end)
+    arcs[0][3] = _rotated(end, away / np.linalg.norm(away), 1e-9)
+    return arcs
+
+
+def _full_circle_added(body):
+    cap = construct.cap(body.enclosing_center, 0.01)
+    return _arcs(body) + _arcs(cap)
+
+
+@BOUNDED
+@given(bodies, st.sampled_from([(_open_boundary, "closed boundary"),
+                                (_off_radius, "segment radius"),
+                                (_full_circle_added, "closed boundary")]))
+def test_broken_boundaries_rejected(body, breakage):
+    breaker, invariant = breakage
+    with pytest.raises(InvariantViolation, match=invariant):
+        bd.SphericalBody(breaker(body))
+
+
+@BOUNDED
+@given(polygons(), st.integers(0, 8), st.floats(0.05, 0.5))
+def test_reflex_junction_rejected(poly, k, depth):
+    # vertex k is reflected across the chord of its neighbours, so the
+    # junction there turns right; it must start at least 1e-3 off the chord
+    # for the dent to exceed the boundary tolerances
+    verts = np.array(poly.vertices)
+    n = len(verts)
+    assume(n >= 4)
+    k %= n
+    prev, nxt = verts[k - 1], verts[(k + 1) % n]
+    chord = np.cross(prev, nxt)
+    assume(abs(verts[k] @ chord) >= 1e-3 * np.linalg.norm(chord))
+    mid = (prev + nxt) / np.linalg.norm(prev + nxt)
+    dent = mid - depth * (verts[k] - mid)
+    verts[k] = dent / np.linalg.norm(dent)
+    succ = np.roll(verts, -1, axis=0)
+    poles = np.cross(verts, succ)
+    poles /= np.linalg.norm(poles, axis=1, keepdims=True)
+    with pytest.raises(InvariantViolation):
+        bd.SphericalBody([(c, math.pi / 2, a, b) for c, a, b in zip(poles, verts, succ)])

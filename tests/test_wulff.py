@@ -169,6 +169,21 @@ class TestProjection:
             wulff.project_to_plane(cap, wulff.frame_at(pole))
 
 
+    def test_close_vertices_induce(self):
+        # gamma sampled at 360 angles: wulff_shape returns two vertices
+        # 8.7e-8 apart, whose great-circle pole must still be accurate to
+        # well under the 1e-10 segment-radius tolerance
+        theta = 2 * math.pi * np.arange(360) / 360
+        gamma = wulff.GammaFn(theta, 0.5 * (1.0 + 0.08551392504081906 * np.cos(
+            3 * theta + 1.1785438675345856)))
+        pole = np.array([-0.7185475129856403, 0.20469931595145033, 0.6646710928204711])
+        shape = wulff.wulff_shape(gamma)
+        gaps = np.linalg.norm(np.roll(shape.vertices, -1, axis=0) - shape.vertices, axis=1)
+        assert gaps.min() < 1e-7
+        body = wulff.induce_spherical(shape, wulff.frame_at(pole))
+        assert body.is_polygon and len(body.radii) > 600
+
+
 class TestSelfDualReport:
     def test_disk_all_true(self, disk):
         rep = wulff.self_dual_equivalence_report(disk, wulff.frame_at(Z),
