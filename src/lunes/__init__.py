@@ -6,7 +6,7 @@ from .body import (BoundarySegment, ExtremeSet, SphericalBody, boundary_sample,
                    distance_to_body, extreme_points, find_enclosing_center,
                    hausdorff_bodies, hull_from_points, polar_dual,
                    polygon_from_vertices, supporting_hemisphere_centers)
-from .construct import (OddGonSpec, TriangleSpec, cap,
+from .construct import (OddGonSpec, cap,
                         constant_diameter_odd_gon, constant_diameter_triangle,
                         random_convex_polygon, regular_odd_gon,
                         regular_polygon_vertices, solve_corner_radii)
@@ -15,7 +15,7 @@ from .errors import (BadRadius, ConsistencyError, DegenerateArc,
                      InconsistentVerdicts, InvalidResolution, InvalidSpec,
                      InvariantViolation, LunesError, NoEnclosingHemisphere,
                      NotInHemisphere, NotSupporting, ParseError,
-                     PoleNotInterior, Unreachable)
+                     PoleNotInterior)
 from .io import (SCHEMA_VERSION, body_from_doc, body_kind, body_to_doc,
                  gamma_from_doc, gamma_to_doc, load_body, load_document,
                  load_gamma, load_report, report_from_doc, report_to_doc,
@@ -24,7 +24,7 @@ from .metrics import (ClassifyReport, DiameterResult, ThicknessResult, Verdict,
                       WidthSample, classify, diameter, is_constant_diameter,
                       is_constant_width, reduced_check, thickness, width_at)
 from .render import render_svg
-from .sphere import (GreatArc, Hemisphere, Lune, antipode, dist,
+from .sphere import (Hemisphere, Lune, antipode, dist,
                      geodesic_point, lune_contains, lune_make, normalize,
                      orthonormal_frame, unit_vec)
 from .wulff import (DualityReport, GammaFn, ProjectionFrame, WulffShape,

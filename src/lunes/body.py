@@ -20,8 +20,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (DegenerateHull, InvariantViolation, NoEnclosingHemisphere)
 from .sphere import dist, normalize, orthonormal_frame
@@ -287,8 +285,9 @@ def _dual(b: Boundary, full: np.ndarray):
     contributes a great arc about the junction point sweeping the supporting
     centers.  The pieces keep the boundary order, each arc's own piece before
     the one of the junction at its end.  Returns the dual boundary (not yet
-    validated), the turn angle at the end of every arc, and the dual row of
-    the great arc at each corner (-1 at a smooth junction).
+    validated), the signed turn angle at the end of every arc (negative at a
+    reflex junction), and the dual row of the great arc at each corner (-1
+    at a smooth junction).
     """
     m = len(b.radii)
     great = b.radii == HALF_PI
@@ -304,7 +303,11 @@ def _dual(b: Boundary, full: np.ndarray):
     at_start = supporting(b.starts)
     at_end = supporting(b.ends)
     at_next = np.roll(at_start, -1, axis=0)
-    turns = np.where(full, 0.0, dist(at_end, at_next))
+    # the supporting centers at a convex corner turn counterclockwise about
+    # it, from the one before the corner to the one after: a reflex junction
+    # has them turn clockwise and gets a negative turn
+    orient = np.einsum("ij,ij->i", np.cross(at_end, at_next), b.ends)
+    turns = np.where(full, 0.0, np.copysign(dist(at_end, at_next), orient))
     keep = np.column_stack([~great, ~full & (turns > SMOOTH_TOL)]).ravel()
 
     def interleaved(arc_piece, corner_piece):
@@ -368,9 +371,13 @@ class SphericalBody:
         self.arcs = _Arcs.from_boundary(b)
 
         dual, turns, self._corner_row = _dual(b, full)
+        reflex = np.flatnonzero(turns < -CONVEXITY_TOL)
+        if len(reflex):
+            k = int(reflex[0])
+            raise InvariantViolation(
+                "convexity", f"reflex junction at the end of segment {k} "
+                f"(turn {float(turns[k]):.3g})")
         self.dual_boundary = _validated(dual)
-        if np.any(turns < -CONVEXITY_TOL):
-            raise InvariantViolation("convexity", "reflex junction")
         self.dual_arcs = _Arcs.from_boundary(self.dual_boundary)
 
         if enclosing_center is None:
@@ -475,11 +482,19 @@ def polygon_from_vertices(vertices, enclosing_center=None) -> SphericalBody:
                          meta={"kind": "polygon"})
 
 
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call: only the SLSQP
+    fallback of find_enclosing_center needs scipy, so importing the package
+    does not load it."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
+
+
 def find_enclosing_center(points, min_dot: float = ENCLOSING_MIN_DOT) -> np.ndarray:
     """Unit vector whose open hemisphere strictly contains all points.
 
     Fast path is the normalized mean; otherwise the max-min-dot problem is
-    solved iteratively (SLSQP on the sphere).  Raises NoEnclosingHemisphere
+    solved iteratively (SLSQP on the sphere, the one use of scipy).  Raises NoEnclosingHemisphere
     when the best achievable minimum dot product is below min_dot.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -525,12 +540,55 @@ def find_enclosing_center(points, min_dot: float = ENCLOSING_MIN_DOT) -> np.ndar
     return best
 
 
+def planar_hull(points) -> np.ndarray:
+    """Indices of the extreme points of a planar set, counterclockwise.
+
+    A Graham scan about the centroid, which lies inside the hull: in order
+    of angle about it the points bound a star-shaped polygon, and one pass
+    around that polygon, starting at the point farthest from the centroid
+    (a hull vertex), pops every vertex that does not turn left by more than
+    roundoff (distance to the chord of its neighbours at most 1e-13 of the
+    coordinate scale).  Points on a hull edge, and all but one copy of a
+    repeated point, are not vertices.  The scan is sequential because a pop
+    can expose the vertex before it: rounds of simultaneous pops would need
+    one round per exposed vertex, O(n^2) on a long convex chain hidden
+    behind a far point.  Raises DegenerateHull for fewer than three points,
+    a non-finite one, or a set on one line within roundoff.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if len(pts) < 3:
+        raise DegenerateHull("fewer than three points")
+    if not np.all(np.isfinite(pts)):
+        raise DegenerateHull("non-finite point")
+    q = pts - pts.mean(axis=0)
+    tol = 1e-13 * float(np.max(np.abs(q)))
+    order = np.argsort(np.arctan2(q[:, 1], q[:, 0]), kind="stable")
+    order = np.roll(order, -int(np.argmax(np.hypot(q[order, 0], q[order, 1]))))
+    xs, ys = q[order].T.tolist()
+    stack = [0]
+    for k in list(range(1, len(order))) + [0]:
+        x, y = xs[k], ys[k]
+        while len(stack) >= 2:
+            ax, ay = xs[stack[-2]], ys[stack[-2]]
+            bx, by = xs[stack[-1]], ys[stack[-1]]
+            # b turns left by more than tol iff it lies that far right of a -> x
+            if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > tol * math.hypot(x - ax, y - ay):
+                break
+            stack.pop()
+        stack.append(k)
+    stack.pop()  # the start again, which closed the cycle
+    if len(stack) < 3:
+        raise DegenerateHull("points on one line")
+    return order[stack]
+
+
 def hull_from_points(points) -> SphericalBody:
     """Spherical convex hull via central (gnomonic) projection.
 
     Projects onto the tangent plane at an enclosing-hemisphere center, where
-    great circles become straight lines, takes the planar hull, and lifts the
-    extreme subset back.  Raises NoEnclosingHemisphere or DegenerateHull.
+    great circles become straight lines, takes the planar hull
+    (planar_hull), and lifts the extreme subset back.  Raises
+    NoEnclosingHemisphere or DegenerateHull.
     """
     pts = normalize(np.atleast_2d(np.asarray(points, dtype=float)))
     # drop duplicates: after a lexicographic sort, points within 1e-12 of
@@ -549,14 +607,7 @@ def hull_from_points(points) -> SphericalBody:
     u, v = orthonormal_frame(center)
     w = pts @ center
     plane = np.column_stack([pts @ u / w, pts @ v / w])
-    try:
-        hull = ConvexHull(plane)
-    except QhullError as exc:
-        raise DegenerateHull(f"planar hull failed: {exc}") from exc
-    idx = hull.vertices  # counterclockwise
-    if len(idx) < 3:
-        raise DegenerateHull("hull has fewer than three extreme points")
-    return polygon_from_vertices(pts[idx], enclosing_center=center)
+    return polygon_from_vertices(pts[planar_hull(plane)], enclosing_center=center)
 
 
 # -- module-level operations ----------------------------------------------

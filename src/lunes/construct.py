@@ -17,8 +17,6 @@ import numpy as np
 from .body import (BoundarySegment, SphericalBody, find_enclosing_center,
                    hull_from_points, polygon_from_vertices)
 from .errors import BadRadius, EvenN, InvalidSpec, LunesError
-from .metrics import thickness
-from .search import bisect_increasing
 from .sphere import dist, normalize, orthonormal_frame
 
 HALF_PI = 0.5 * math.pi
@@ -57,11 +55,14 @@ def regular_polygon_vertices(n: int, circumradius: float, center=None,
 def regular_odd_gon(n: int, target_thickness: float, center=None) -> SphericalBody:
     """Regular n-gon (n odd) whose thickness equals target_thickness.
 
-    The circumradius is found by bisection (thickness grows monotonically
-    with circumradius).  Targets above pi/2 are refused: no polygon is
+    The thickness of a regular odd gon of circumradius R is the distance
+    from a vertex, through the center, to the opposite edge:
+    T = R + atan(k tan R) with k = cos(pi/n), the second term being the
+    distance from the center to an edge.  Taking tan of both sides gives a
+    quadratic in tan R, solved here in the form that stays exact at
+    T = pi/2 (cot T = 0).  Targets above pi/2 are refused: no polygon is
     reduced beyond that thickness, so the constructor would mislabel its
-    output.  Raises EvenN for even or too-small n, Unreachable when the
-    bisection bracket cannot reach the target.
+    output.  Raises EvenN for even or too-small n.
     """
     if n < 3 or n % 2 == 0:
         raise EvenN(f"need an odd n >= 3, got {n}")
@@ -72,14 +73,9 @@ def regular_odd_gon(n: int, target_thickness: float, center=None) -> SphericalBo
     if center is None:
         center = np.array([0.0, 0.0, 1.0])
     c = normalize(np.asarray(center, dtype=float))
-
-    def f(radius: float) -> float:
-        verts = regular_polygon_vertices(n, radius, center=c)
-        body = polygon_from_vertices(verts, enclosing_center=c)
-        return thickness(body, n=128).value
-
-    lo, hi = 1e-4, HALF_PI - 1e-4
-    radius = bisect_increasing(f, lo, hi, target_thickness, tol=1e-8)
+    k = math.cos(math.pi / n)
+    b = (1.0 + k) * math.cos(target_thickness) / math.sin(target_thickness)
+    radius = math.atan(2.0 / (b + math.sqrt(b * b + 4.0 * k)))
     verts = regular_polygon_vertices(n, radius, center=c)
     body = polygon_from_vertices(verts, enclosing_center=c)
     body.meta.update({"kind": "regular_odd_gon", "n": n,
@@ -106,9 +102,6 @@ class OddGonSpec:
     @property
     def n(self) -> int:
         return len(self.corner_radii)
-
-
-TriangleSpec = OddGonSpec
 
 
 def _canonical_ccw(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -37,10 +37,6 @@ class EvenN(InvalidSpec):
     """Vertex count must be odd for the prolonged-diagonal construction."""
 
 
-class Unreachable(LunesError):
-    """Bisection bracket does not contain the requested target value."""
-
-
 class EmptyInterior(LunesError):
     """Half-plane intersection has empty interior."""
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -30,6 +31,9 @@ HALF_PI = 0.5 * math.pi
 SUPPORT_TOL = 1e-8       # |min dot| beyond this means "not a supporting hemisphere"
 CROSS_CHECK_TOL = 1e-8   # agreement between definition-based and dual-form widths
 VERTEX_AGREE_TOL = 1e-9  # polygon diameter vs vertex-pair enumeration
+
+# (value, p, q) of _curve_diameter per arc table and resolution
+_DIAMETERS: WeakKeyDictionary = WeakKeyDictionary()
 
 
 @dataclass
@@ -108,8 +112,18 @@ def _curve_diameter(arcs, n):
     Every sample's farthest partner is exact (the per-arc closed form of
     the support minimum), so one golden-section search over the first point,
     around the best sample, settles the diameter.  Returns (value, p, q)
-    with dist(p, q) = value.
+    with dist(p, q) = value.  The result is computed once per curve and
+    resolution and kept while the arc table, which never changes, lives;
+    p and q are read-only.
     """
+    key = _resolution(n)
+    memo = _DIAMETERS.setdefault(arcs, {})
+    if key not in memo:
+        memo[key] = _refined_diameter(arcs, key)
+    return memo[key]
+
+
+def _refined_diameter(arcs, n):
     params, pts = _samples(arcs, n)
     near = arcs.support_extreme(pts, "min")
     i = int(np.argmin(near))
@@ -121,10 +135,11 @@ def _curve_diameter(arcs, n):
     s, v = golden_max(f, params[i] - bracket, params[i] + bracket)
     if -v[0] > near[i]:  # the refinement never ends below the best sample
         s = params[i:i + 1]
-    p = arcs.point_at(s)
+    p = arcs.point_at(s)[0]
     _, t = arcs.support_min_at(p)
     q = arcs.point_at(t)[0]
-    return float(dist(p[0], q)), p[0], q
+    p.flags.writeable = q.flags.writeable = False
+    return float(dist(p, q)), p, q
 
 
 def _checked_width(k, kp) -> float:
@@ -182,8 +197,10 @@ def diameter(body: SphericalBody, n: int = 720) -> DiameterResult:
     """
     val, p, q = _curve_diameter(body.arcs, n)
     if body.is_polygon and val <= HALF_PI + 1e-8:
+        # the farthest vertex pair is the one with the smallest dot product
         verts = body.vertices
-        vmax = float(np.max(dist(verts[:, None, :], verts[None, :, :])))
+        i, j = np.unravel_index(np.argmin(verts @ verts.T), (len(verts),) * 2)
+        vmax = float(dist(verts[i], verts[j]))
         if abs(val - vmax) > VERTEX_AGREE_TOL:
             raise ConsistencyError(
                 f"sampled diameter {val!r} vs vertex enumeration {vmax!r}")

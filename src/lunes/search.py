@@ -1,11 +1,8 @@
-"""Small 1-d search utilities: golden-section extremum refinement and bisection."""
+"""Vectorized golden-section maximization on per-element brackets."""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
-
-from .errors import Unreachable
 
 INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 INV_PHI2 = (3.0 - np.sqrt(5.0)) / 2.0
@@ -37,22 +34,3 @@ def golden_max(f, lo, hi, iters: int = 48):
         fc, fd = np.where(keep_low, fx, fd), np.where(keep_low, fc, fx)
     x = 0.5 * (a + b)
     return x, f(x)
-
-
-def bisect_increasing(f, lo: float, hi: float, target: float, tol: float,
-                      max_iter: int = 200) -> float:
-    """Solve f(x) = target for f nondecreasing on [lo, hi].
-
-    Raises Unreachable when the bracket does not straddle the target.
-    """
-    flo = f(lo)
-    fhi = f(hi)
-    if not (flo - tol <= target <= fhi + tol):
-        raise Unreachable(
-            f"target {target:.6g} outside bracket values [{flo:.6g}, {fhi:.6g}]")
-    if target <= flo:
-        return lo
-    if target >= fhi:
-        return hi
-    return float(brentq(lambda x: f(x) - target, lo, hi,
-                        xtol=1e-12, maxiter=max_iter))

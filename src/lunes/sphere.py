@@ -1,4 +1,4 @@
-"""Primitives on the unit sphere: distances, arcs, hemispheres and lunes.
+"""Primitives on the unit sphere: distances, geodesic points, hemispheres and lunes.
 
 All points are unit vectors in E^3 stored as numpy arrays of shape (3,).
 Angles are radians.
@@ -66,29 +66,6 @@ def geodesic_point(a, b, t: float) -> np.ndarray:
     s = math.sin(ang)
     p = (math.sin((1.0 - t) * ang) * a + math.sin(t * ang) * b) / s
     return normalize(p)
-
-
-@dataclass(frozen=True)
-class GreatArc:
-    """Minor great-circle arc between two non-equal, non-antipodal points."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", normalize(self.a))
-        object.__setattr__(self, "b", normalize(self.b))
-        if np.linalg.norm(self.a - self.b) < DEGENERATE_TOL:
-            raise DegenerateArc("arc endpoints coincide")
-        if np.linalg.norm(self.a + self.b) < DEGENERATE_TOL:
-            raise DegenerateArc("arc endpoints are antipodal")
-
-    @property
-    def length(self) -> float:
-        return float(dist(self.a, self.b))
-
-    def point(self, t: float) -> np.ndarray:
-        return geodesic_point(self.a, self.b, t)
 
 
 @dataclass(frozen=True)

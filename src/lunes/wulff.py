@@ -18,11 +18,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
-from .body import SphericalBody, hull_from_points
-from .errors import (EmptyInterior, InconsistentVerdicts, InvalidSpec,
-                     InvariantViolation, NotInHemisphere, PoleNotInterior)
+from .body import SphericalBody, hull_from_points, planar_hull
+from .errors import (DegenerateHull, EmptyInterior, InconsistentVerdicts,
+                     InvalidSpec, InvariantViolation, NotInHemisphere,
+                     PoleNotInterior)
 from .metrics import (Verdict, diameter, is_constant_diameter,
                       is_constant_width, reduced_check, thickness)
 from .sphere import normalize, orthonormal_frame
@@ -170,8 +170,8 @@ def wulff_shape(gamma: GammaFn, n: int = 720) -> WulffShape:
 
     Directions are n equispaced angles united with gamma's own sample
     angles.  Each half-plane maps to the dual point u/gamma; active
-    half-planes are the hull vertices of those points, and consecutive
-    actives intersect in the Wulff vertices.
+    half-planes are the hull vertices of those points (planar_hull), and
+    consecutive actives intersect in the Wulff vertices.
     """
     if n < 3:
         raise InvalidSpec("need at least 3 directions")
@@ -180,12 +180,9 @@ def wulff_shape(gamma: GammaFn, n: int = 720) -> WulffShape:
     dirs = np.column_stack([np.cos(ang), np.sin(ang)])
     pts = dirs / g[:, None]
     try:
-        hull = ConvexHull(pts)
-    except QhullError as exc:
+        idx = planar_hull(pts)
+    except DegenerateHull as exc:
         raise EmptyInterior(f"degenerate half-plane family: {exc}") from exc
-    idx = hull.vertices  # counterclockwise
-    if len(idx) < 3:
-        raise EmptyInterior("fewer than 3 active half-planes")
     pa = pts[idx]
     pb = pts[np.roll(idx, -1)]
     den = pa[:, 0] * pb[:, 1] - pa[:, 1] * pb[:, 0]
@@ -307,8 +304,8 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
                      n: int = 720) -> WulffShape:
     """Central projection of the body onto the tangent plane at frame.pole.
 
-    p maps to (p.u / p.N, p.v / p.N); the output is the planar hull of n
-    projected boundary samples.  The body must sit strictly inside the open
+    p maps to (p.u / p.N, p.v / p.N); the output is the planar hull
+    (planar_hull) of n projected boundary samples.  The body must sit strictly inside the open
     hemisphere at the pole, and the pole strictly inside the body (so the
     origin is interior to the image).
     """
@@ -324,10 +321,10 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
     w = pts @ frame.pole
     plane = np.column_stack([pts @ frame.u / w, pts @ frame.v / w])
     try:
-        hull = ConvexHull(plane)
-    except QhullError as exc:
+        idx = planar_hull(plane)
+    except DegenerateHull as exc:
         raise InvalidSpec(f"projected boundary degenerate: {exc}") from exc
-    shape = WulffShape(plane[hull.vertices])
+    shape = WulffShape(plane[idx])
     shape.gamma = _gamma_of_polygon(shape.vertices, shape.normals)
     return shape
 

@@ -38,11 +38,13 @@ class TestCap:
 
 class TestRegularOddGon:
     def test_thickness_round_trip(self):
-        for n, tgt in ((3, 0.8), (5, 1.0), (7, 1.3)):
-            body = construct.regular_odd_gon(n, tgt)
-            assert len(body.segments) == n
-            th = metrics.thickness(body, n=240).value
-            assert th == pytest.approx(tgt, abs=1e-8)
+        # the circumradius has a closed form, so the target is met to roundoff
+        for n in (3, 5, 7, 9):
+            for tgt in (0.05, 0.3, 0.8, 1.2, 1.5, HALF_PI):
+                body = construct.regular_odd_gon(n, tgt)
+                assert len(body.segments) == n
+                th = metrics.thickness(body, n=720).value
+                assert th == pytest.approx(tgt, abs=1e-12)
 
     def test_half_pi_triangle_is_octant_congruent(self):
         body = construct.regular_odd_gon(3, HALF_PI)

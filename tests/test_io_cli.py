@@ -325,3 +325,22 @@ class TestCli:
             assert r.returncode == 0, r.stderr
         assert (tmp_path / "r1.json").read_bytes() == \
             (tmp_path / "r2.json").read_bytes()
+
+    def test_commands_load_no_scipy(self, tmp_path):
+        # scipy is for the SLSQP fallback of find_enclosing_center only;
+        # -X importtime logs every module the child imports
+        commands = [["-c", "import lunes"],
+                    ["-m", "lunes", "construct", "random", "--out", "poly.json"],
+                    ["-m", "lunes", "analyze", "poly.json"],
+                    ["-m", "lunes", "check", "constant-width", "poly.json"],
+                    ["-m", "lunes", "roundtrip", "poly.json"]]
+        for args in commands:
+            r = subprocess.run([sys.executable, "-X", "importtime", *args],
+                               cwd=tmp_path, env=child_env(), capture_output=True,
+                               text=True)
+            assert r.returncode in (0, 1), r.stderr
+            modules = [line.rsplit("|", 1)[-1].strip()
+                       for line in r.stderr.splitlines()
+                       if line.startswith("import time:")]
+            assert "lunes" in modules, args
+            assert not [m for m in modules if m.split(".")[0] == "scipy"], args

@@ -1,7 +1,7 @@
 """Property tests on generated bodies and polygons: the closed-form farthest
-point and the width/diameter identities built on it, the support-function
-polygon Hausdorff distance, the polar-dual involution, lossless persistence
-and boundary validation.
+point and the width/diameter identities built on it, the planar hull against
+Qhull, the support-function polygon Hausdorff distance, the polar-dual
+involution, lossless persistence and boundary validation.
 
 Example counts are bounded and the search is derandomized, so the suite is
 deterministic and its runtime fixed; it lives apart from the acceptance gate.
@@ -20,7 +20,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from lunes import body as bd
 from lunes import construct, io, metrics, wulff
-from lunes.errors import InvariantViolation, LunesError
+from lunes.errors import DegenerateHull, InvariantViolation, LunesError
 from lunes.sphere import dist, orthonormal_frame
 
 DENSE = 4096  # boundary samples of the brute-force farthest-point oracle
@@ -114,6 +114,88 @@ def test_thickness_plus_dual_diameter_is_pi(body):
                - math.pi) <= 1e-9
     assert abs(metrics.thickness(dual).value + metrics.diameter(body).value
                - math.pi) <= 1e-9
+
+
+# -- planar hull ---------------------------------------------------------------
+
+# coordinates on a 1/64 grid make every turn of three points exactly zero or
+# at least 2**-12, so no generated set sits on the roundoff threshold, where
+# the two hulls may legitimately differ
+coords = st.integers(-64, 64).map(lambda k: k / 64)
+clouds = st.lists(st.tuples(coords, coords), min_size=3, max_size=40).map(np.array)
+
+
+@st.composite
+def edge_samples(draw):
+    """Points along the edges of a convex grid polygon: long collinear runs."""
+    cloud = draw(clouds)
+    try:
+        verts = cloud[ConvexHull(cloud).vertices]
+    except QhullError:
+        assume(False)
+    per_edge = draw(st.sampled_from([1, 2, 4, 8]))
+    t = np.arange(per_edge) / per_edge
+    edges = np.roll(verts, -1, axis=0) - verts
+    pts = (verts[:, None, :] + t[None, :, None] * edges[:, None, :]).reshape(-1, 2)
+    return pts[draw(st.permutations(range(len(pts))))]
+
+
+@st.composite
+def with_twins(draw):
+    """A cloud with some points repeated exactly or within roundoff."""
+    pts = draw(clouds)
+    picks = draw(st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=6))
+    shift = draw(st.sampled_from([0.0, 1e-16, 2e-16]))
+    return np.concatenate([pts, pts[picks] * (1.0 + shift)])
+
+
+@st.composite
+def star_sets(draw):
+    """A cloud in order of angle about the origin."""
+    pts = draw(clouds)
+    return pts[np.argsort(np.arctan2(pts[:, 1], pts[:, 0]), kind="stable")]
+
+
+def _pentagon_gamma_points():
+    """wulff_shape's dual points for the gamma of a regular pentagon: every
+    corner appears twice, within 1e-16 (an edge-normal angle and a grid
+    angle)."""
+    shape = wulff.WulffShape(0.7 * np.column_stack(
+        [np.cos(2 * math.pi * np.arange(5) / 5), np.sin(2 * math.pi * np.arange(5) / 5)]))
+    gamma = wulff.polygon_gamma(shape)
+    ang = np.unique(np.concatenate([2 * math.pi * np.arange(720) / 720, gamma.angles]))
+    return np.column_stack([np.cos(ang), np.sin(ang)]) / gamma(ang)[:, None]
+
+
+@settings(BOUNDED, max_examples=80)
+@given(st.one_of(clouds, edge_samples(), with_twins(), star_sets()))
+@example(_pentagon_gamma_points())
+@example(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))
+@example(np.array([[0.0, 0.0], [1.0, 1.0]]))
+def test_planar_hull_matches_qhull(pts):
+    try:
+        expected = pts[ConvexHull(pts).vertices]
+    except QhullError:
+        with pytest.raises(DegenerateHull):
+            bd.planar_hull(pts)
+        return
+    got = pts[bd.planar_hull(pts)]
+    # the same vertex set, counterclockwise and strictly convex
+    scale = float(np.max(np.abs(pts)))
+    assert len(got) == len(expected)
+    gap = np.linalg.norm(got[:, None, :] - expected[None, :, :], axis=2)
+    assert np.all(gap.min(axis=1) <= 1e-12 * scale)
+    assert np.all(gap.min(axis=0) <= 1e-12 * scale)
+    edges = np.roll(got, -1, axis=0) - got
+    nxt = np.roll(edges, -1, axis=0)
+    assert np.all(edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0] > 0.0)
+
+
+def test_degenerate_hull_inputs_rejected():
+    arc = np.array([[math.cos(t), math.sin(t), 0.0] for t in (0.0, 0.2, 0.5, 0.9)])
+    for pts in (arc, arc[:2]):  # on one great circle; two points
+        with pytest.raises(DegenerateHull):
+            bd.hull_from_points(pts)
 
 
 # -- polygon Hausdorff distance ------------------------------------------------
@@ -281,3 +363,22 @@ def test_reflex_junction_rejected(poly, k, depth):
     poles /= np.linalg.norm(poles, axis=1, keepdims=True)
     with pytest.raises(InvariantViolation):
         bd.SphericalBody([(c, math.pi / 2, a, b) for c, a, b in zip(poles, verts, succ)])
+
+
+@BOUNDED
+@given(polygons(), st.integers(0, 8), st.floats(0.1, 0.9), st.floats(0.5, 2.0))
+def test_tiny_reflex_dent_rejected(poly, k, at, depth):
+    # two vertices 8.4e-9 apart on edge k with a third between them pushed
+    # inward by about that much: a dent far below the sampled winding check,
+    # which the signed junction turn must report as a convexity fault
+    verts = np.array(poly.vertices)
+    k %= len(verts)
+    a, b = verts[k], verts[(k + 1) % len(verts)]
+    pole = np.cross(a, b)
+    pole /= np.linalg.norm(pole)
+    p = _rotated(a, pole, at * float(dist(a, b)))
+    q = _rotated(p, pole, 8.4e-9)
+    dent = 0.5 * (p + q) + depth * 8.4e-9 * pole  # the interior is left of a -> b
+    dented = np.insert(verts, k + 1, [p, dent / np.linalg.norm(dent), q], axis=0)
+    with pytest.raises(InvariantViolation, match="convexity: reflex junction"):
+        bd.polygon_from_vertices(dented)
