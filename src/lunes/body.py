@@ -455,11 +455,6 @@ class SphericalBody:
         _, pts = self.arcs.sample_points(n, align=True)
         return pts
 
-    def interior_radius(self) -> float:
-        """Angular radius of the largest cap about the enclosing center inside."""
-        val = float(self.dual_arcs.support_extreme(self.enclosing_center, "min")[0])
-        return math.asin(min(1.0, max(-1.0, val)))
-
 
 # -- constructors ---------------------------------------------------------
 
@@ -635,17 +630,14 @@ def supporting_hemisphere_centers(body: SphericalBody, n: int = 720) -> np.ndarr
     return pts
 
 
-def polar_dual(body: SphericalBody, n: int = 720) -> SphericalBody:
+def polar_dual(body: SphericalBody) -> SphericalBody:
     """The polar dual body: its boundary is the supporting-center curve.
 
     The dual is assembled exactly from the arc structure (arc of radius rho
     about c -> arc of radius pi/2 - rho about c; corner -> polar great arc),
-    so dualizing twice reproduces the body to roundoff.  n is kept as the
-    resolution knob for validation sampling.
+    so dualizing twice reproduces the body to roundoff.
     """
-    dual = SphericalBody(body.dual_boundary, enclosing_center=body.enclosing_center)
-    _ = n
-    return dual
+    return SphericalBody(body.dual_boundary, enclosing_center=body.enclosing_center)
 
 
 def distance_to_body(body: SphericalBody, pts, tol: float = 1e-9) -> np.ndarray:

@@ -196,13 +196,13 @@ def _run(args) -> int:
             print(f"wrote {args.out} ({len(shape.vertices)} vertices)")
             return 0
         if args.what == "dual":
-            shape = wulff.dual_wulff(wulff.wulff_shape(gamma, n=n), n=n)
+            shape = wulff.dual_wulff(wulff.wulff_shape(gamma, n=n))
             io.save_gamma(wulff.polygon_gamma(shape), args.out)
             print(f"wrote {args.out} ({len(shape.vertices)} vertices)")
             return 0
         if args.what == "self-dual":
             shape = wulff.wulff_shape(gamma, n=n)
-            ok, gap = wulff.is_self_dual(shape, tol=tol, n=n)
+            ok, gap = wulff.is_self_dual(shape, tol=tol)
             print(f"self-dual: {'pass' if ok else 'FAIL'} "
                   f"(gap {gap:.3g}, tolerance {tol:g})")
             return 0 if ok else 1

@@ -264,13 +264,19 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720,
     thick = thickness(body, n).value
     dual = body.dual_arcs
     corners = body.ends[corner_idx]
-    m = body.enclosing_center
+    # hemisphere centers supporting at corner e form a great arc about e (a
+    # dual junction arc), dual parameters lo..hi
+    rows = body._corner_row[corner_idx]
+    lo, hi = dual.cum[rows], dual.cum[rows + 1]
 
     # (b) cap-cutting probe: removing depth d at corner e intersects the body
     # with a hemisphere whose center joins the dual; the new thickness is
     # pi - max(dual diameter, max dist from that center to the dual curve).
+    # The cut tilts toward the corner's bisecting supporting center, the
+    # midpoint of its dual arc, so the probe depends on the boundary alone.
     depth = 10.0 * tol
-    w_dir = normalize(m - (corners @ m)[:, None] * corners)
+    mid = dual.point_at(0.5 * (lo + hi))
+    w_dir = normalize(mid - np.sum(corners * mid, axis=1)[:, None] * corners)
     cut_centers = -math.sin(depth) * corners + math.cos(depth) * w_dir
     drops = _farthest(dual, cut_centers) - (math.pi - thick)
     bad = np.where(drops <= tol)[0]
@@ -281,14 +287,11 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720,
                        witness={"mode": "cap_cut", "corner": corners[i],
                                 "thickness_drop": float(drops[i])})
 
-    # (a) lune search: hemisphere centers supporting at e form a great arc
-    # about e (a dual junction arc); pairing each with the center at angle
-    # pi - thickness through e yields every candidate lune with e at a
-    # semicircle midpoint.  The lune contains the body iff the partner
-    # center's support minimum is nonnegative.  All corners are scanned and
-    # refined together.
-    rows = body._corner_row[corner_idx]
-    lo, hi = dual.cum[rows], dual.cum[rows + 1]
+    # (a) lune search: pairing each supporting center on e's dual arc with
+    # the center at angle pi - thickness through e yields every candidate
+    # lune with e at a semicircle midpoint.  The lune contains the body iff
+    # the partner center's support minimum is nonnegative.  All corners are
+    # scanned and refined together.
     cos_t, sin_t = math.cos(thick), math.sin(thick)
     n_scan = 33
     phis = np.linspace(lo, hi, n_scan, axis=1)

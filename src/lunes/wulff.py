@@ -3,13 +3,15 @@
 A Wulff shape is the intersection of half-planes x . u(theta) <= gamma(theta)
 over a positive surface-energy function gamma on the circle of directions.
 The dual reweights by gamma_bar(theta) = 1 / w(theta + pi), w being the
-radial function.  Central (gnomonic) projection at a pole N carries these
-polygons to spherical convex bodies and back, which turns the self-duality
-question into width/diameter checks on the sphere; the equivalence report
-runs all five checks and treats any disagreement as an internal error.
-Self-duality gaps are exact polygon Hausdorff distances, taken from the two
-support functions over the merged edge-normal angles in
-O((m + k) log(m + k)) for polygons of m and k vertices.
+radial function; for a polygon W its Wulff shape is the polar of -W, built
+in closed form with one vertex per edge of W.  Central (gnomonic)
+projection at a pole N carries these polygons to spherical convex bodies
+and back, which turns the self-duality question into width/diameter checks
+on the sphere; the equivalence report runs all five checks and treats any
+disagreement as an internal error.  Self-duality gaps are exact polygon
+Hausdorff distances, taken from the two support functions over the merged
+edge-normal angles in O((m + k) log(m + k)) for polygons of m and k
+vertices.
 """
 
 from __future__ import annotations
@@ -80,11 +82,11 @@ class GammaFn:
 class WulffShape:
     """Convex planar polygon with the origin strictly interior.
 
-    Vertices counterclockwise; edge normals, offsets, radial and support
-    functions are derived at construction.  gamma records provenance.
+    Vertices counterclockwise; edge normals and offsets are derived at
+    construction.
     """
 
-    def __init__(self, vertices, gamma: GammaFn | None = None):
+    def __init__(self, vertices):
         verts = np.atleast_2d(np.asarray(vertices, dtype=float))
         if verts.shape[1] != 2 or len(verts) < 3:
             raise InvalidSpec("need at least 3 planar vertices")
@@ -117,7 +119,6 @@ class WulffShape:
         self.vertices = verts
         self.normals = normals
         self.offsets = offsets
-        self.gamma = gamma
 
     def radial(self, theta):
         """Distance from the origin to the boundary along direction theta."""
@@ -128,22 +129,17 @@ class WulffShape:
         np.divide(self.offsets[None, :], den, out=ratio, where=den > 1e-15)
         return ratio.min(axis=1)
 
-    def support(self, theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        d = np.column_stack([np.cos(theta), np.sin(theta)])
-        return (d @ self.vertices.T).max(axis=1)
-
     def contains(self, p, tol: float = 1e-12) -> bool:
         p = np.asarray(p, dtype=float)
         return bool(np.all(self.normals @ p <= self.offsets + tol))
 
     def scaled(self, s: float) -> "WulffShape":
-        return WulffShape(float(s) * self.vertices, gamma=None)
+        return WulffShape(float(s) * self.vertices)
 
 
-def _gamma_of_polygon(verts: np.ndarray, normals: np.ndarray,
-                      grid: int = 1440) -> GammaFn:
-    """Dense support samples: a fine angle grid united with the edge normals.
+def polygon_gamma(shape: WulffShape) -> GammaFn:
+    """Gamma encoding of a polygon: its support on a grid of 1440 angles
+    united with the edge normals.
 
     Every sampled value is the true polygon support, so each half-plane a
     consumer derives from a sample is valid, and the edge normals carry the
@@ -153,16 +149,13 @@ def _gamma_of_polygon(verts: np.ndarray, normals: np.ndarray,
     samples linear interpolation can undercut the support near a corner by
     at most kink * (2 pi / grid) / 4.
     """
+    grid = 1440
+    normals = shape.normals
     ang = np.mod(np.arctan2(normals[:, 1], normals[:, 0]), TWO_PI)
     ang = np.unique(np.concatenate([TWO_PI * np.arange(grid) / grid, ang]))
     dirs = np.column_stack([np.cos(ang), np.sin(ang)])
-    vals = (dirs @ verts.T).max(axis=1)
+    vals = (dirs @ shape.vertices.T).max(axis=1)
     return GammaFn(ang, vals)
-
-
-def polygon_gamma(shape: WulffShape) -> GammaFn:
-    """Gamma encoding of a polygon; see _gamma_of_polygon for fidelity."""
-    return _gamma_of_polygon(shape.vertices, shape.normals)
 
 
 def wulff_shape(gamma: GammaFn, n: int = 720) -> WulffShape:
@@ -190,7 +183,7 @@ def wulff_shape(gamma: GammaFn, n: int = 720) -> WulffShape:
         raise EmptyInterior("origin on or outside the dual hull")
     verts = np.column_stack([(pb[:, 1] - pa[:, 1]) / den,
                              (pa[:, 0] - pb[:, 0]) / den])
-    return WulffShape(verts, gamma=gamma)
+    return WulffShape(verts)
 
 
 def radial_w(shape: WulffShape, theta) -> float | np.ndarray:
@@ -200,10 +193,23 @@ def radial_w(shape: WulffShape, theta) -> float | np.ndarray:
 
 
 def dual_wulff(shape: WulffShape, n: int = 720) -> WulffShape:
-    """Wulff shape of gamma_bar(theta) = 1 / w(theta + pi) at n angles."""
-    ang = TWO_PI * np.arange(n) / n
-    gbar = GammaFn(ang, 1.0 / shape.radial(ang + math.pi))
-    return wulff_shape(gbar, n)
+    """Wulff shape of gamma_bar(theta) = 1 / w(theta + pi), in closed form.
+
+    For a polygon W with edge normals n_i and offsets o_i, gamma_bar(theta)
+    = max_i u(theta) . (-n_i / o_i), the support function of the polar of
+    -W; the dual is that polygon, the intersection of the half-planes
+    y . v <= 1 over the vertices v of -W, one vertex per edge of W.
+    Dualizing twice returns the shape to roundoff.  n is accepted for
+    compatibility and ignored.
+    """
+    pa = -shape.vertices
+    pb = np.roll(pa, -1, axis=0)
+    den = pa[:, 0] * pb[:, 1] - pa[:, 1] * pb[:, 0]
+    if np.any(den <= 1e-300):
+        raise EmptyInterior("origin on or outside the negated polygon")
+    verts = np.column_stack([(pb[:, 1] - pa[:, 1]) / den,
+                             (pa[:, 0] - pb[:, 0]) / den])
+    return WulffShape(verts)
 
 
 def _normal_angles(verts: np.ndarray) -> np.ndarray:
@@ -254,24 +260,10 @@ def hausdorff_polygons(a: WulffShape, b: WulffShape) -> float:
 def is_self_dual(shape: WulffShape, tol: float = 1e-6,
                  n: int = 720) -> tuple[bool, float]:
     """Whether the shape equals its dual Wulff shape within tol (exact
-    polygon Hausdorff gap returned alongside)."""
-    gap = hausdorff_polygons(shape, dual_wulff(shape, n))
+    polygon Hausdorff gap returned alongside).  n is accepted for
+    compatibility and ignored: the dual is exact."""
+    gap = hausdorff_polygons(shape, dual_wulff(shape))
     return gap <= tol, gap
-
-
-def _exact_dual(shape: WulffShape) -> WulffShape:
-    """Closed-form dual of a polygon: the intersection of the half-planes
-    y . v <= 1 over v in the negated vertex set.  dual_wulff converges to
-    this as n grows (linearly in 1/n near polygon corners), so it serves as
-    the sampling-free arbiter for verdict consistency."""
-    pa = -shape.vertices
-    pb = np.roll(pa, -1, axis=0)
-    den = pa[:, 0] * pb[:, 1] - pa[:, 1] * pb[:, 0]
-    if np.any(den <= 1e-300):
-        raise EmptyInterior("origin on or outside the negated polygon")
-    verts = np.column_stack([(pb[:, 1] - pa[:, 1]) / den,
-                             (pa[:, 0] - pb[:, 0]) / den])
-    return WulffShape(verts)
 
 
 # -- projection bridge ------------------------------------------------------
@@ -305,9 +297,9 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
     """Central projection of the body onto the tangent plane at frame.pole.
 
     p maps to (p.u / p.N, p.v / p.N); the output is the planar hull
-    (planar_hull) of n projected boundary samples.  The body must sit strictly inside the open
-    hemisphere at the pole, and the pole strictly inside the body (so the
-    origin is interior to the image).
+    (planar_hull) of n projected boundary samples.  The body must sit
+    strictly inside the open hemisphere at the pole, and the pole strictly
+    inside the body (so the origin is interior to the image).
     """
     margin = float(body.support_min(frame.pole)[0])
     if margin <= 1e-6:
@@ -324,9 +316,7 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
         idx = planar_hull(plane)
     except DegenerateHull as exc:
         raise InvalidSpec(f"projected boundary degenerate: {exc}") from exc
-    shape = WulffShape(plane[idx])
-    shape.gamma = _gamma_of_polygon(shape.vertices, shape.normals)
-    return shape
+    return WulffShape(plane[idx])
 
 
 def _polygon_boundary_samples(verts: np.ndarray, n: int) -> np.ndarray:
@@ -393,20 +383,13 @@ def self_dual_equivalence_report(shape: WulffShape, frame: ProjectionFrame,
 
     Conditions: constant width pi/2; reduced with thickness pi/2; reduced
     with diameter pi/2; constant diameter pi/2.  Each is a Verdict gated on
-    both the property check and the pi/2 value.  Disagreement beyond
-    tolerance slack (one strict pass at <= tol together with one failure at
-    > 10*tol) raises InconsistentVerdicts; the self-duality side of that
-    comparison uses the sampling-free closed-form dual, because the sampled
-    dual of a polygon carries an O(1/n) corner artifact that is a resolution
-    limit, not a numerical fault.  The reported self_dual/hausdorff_gap pair
-    stays the sampled measurement.
-
-    The induced-body metrics converge much faster than the sampled dual, so
-    dual_n (default n) lets the dual comparison run at a finer resolution
-    without dragging the metric passes along.
+    both the property check and the pi/2 value.  The self-duality gap is
+    the exact Hausdorff distance to the closed-form dual.  Disagreement
+    beyond tolerance slack (one strict pass at <= tol together with one
+    failure at > 10*tol) raises InconsistentVerdicts.  dual_n is accepted
+    for compatibility and ignored: the dual is exact.
     """
-    sd, gap = is_self_dual(shape, tol=tol, n=n if dual_n is None else dual_n)
-    exact_gap = hausdorff_polygons(shape, _exact_dual(shape))
+    sd, gap = is_self_dual(shape, tol=tol)
     body = induce_spherical(shape, frame, n=n)
     th = thickness(body, n=n)
     dm = diameter(body, n=n)
@@ -430,8 +413,8 @@ def self_dual_equivalence_report(shape: WulffShape, frame: ProjectionFrame,
     }
     report = DualityReport(self_dual=sd, hausdorff_gap=gap,
                            four_conditions=conditions, induced_body=body)
-    devs = [exact_gap] + [v.deviation for v in conditions.values()]
-    flags = [exact_gap <= tol] + [v.passed for v in conditions.values()]
+    devs = [gap] + [v.deviation for v in conditions.values()]
+    flags = [sd] + [v.passed for v in conditions.values()]
     if any(flags) and not all(flags):
         strict_pass = any(f and d <= tol for f, d in zip(flags, devs))
         hard_fail = any((not f) and d > 10.0 * tol for f, d in zip(flags, devs))
@@ -440,6 +423,5 @@ def self_dual_equivalence_report(shape: WulffShape, frame: ProjectionFrame,
                 "equivalent self-duality conditions disagree: "
                 + ", ".join(f"{k}={v.passed} (dev {v.deviation:.3g})"
                             for k, v in conditions.items())
-                + f", exact dual gap {exact_gap:.3g}"
-                + f", self_dual={sd} (sampled gap {gap:.3g})")
+                + f", self_dual={sd} (gap {gap:.3g})")
     return report

@@ -222,9 +222,16 @@ class TestCli:
         assert "Traceback" not in r.stderr, r.stderr
 
     def test_wulff_self_dual_exit_codes(self, tmp_path):
+        # unit gamma builds the n-gon circumscribing the unit circle; its
+        # dual inscribes it, a gap of 1/cos(pi/n) - cos(pi/n)
         io.save_gamma(wulff.GammaFn.constant(1.0), str(tmp_path / "one.json"))
         r = run_cli("wulff", "self-dual", "--gamma", "one.json", cwd=tmp_path)
+        assert r.returncode == 1, r.stdout + r.stderr
+        assert "self-dual: FAIL (gap 1.9e-05," in r.stdout, r.stdout
+        r = run_cli("--samples", "4096", "wulff", "self-dual", "--gamma", "one.json",
+                    cwd=tmp_path)
         assert r.returncode == 0, r.stdout + r.stderr
+        assert "self-dual: pass (gap 5.88e-07," in r.stdout, r.stdout
         io.save_gamma(wulff.GammaFn.from_callable(
             lambda t: np.abs(np.cos(t)) + np.abs(np.sin(t)), n=360),
             str(tmp_path / "sq.json"))

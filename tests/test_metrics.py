@@ -7,7 +7,7 @@ import pytest
 from conftest import random_cd_triangle_vertices
 
 from lunes import body as bd
-from lunes import construct, metrics, sphere
+from lunes import construct, io, metrics, sphere
 from lunes.errors import InvalidResolution, NotSupporting
 
 HALF_PI = math.pi / 2
@@ -190,21 +190,25 @@ class TestDualityRoutes:
             for c in centers[rng.choice(len(centers), size=8, replace=False)]:
                 metrics.width_at(poly, c, n=240)
 
-    def test_reduced_theorems_on_sweep(self, regular_gons):
-        for (n, tgt), body in regular_gons.items():
-            red = metrics.reduced_check(body, tol=1e-6, n=240)
-            if not red.passed:
-                continue
-            th = metrics.thickness(body, n=240).value
-            dm = metrics.diameter(body, n=240).value
-            if th >= HALF_PI - 1e-8:
-                cw = metrics.is_constant_width(body, tol=1e-6, n=240)
-                assert cw.passed
-                assert th == pytest.approx(dm, abs=1e-6)
-            if th <= HALF_PI + 1e-8:
-                assert dm <= HALF_PI + 1e-6
-            if th < HALF_PI - 0.05:
-                assert dm < HALF_PI - 1e-6
+    def test_reduced_theorems_on_sweep(self, regular_gons, tmp_path):
+        # regular odd-gons are reduced, as built and after save -> load
+        # (which recomputes the enclosing center)
+        for (n, tgt), built in regular_gons.items():
+            path = str(tmp_path / f"gon-{n}-{tgt}.json")
+            io.save_body(built, path)
+            for body in (built, io.load_body(path)):
+                red = metrics.reduced_check(body, tol=1e-6, n=240)
+                assert red.passed, ((n, tgt), red.witness)
+                th = metrics.thickness(body, n=240).value
+                dm = metrics.diameter(body, n=240).value
+                if th >= HALF_PI - 1e-8:
+                    cw = metrics.is_constant_width(body, tol=1e-6, n=240)
+                    assert cw.passed
+                    assert th == pytest.approx(dm, abs=1e-6)
+                if th <= HALF_PI + 1e-8:
+                    assert dm <= HALF_PI + 1e-6
+                if th < HALF_PI - 0.05:
+                    assert dm < HALF_PI - 1e-6
 
 
 class TestResolution:

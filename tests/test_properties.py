@@ -1,7 +1,7 @@
 """Property tests on generated bodies and polygons: the closed-form farthest
 point and the width/diameter identities built on it, the planar hull against
-Qhull, the support-function polygon Hausdorff distance, the polar-dual
-involution, lossless persistence and boundary validation.
+Qhull, the support-function polygon Hausdorff distance, the exact Wulff dual,
+the polar-dual involution, lossless persistence and boundary validation.
 
 Example counts are bounded and the search is derandomized, so the suite is
 deterministic and its runtime fixed; it lives apart from the acceptance gate.
@@ -10,6 +10,7 @@ deterministic and its runtime fixed; it lives apart from the acceptance gate.
 import math
 import os
 import tempfile
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +21,8 @@ from scipy.spatial import ConvexHull, QhullError
 
 from lunes import body as bd
 from lunes import construct, io, metrics, wulff
-from lunes.errors import DegenerateHull, InvariantViolation, LunesError
+from lunes.errors import (DegenerateHull, InconsistentVerdicts,
+                          InvariantViolation, LunesError)
 from lunes.sphere import dist, orthonormal_frame
 
 DENSE = 4096  # boundary samples of the brute-force farthest-point oracle
@@ -268,6 +270,49 @@ def test_hausdorff_polygons_matches_brute_force(pair):
     a, b = pair
     got = wulff.hausdorff_polygons(SimpleNamespace(vertices=a), SimpleNamespace(vertices=b))
     assert abs(got - _brute_hausdorff(a, b)) <= 1e-12
+
+
+# -- exact Wulff dual ----------------------------------------------------------
+
+
+def _centered(verts):
+    """A WulffShape of the polygon moved so its vertex mean, an interior
+    point, sits at the origin."""
+    return wulff.WulffShape(verts - verts.mean(axis=0))
+
+
+@BOUNDED
+@given(convex_polygons())
+def test_dual_wulff_is_an_involution(verts):
+    shape = _centered(verts)
+    twice = wulff.dual_wulff(wulff.dual_wulff(shape))
+    scale = float(np.max(np.abs(shape.vertices)))
+    assert wulff.hausdorff_polygons(twice, shape) <= 1e-12 * scale
+
+
+@BOUNDED
+@given(convex_polygons())
+def test_dual_support_is_reciprocal_radial(verts):
+    # the dual's support is gamma_bar(theta) = 1 / w(theta + pi), checked on
+    # a fine grid united with the dual's edge normals
+    shape = _centered(verts)
+    g = wulff.polygon_gamma(wulff.dual_wulff(shape))
+    w = wulff.radial_w(shape, g.angles + math.pi)
+    assert np.max(np.abs(g.values * w - 1.0)) <= 1e-12
+
+
+def test_report_raises_on_disagreeing_verdicts(octant, monkeypatch):
+    # the projected octant is exactly self-dual (a strict pass); a constant
+    # width verdict failing far beyond tolerance contradicts it
+    def failing_width(body, tol=1e-6, n=720):
+        verdict = metrics.is_constant_width(body, tol=tol, n=n)
+        return replace(verdict, passed=False, deviation=1.0)
+
+    fr = wulff.frame_at(octant.enclosing_center)
+    shape = wulff.project_to_plane(octant, fr, n=720)
+    monkeypatch.setattr(wulff, "is_constant_width", failing_width)
+    with pytest.raises(InconsistentVerdicts):
+        wulff.self_dual_equivalence_report(shape, fr, tol=1e-4, n=720)
 
 
 # -- bodies: polar dual, persistence, validation --------------------------------

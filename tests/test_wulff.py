@@ -13,6 +13,9 @@ from lunes.errors import (EmptyInterior, InvalidSpec, NotInHemisphere,
 Z = np.array([0.0, 0.0, 1.0])
 SQUARE = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 DIAMOND = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+# Hausdorff gap between the 360-gon circumscribing the unit circle and its
+# dual, the 360-gon inscribed in it
+DISK_GAP = 1.0 / math.cos(math.pi / 360) - math.cos(math.pi / 360)
 
 
 @pytest.fixture(scope="module")
@@ -102,9 +105,10 @@ class TestWulffShape:
 
 class TestDualWulff:
     def test_dual_gamma_times_radial_is_one(self, square):
-        d = wulff.dual_wulff(square, n=360)
-        w = wulff.radial_w(square, d.gamma.angles + math.pi)
-        assert np.max(np.abs(d.gamma.values * w - 1.0)) <= 1e-12
+        # the dual's support is gamma_bar(theta) = 1 / w(theta + pi)
+        g = wulff.polygon_gamma(wulff.dual_wulff(square))
+        w = wulff.radial_w(square, g.angles + math.pi)
+        assert np.max(np.abs(g.values * w - 1.0)) <= 1e-12
 
     def test_square_dual_is_diamond(self, square):
         d = wulff.dual_wulff(square, n=720)
@@ -115,15 +119,19 @@ class TestDualWulff:
         assert gap == pytest.approx(math.sqrt(0.5), abs=1e-9)
 
     def test_disk_self_dual(self, disk):
-        ok, gap = wulff.is_self_dual(disk, tol=1e-6, n=360)
-        assert ok and gap <= 1e-9
+        # the 360-gon circumscribes the unit circle and its dual inscribes it
+        ok, gap = wulff.is_self_dual(disk, tol=1e-6)
+        assert not ok
+        assert gap == pytest.approx(DISK_GAP, abs=1e-12)
+        ok, _ = wulff.is_self_dual(disk, tol=1e-4)
+        assert ok
 
     def test_involution_small_gap(self):
         g = wulff.GammaFn.from_callable(lambda t: 1.0 + 0.3 * np.cos(2 * t),
                                         n=720)
         shape = wulff.wulff_shape(g, n=720)
-        twice = wulff.dual_wulff(wulff.dual_wulff(shape, 720), 720)
-        assert wulff.hausdorff_polygons(twice, shape) <= 5e-3
+        twice = wulff.dual_wulff(wulff.dual_wulff(shape))
+        assert wulff.hausdorff_polygons(twice, shape) <= 1e-12
 
     def test_scale_covariance(self, square):
         s = 1.7
@@ -189,7 +197,7 @@ class TestSelfDualReport:
         rep = wulff.self_dual_equivalence_report(disk, wulff.frame_at(Z),
                                                  tol=1e-4, n=360)
         assert rep.booleans == [True] * 5
-        assert rep.hausdorff_gap <= 1e-9
+        assert rep.hausdorff_gap == pytest.approx(DISK_GAP, abs=1e-12)
 
     def test_square_all_false(self, square):
         rep = wulff.self_dual_equivalence_report(square, wulff.frame_at(Z),
@@ -204,13 +212,10 @@ class TestSelfDualReport:
                                                  dual_n=2880)
         assert rep.booleans == [True] * 5
 
-    def test_sampling_artifact_does_not_raise(self, octant):
-        # at a coarse dual resolution the sampled gap exceeds tolerance for
-        # a genuinely self-dual polygon; the closed-form arbiter must
-        # recognize the artifact instead of raising InconsistentVerdicts
+    def test_octant_projection_self_dual(self, octant):
+        # the projected octant is a triangle with corners, exactly self-dual
         fr = wulff.frame_at(octant.enclosing_center)
         shape = wulff.project_to_plane(octant, fr, n=720)
         rep = wulff.self_dual_equivalence_report(shape, fr, tol=1e-6, n=720)
-        assert all(v.passed for v in rep.four_conditions.values())
-        assert not rep.self_dual          # honest sampled measurement
-        assert rep.hausdorff_gap > 1e-5
+        assert rep.booleans == [True] * 5
+        assert rep.hausdorff_gap <= 1e-12
