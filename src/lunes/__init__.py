@@ -2,7 +2,7 @@
 constant-diameter constructions, polar duality, and the Wulff-shape
 self-duality bridge."""
 
-from .body import (BoundarySegment, ExtremeSet, SphericalBody, boundary_sample,
+from .body import (Boundary, ExtremeSet, SphericalBody, boundary_sample,
                    distance_to_body, extreme_points, find_enclosing_center,
                    hausdorff_bodies, hull_from_points, polar_dual,
                    polygon_from_vertices, supporting_hemisphere_centers)

@@ -5,7 +5,7 @@ start and end points (m x 3) and the angular radii (m).  Every radius is at
 most pi/2, and every arc runs counterclockwise as seen from its circle
 center, with the body on the left.  Validation, the polar dual and the arc
 tables behind every query are computed on these arrays in bulk, once per
-body; BoundarySegment is a per-arc view, built only when asked for.
+body.
 
 The polar dual (the curve of supporting-hemisphere centers) has a closed
 form per arc, which gives exact membership and support queries: a point lies
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -93,44 +92,13 @@ def _full_circles(b: Boundary) -> np.ndarray:
     return np.linalg.norm(b.starts - b.ends, axis=1) < 1e-12
 
 
-@dataclass(frozen=True)
-class BoundarySegment:
-    """One boundary arc: circle center, angular radius, start and end points.
-
-    start == end (within 1e-12) denotes the full circle; radius pi/2 denotes
-    a great-circle edge.  The arc runs counterclockwise as seen from center.
-    Construction runs the per-arc checks of a body's boundary.
-    """
-
-    center: np.ndarray
-    radius: float
-    start: np.ndarray
-    end: np.ndarray
-
-    def __post_init__(self):
-        b = _validated(Boundary(self.center, self.radius, self.start, self.end))
-        object.__setattr__(self, "center", b.centers[0])
-        object.__setattr__(self, "radius", float(b.radii[0]))
-        object.__setattr__(self, "start", b.starts[0])
-        object.__setattr__(self, "end", b.ends[0])
-
-    @property
-    def is_full_circle(self) -> bool:
-        return bool(np.linalg.norm(self.start - self.end) < 1e-12)
-
-
-def _stacked(segments) -> Boundary:
-    """BoundarySegments or (center, radius, start, end) tuples as arrays."""
-    rows = [(s.center, s.radius, s.start, s.end) if isinstance(s, BoundarySegment)
-            else tuple(s) for s in segments]
+def _stacked(rows) -> Boundary:
+    """(center, radius, start, end) rows as arrays."""
+    rows = list(rows)
     if not rows:
         return Boundary(np.empty((0, 3)), np.empty(0), np.empty((0, 3)),
                         np.empty((0, 3)))
     return Boundary(*(np.array(col, dtype=float) for col in zip(*rows)))
-
-
-def _views(b: Boundary) -> tuple:
-    return tuple(BoundarySegment(c, float(r), s, e) for c, r, s, e in zip(*b))
 
 
 class _Arcs:
@@ -177,9 +145,9 @@ class _Arcs:
         w = (np.cos(t)[:, None] * self.u0[idx] + np.sin(t)[:, None] * self.v0[idx])
         return self.cos_r[idx][:, None] * self.centers[idx] + self.sin_r[idx][:, None] * w
 
-    def sample_params(self, n: int, align: bool = True) -> np.ndarray:
-        """n arc-length parameters; when align is set and n >= arc count,
-        every arc start (hence every junction) is included.
+    def sample_params(self, n: int) -> np.ndarray:
+        """n arc-length parameters; when n >= arc count, every arc start
+        (hence every junction) is included, else they are evenly spaced.
 
         Per-arc counts blend the arc-length share with a chord-sag share
         (sweep * sqrt(sin r)): sharply curved short arcs get enough samples
@@ -187,7 +155,7 @@ class _Arcs:
         length half of the blend bounds the spacing anywhere by 2*total/n.
         """
         m = self.count
-        if not align or n < m:
+        if n < m:
             return np.arange(n) / n * self.total
         counts = np.ones(m, dtype=int)
         rem = n - m
@@ -204,19 +172,19 @@ class _Arcs:
                  for i in range(m)]
         return np.concatenate(parts)
 
-    def sample_points(self, n: int, align: bool = True):
-        params = self.sample_params(n, align=align)
+    def sample_points(self, n: int):
+        params = self.sample_params(n)
         return params, self.point_at(params)
 
-    def _extremes(self, d, mode: str):
-        """Closed-form extreme of p . d over each arc, for a block of directions.
+    def _extremes(self, d):
+        """Closed-form minimum of p . d over each arc, for a block of directions.
 
         Along arc i, p(t) . d = cos r (c . d) + sin r (a cos t + b sin t) with
-        a = u0 . d and b = v0 . d, so the extreme lies at the start (t = 0),
-        the end (t = sweep) or the critical angle atan2(b, a) (plus pi for the
-        minimum) when that falls inside the sweep.  Returns the (3m, k)
-        candidate values, all starts first, then all ends, then the critical
-        values (+-inf outside the sweep), and the (m, k) critical angles.
+        a = u0 . d and b = v0 . d, so the minimum lies at the start (t = 0),
+        the end (t = sweep) or the critical angle atan2(b, a) + pi when that
+        falls inside the sweep.  Returns the (3m, k) candidate values, all
+        starts first, then all ends, then the critical values (+inf outside
+        the sweep), and the (m, k) critical angles.
         """
         a = self.u0 @ d.T                 # (m, k)
         b = self.v0 @ d.T
@@ -224,14 +192,9 @@ class _Arcs:
         sin_r = self.sin_r[:, None]
         v_start = base + sin_r * a
         v_end = base + sin_r * (a * self._cos_sw[:, None] + b * self._sin_sw[:, None])
-        phi = np.arctan2(b, a)
-        r = np.hypot(a, b)
-        if mode == "min":
-            t_crit = np.mod(phi + math.pi, TWO_PI)
-            v_crit = np.where(t_crit <= self.sweeps[:, None], base - sin_r * r, np.inf)
-        else:
-            t_crit = np.mod(phi, TWO_PI)
-            v_crit = np.where(t_crit <= self.sweeps[:, None], base + sin_r * r, -np.inf)
+        t_crit = np.mod(np.arctan2(b, a) + math.pi, TWO_PI)
+        v_crit = np.where(t_crit <= self.sweeps[:, None],
+                          base - sin_r * np.hypot(a, b), np.inf)
         return np.concatenate([v_start, v_end, v_crit]), t_crit
 
     def _blocks(self, dirs):
@@ -242,21 +205,21 @@ class _Arcs:
         step = max(1, _CHUNK // max(self.count, 1))
         return dirs, [slice(lo, lo + step) for lo in range(0, k, step)]
 
-    def support_extreme(self, dirs, mode: str = "min") -> np.ndarray:
-        """Per-direction extreme of the dot product over the whole curve.
-
-        mode="min" gives the support minimum (negative when the curve dips
-        below the hemisphere of the direction); mode="max" the maximum.
+    def support_extreme(self, dirs) -> np.ndarray:
+        """Per-direction minimum of the dot product over the whole curve:
+        the support minimum, negative when the curve dips below the
+        hemisphere of the direction.  The maximum over the curve is
+        -support_extreme(-dirs).
         """
         dirs, blocks = self._blocks(dirs)
         out = np.empty(dirs.shape[0])
         for blk in blocks:
-            vals, _ = self._extremes(dirs[blk], mode)
-            out[blk] = vals.min(axis=0) if mode == "min" else vals.max(axis=0)
+            vals, _ = self._extremes(dirs[blk])
+            out[blk] = vals.min(axis=0)
         return out
 
     def support_min_at(self, dirs):
-        """support_extreme(dirs, "min") plus the arc-length parameter where
+        """support_extreme(dirs) plus the arc-length parameter where
         each minimum is attained: returns (values, params).  point_at(params)
         is the curve's farthest point from each direction, at angular
         distance arccos(value).
@@ -266,7 +229,7 @@ class _Arcs:
         params = np.empty(dirs.shape[0])
         m = self.count
         for blk in blocks:
-            flat, t_crit = self._extremes(dirs[blk], "min")
+            flat, t_crit = self._extremes(dirs[blk])
             j = np.argmin(flat, axis=0)
             cols = np.arange(flat.shape[1])
             which, arc = np.divmod(j, m)
@@ -335,8 +298,8 @@ class ExtremeSet:
 class SphericalBody:
     """Closed convex region of the sphere, inside some open hemisphere.
 
-    `segments` is a Boundary of arrays, or a sequence of BoundarySegments or
-    (center, radius, start, end) tuples.  Validation at construction, on the
+    `segments` is a Boundary of arrays, or a sequence of
+    (center, radius, start, end) rows.  Validation at construction, on the
     boundary and on its polar dual: unit vectors, radii in (0, pi/2],
     endpoints on their circles, consecutive segments sharing endpoints,
     convex (leftward) junction turns, monotone winding about the enclosing
@@ -382,16 +345,16 @@ class SphericalBody:
 
         if enclosing_center is None:
             probe = self.arcs.point_at(
-                self.arcs.sample_params(max(16, 4 * m), align=True))
+                self.arcs.sample_params(max(16, 4 * m)))
             enclosing_center = find_enclosing_center(probe)
         self.enclosing_center = normalize(np.asarray(enclosing_center, dtype=float))
-        margin = float(self.arcs.support_extreme(self.enclosing_center, "min")[0])
+        margin = float(self.arcs.support_extreme(self.enclosing_center)[0])
         if margin <= ENCLOSING_MIN_DOT:
             raise InvariantViolation(
                 "enclosing hemisphere",
                 f"boundary reaches dot {margin:.3g} with the enclosing center")
 
-        interior = float(self.dual_arcs.support_extreme(self.enclosing_center, "min")[0])
+        interior = float(self.dual_arcs.support_extreme(self.enclosing_center)[0])
         if interior < INTERIOR_MIN * (1.0 - 1e-9):
             raise InvariantViolation(
                 "nonempty interior",
@@ -401,25 +364,13 @@ class SphericalBody:
 
     def _check_winding(self):
         u, v = orthonormal_frame(self.enclosing_center)
-        _, pts = self.arcs.sample_points(max(96, 8 * self.arcs.count), align=True)
+        _, pts = self.arcs.sample_points(max(96, 8 * self.arcs.count))
         az = np.arctan2(pts @ v, pts @ u)
         d = np.diff(np.concatenate([az, az[:1]]))
         d = np.mod(d + math.pi, TWO_PI) - math.pi
         if np.any(d < -1e-9) or abs(float(d.sum()) - TWO_PI) > 1e-6:
             raise InvariantViolation(
                 "convexity", "boundary does not wind once counterclockwise")
-
-    # -- views -----------------------------------------------------------
-
-    @cached_property
-    def segments(self) -> tuple:
-        """The boundary as BoundarySegment views, built on first use."""
-        return _views(Boundary(self.centers, self.radii, self.starts, self.ends))
-
-    @cached_property
-    def dual_segments(self) -> tuple:
-        """The polar dual boundary as BoundarySegment views."""
-        return _views(self.dual_boundary)
 
     # -- queries ---------------------------------------------------------
 
@@ -439,21 +390,16 @@ class SphericalBody:
 
     def support_min(self, dirs) -> np.ndarray:
         """Minimum of p . dir over the body, per direction (shape (k,))."""
-        return self.arcs.support_extreme(dirs, "min")
+        return self.arcs.support_extreme(dirs)
 
     def contains(self, p, tol: float = 1e-9) -> bool:
         """Membership within angular slack tol, via the supporting centers."""
-        p = np.asarray(p, dtype=float)
-        val = self.dual_arcs.support_extreme(p.reshape(1, 3), "min")[0]
-        return bool(val >= -math.sin(tol))
+        p = np.asarray(p, dtype=float).reshape(1, 3)
+        return bool(self.contains_many(p, tol)[0])
 
     def contains_many(self, pts, tol: float = 1e-9) -> np.ndarray:
-        vals = self.dual_arcs.support_extreme(pts, "min")
+        vals = self.dual_arcs.support_extreme(pts)
         return vals >= -math.sin(tol)
-
-    def boundary_points(self, n: int) -> np.ndarray:
-        _, pts = self.arcs.sample_points(n, align=True)
-        return pts
 
 
 # -- constructors ---------------------------------------------------------
@@ -612,7 +558,7 @@ def boundary_sample(body: SphericalBody, n: int) -> np.ndarray:
     """n boundary points in order, arc-length-even per segment, junctions included."""
     if n < body.arcs.count:
         raise ValueError("need at least one sample per boundary segment")
-    return body.boundary_points(n)
+    return body.arcs.sample_points(n)[1]
 
 
 def extreme_points(body: SphericalBody) -> ExtremeSet:
@@ -625,9 +571,7 @@ def extreme_points(body: SphericalBody) -> ExtremeSet:
 
 def supporting_hemisphere_centers(body: SphericalBody, n: int = 720) -> np.ndarray:
     """n centers of supporting hemispheres, in order along the dual curve."""
-    arcs = body.dual_arcs
-    _, pts = arcs.sample_points(n, align=n >= arcs.count)
-    return pts
+    return body.dual_arcs.sample_points(n)[1]
 
 
 def polar_dual(body: SphericalBody) -> SphericalBody:
@@ -643,7 +587,7 @@ def polar_dual(body: SphericalBody) -> SphericalBody:
 def distance_to_body(body: SphericalBody, pts, tol: float = 1e-9) -> np.ndarray:
     """Angular distance from each point to the body (0 for members)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    best = body.arcs.support_extreme(pts, "max")
+    best = -body.arcs.support_extreme(-pts)
     d = np.arccos(np.clip(best, -1.0, 1.0))
     inside = body.contains_many(pts, tol=tol)
     return np.where(inside, 0.0, d)
@@ -651,8 +595,8 @@ def distance_to_body(body: SphericalBody, pts, tol: float = 1e-9) -> np.ndarray:
 
 def hausdorff_bodies(a: SphericalBody, b: SphericalBody, n: int = 720) -> float:
     """Symmetric boundary-sampled Hausdorff distance between two bodies."""
-    pa = a.boundary_points(max(n, a.arcs.count))
-    pb = b.boundary_points(max(n, b.arcs.count))
+    pa = boundary_sample(a, max(n, a.arcs.count))
+    pb = boundary_sample(b, max(n, b.arcs.count))
     d_ab = float(np.max(distance_to_body(b, pa)))
     d_ba = float(np.max(distance_to_body(a, pb)))
     return max(d_ab, d_ba)

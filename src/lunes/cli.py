@@ -46,14 +46,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _parse_vertices(text: str) -> np.ndarray:
@@ -65,11 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lunes",
         description="Spherical convex bodies: widths, constant-diameter "
                     "constructions, and Wulff-shape self-duality.")
-    p.add_argument("--samples", type=_positive_int, default=720,
+    p.add_argument("--samples", type=_int_at_least(1), default=720,
                    help="boundary/direction resolution (default 720)")
     p.add_argument("--tol", type=_tolerance, default=1e-6,
                    help="verdict tolerance in radians (default 1e-6)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_int_at_least(0), default=0,
                    help="seed for random constructions (default 0)")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -208,7 +211,7 @@ def _run(args) -> int:
             return 0 if ok else 1
         shape = wulff.wulff_shape(gamma, n=n)
         frame = wulff.frame_at(args.pole)
-        body = wulff.induce_spherical(shape, frame, n=n)
+        body = wulff.induce_spherical(shape, frame)
         io.save_body(body, args.out)
         print(f"wrote {args.out} ({len(body.radii)} segments)")
         return 0

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body import (BoundarySegment, SphericalBody, find_enclosing_center,
+from .body import (Boundary, SphericalBody, find_enclosing_center,
                    hull_from_points, polygon_from_vertices)
 from .errors import BadRadius, EvenN, InvalidSpec, LunesError
 from .sphere import dist, normalize, orthonormal_frame
@@ -35,8 +35,8 @@ def cap(center, radius: float) -> SphericalBody:
     c = normalize(np.asarray(center, dtype=float))
     u, _ = orthonormal_frame(c)
     p = math.cos(radius) * c + math.sin(radius) * u
-    seg = BoundarySegment(center=c, radius=radius, start=p, end=p)
-    return SphericalBody([seg], enclosing_center=c,
+    circle = Boundary(c[None], np.array([radius]), p[None], p[None])
+    return SphericalBody(circle, enclosing_center=c,
                          meta={"kind": "cap", "radius": radius})
 
 
@@ -197,18 +197,16 @@ def constant_diameter_odd_gon(vertices) -> SphericalBody:
         t = _tangent(verts[i], verts[j])
         return math.cos(sigma[i]) * verts[i] - math.sin(sigma[i]) * t
 
-    segs = []
+    rows = []
     for i in range(n):
         far1 = (i + m) % n
         far2 = (i + m + 1) % n
         if sigma[i] > 0.0:
-            segs.append(BoundarySegment(
-                center=verts[i], radius=float(sigma[i]),
-                start=prolong(i, far1), end=prolong(i, far2)))
-        segs.append(BoundarySegment(
-            center=verts[far2], radius=HALF_PI - float(sigma[far2]),
-            start=prolong(i, far2), end=prolong((i + 1) % n, far2)))
-    body = SphericalBody(segs, meta={
+            rows.append((verts[i], float(sigma[i]),
+                         prolong(i, far1), prolong(i, far2)))
+        rows.append((verts[far2], HALF_PI - float(sigma[far2]),
+                     prolong(i, far2), prolong((i + 1) % n, far2)))
+    body = SphericalBody(rows, meta={
         "kind": "constant_diameter_odd_gon", "n": n,
         "corner_radii": [float(s) for s in sigma],
         "diagonals": [float(k) for k in spec.diagonals]})

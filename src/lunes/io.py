@@ -144,6 +144,10 @@ def body_from_doc(doc: dict, where: str = "body document") -> SphericalBody:
     trios = vecs[:3 * len(segs)].reshape(-1, 3, 3)
     body = SphericalBody(Boundary(trios[:, 0], np.array(radii), trios[:, 1],
                                   trios[:, 2]), meta=meta)
+    listed = vecs[3 * len(segs):] / norms[3 * len(segs):, None]
+    if listed.shape != body.vertices.shape \
+            or np.any(np.abs(listed - body.vertices) > 1e-10):
+        raise ParseError(f"{where}: vertices do not match the segment junctions")
     actual = body_kind(body)
     if actual != kind:
         raise ParseError(f"{where}: kind {kind!r} but segments describe {actual!r}")

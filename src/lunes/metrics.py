@@ -125,12 +125,12 @@ def _curve_diameter(arcs, n):
 
 def _refined_diameter(arcs, n):
     params, pts = _samples(arcs, n)
-    near = arcs.support_extreme(pts, "min")
+    near = arcs.support_extreme(pts)
     i = int(np.argmin(near))
     bracket = 2.0 * arcs.total / len(params)
 
     def f(s):
-        return -arcs.support_extreme(arcs.point_at(s), "min")
+        return -arcs.support_extreme(arcs.point_at(s))
 
     s, v = golden_max(f, params[i] - bracket, params[i] + bracket)
     if -v[0] > near[i]:  # the refinement never ends below the best sample

@@ -42,21 +42,6 @@ def _path(points_2d, cls: str) -> str:
     return f'<path class="{cls}" d="{" ".join(cmds)}"/>\n'
 
 
-def _segment_points(seg, n: int) -> np.ndarray:
-    u = seg.start - math.cos(seg.radius) * seg.center
-    u = u / np.linalg.norm(u)
-    v = np.cross(seg.center, u)
-    if seg.is_full_circle:
-        sweep = 2.0 * math.pi
-    else:
-        e = seg.end - math.cos(seg.radius) * seg.center
-        e = e / np.linalg.norm(e)
-        sweep = math.atan2(float(e @ v), float(e @ u)) % (2.0 * math.pi)
-    t = np.linspace(0.0, sweep, n)
-    rim = np.cos(t)[:, None] * u + np.sin(t)[:, None] * v
-    return math.cos(seg.radius) * seg.center + math.sin(seg.radius) * rim
-
-
 def _runs(mask: np.ndarray):
     """Consecutive index runs of equal mask value, as (value, slice) pairs."""
     edges = np.flatnonzero(np.diff(mask.astype(int))) + 1
@@ -73,8 +58,11 @@ def _sphere_svg(body: SphericalBody, view: np.ndarray,
     circle = np.linspace(0.0, 2.0 * math.pi, 181)
     out.append(_path(np.column_stack([np.cos(circle), np.sin(circle)]),
                      "outline"))
-    for seg in body.segments:
-        pts = _segment_points(seg, _SEG_SAMPLES)
+    arcs = body.arcs
+    for i in range(arcs.count):
+        t = np.linspace(0.0, arcs.sweeps[i], _SEG_SAMPLES)[:, None]
+        rim = np.cos(t) * arcs.u0[i] + np.sin(t) * arcs.v0[i]
+        pts = arcs.cos_r[i] * arcs.centers[i] + arcs.sin_r[i] * rim
         xy = np.column_stack([pts @ u, pts @ v])
         visible = pts @ w >= 0.0
         for vis, sl in _runs(visible):

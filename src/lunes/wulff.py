@@ -6,12 +6,13 @@ The dual reweights by gamma_bar(theta) = 1 / w(theta + pi), w being the
 radial function; for a polygon W its Wulff shape is the polar of -W, built
 in closed form with one vertex per edge of W.  Central (gnomonic)
 projection at a pole N carries these polygons to spherical convex bodies
-and back, which turns the self-duality question into width/diameter checks
-on the sphere; the equivalence report runs all five checks and treats any
-disagreement as an internal error.  Self-duality gaps are exact polygon
-Hausdorff distances, taken from the two support functions over the merged
-edge-normal angles in O((m + k) log(m + k)) for polygons of m and k
-vertices.
+and back; it maps great circles to lines, so a polygon lifts exactly to the
+spherical polygon over its lifted vertices.  That turns the self-duality
+question into width/diameter checks on the sphere; the equivalence report
+runs all five checks and treats any disagreement as an internal error.
+Self-duality gaps are exact polygon Hausdorff distances, taken from the two
+support functions over the merged edge-normal angles in
+O((m + k) log(m + k)) for polygons of m and k vertices.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .body import SphericalBody, hull_from_points, planar_hull
+from .body import (SphericalBody, boundary_sample, planar_hull,
+                   polygon_from_vertices)
 from .errors import (DegenerateHull, EmptyInterior, InconsistentVerdicts,
                      InvalidSpec, InvariantViolation, NotInHemisphere,
                      PoleNotInterior)
@@ -158,6 +160,19 @@ def polygon_gamma(shape: WulffShape) -> GammaFn:
     return GammaFn(ang, vals)
 
 
+def _polar(pa: np.ndarray) -> WulffShape:
+    """Intersection of the half-planes y . p <= 1 over the counterclockwise
+    points p of pa, in convex position: its vertices are where the lines of
+    consecutive points meet."""
+    pb = np.roll(pa, -1, axis=0)
+    den = pa[:, 0] * pb[:, 1] - pa[:, 1] * pb[:, 0]
+    if np.any(den <= 1e-300):
+        raise EmptyInterior("origin on or outside the polygon of half-plane poles")
+    verts = np.column_stack([(pb[:, 1] - pa[:, 1]) / den,
+                             (pa[:, 0] - pb[:, 0]) / den])
+    return WulffShape(verts)
+
+
 def wulff_shape(gamma: GammaFn, n: int = 720) -> WulffShape:
     """Intersection of the half-planes x . u(theta_k) <= gamma(theta_k).
 
@@ -176,14 +191,7 @@ def wulff_shape(gamma: GammaFn, n: int = 720) -> WulffShape:
         idx = planar_hull(pts)
     except DegenerateHull as exc:
         raise EmptyInterior(f"degenerate half-plane family: {exc}") from exc
-    pa = pts[idx]
-    pb = pts[np.roll(idx, -1)]
-    den = pa[:, 0] * pb[:, 1] - pa[:, 1] * pb[:, 0]
-    if np.any(den <= 1e-300):
-        raise EmptyInterior("origin on or outside the dual hull")
-    verts = np.column_stack([(pb[:, 1] - pa[:, 1]) / den,
-                             (pa[:, 0] - pb[:, 0]) / den])
-    return WulffShape(verts)
+    return _polar(pts[idx])
 
 
 def radial_w(shape: WulffShape, theta) -> float | np.ndarray:
@@ -202,14 +210,7 @@ def dual_wulff(shape: WulffShape, n: int = 720) -> WulffShape:
     Dualizing twice returns the shape to roundoff.  n is accepted for
     compatibility and ignored.
     """
-    pa = -shape.vertices
-    pb = np.roll(pa, -1, axis=0)
-    den = pa[:, 0] * pb[:, 1] - pa[:, 1] * pb[:, 0]
-    if np.any(den <= 1e-300):
-        raise EmptyInterior("origin on or outside the negated polygon")
-    verts = np.column_stack([(pb[:, 1] - pa[:, 1]) / den,
-                             (pa[:, 0] - pb[:, 0]) / den])
-    return WulffShape(verts)
+    return _polar(-shape.vertices)
 
 
 def _normal_angles(verts: np.ndarray) -> np.ndarray:
@@ -305,11 +306,11 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
     if margin <= 1e-6:
         raise NotInHemisphere(
             f"body reaches dot {margin:.3g} with the projection pole")
-    interior = float(body.dual_arcs.support_extreme(frame.pole, "min")[0])
+    interior = float(body.dual_arcs.support_extreme(frame.pole)[0])
     if interior <= 1e-6:
         raise PoleNotInterior(
             f"pole has containment margin only {interior:.3g}")
-    pts = body.boundary_points(max(n, body.arcs.count))
+    pts = boundary_sample(body, max(n, body.arcs.count))
     w = pts @ frame.pole
     plane = np.column_stack([pts @ frame.u / w, pts @ frame.v / w])
     try:
@@ -319,40 +320,19 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
     return WulffShape(plane[idx])
 
 
-def _polygon_boundary_samples(verts: np.ndarray, n: int) -> np.ndarray:
-    """n points along the polygon boundary, perimeter-even per edge, every
-    vertex included (n is a floor; at least one sample per edge)."""
-    m = len(verts)
-    edges = np.roll(verts, -1, axis=0) - verts
-    lens = np.linalg.norm(edges, axis=1)
-    total = float(lens.sum())
-    counts = np.ones(m, dtype=int)
-    rem = max(n, m) - m
-    if rem > 0:
-        quota = lens / total * rem
-        counts += np.floor(quota).astype(int)
-        short = max(n, m) - int(counts.sum())
-        if short > 0:
-            frac = quota - np.floor(quota)
-            order = np.argsort(-frac, kind="stable")
-            counts[order[:short]] += 1
-    parts = [verts[i] + np.outer(np.arange(counts[i]) / counts[i], edges[i])
-             for i in range(m)]
-    return np.concatenate(parts)
-
-
 def induce_spherical(shape: WulffShape, frame: ProjectionFrame,
                      n: int = 720) -> SphericalBody:
     """Spherical body induced by the shape: inverse central projection.
 
-    Lifts n perimeter-even boundary samples (every vertex included) by
-    (x, y) -> normalize(N + x u + y v) and takes the spherical hull.
+    Central projection maps great circles to lines, so the body is exactly
+    the spherical polygon over the lifted vertices (x, y) ->
+    normalize(N + x u + y v), one edge per edge of the shape, in the shape's
+    vertex order.  n is accepted for compatibility and ignored: the lift is
+    exact.
     """
-    plane = _polygon_boundary_samples(shape.vertices, n)
-    lifted = normalize(frame.pole[None, :]
-                       + plane[:, 0:1] * frame.u[None, :]
-                       + plane[:, 1:2] * frame.v[None, :])
-    body = hull_from_points(lifted)
+    x, y = shape.vertices.T
+    lifted = normalize(frame.pole + x[:, None] * frame.u + y[:, None] * frame.v)
+    body = polygon_from_vertices(lifted)
     body.meta.update({"kind": "induced"})
     return body
 
@@ -390,7 +370,7 @@ def self_dual_equivalence_report(shape: WulffShape, frame: ProjectionFrame,
     for compatibility and ignored: the dual is exact.
     """
     sd, gap = is_self_dual(shape, tol=tol)
-    body = induce_spherical(shape, frame, n=n)
+    body = induce_spherical(shape, frame)
     th = thickness(body, n=n)
     dm = diameter(body, n=n)
     cw = is_constant_width(body, tol=tol, n=n)

@@ -31,8 +31,8 @@ def vertex_sets_match(a, b, tol=1e-9):
 class TestHull:
     def test_octant_from_unit_axes(self):
         hull = bd.hull_from_points(np.eye(3))
-        assert len(hull.segments) == 3
-        assert all(abs(s.radius - math.pi / 2) < 1e-12 for s in hull.segments)
+        assert len(hull.radii) == 3
+        assert all(abs(r - math.pi / 2) < 1e-12 for r in hull.radii)
         assert vertex_sets_match(hull.vertices, np.eye(3), tol=1e-12)
 
     def test_interior_point_absorbed(self):
@@ -115,7 +115,7 @@ class TestExtremePoints:
     def test_cd_triangle_smooth_with_strict_arcs(self, cd_triangle):
         ext = bd.extreme_points(cd_triangle)
         assert len(ext.isolated) == 0
-        assert len(ext.strict_arcs) == len(cd_triangle.segments) == 6
+        assert len(ext.strict_arcs) == len(cd_triangle.radii) == 6
         assert ext.smooth
 
     def test_lune_corner_is_extreme(self):

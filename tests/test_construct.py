@@ -29,11 +29,10 @@ class TestCap:
 
     def test_single_full_circle_segment(self):
         cap = construct.cap(Z, 0.4)
-        assert len(cap.segments) == 1
-        seg = cap.segments[0]
-        assert seg.is_full_circle
-        assert seg.radius == pytest.approx(0.4, abs=1e-15)
-        assert np.allclose(seg.center, Z)
+        assert len(cap.radii) == 1
+        assert cap.is_full_circle
+        assert cap.radii[0] == pytest.approx(0.4, abs=1e-15)
+        assert np.allclose(cap.centers[0], Z)
 
 
 class TestRegularOddGon:
@@ -42,7 +41,7 @@ class TestRegularOddGon:
         for n in (3, 5, 7, 9):
             for tgt in (0.05, 0.3, 0.8, 1.2, 1.5, HALF_PI):
                 body = construct.regular_odd_gon(n, tgt)
-                assert len(body.segments) == n
+                assert len(body.radii) == n
                 th = metrics.thickness(body, n=720).value
                 assert th == pytest.approx(tgt, abs=1e-12)
 
@@ -52,7 +51,7 @@ class TestRegularOddGon:
         # octant triangle up to rotation
         assert body.meta["circumradius"] == pytest.approx(
             math.acos(1.0 / math.sqrt(3.0)), abs=1e-9)
-        assert all(abs(s.radius - HALF_PI) < 1e-12 for s in body.segments)
+        assert all(abs(r - HALF_PI) < 1e-12 for r in body.radii)
 
     def test_rejects_even_or_overwide(self):
         with pytest.raises(EvenN):
@@ -162,8 +161,8 @@ class TestConstantDiameterTriangle:
         assert bd.hausdorff_bodies(body, cap, n=240) <= 1e-4
 
     def test_six_smooth_arcs(self, cd_triangle):
-        assert len(cd_triangle.segments) == 6
-        radii = sorted(s.radius for s in cd_triangle.segments)
+        assert len(cd_triangle.radii) == 6
+        radii = sorted(cd_triangle.radii)
         # three corner arcs and three far arcs, pairwise complementary
         for small, big in zip(radii[:3], sorted(radii[3:], reverse=True)):
             assert small + big == pytest.approx(HALF_PI, abs=1e-12)

@@ -80,6 +80,20 @@ class TestBodyDocuments:
         with pytest.raises(InvariantViolation, match="unit norm"):
             io.body_from_doc(doc)
 
+    def test_vertices_must_match_segments(self):
+        doc = io.body_to_doc(construct.regular_odd_gon(5, 1.0))
+        bad = copy.deepcopy(doc)
+        bad["vertices"] = [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
+        with pytest.raises(ParseError, match="vertices"):
+            io.body_from_doc(bad)
+        bad = copy.deepcopy(doc)
+        # one vertex slid 1e-8 along the sphere: unit, but off its junction
+        v = np.array(bad["vertices"][2])
+        t = np.cross(Z, v)
+        bad["vertices"][2] = [float(x) for x in v + 1e-8 * t / np.linalg.norm(t)]
+        with pytest.raises(ParseError, match="vertices"):
+            io.body_from_doc(bad)
+
     def test_boundary_gap_rejected(self, octant):
         doc = io.body_to_doc(octant)
         seg = doc["segments"][0]
@@ -302,6 +316,13 @@ class TestCli:
             r = run_cli("--samples", samples, "analyze", "cap.json", cwd=tmp_path)
             assert r.returncode == 2, r.stdout + r.stderr
             assert "--samples" in r.stderr and "Traceback" not in r.stderr, r.stderr
+
+    def test_negative_seed_exit_2(self, tmp_path):
+        r = run_cli("--seed", "-1", "construct", "random", "--out", "r.json",
+                    cwd=tmp_path)
+        assert r.returncode == 2, r.stdout + r.stderr
+        assert "--seed" in r.stderr and "Traceback" not in r.stderr, r.stderr
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("args, flag", [
         (["construct", "cap", "--center", "0,0,0", "--rho", "0.5", "--out", "c.json"],

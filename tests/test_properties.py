@@ -91,7 +91,7 @@ def test_farthest_point_beats_dense_sampling(body):
     for arcs in _curves(body):
         _, queries = arcs.sample_points(64)
         vals, params = arcs.support_min_at(queries)
-        assert np.array_equal(vals, arcs.support_extreme(queries, "min"))
+        assert np.array_equal(vals, arcs.support_extreme(queries))
         farthest = arcs.point_at(params)
         # the returned point attains the returned minimum ...
         assert np.max(np.abs(np.sum(queries * farthest, axis=1) - vals)) <= 1e-12

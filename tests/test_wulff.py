@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lunes import body as bd
-from lunes import construct, metrics, wulff
+from lunes import construct, metrics, sphere, wulff
 from lunes.errors import (EmptyInterior, InvalidSpec, NotInHemisphere,
                           PoleNotInterior)
 
@@ -158,6 +158,19 @@ class TestProjection:
         shape = wulff.project_to_plane(poly, fr, n=720)
         back = wulff.induce_spherical(shape, fr, n=720)
         assert bd.hausdorff_bodies(poly, back, n=360) <= 1e-9
+
+    @pytest.mark.parametrize("which", ["random_polygon", "cd_triangle"])
+    def test_induce_lifts_vertices(self, which, cd_triangle):
+        body = (construct.random_convex_polygon(13, n=7, max_diam=1.0)
+                if which == "random_polygon" else cd_triangle)
+        fr = wulff.frame_at(body.enclosing_center)
+        shape = wulff.project_to_plane(body, fr, n=720)
+        induced = wulff.induce_spherical(shape, fr)
+        xy = shape.vertices
+        lifts = sphere.normalize(fr.pole + xy[:, :1] * fr.u + xy[:, 1:] * fr.v)
+        assert len(induced.radii) == len(xy)
+        # the junction at the end of edge i is the lift of vertex i + 1
+        assert np.max(np.abs(induced.vertices - np.roll(lifts, -1, axis=0))) <= 1e-15
 
     def test_square_induces_known_diameter(self, square):
         fr = wulff.frame_at(Z)
