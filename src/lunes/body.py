@@ -1,11 +1,12 @@
 """Convex bodies on the sphere bounded by cyclic sequences of circular arcs.
 
-A body is stored as its boundary, in arrays: for m arcs, the circle centers,
-start and end points (m x 3) and the angular radii (m).  Every radius is at
-most pi/2, and every arc runs counterclockwise as seen from its circle
-center, with the body on the left.  Validation, the polar dual and the arc
-tables behind every query are computed on these arrays in bulk, once per
-body.
+A body is stored as its boundary, in three arrays: for m arcs, the circle
+centers and start points (m x 3) and the angular radii (m).  Arc i ends where
+arc i + 1 starts (cyclically), so each junction is stored once, and a lone
+arc is a full circle.  Every radius is at most pi/2, and every arc runs
+counterclockwise as seen from its circle center, with the body on the left.
+Validation, the polar dual and the arc tables behind every query are
+computed on these arrays in bulk, once per body.
 
 The polar dual (the curve of supporting-hemisphere centers) has a closed
 form per arc, which gives exact membership and support queries: a point lies
@@ -28,35 +29,38 @@ HALF_PI = 0.5 * math.pi
 
 UNIT_TOL = 1e-9          # how far off unit length stored vectors may be
 RADIUS_MATCH_TOL = 1e-10  # endpoint distance to circle center vs radius
-CLOSURE_TOL = 1e-10       # gap allowed between consecutive segments
+CLOSURE_TOL = 1e-10       # junction tolerance: end-to-start gap, smooth turn
 ENCLOSING_MIN_DOT = 1e-6  # strict containment margin for the enclosing hemisphere
 INTERIOR_MIN = 1e-6       # the body must contain a cap of this angular radius
-SMOOTH_TOL = 1e-8         # junction tangent turn below this counts as smooth
-CONVEXITY_TOL = 1e-8
 _CHUNK = 262_144          # cap on temporary matrix entries in batched queries
 
 
 class Boundary(NamedTuple):
-    """A cyclic sequence of m boundary arcs, as arrays."""
+    """A cyclic sequence of m boundary arcs, as arrays.  Arc i ends at
+    starts[(i + 1) % m]; a single arc is a full circle."""
 
     centers: np.ndarray  # (m, 3) circle centers
     radii: np.ndarray    # (m,) angular radii
     starts: np.ndarray   # (m, 3) start points
-    ends: np.ndarray     # (m, 3) end points
 
 
-def _validated(b: Boundary) -> Boundary:
+def _validated(centers, radii, starts, ends=None) -> Boundary:
     """The per-arc checks, on all arcs at once.
 
     Vectors must be unit within UNIT_TOL and are rescaled to unit length
     unless already within 1e-13 of it (which keeps them bit-stable); a
     radius within 1e-9 of pi/2 snaps to pi/2 and must lie in [1e-9, pi/2];
-    both endpoints must lie at the radius from the center.  Returns
-    read-only copies.
+    both endpoints must lie at the radius from the center; an arc ending
+    where it starts (within 1e-12) is a full circle and must be alone.
+    Each arc ends at the next start unless ends are given, as by
+    (center, radius, start, end) rows: those must meet the next starts
+    within CLOSURE_TOL and are then dropped.  Returns read-only copies.
     """
-    vecs = {}
-    for name, key in (("center", "centers"), ("start", "starts"), ("end", "ends")):
-        v = np.array(getattr(b, key), dtype=float).reshape(-1, 3)
+    if ends is None:
+        ends = np.roll(np.reshape(starts, (-1, 3)), -1, axis=0)
+    vecs = []
+    for name, v in (("center", centers), ("start", starts), ("end", ends)):
+        v = np.array(v, dtype=float).reshape(-1, 3)
         n = np.linalg.norm(v, axis=1)
         bad = np.flatnonzero(np.abs(n - 1.0) > UNIT_TOL)
         if len(bad):
@@ -65,15 +69,16 @@ def _validated(b: Boundary) -> Boundary:
                 "unit norm", f"segment {k} {name} has norm {float(n[k])!r}")
         rescale = np.abs(n - 1.0) > 1e-13
         v[rescale] /= n[rescale, None]
-        vecs[key] = v
-    r = np.array(b.radii, dtype=float).reshape(-1)
+        vecs.append(v)
+    c, s, e = vecs
+    r = np.array(radii, dtype=float).reshape(-1)
     r[np.abs(r - HALF_PI) <= 1e-9] = HALF_PI
     bad = np.flatnonzero(~((r >= 1e-9) & (r <= HALF_PI)))
     if len(bad):
         raise InvariantViolation(
             "radius range", f"radius {float(r[bad[0]])!r} outside (0, pi/2]")
-    for name, key in (("start", "starts"), ("end", "ends")):
-        d = dist(vecs["centers"], vecs[key])
+    for name, x in (("start", s), ("end", e)):
+        d = dist(c, x)
         bad = np.flatnonzero(np.abs(d - r) > RADIUS_MATCH_TOL)
         if len(bad):
             k = int(bad[0])
@@ -81,24 +86,21 @@ def _validated(b: Boundary) -> Boundary:
                 "segment radius",
                 f"segment {k} {name} at distance {float(d[k])!r} from center, "
                 f"radius {float(r[k])!r}")
-    out = Boundary(vecs["centers"], r, vecs["starts"], vecs["ends"])
+    m = len(r)
+    if m > 1 and np.any(np.linalg.norm(s - e, axis=1) < 1e-12):
+        raise InvariantViolation(
+            "closed boundary", "full-circle segment mixed with others")
+    gaps = np.linalg.norm(e - np.roll(s, -1, axis=0), axis=1)
+    open_ends = np.flatnonzero(gaps > CLOSURE_TOL)
+    if len(open_ends):
+        k = int(open_ends[0])
+        raise InvariantViolation(
+            "closed boundary",
+            f"segment {k} end misses segment {(k + 1) % m} start by {gaps[k]:.3g}")
+    out = Boundary(c, r, s)
     for arr in out:
         arr.flags.writeable = False
     return out
-
-
-def _full_circles(b: Boundary) -> np.ndarray:
-    """Arcs whose start equals their end (within 1e-12): full circles."""
-    return np.linalg.norm(b.starts - b.ends, axis=1) < 1e-12
-
-
-def _stacked(rows) -> Boundary:
-    """(center, radius, start, end) rows as arrays."""
-    rows = list(rows)
-    if not rows:
-        return Boundary(np.empty((0, 3)), np.empty(0), np.empty((0, 3)),
-                        np.empty((0, 3)))
-    return Boundary(*(np.array(col, dtype=float) for col in zip(*rows)))
 
 
 class _Arcs:
@@ -112,8 +114,6 @@ class _Arcs:
         self.sweeps = sweeps
         self.cos_r = np.cos(radii)
         self.sin_r = np.sin(radii)
-        self._cos_sw = np.cos(sweeps)
-        self._sin_sw = np.sin(sweeps)
         self.lengths = sweeps * self.sin_r
         self.cum = np.concatenate([[0.0], np.cumsum(self.lengths)])
         self.total = float(self.cum[-1])
@@ -123,16 +123,17 @@ class _Arcs:
     def from_boundary(cls, b: Boundary) -> "_Arcs":
         """Arc frames and sweeps: u0 points from the circle center's axis to
         the start, v0 = center x u0, and the sweep runs from the start to the
-        end (2 pi for a full circle)."""
+        next arc's start (2 pi for a full circle)."""
         cos_r = np.cos(b.radii)[:, None]
         sin_r = np.sin(b.radii)[:, None]
         u0 = (b.starts - cos_r * b.centers) / sin_r
         u0 /= np.linalg.norm(u0, axis=1, keepdims=True)
         v0 = np.cross(b.centers, u0)
-        e = (b.ends - cos_r * b.centers) / sin_r
+        e = (np.roll(b.starts, -1, axis=0) - cos_r * b.centers) / sin_r
         sweeps = np.mod(np.arctan2(np.sum(e * v0, axis=1), np.sum(e * u0, axis=1)),
                         TWO_PI)
-        sweeps[_full_circles(b)] = TWO_PI
+        if len(sweeps) == 1:
+            sweeps[0] = TWO_PI
         if np.any(sweeps < 1e-12):
             raise InvariantViolation("degenerate segment", "zero-length boundary arc")
         return cls(b.centers, b.radii, u0, v0, sweeps)
@@ -180,22 +181,21 @@ class _Arcs:
         """Closed-form minimum of p . d over each arc, for a block of directions.
 
         Along arc i, p(t) . d = cos r (c . d) + sin r (a cos t + b sin t) with
-        a = u0 . d and b = v0 . d, so the minimum lies at the start (t = 0),
-        the end (t = sweep) or the critical angle atan2(b, a) + pi when that
-        falls inside the sweep.  Returns the (3m, k) candidate values, all
-        starts first, then all ends, then the critical values (+inf outside
-        the sweep), and the (m, k) critical angles.
+        a = u0 . d and b = v0 . d, so the minimum lies at an end of the arc
+        or at the critical angle atan2(b, a) + pi when that falls inside the
+        sweep.  An arc's end is the next arc's start, so every junction is
+        evaluated once.  Returns the (2m, k) candidate values, all starts
+        first, then the critical values (+inf outside the sweep), and the
+        (m, k) critical angles.
         """
         a = self.u0 @ d.T                 # (m, k)
         b = self.v0 @ d.T
         base = self.cos_r[:, None] * (self.centers @ d.T)
         sin_r = self.sin_r[:, None]
-        v_start = base + sin_r * a
-        v_end = base + sin_r * (a * self._cos_sw[:, None] + b * self._sin_sw[:, None])
         t_crit = np.mod(np.arctan2(b, a) + math.pi, TWO_PI)
         v_crit = np.where(t_crit <= self.sweeps[:, None],
                           base - sin_r * np.hypot(a, b), np.inf)
-        return np.concatenate([v_start, v_end, v_crit]), t_crit
+        return np.concatenate([base + sin_r * a, v_crit]), t_crit
 
     def _blocks(self, dirs):
         """Directions as a (k, 3) array plus slices that keep each block's
@@ -232,30 +232,31 @@ class _Arcs:
             flat, t_crit = self._extremes(dirs[blk])
             j = np.argmin(flat, axis=0)
             cols = np.arange(flat.shape[1])
-            which, arc = np.divmod(j, m)
-            t = np.where(which == 0, 0.0,
-                         np.where(which == 1, self.sweeps[arc], t_crit[arc, cols]))
+            crit, arc = np.divmod(j, m)
+            t = np.where(crit, t_crit[arc, cols], 0.0)
             vals[blk] = flat[j, cols]
             params[blk] = self.cum[arc] + self.sin_r[arc] * t
         return vals, params
 
 
-def _dual(b: Boundary, full: np.ndarray):
+def _dual(b: Boundary):
     """Closed-form polar dual boundary.
 
     Each arc of radius rho dualizes to an arc of radius pi/2 - rho about the
     same center (a single point when rho = pi/2); each corner junction
     contributes a great arc about the junction point sweeping the supporting
     centers.  The pieces keep the boundary order, each arc's own piece before
-    the one of the junction at its end.  Returns the dual boundary (not yet
-    validated), the signed turn angle at the end of every arc (negative at a
-    reflex junction), and the dual row of the great arc at each corner (-1
-    at a smooth junction).
+    the one of the junction at its end; a smooth junction (|turn| at most
+    CLOSURE_TOL) has none.  Returns the dual boundary (not yet validated),
+    the signed turn angle at the end of every arc (negative at a reflex
+    junction), and the dual row of the great arc at each corner (-1 at a
+    smooth junction).
     """
     m = len(b.radii)
     great = b.radii == HALF_PI
     cos_r = np.cos(b.radii)[:, None]
     sin_r = np.sin(b.radii)[:, None]
+    junctions = np.roll(b.starts, -1, axis=0)
 
     def supporting(x):
         """Center of the hemisphere supporting the body at x[i] on arc i."""
@@ -264,23 +265,22 @@ def _dual(b: Boundary, full: np.ndarray):
         return np.where(great[:, None], b.centers, c)
 
     at_start = supporting(b.starts)
-    at_end = supporting(b.ends)
+    at_end = supporting(junctions)
     at_next = np.roll(at_start, -1, axis=0)
     # the supporting centers at a convex corner turn counterclockwise about
     # it, from the one before the corner to the one after: a reflex junction
     # has them turn clockwise and gets a negative turn
-    orient = np.einsum("ij,ij->i", np.cross(at_end, at_next), b.ends)
-    turns = np.where(full, 0.0, np.copysign(dist(at_end, at_next), orient))
-    keep = np.column_stack([~great, ~full & (turns > SMOOTH_TOL)]).ravel()
+    orient = np.einsum("ij,ij->i", np.cross(at_end, at_next), junctions)
+    turns = np.copysign(dist(at_end, at_next), orient)  # 0 on a full circle
+    keep = np.column_stack([~great, turns > CLOSURE_TOL]).ravel()
 
     def interleaved(arc_piece, corner_piece):
         pieces = np.stack([arc_piece, corner_piece], axis=1)
         return pieces.reshape((2 * m,) + pieces.shape[2:])[keep]
 
-    dual = Boundary(centers=interleaved(b.centers, b.ends),
+    dual = Boundary(centers=interleaved(b.centers, junctions),
                     radii=interleaved(HALF_PI - b.radii, np.full(m, HALF_PI)),
-                    starts=interleaved(at_start, at_end),
-                    ends=interleaved(at_end, at_next))
+                    starts=interleaved(at_start, at_end))
     row = np.cumsum(keep) - 1
     corner_row = np.where(keep[1::2], row[1::2], -1)
     return dual, turns, corner_row
@@ -306,41 +306,32 @@ class SphericalBody:
     center, strict containment in the enclosing open hemisphere, and
     nonempty interior.
 
-    The boundary is held in `centers`, `radii`, `starts` and `ends`
-    (read-only arrays), the polar dual boundary in `dual_boundary`, and the
-    arc tables of both in `arcs` and `dual_arcs`.
+    The boundary is held in `centers`, `radii` and `starts` (read-only
+    arrays; arc i ends at the start of arc i + 1, so each junction is stored
+    once), the polar dual boundary in `dual_boundary`, and the arc tables of
+    both in `arcs` and `dual_arcs`.
     """
 
     def __init__(self, segments, enclosing_center=None, meta=None):
-        b = _validated(segments if isinstance(segments, Boundary)
-                       else _stacked(segments))
+        if not isinstance(segments, Boundary):  # rows to columns
+            segments = list(zip(*segments)) or [()] * 4
+        b = _validated(*segments)
         m = len(b.radii)
         if m == 0:
             raise InvariantViolation("closed boundary", "no segments")
-        full = _full_circles(b)
-        if full.any() and m > 1:
-            raise InvariantViolation(
-                "closed boundary", "full-circle segment mixed with others")
-        gaps = np.linalg.norm(b.ends - np.roll(b.starts, -1, axis=0), axis=1)
-        open_ends = np.flatnonzero((gaps > CLOSURE_TOL) & ~full)
-        if len(open_ends):
-            k = int(open_ends[0])
-            raise InvariantViolation(
-                "closed boundary",
-                f"segment {k} end misses segment {(k + 1) % m} start by {gaps[k]:.3g}")
-        self.centers, self.radii, self.starts, self.ends = b
-        self.is_full_circle = bool(full[0])
+        self.centers, self.radii, self.starts = b
+        self.is_full_circle = m == 1
         self.meta = dict(meta or {})
         self.arcs = _Arcs.from_boundary(b)
 
-        dual, turns, self._corner_row = _dual(b, full)
-        reflex = np.flatnonzero(turns < -CONVEXITY_TOL)
+        dual, turns, self._corner_row = _dual(b)
+        reflex = np.flatnonzero(turns < -CLOSURE_TOL)
         if len(reflex):
             k = int(reflex[0])
             raise InvariantViolation(
                 "convexity", f"reflex junction at the end of segment {k} "
                 f"(turn {float(turns[k]):.3g})")
-        self.dual_boundary = _validated(dual)
+        self.dual_boundary = _validated(*dual)
         self.dual_arcs = _Arcs.from_boundary(self.dual_boundary)
 
         if enclosing_center is None:
@@ -376,8 +367,8 @@ class SphericalBody:
 
     @property
     def vertices(self) -> np.ndarray:
-        """Junction points between consecutive segments (corner or smooth)."""
-        return np.empty((0, 3)) if self.is_full_circle else self.ends
+        """Junction points (corner or smooth): the end of each segment."""
+        return np.empty((0, 3)) if self.is_full_circle else np.roll(self.starts, -1, axis=0)
 
     @property
     def corners(self) -> np.ndarray:
@@ -418,7 +409,7 @@ def polygon_from_vertices(vertices, enclosing_center=None) -> SphericalBody:
     norms = np.linalg.norm(poles, axis=1)
     if np.any(norms < 1e-12):
         raise DegenerateHull("consecutive vertices equal or antipodal")
-    edges = Boundary(poles / norms[:, None], np.full(len(verts), HALF_PI), verts, nxt)
+    edges = Boundary(poles / norms[:, None], np.full(len(verts), HALF_PI), verts)
     return SphericalBody(edges, enclosing_center=enclosing_center,
                          meta={"kind": "polygon"})
 
@@ -565,7 +556,7 @@ def extreme_points(body: SphericalBody) -> ExtremeSet:
     """Corners (junctions where the tangent turns) plus strictly convex arcs."""
     corners = body.corners
     strict = np.flatnonzero(body.radii != HALF_PI)
-    return ExtremeSet(isolated=body.ends[corners], strict_arcs=strict,
+    return ExtremeSet(isolated=body.vertices[corners], strict_arcs=strict,
                       smooth=len(corners) == 0)
 
 
@@ -587,8 +578,9 @@ def polar_dual(body: SphericalBody) -> SphericalBody:
 def distance_to_body(body: SphericalBody, pts, tol: float = 1e-9) -> np.ndarray:
     """Angular distance from each point to the body (0 for members)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    best = -body.arcs.support_extreme(-pts)
-    d = np.arccos(np.clip(best, -1.0, 1.0))
+    # to the nearest point itself: arccos(p . x) reads 0 below about 1e-8
+    _, params = body.arcs.support_min_at(-pts)
+    d = dist(pts, body.arcs.point_at(params))
     inside = body.contains_many(pts, tol=tol)
     return np.where(inside, 0.0, d)
 

@@ -35,7 +35,7 @@ def cap(center, radius: float) -> SphericalBody:
     c = normalize(np.asarray(center, dtype=float))
     u, _ = orthonormal_frame(c)
     p = math.cos(radius) * c + math.sin(radius) * u
-    circle = Boundary(c[None], np.array([radius]), p[None], p[None])
+    circle = Boundary(c[None], np.array([radius]), p[None])
     return SphericalBody(circle, enclosing_center=c,
                          meta={"kind": "cap", "radius": radius})
 

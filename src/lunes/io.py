@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .body import Boundary, SphericalBody
+from .body import SphericalBody
 from .errors import InvariantViolation, ParseError
 from .metrics import ClassifyReport
 from .wulff import GammaFn
@@ -107,7 +107,8 @@ def body_to_doc(body: SphericalBody) -> dict:
             "radius": _finite(r, "segment radius"),
             "from": _vec(a, "segment start"),
             "to": _vec(b, "segment end"),
-        } for c, r, a, b in zip(body.centers, body.radii, body.starts, body.ends)],
+        } for c, r, a, b in zip(body.centers, body.radii, body.starts,
+                                np.roll(body.starts, -1, axis=0))],
         "metadata": body.meta,
     }
 
@@ -142,8 +143,8 @@ def body_from_doc(doc: dict, where: str = "body document") -> SphericalBody:
         raise InvariantViolation(
             f"{names[k]}: unit norm violated, |v| = {float(norms[k])!r}")
     trios = vecs[:3 * len(segs)].reshape(-1, 3, 3)
-    body = SphericalBody(Boundary(trios[:, 0], np.array(radii), trios[:, 1],
-                                  trios[:, 2]), meta=meta)
+    body = SphericalBody(zip(trios[:, 0], radii, trios[:, 1], trios[:, 2]),
+                         meta=meta)
     listed = vecs[3 * len(segs):] / norms[3 * len(segs):, None]
     if listed.shape != body.vertices.shape \
             or np.any(np.abs(listed - body.vertices) > 1e-10):

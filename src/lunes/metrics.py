@@ -31,6 +31,7 @@ HALF_PI = 0.5 * math.pi
 SUPPORT_TOL = 1e-8       # |min dot| beyond this means "not a supporting hemisphere"
 CROSS_CHECK_TOL = 1e-8   # agreement between definition-based and dual-form widths
 VERTEX_AGREE_TOL = 1e-9  # polygon diameter vs vertex-pair enumeration
+MAX_PROBES = 64          # reduced_check probes at most this many corners
 
 # (value, p, q) of _curve_diameter per arc table and resolution
 _DIAMETERS: WeakKeyDictionary = WeakKeyDictionary()
@@ -242,28 +243,29 @@ def is_constant_diameter(body: SphericalBody, tol: float = 1e-6,
                    deviation=deviation, tolerance=tol, witness=witness)
 
 
-def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720,
-                  max_probes: int = 64) -> Verdict:
+def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdict:
     """Necessary-condition screen for reducedness (heuristic, two parts).
 
     For each isolated extreme point e: (a) search for a lune of thickness
     equal to the body's thickness that contains the body with e at the
     midpoint of one bounding semicircle; (b) verify that slicing off a cap of
     depth 10*tol at e lowers the thickness by more than tol.  Bodies without
-    isolated extreme points pass vacuously.  Bodies with more than max_probes
-    corners are probed on an evenly spaced subset.
+    isolated extreme points pass vacuously.  Bodies with more than MAX_PROBES
+    corners are probed on an evenly spaced subset.  A failing verdict reports
+    the worst probed corner, so with every corner probed it does not depend
+    on where the boundary starts.
     """
     _resolution(n)
     corner_idx = body.corners
     if not len(corner_idx):
         return Verdict(kind="reduced_necessary", passed=True, deviation=0.0,
                        tolerance=tol, witness={"note": "boundary is smooth"})
-    if len(corner_idx) > max_probes:
-        sel = np.linspace(0, len(corner_idx) - 1, max_probes).astype(int)
+    if len(corner_idx) > MAX_PROBES:
+        sel = np.linspace(0, len(corner_idx) - 1, MAX_PROBES).astype(int)
         corner_idx = corner_idx[np.unique(sel)]
     thick = thickness(body, n).value
     dual = body.dual_arcs
-    corners = body.ends[corner_idx]
+    corners = body.vertices[corner_idx]
     # hemisphere centers supporting at corner e form a great arc about e (a
     # dual junction arc), dual parameters lo..hi
     rows = body._corner_row[corner_idx]
@@ -279,9 +281,8 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720,
     w_dir = normalize(mid - np.sum(corners * mid, axis=1)[:, None] * corners)
     cut_centers = -math.sin(depth) * corners + math.cos(depth) * w_dir
     drops = _farthest(dual, cut_centers) - (math.pi - thick)
-    bad = np.where(drops <= tol)[0]
-    if len(bad):
-        i = int(bad[0])
+    i = int(np.argmin(drops))
+    if drops[i] <= tol:
         return Verdict(kind="reduced_necessary", passed=False,
                        deviation=float(max(0.0, tol - drops[i])), tolerance=tol,
                        witness={"mode": "cap_cut", "corner": corners[i],
@@ -305,9 +306,8 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720,
         return body.support_min(c)
 
     _, best = golden_max(f, start - span, start + span)
-    fails = np.nonzero(best < -tol)[0]
-    if len(fails):
-        i = int(fails[0])
+    i = int(np.argmin(best))
+    if best[i] < -tol:
         return Verdict(kind="reduced_necessary", passed=False,
                        deviation=float(-best[i]), tolerance=tol,
                        witness={"mode": "lune_search", "corner": corners[i],
@@ -315,7 +315,7 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720,
     return Verdict(kind="reduced_necessary", passed=True, deviation=0.0,
                    tolerance=tol,
                    witness={"probes": len(corner_idx),
-                            "worst_support_margin": float(best.min())})
+                            "worst_support_margin": float(best[i])})
 
 
 @dataclass

@@ -8,7 +8,7 @@ from conftest import cap_points, random_unit
 
 from lunes import body as bd
 from lunes import construct, sphere
-from lunes.errors import NoEnclosingHemisphere
+from lunes.errors import InvariantViolation, NoEnclosingHemisphere
 
 E1, E2, E3 = np.eye(3)
 Z = np.array([0.0, 0.0, 1.0])
@@ -186,6 +186,47 @@ class TestPolarDual:
         assert np.max(np.abs(d_on)) < 1e-12
         assert d_off[0] == pytest.approx(0.0, abs=1e-12)  # interior: 0
         assert d_off[1] == pytest.approx(math.pi / 2 - math.pi / 4, abs=1e-9)
+
+
+    @staticmethod
+    def _pentagon_with_midpoint(outward):
+        """regular_polygon_vertices(5, 0.5) with the midpoint of edge 0
+        inserted as a sixth vertex, moved `outward` rad off the edge."""
+        verts = construct.regular_polygon_vertices(5, 0.5)
+        pole = sphere.normalize(np.cross(verts[0], verts[1]))  # inward normal
+        mid = sphere.normalize(verts[0] + verts[1])
+        mid = math.cos(outward) * mid - math.sin(outward) * pole
+        return np.insert(verts, 1, mid, axis=0)
+
+    def test_near_smooth_corner_dual_closes(self):
+        # the junction at the midpoint turns by 6.8e-9: a corner, whose dual
+        # great arc is kept, so the dual's arcs meet within CLOSURE_TOL
+        body = bd.polygon_from_vertices(self._pentagon_with_midpoint(1e-9))
+        twice = bd.polar_dual(bd.polar_dual(body))
+        assert len(body.corners) == 6
+        assert len(twice.radii) == 6
+        # the same arcs, up to where the boundary starts
+        gap = min(max(np.max(np.abs(np.roll(twice.starts, k, axis=0) - body.starts)),
+                      np.max(np.abs(np.roll(twice.centers, k, axis=0) - body.centers)))
+                  for k in range(6))
+        assert gap <= 1e-12
+
+    def test_slightly_reflex_junction_rejected(self):
+        # a turn of -6.8e-10 is reflex, not smooth
+        with pytest.raises(InvariantViolation, match="reflex junction"):
+            bd.polygon_from_vertices(self._pentagon_with_midpoint(-1e-10))
+
+    def test_distance_to_body_exact_near_zero(self):
+        cap = construct.cap(Z, 0.5)
+        pts = np.array([[math.sin(0.5 + eps), 0.0, math.cos(0.5 + eps)]
+                        for eps in (3e-9, 1e-8)])
+        d = bd.distance_to_body(cap, pts)
+        assert d == pytest.approx([3e-9, 1e-8], rel=1e-6)
+
+    def test_hausdorff_bodies_exact_near_zero(self):
+        gap = bd.hausdorff_bodies(construct.cap(Z, 0.5),
+                                  construct.cap(Z, 0.5 + 5e-9), n=240)
+        assert gap == pytest.approx(5e-9, rel=1e-6)
 
 
 class TestDiameterExtremes:

@@ -140,6 +140,22 @@ class TestReduced:
         v = metrics.reduced_check(square, tol=1e-6, n=240)
         assert not v.passed
 
+    def test_failing_verdict_independent_of_labelling(self):
+        # the worst corner is reported, wherever the boundary starts
+        poly = construct.random_convex_polygon(5, n=8, max_diam=0.8)
+        verts = poly.vertices
+        seen = []
+        for k in range(len(verts)):
+            rolled = bd.polygon_from_vertices(
+                np.roll(verts, k, axis=0), enclosing_center=poly.enclosing_center)
+            seen.append(metrics.reduced_check(rolled, tol=1e-6, n=240))
+        assert not any(v.passed for v in seen)
+        for v in seen[1:]:
+            assert v.deviation == pytest.approx(seen[0].deviation, abs=1e-12)
+            assert v.witness["mode"] == seen[0].witness["mode"]
+            assert np.allclose(v.witness["corner"], seen[0].witness["corner"],
+                               rtol=0.0, atol=1e-12)
+
 
 class TestClassify:
     def test_half_pi_five_gon(self, regular_gons):

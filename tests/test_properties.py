@@ -318,14 +318,19 @@ def test_report_raises_on_disagreeing_verdicts(octant, monkeypatch):
 # -- bodies: polar dual, persistence, validation --------------------------------
 
 
+def _ends(body):
+    """Each arc's end: the next arc's start."""
+    return np.roll(body.starts, -1, axis=0)
+
+
 def _cyclic_gap(body, other):
     """Largest array difference between two boundaries under the best cyclic
     relabelling of the arcs (inf when the arc counts differ)."""
     if len(other.radii) != len(body.radii):
         return math.inf
-    return min(max(float(np.max(np.abs(np.roll(getattr(other, key), s, axis=0)
-                                        - getattr(body, key))))
-                   for key in ("centers", "radii", "starts", "ends"))
+    return min(max(float(np.max(np.abs(np.roll(x, s, axis=0) - y)))
+                   for x, y in zip((other.centers, other.radii, other.starts, _ends(other)),
+                                   (body.centers, body.radii, body.starts, _ends(body))))
                for s in range(len(body.radii)))
 
 
@@ -354,7 +359,7 @@ def _rotated(x, axis, angle):
 
 
 def _arcs(body):
-    return [list(row) for row in zip(body.centers, body.radii, body.starts, body.ends)]
+    return [list(row) for row in zip(body.centers, body.radii, body.starts, _ends(body))]
 
 
 def _open_boundary(body):
