@@ -11,12 +11,15 @@ computed on these arrays in bulk, once per body.
 The polar dual (the curve of supporting-hemisphere centers) has a closed
 form per arc, which gives exact membership and support queries: a point lies
 in the body iff its dot product with every supporting center is nonnegative.
+A query in many directions on a curve of many arcs skips the blocks of 16
+arcs whose bounding caps cannot reach below the minimum, exactly (_Arcs).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +36,8 @@ CLOSURE_TOL = 1e-10       # junction tolerance: end-to-start gap, smooth turn
 ENCLOSING_MIN_DOT = 1e-6  # strict containment margin for the enclosing hemisphere
 INTERIOR_MIN = 1e-6       # the body must contain a cap of this angular radius
 _CHUNK = 262_144          # cap on temporary matrix entries in batched queries
+_BLOCK = 16               # arcs per block of the pruned support queries
+_CAP_SLACK = 1e-7         # widens each block's bounding cap past roundoff
 
 
 class Boundary(NamedTuple):
@@ -103,17 +108,56 @@ def _validated(centers, radii, starts, ends=None) -> Boundary:
     return out
 
 
+def _closed_form(v, sweeps, cos_r, sin_r):
+    """Candidates for the minimum of p . d over arcs: v is (rows, 3, n), the
+    a = u0 . d, b = v0 . d and c . d of n arcs.
+
+    Along an arc p(t) . d = cos r (c . d) + sin r (a cos t + b sin t), so the
+    minimum lies at the start (an arc's end is the next arc's start) or at
+    the critical angle atan2(b, a) + pi, in [0, 2 pi], if the sweep reaches
+    it.  Returns the (rows, 2n) candidates, starts first, then the critical
+    values (+inf outside the sweep), and the critical angles.
+    """
+    a, b, base = v[:, 0], v[:, 1], v[:, 2]
+    base *= cos_r  # in place: v is a temporary of the caller
+    t = np.arctan2(b, a) + math.pi
+    crit = np.where(t <= sweeps, base - sin_r * np.sqrt(a * a + b * b), np.inf)
+    return np.concatenate([base + sin_r * a, crit], axis=1), t
+
+
+def _sliced(query, width, *rows):
+    """query(*rows), a tuple of per-row arrays, on slices of the rows small
+    enough that width temporary entries per row stay under _CHUNK."""
+    step = max(1, _CHUNK // width)
+    if len(rows[0]) <= step:
+        return query(*rows)
+    parts = [query(*(r[lo:lo + step] for r in rows)) for lo in range(0, len(rows[0]), step)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
 class _Arcs:
-    """Stacked arc data with vectorized point and support queries."""
+    """Stacked arc data with vectorized point and support queries.
+
+    u0, v0 and the centers are rows of one read-only (3m x 3) table, so a
+    support query gets a, b and c . d of every arc in one product with the
+    directions, for _closed_form.  In more than one direction, on more than
+    _BLOCK arcs, it is pruned: each block of _BLOCK consecutive arcs lies
+    in a cap (c_b, rho_b), so cos(min(pi, angle(c_b, d) + rho_b)) bounds its
+    values from below.  The block with the lowest bound is evaluated first,
+    which bounds the minimum from above, then only the blocks whose bound
+    does not exceed that.  A skipped block holds no smaller value, so the
+    result is the whole table's minimum, with no tolerance.  One direction,
+    or one block, has nothing to prune and takes the whole table.
+    """
 
     def __init__(self, centers, radii, u0, v0, sweeps):
-        self.centers = centers
         self.radii = radii
-        self.u0 = u0
-        self.v0 = v0
         self.sweeps = sweeps
         self.cos_r = np.cos(radii)
         self.sin_r = np.sin(radii)
+        self.table = np.concatenate([u0, v0, centers])
+        self.table.flags.writeable = False
+        self.u0, self.v0, self.centers = np.split(self.table, 3)  # views
         self.lengths = sweeps * self.sin_r
         self.cum = np.concatenate([[0.0], np.cumsum(self.lengths)])
         self.total = float(self.cum[-1])
@@ -169,41 +213,13 @@ class _Arcs:
                 frac = quota - np.floor(quota)
                 order = np.argsort(-frac, kind="stable")
                 counts[order[:short]] += 1
-        parts = [self.cum[i] + self.lengths[i] * np.arange(counts[i]) / counts[i]
-                 for i in range(m)]
-        return np.concatenate(parts)
+        arc = np.repeat(np.arange(m), counts)
+        k = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+        return self.cum[arc] + self.lengths[arc] * k / counts[arc]
 
     def sample_points(self, n: int):
         params = self.sample_params(n)
         return params, self.point_at(params)
-
-    def _extremes(self, d):
-        """Closed-form minimum of p . d over each arc, for a block of directions.
-
-        Along arc i, p(t) . d = cos r (c . d) + sin r (a cos t + b sin t) with
-        a = u0 . d and b = v0 . d, so the minimum lies at an end of the arc
-        or at the critical angle atan2(b, a) + pi when that falls inside the
-        sweep.  An arc's end is the next arc's start, so every junction is
-        evaluated once.  Returns the (2m, k) candidate values, all starts
-        first, then the critical values (+inf outside the sweep), and the
-        (m, k) critical angles.
-        """
-        a = self.u0 @ d.T                 # (m, k)
-        b = self.v0 @ d.T
-        base = self.cos_r[:, None] * (self.centers @ d.T)
-        sin_r = self.sin_r[:, None]
-        t_crit = np.mod(np.arctan2(b, a) + math.pi, TWO_PI)
-        v_crit = np.where(t_crit <= self.sweeps[:, None],
-                          base - sin_r * np.hypot(a, b), np.inf)
-        return np.concatenate([base + sin_r * a, v_crit]), t_crit
-
-    def _blocks(self, dirs):
-        """Directions as a (k, 3) array plus slices that keep each block's
-        temporaries under _CHUNK entries."""
-        dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-        k = dirs.shape[0]
-        step = max(1, _CHUNK // max(self.count, 1))
-        return dirs, [slice(lo, lo + step) for lo in range(0, k, step)]
 
     def support_extreme(self, dirs) -> np.ndarray:
         """Per-direction minimum of the dot product over the whole curve:
@@ -211,12 +227,10 @@ class _Arcs:
         hemisphere of the direction.  The maximum over the curve is
         -support_extreme(-dirs).
         """
-        dirs, blocks = self._blocks(dirs)
-        out = np.empty(dirs.shape[0])
-        for blk in blocks:
-            vals, _ = self._extremes(dirs[blk])
-            out[blk] = vals.min(axis=0)
-        return out
+        dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+        if dirs.shape[0] > 1 and self.count > _BLOCK:
+            return self.support_min_at(dirs)[0]
+        return _sliced(lambda d: (self._whole(d)[0].min(axis=1),), 3 * self.count, dirs)[0]
 
     def support_min_at(self, dirs):
         """support_extreme(dirs) plus the arc-length parameter where
@@ -224,18 +238,70 @@ class _Arcs:
         is the curve's farthest point from each direction, at angular
         distance arccos(value).
         """
-        dirs, blocks = self._blocks(dirs)
-        vals = np.empty(dirs.shape[0])
-        params = np.empty(dirs.shape[0])
+        dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+        if dirs.shape[0] > 1 and self.count > _BLOCK:
+            width = max(9 * _BLOCK, len(self._blocks[0]))  # bounds, one block
+            return _sliced(self._pruned, width, dirs)
+        arcs = np.arange(self.count)
+        return _sliced(lambda d: self._reduce(*self._whole(d), arcs), 3 * self.count, dirs)
+
+    def _reduce(self, flat, t, arcs):
+        """Each row's least candidate and its arc-length parameter; arcs
+        numbers the candidates' arcs, for all rows (1-D) or per row (2-D)."""
+        rows = np.arange(flat.shape[0])
+        j = np.argmin(flat, axis=1)
+        crit, slot = np.divmod(j, t.shape[1])
+        arc = arcs[slot] if arcs.ndim == 1 else arcs[rows, slot]
+        return (flat[rows, j],
+                self.cum[arc] + self.sin_r[arc] * np.where(crit, t[rows, slot], 0.0))
+
+    def _whole(self, d):
+        return _closed_form((d @ self.table.T).reshape(-1, 3, self.count), self.sweeps,
+                            self.cos_r, self.sin_r)
+
+    @cached_property
+    def _blocks(self):
+        """Arc numbers per block (the last padded with the final arc), the
+        blocks' tables and sweeps, and their caps, in O(m) on the first
+        pruned query.  Arc i lies in the cap about its midpoint of radius
+        2 asin(sin r sin(sweep/4)), which reaches its ends: the chord
+        2 sin r sin(tau/2) to the point tau along the circle grows with tau
+        up to pi >= sweep/2.  c_b is the normalized sum of the midpoints
+        (the curve lies in an open hemisphere), and rho_b covers each arc's
+        cap plus _CAP_SLACK, for the roundoff of arccos near 0 (2e-8)."""
         m = self.count
-        for blk in blocks:
-            flat, t_crit = self._extremes(dirs[blk])
-            j = np.argmin(flat, axis=0)
-            cols = np.arange(flat.shape[1])
-            crit, arc = np.divmod(j, m)
-            t = np.where(crit, t_crit[arc, cols], 0.0)
-            vals[blk] = flat[j, cols]
-            params[blk] = self.cum[arc] + self.sin_r[arc] * t
+        idx = np.minimum(np.arange(-(-m // _BLOCK) * _BLOCK), m - 1).reshape(-1, _BLOCK)
+        half = 0.5 * self.sweeps[:, None]
+        mid = (self.cos_r[:, None] * self.centers + self.sin_r[:, None]
+               * (np.cos(half) * self.u0 + np.sin(half) * self.v0))[idx]
+        reach = 2.0 * np.arcsin(np.minimum(1.0, self.sin_r * np.sin(0.5 * half[:, 0])))
+        center = normalize(mid.sum(axis=1))
+        gap = np.arccos(np.clip(np.einsum("bij,bj->bi", mid, center), -1.0, 1.0))
+        radius = np.max(gap + reach[idx], axis=1) + _CAP_SLACK
+        table = self.table.reshape(3, m, 3)[:, idx].transpose(1, 0, 2, 3)
+        return (idx, table.reshape(len(idx), 3 * _BLOCK, 3), self.sweeps[idx],
+                self.cos_r[idx], self.sin_r[idx], center, radius)
+
+    def _blockwise(self, b, d):
+        """_reduce over block b[i] in direction d[i], for each i."""
+        idx, table, sweeps, cos_r, sin_r, _, _ = self._blocks
+        v = (table[b] @ d[:, :, None]).reshape(-1, 3, _BLOCK)
+        return self._reduce(*_closed_form(v, sweeps[b], cos_r[b], sin_r[b]), idx[b])
+
+    def _pruned(self, d):
+        """The minimum over the blocks that can hold it (see the class)."""
+        *_, center, radius = self._blocks
+        reach = np.arccos(np.clip(center @ d.T, -1.0, 1.0)) + radius[:, None]
+        low = np.where(reach < math.pi, np.cos(reach), -np.inf)
+        first = np.argmin(low, axis=0)
+        vals, params = self._blockwise(first, d)
+        visit = low <= vals
+        visit[first, np.arange(d.shape[0])] = False
+        rows, blocks = np.nonzero(visit.T)
+        more, at = _sliced(self._blockwise, 9 * _BLOCK, blocks, d[rows])
+        np.minimum.at(vals, rows, more)
+        won = more == vals[rows]
+        params[rows[won]] = at[won]
         return vals, params
 
 
@@ -319,10 +385,11 @@ class SphericalBody:
         m = len(b.radii)
         if m == 0:
             raise InvariantViolation("closed boundary", "no segments")
-        self.centers, self.radii, self.starts = b
+        self.radii, self.starts = b.radii, b.starts
         self.is_full_circle = m == 1
         self.meta = dict(meta or {})
         self.arcs = _Arcs.from_boundary(b)
+        self.centers = self.arcs.centers  # a view: the centers are stored once
 
         dual, turns, self._corner_row = _dual(b)
         reflex = np.flatnonzero(turns < -CLOSURE_TOL)
@@ -331,8 +398,9 @@ class SphericalBody:
             raise InvariantViolation(
                 "convexity", f"reflex junction at the end of segment {k} "
                 f"(turn {float(turns[k]):.3g})")
-        self.dual_boundary = _validated(*dual)
-        self.dual_arcs = _Arcs.from_boundary(self.dual_boundary)
+        dual = _validated(*dual)
+        self.dual_arcs = _Arcs.from_boundary(dual)
+        self.dual_boundary = dual._replace(centers=self.dual_arcs.centers)
 
         if enclosing_center is None:
             probe = self.arcs.point_at(

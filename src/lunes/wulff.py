@@ -298,7 +298,8 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
     """Central projection of the body onto the tangent plane at frame.pole.
 
     p maps to (p.u / p.N, p.v / p.N); the output is the planar hull
-    (planar_hull) of n projected boundary samples.  The body must sit
+    (planar_hull) of n projected boundary samples, or of the projected
+    vertices of a polygon, whose edges map to segments.  The body must sit
     strictly inside the open hemisphere at the pole, and the pole strictly
     inside the body (so the origin is interior to the image).
     """
@@ -310,7 +311,8 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
     if interior <= 1e-6:
         raise PoleNotInterior(
             f"pole has containment margin only {interior:.3g}")
-    pts = boundary_sample(body, max(n, body.arcs.count))
+    pts = (body.vertices if body.is_polygon
+           else boundary_sample(body, max(n, body.arcs.count)))
     w = pts @ frame.pole
     plane = np.column_stack([pts @ frame.u / w, pts @ frame.v / w])
     try:

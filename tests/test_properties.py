@@ -1,5 +1,6 @@
 """Property tests on generated bodies and polygons: the closed-form farthest
-point and the width/diameter identities built on it, the planar hull against
+point, the block-pruned support queries against a whole-table reference,
+and the width/diameter identities built on them, the planar hull against
 Qhull, the support-function polygon Hausdorff distance, the exact Wulff dual,
 the polar-dual involution, lossless persistence and boundary validation.
 
@@ -70,7 +71,35 @@ def cd_triangles(draw):
         assume(False)
 
 
-bodies = st.one_of(polygons(), caps(), cd_triangles())
+@st.composite
+def many_arc_bodies(draw):
+    """Bodies of more than one block of the pruned support queries:
+    constant-diameter regular 9-, 17- and 33-gons (18-66 arcs, with
+    symmetric ties), hulls of 17-300 points on a jittered small circle, and
+    Wulff bodies of about 720 arcs induced from a smooth gamma."""
+    axis = draw(units)
+    kind = draw(st.sampled_from(["cd_gon", "hull", "induced"]))
+    if kind == "cd_gon":
+        verts = construct.regular_polygon_vertices(
+            draw(st.sampled_from([9, 17, 33])), draw(st.floats(0.1, 0.75)),
+            center=axis, phase=draw(st.floats(0.0, 1.0)))
+        return construct.constant_diameter_odd_gon(verts)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "hull":
+        k = draw(st.integers(17, 300))
+        polar = draw(st.floats(0.2, 1.0)) * (1.0 + 0.01 * rng.uniform(-1.0, 1.0, k))
+        pts = np.stack([_cap_point(axis, r, az) for r, az
+                        in zip(polar, rng.uniform(0.0, 2 * math.pi, k))])
+        body = bd.hull_from_points(pts)
+        assume(body.arcs.count > bd._BLOCK)
+        return body
+    theta = 2 * math.pi * np.arange(720) / 720
+    gamma = wulff.GammaFn(theta, 0.5 * (1.0 + rng.uniform(0.02, 0.1) * np.cos(
+        int(rng.integers(2, 4)) * theta + rng.uniform(0.0, 2 * math.pi))))
+    return wulff.induce_spherical(wulff.wulff_shape(gamma), wulff.frame_at(axis))
+
+
+bodies = st.one_of(polygons(), caps(), cd_triangles(), many_arc_bodies())
 
 
 # a sliver triangle 5e-5 thick: its dual curve has points nearly pi apart,
@@ -100,6 +129,35 @@ def test_farthest_point_beats_dense_sampling(body):
         _, dense = arcs.sample_points(DENSE)
         brute = dist(queries[:, None, :], dense[None, :, :]).max(axis=1)
         assert np.all(far >= brute - 1e-12)
+
+
+def _whole_table(arcs, dirs):
+    """Reference support minimum: the per-arc closed form on every arc.
+    Along arc i, p . d = cos r (c . d) + sin r (a cos t + b sin t)."""
+    a, b = dirs @ arcs.u0.T, dirs @ arcs.v0.T
+    base = arcs.cos_r * (dirs @ arcs.centers.T)
+    t = np.mod(np.arctan2(b, a) + math.pi, 2 * math.pi)
+    crit = np.where(t <= arcs.sweeps, base - arcs.sin_r * np.hypot(a, b), np.inf)
+    return np.minimum(np.min(base + arcs.sin_r * a, axis=1), np.min(crit, axis=1))
+
+
+@settings(BOUNDED, max_examples=12)
+@given(many_arc_bodies(), st.integers(0, 2**32 - 1))
+def test_pruned_support_matches_whole_table(body, seed):
+    assert body.arcs.count > bd._BLOCK
+    rng = np.random.default_rng(seed)
+    for arcs in _curves(body):
+        _, pts = arcs.sample_points(96)
+        randoms = rng.normal(size=(96, 3))
+        dirs = np.concatenate([pts, -pts, randoms / np.linalg.norm(randoms, axis=1,
+                                                                   keepdims=True)])
+        ref = _whole_table(arcs, dirs)
+        vals, params = arcs.support_min_at(dirs)
+        assert np.max(np.abs(vals - ref)) <= 1e-15
+        assert np.max(np.abs(arcs.support_extreme(dirs) - ref)) <= 1e-15
+        # an exact tie may return either point, but each attains the minimum
+        attained = np.sum(dirs * arcs.point_at(params), axis=1)
+        assert np.max(np.abs(attained - vals)) <= 1e-15
 
 
 @BOUNDED

@@ -172,6 +172,19 @@ class TestProjection:
         # the junction at the end of edge i is the lift of vertex i + 1
         assert np.max(np.abs(induced.vertices - np.roll(lifts, -1, axis=0))) <= 1e-15
 
+    @pytest.mark.parametrize("seed, k", [(13, 7), (1, 8), (5, 4)])
+    def test_polygon_projects_its_vertices(self, seed, k):
+        # the image of a polygon is the polygon over its projected vertices,
+        # listed from some vertex on
+        poly = construct.random_convex_polygon(seed, n=k, max_diam=1.0)
+        fr = wulff.frame_at(poly.enclosing_center)
+        shape = wulff.project_to_plane(poly, fr, n=720)
+        v = poly.vertices
+        xy = np.column_stack([v @ fr.u, v @ fr.v]) / (v @ fr.pole)[:, None]
+        assert len(shape.vertices) == len(xy)
+        shift = int(np.argmin(np.linalg.norm(xy - shape.vertices[0], axis=1)))
+        assert np.max(np.abs(shape.vertices - np.roll(xy, -shift, axis=0))) <= 1e-15
+
     def test_square_induces_known_diameter(self, square):
         fr = wulff.frame_at(Z)
         body = wulff.induce_spherical(square, fr, n=240)
