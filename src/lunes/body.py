@@ -49,7 +49,14 @@ class Boundary(NamedTuple):
     starts: np.ndarray   # (m, 3) start points
 
 
-def _validated(centers, radii, starts, ends=None) -> Boundary:
+class _Valid(Boundary):
+    """A Boundary that _validated returned: its read-only arrays passed the
+    per-arc checks, so SphericalBody takes it without checking it again."""
+
+    __slots__ = ()
+
+
+def _validated(centers, radii, starts, ends=None) -> _Valid:
     """The per-arc checks, on all arcs at once.
 
     Vectors must be unit within UNIT_TOL and are rescaled to unit length
@@ -59,7 +66,8 @@ def _validated(centers, radii, starts, ends=None) -> Boundary:
     where it starts (within 1e-12) is a full circle and must be alone.
     Each arc ends at the next start unless ends are given, as by
     (center, radius, start, end) rows: those must meet the next starts
-    within CLOSURE_TOL and are then dropped.  Returns read-only copies.
+    within CLOSURE_TOL and are then dropped.  Returns read-only copies, as
+    a _Valid.
     """
     if ends is None:
         ends = np.roll(np.reshape(starts, (-1, 3)), -1, axis=0)
@@ -102,7 +110,7 @@ def _validated(centers, radii, starts, ends=None) -> Boundary:
         raise InvariantViolation(
             "closed boundary",
             f"segment {k} end misses segment {(k + 1) % m} start by {gaps[k]:.3g}")
-    out = Boundary(c, r, s)
+    out = _Valid(c, r, s)
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -365,7 +373,8 @@ class SphericalBody:
     """Closed convex region of the sphere, inside some open hemisphere.
 
     `segments` is a Boundary of arrays, or a sequence of
-    (center, radius, start, end) rows.  Validation at construction, on the
+    (center, radius, start, end) rows; the per-arc checks of _validated are
+    not repeated on the Boundary it returns.  Validation at construction, on the
     boundary and on its polar dual: unit vectors, radii in (0, pi/2],
     endpoints on their circles, consecutive segments sharing endpoints,
     convex (leftward) junction turns, monotone winding about the enclosing
@@ -381,7 +390,7 @@ class SphericalBody:
     def __init__(self, segments, enclosing_center=None, meta=None):
         if not isinstance(segments, Boundary):  # rows to columns
             segments = list(zip(*segments)) or [()] * 4
-        b = _validated(*segments)
+        b = segments if isinstance(segments, _Valid) else _validated(*segments)
         m = len(b.radii)
         if m == 0:
             raise InvariantViolation("closed boundary", "no segments")

@@ -5,6 +5,13 @@ rejected so regression corpora stay honest.  Floats are serialized via
 Python's shortest round-trip repr, which is lossless for IEEE-754 doubles;
 loading re-runs full body validation, so a hand-edited document that breaks
 an invariant fails with the invariant's name.
+
+Every document is laid out as json.dump(doc, indent=2, sort_keys=True)
+lays it out.  A body document is rendered from the boundary arrays instead,
+byte-identical to that: one template, one repr per center, start and
+radius.  It is read back in bulk: one pass over the segments for their keys
+and the shape of their vectors, one float conversion of every number, and
+array checks for finiteness and unit norm.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import math
 
 import numpy as np
 
-from .body import SphericalBody
+from .body import SphericalBody, _validated
 from .errors import InvariantViolation, ParseError
 from .metrics import ClassifyReport
 from .wulff import GammaFn
@@ -23,23 +30,10 @@ SCHEMA_VERSION = 1
 BODY_KINDS = ("polygon", "arc_boundary", "cap")
 
 
-def _vec(x, name: str) -> list[float]:
-    try:
-        seq = list(x)
-        if len(seq) != 3:
-            raise ParseError(f"{name} must have 3 components")
-        out = [float(c) for c in seq]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{name} must be a list of 3 numbers") from exc
-    if not all(math.isfinite(c) for c in out):
-        raise ParseError(f"{name} has a non-finite component")
-    return out
-
-
 def _finite(x, name: str) -> float:
     try:
         v = float(x)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{name} must be a number, got {x!r}") from exc
     if not math.isfinite(v):
         raise ParseError(f"{name} is not finite")
@@ -97,20 +91,108 @@ def body_kind(body: SphericalBody) -> str:
     return "polygon" if body.is_polygon else "arc_boundary"
 
 
+def _numbers(body: SphericalBody) -> np.ndarray:
+    """The centers, starts and radii of the body, flat and in that order:
+    7 numbers per arc, each junction once."""
+    flat = np.concatenate([body.centers.ravel(), body.starts.ravel(), body.radii])
+    if not np.all(np.isfinite(flat)):
+        raise ParseError("body has a non-finite component")
+    return flat
+
+
 def body_to_doc(body: SphericalBody) -> dict:
+    m = len(body.radii)
+    flat = _numbers(body)
+    centers, starts = flat[:6 * m].reshape(2, m, 3)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": body_kind(body),
-        "vertices": [_vec(v, "vertex") for v in body.vertices],
-        "segments": [{
-            "center": _vec(c, "segment center"),
-            "radius": _finite(r, "segment radius"),
-            "from": _vec(a, "segment start"),
-            "to": _vec(b, "segment end"),
-        } for c, r, a, b in zip(body.centers, body.radii, body.starts,
-                                np.roll(body.starts, -1, axis=0))],
+        "vertices": body.vertices.tolist(),
+        "segments": [{"center": c, "radius": r, "from": a, "to": b}
+                     for c, r, a, b in zip(centers.tolist(), flat[6 * m:].tolist(),
+                                           starts.tolist(),
+                                           np.roll(starts, -1, axis=0).tolist())],
         "metadata": body.meta,
     }
+
+
+def _indented(text: str, depth: int) -> str:
+    """Indent-2 JSON text as it is laid out depth levels deep."""
+    return text.replace("\n", "\n" + "  " * depth)
+
+
+def _layout(obj, depth: int) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) on its own lines depth
+    levels deep, as a %-template: %s for each None."""
+    text = json.dumps(obj, indent=2, sort_keys=True)
+    return "  " * depth + _indented(text, depth).replace("null", "%s")
+
+
+def _items(template: str, count: int, args: tuple) -> str:
+    """A list of count items one level deep, each laid out by template."""
+    return "[\n%s\n  ]" % (",\n".join([template] * count) % args) if count else "[]"
+
+
+# a body document and its items, laid out as json.dump lays them out
+_BODY = _layout(dict.fromkeys(["kind", "metadata", "schema_version", "segments",
+                               "vertices"]), 0) + "\n"
+_SEGMENT = _layout({"center": [None] * 3, "from": [None] * 3, "radius": None,
+                    "to": [None] * 3}, 2)
+_VERTEX = _layout([None] * 3, 2)
+
+
+def _body_text(body: SphericalBody) -> str:
+    """json.dump(body_to_doc(body), fh, indent=2, sort_keys=True) plus a
+    newline, byte for byte, rendered from the arrays.  Each number's repr
+    (the shortest round-trip one, as json's) is made once, though each
+    junction appears three times: as the start of one arc, the end of the
+    one before, and a vertex."""
+    m = len(body.radii)
+    reprs = np.array(list(map(float.__repr__, _numbers(body).tolist())), dtype=object)
+    arc = np.arange(m)[:, None]
+    xyz = np.arange(3)
+    # per arc: center, from, radius, to
+    order = np.hstack([3 * arc + xyz, 3 * (m + arc) + xyz, 6 * m + arc,
+                       3 * (m + (arc + 1) % m) + xyz])
+    vertices = 0 if body.is_full_circle else m
+    return _BODY % (json.dumps(body_kind(body)),
+                    _indented(json.dumps(body.meta, indent=2, sort_keys=True), 1),
+                    SCHEMA_VERSION,
+                    _items(_SEGMENT, m, tuple(reprs[order.ravel()])),
+                    _items(_VERTEX, vertices, tuple(reprs[order[:vertices, 7:].ravel()])))
+
+
+_SEGMENT_KEYS = {"center", "from", "radius", "to"}
+_VECTOR_KEYS = ("center", "from", "to")
+
+
+def _triple(x, name: str) -> list:
+    """x as a sequence of 3 (a document's vectors are lists of 3 numbers)."""
+    try:
+        seq = list(x)
+    except TypeError as exc:
+        raise ParseError(f"{name} must be a list of 3 numbers") from exc
+    if len(seq) != 3:
+        raise ParseError(f"{name} must have 3 components")
+    return seq
+
+
+def _floats(nums: list, name) -> np.ndarray:
+    """The numbers as one float array; anything but an int or a float goes
+    through float().  name(k) names the vector or radius of number k."""
+    try:
+        return np.array([x if type(x) is float or type(x) is int else float(x)
+                         for x in nums], dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        for k, x in enumerate(nums):
+            try:
+                float(x)
+            except (TypeError, ValueError, OverflowError):
+                what = name(k)
+                if what == "radius":
+                    raise ParseError(f"radius must be a number, got {x!r}") from exc
+                raise ParseError(f"{what} must be a list of 3 numbers") from exc
+        raise
 
 
 def body_from_doc(doc: dict, where: str = "body document") -> SphericalBody:
@@ -124,28 +206,52 @@ def body_from_doc(doc: dict, where: str = "body document") -> SphericalBody:
     if not isinstance(meta, dict):
         raise ParseError(f"{where}: metadata must be an object")
     segs = _list(doc["segments"], f"{where}: segments")
-    names, vecs, radii = [], [], []
+    # every number in one list: 10 per segment (center, from, to, radius),
+    # then 3 per vertex
+    nums = []
     for i, sd in enumerate(segs):
-        _check_keys(sd, {"center", "radius", "from", "to"}, set(),
-                    f"{where}: segment {i}")
-        for key in ("center", "from", "to"):
-            names.append(f"{where}: segment {i} {key}")
-            vecs.append(_vec(sd[key], names[-1]))
-        radii.append(_finite(sd["radius"], "radius"))
+        if type(sd) is not dict or sd.keys() != _SEGMENT_KEYS:
+            _check_keys(sd, _SEGMENT_KEYS, set(), f"{where}: segment {i}")
+        for key in _VECTOR_KEYS:
+            v = sd[key]
+            nums += v if type(v) is list and len(v) == 3 \
+                else _triple(v, f"{where}: segment {i} {key}")
+        nums.append(sd["radius"])
     for i, v in enumerate(_list(doc["vertices"], f"{where}: vertices")):
-        names.append(f"{where}: vertex {i}")
-        vecs.append(_vec(v, names[-1]))
-    vecs = np.array(vecs, dtype=float).reshape(-1, 3)
+        nums += v if type(v) is list and len(v) == 3 \
+            else _triple(v, f"{where}: vertex {i}")
+    m = len(segs)
+
+    def vector(j: int) -> str:
+        if j >= 3 * m:
+            return f"{where}: vertex {j - 3 * m}"
+        return f"{where}: segment {j // 3} {_VECTOR_KEYS[j % 3]}"
+
+    def name(k: int) -> str:
+        """What number k of nums belongs to: a vector, or "radius"."""
+        if k >= 10 * m:
+            return vector(3 * m + (k - 10 * m) // 3)
+        i, slot = divmod(k, 10)
+        return "radius" if slot == 9 else vector(3 * i + slot // 3)
+
+    flat = _floats(nums, name)
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if len(bad):
+        what = name(int(bad[0]))
+        raise ParseError("radius is not finite" if what == "radius"
+                         else f"{what} has a non-finite component")
+    rows = flat[:10 * m].reshape(m, 10)
+    vecs = np.concatenate([rows[:, :9].reshape(-1, 3), flat[10 * m:].reshape(-1, 3)])
     norms = np.linalg.norm(vecs, axis=1)
     bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-9)
     if len(bad):
         k = int(bad[0])
         raise InvariantViolation(
-            f"{names[k]}: unit norm violated, |v| = {float(norms[k])!r}")
-    trios = vecs[:3 * len(segs)].reshape(-1, 3, 3)
-    body = SphericalBody(zip(trios[:, 0], radii, trios[:, 1], trios[:, 2]),
+            f"{vector(k)}: unit norm violated, |v| = {float(norms[k])!r}")
+    # _validated checks each end against the next start, then drops it
+    body = SphericalBody(_validated(rows[:, :3], rows[:, 9], rows[:, 3:6], rows[:, 6:9]),
                          meta=meta)
-    listed = vecs[3 * len(segs):] / norms[3 * len(segs):, None]
+    listed = vecs[3 * m:] / norms[3 * m:, None]
     if listed.shape != body.vertices.shape \
             or np.any(np.abs(listed - body.vertices) > 1e-10):
         raise ParseError(f"{where}: vertices do not match the segment junctions")
@@ -156,7 +262,9 @@ def body_from_doc(doc: dict, where: str = "body document") -> SphericalBody:
 
 
 def save_body(body: SphericalBody, path: str) -> None:
-    _dump(body_to_doc(body), path)
+    text = _body_text(body)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def load_body(path: str) -> SphericalBody:

@@ -33,7 +33,8 @@ CROSS_CHECK_TOL = 1e-8   # agreement between definition-based and dual-form widt
 VERTEX_AGREE_TOL = 1e-9  # polygon diameter vs vertex-pair enumeration
 MAX_PROBES = 64          # reduced_check probes at most this many corners
 
-# (value, p, q) of _curve_diameter per arc table and resolution
+# (value, p, q) of _curve_diameter per arc table and resolution, and under
+# "vertex pairs" the farthest vertex pair's distance of a polygon (diameter)
 _DIAMETERS: WeakKeyDictionary = WeakKeyDictionary()
 
 
@@ -194,14 +195,17 @@ def diameter(body: SphericalBody, n: int = 720) -> DiameterResult:
     Attained on the boundary; computed from n boundary samples with exact
     farthest partners and one golden-section search.  For polygons with
     diameter at most pi/2 the result is checked against exhaustive
-    vertex-pair enumeration.
+    vertex-pair enumeration, which runs once per body.
     """
     val, p, q = _curve_diameter(body.arcs, n)
     if body.is_polygon and val <= HALF_PI + 1e-8:
-        # the farthest vertex pair is the one with the smallest dot product
-        verts = body.vertices
-        i, j = np.unravel_index(np.argmin(verts @ verts.T), (len(verts),) * 2)
-        vmax = float(dist(verts[i], verts[j]))
+        memo = _DIAMETERS[body.arcs]
+        if "vertex pairs" not in memo:
+            # the farthest vertex pair is the one with the smallest dot product
+            verts = body.vertices
+            i, j = np.unravel_index(np.argmin(verts @ verts.T), (len(verts),) * 2)
+            memo["vertex pairs"] = float(dist(verts[i], verts[j]))
+        vmax = memo["vertex pairs"]
         if abs(val - vmax) > VERTEX_AGREE_TOL:
             raise ConsistencyError(
                 f"sampled diameter {val!r} vs vertex enumeration {vmax!r}")

@@ -81,6 +81,33 @@ class GammaFn:
                    np.asarray(values, dtype=float)[order])
 
 
+def _distinct(verts, tol: float = 1e-14) -> np.ndarray:
+    """Mask of the vertices kept when each one is dropped within tol of the
+    last one kept, and the last kept is dropped within tol of the first.
+
+    Next to a kept vertex the last one kept is the neighbour, so one
+    vectorized pass decides most vertices; after a dropped vertex the
+    following ones are compared with the last kept until one is kept."""
+    n = len(verts)
+    keep = np.ones(n, dtype=bool)
+    keep[1:] = np.linalg.norm(np.diff(verts, axis=0), axis=1) > tol
+    settled = 0
+    for j in np.flatnonzero(~keep):
+        if j <= settled:
+            continue
+        last, i = j - 1, j + 1
+        while i < n and np.linalg.norm(verts[i] - verts[last]) <= tol:
+            keep[i] = False
+            i += 1
+        if i < n:
+            keep[i] = True
+        settled = i
+    last = np.flatnonzero(keep)[-1]
+    if np.linalg.norm(verts[last] - verts[0]) <= tol:
+        keep[last] = False
+    return keep
+
+
 class WulffShape:
     """Convex planar polygon with the origin strictly interior.
 
@@ -92,13 +119,7 @@ class WulffShape:
         verts = np.atleast_2d(np.asarray(vertices, dtype=float))
         if verts.shape[1] != 2 or len(verts) < 3:
             raise InvalidSpec("need at least 3 planar vertices")
-        keep = [0]
-        for i in range(1, len(verts)):
-            if np.linalg.norm(verts[i] - verts[keep[-1]]) > 1e-14:
-                keep.append(i)
-        if np.linalg.norm(verts[keep[-1]] - verts[keep[0]]) <= 1e-14:
-            keep.pop()
-        verts = verts[keep]
+        verts = verts[_distinct(verts)]
         if len(verts) < 3:
             raise InvalidSpec("fewer than 3 distinct vertices")
         edges = np.roll(verts, -1, axis=0) - verts

@@ -134,8 +134,10 @@ class TestGammaAndReportDocuments:
 
 def _malformed(doc, key, value):
     doc = copy.deepcopy(doc)
-    if key == "radius":
-        doc["segments"][0]["radius"] = value
+    if key in ("radius", "center"):
+        doc["segments"][0][key] = value
+    elif key == "component":  # the last coordinate of the first center
+        doc["segments"][0]["center"][2] = value
     elif key == "sample":
         doc["samples"][0] = value
     else:
@@ -148,7 +150,11 @@ class TestMalformedDocuments:
 
     @pytest.mark.parametrize("key, value", [
         ("radius", "x"), ("radius", None), ("metadata", [1]), ("vertices", None),
-    ], ids=["radius_string", "radius_null", "metadata_list", "vertices_null"])
+        ("radius", 10**400), ("component", 10**400), ("component", "one"),
+        ("center", "0,0,1"), ("center", True),
+    ], ids=["radius_string", "radius_null", "metadata_list", "vertices_null",
+            "radius_huge_int", "component_huge_int", "component_word",
+            "vector_string", "vector_bool"])
     def test_body(self, tmp_path, key, value):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(
@@ -156,8 +162,24 @@ class TestMalformedDocuments:
         with pytest.raises(ParseError):
             io.load_body(str(path))
 
-    @pytest.mark.parametrize("key, value", [("sample", [0, "a"]), ("samples", 5)],
-                             ids=["sample_string", "samples_number"])
+    @pytest.mark.parametrize("key, value", [
+        ("component", "1"), ("component", " 1e0 "), ("component", True),
+        ("radius", "0.5"),
+    ], ids=["component_numeric_string", "component_padded_string",
+            "component_bool", "radius_numeric_string"])
+    def test_body_numbers_through_float(self, tmp_path, key, value):
+        # a number in a vector or radius slot goes through float(), so
+        # numeric strings and booleans load as the numbers they convert to
+        cap = construct.cap(Z, 0.5)
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(_malformed(io.body_to_doc(cap), key, value)))
+        body = io.load_body(str(path))
+        for name in ("centers", "radii", "starts"):
+            assert np.array_equal(getattr(body, name), getattr(cap, name)), name
+
+    @pytest.mark.parametrize("key, value", [("sample", [0, "a"]), ("samples", 5),
+                                            ("sample", [0, 10**400])],
+                             ids=["sample_string", "samples_number", "sample_huge_int"])
     def test_gamma(self, tmp_path, key, value):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(
@@ -307,6 +329,14 @@ class TestCli:
         doc = _malformed(io.body_to_doc(construct.cap(Z, 0.5)), "radius", "x")
         (tmp_path / "bad.json").write_text(json.dumps(doc))
         r = run_cli("check", "constant-width", "bad.json", cwd=tmp_path)
+        assert r.returncode == 2, r.stdout + r.stderr
+        assert "Traceback" not in r.stderr, r.stderr
+
+    def test_huge_integer_exit_2(self, tmp_path):
+        # float(10**400) overflows: an input error like any other bad number
+        doc = _malformed(io.body_to_doc(construct.cap(Z, 0.5)), "radius", 10**400)
+        (tmp_path / "huge.json").write_text(json.dumps(doc))
+        r = run_cli("analyze", "huge.json", cwd=tmp_path)
         assert r.returncode == 2, r.stdout + r.stderr
         assert "Traceback" not in r.stderr, r.stderr
 

@@ -2,12 +2,14 @@
 point, the block-pruned support queries against a whole-table reference,
 and the width/diameter identities built on them, the planar hull against
 Qhull, the support-function polygon Hausdorff distance, the exact Wulff dual,
-the polar-dual involution, lossless persistence and boundary validation.
+the polar-dual involution, lossless persistence and the document layout,
+and boundary validation.
 
 Example counts are bounded and the search is derandomized, so the suite is
 deterministic and its runtime fixed; it lives apart from the acceptance gate.
 """
 
+import json
 import math
 import os
 import tempfile
@@ -408,6 +410,31 @@ def test_save_load_save_is_byte_identical(body):
         io.save_body(io.load_body(first), second)
         with open(first, "rb") as fa, open(second, "rb") as fb:
             assert fa.read() == fb.read()
+
+
+def _nested_metadata_body():
+    body = construct.constant_diameter_triangle(*np.eye(3))
+    body.meta.update({"z": {"list": [1, 2.5, -0.0, {"b": None, "a": "\u00e9\n"}], "e": {}},
+                      "a": True, "empty": []})
+    return body
+
+
+@BOUNDED
+@given(bodies)
+@example(_nested_metadata_body())
+def test_saved_text_is_the_indented_json_document(body):
+    # save_body renders the document from the arrays; its bytes are those of
+    # json.dump(indent=2, sort_keys=True), and loading gives back the arrays
+    expected = json.dumps(io.body_to_doc(body), indent=2, sort_keys=True) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "a.json")
+        io.save_body(body, path)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == expected
+        loaded = io.load_body(path)
+    for name in ("centers", "radii", "starts"):
+        assert getattr(loaded, name).tobytes() == getattr(body, name).tobytes(), name
+    assert loaded.meta == body.meta
 
 
 def _rotated(x, axis, angle):

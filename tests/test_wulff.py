@@ -90,6 +90,42 @@ class TestWulffShape:
         assert np.allclose(wulff.radial_w(b, theta),
                            wulff.radial_w(a, theta), atol=1e-12)
 
+    @staticmethod
+    def _kept(verts):
+        """The repeated-vertex rule, one vertex at a time: a vertex within
+        1e-14 of the last one kept is dropped, and so is the last one kept
+        when it is within 1e-14 of the first."""
+        keep = [0]
+        for i in range(1, len(verts)):
+            if np.linalg.norm(verts[i] - verts[keep[-1]]) > 1e-14:
+                keep.append(i)
+        if np.linalg.norm(verts[keep[-1]] - verts[0]) <= 1e-14:
+            keep.pop()
+        return keep
+
+    def test_near_duplicate_chains_dropped_against_last_kept(self):
+        ang = 2 * math.pi * np.arange(12) / 12
+        ring = np.column_stack([np.cos(ang), np.sin(ang)])
+        e = (ring[4] - ring[3]) / np.linalg.norm(ring[4] - ring[3])
+        # steps of 0.6e-14 from vertex 3: the second is 1.2e-14 from the
+        # last vertex kept (3) and stays, though 0.6e-14 from its neighbour
+        chain = ring[3] + np.outer([0.6e-14, 1.2e-14, 1.8e-14], e)
+        verts = np.vstack([ring[:4], chain, ring[4:], ring[:1] + 0.5e-14 * e])
+        keep = self._kept(verts)
+        assert keep == [0, 1, 2, 3, 5] + list(range(7, 15))
+        assert np.array_equal(wulff.WulffShape(verts).vertices, verts[keep])
+        # chains of random near-duplicate steps along every edge
+        rng = np.random.default_rng(4)
+        rows = []
+        for k in range(12):
+            e = ring[(k + 1) % 12] - ring[k]
+            steps = rng.uniform(0.2e-14, 0.9e-14, size=rng.integers(0, 6))
+            rows += [ring[k]] + list(ring[k] + np.outer(np.cumsum(steps), e / np.linalg.norm(e)))
+        verts = np.array(rows + [ring[0] + 0.9e-14 * e / np.linalg.norm(e)])
+        keep = self._kept(verts)
+        assert len(keep) > 12
+        assert np.array_equal(wulff.WulffShape(verts).vertices, verts[keep])
+
     def test_contains_and_origin_interior(self, square):
         assert square.contains(np.array([0.9, -0.9]))
         assert not square.contains(np.array([1.2, 0.0]))
