@@ -190,13 +190,30 @@ class _Arcs:
             raise InvariantViolation("degenerate segment", "zero-length boundary arc")
         return cls(b.centers, b.radii, u0, v0, sweeps)
 
-    def point_at(self, s):
-        """Boundary point at cumulative arc-length parameter s (vectorized)."""
+    def _locate(self, s):
+        """The arc holding each cumulative arc-length parameter s, and the
+        angle along it; at a junction, the arc that starts there."""
         s = np.mod(np.atleast_1d(np.asarray(s, dtype=float)), self.total)
         idx = np.clip(np.searchsorted(self.cum, s, side="right") - 1, 0, self.count - 1)
-        t = (s - self.cum[idx]) / self.sin_r[idx]
+        return idx, (s - self.cum[idx]) / self.sin_r[idx]
+
+    def point_at(self, s):
+        """Boundary point at cumulative arc-length parameter s (vectorized)."""
+        idx, t = self._locate(s)
         w = (np.cos(t)[:, None] * self.u0[idx] + np.sin(t)[:, None] * self.v0[idx])
         return self.cos_r[idx][:, None] * self.centers[idx] + self.sin_r[idx][:, None] * w
+
+    def tangent_at(self, s):
+        """Unit tangent d point_at / ds, counterclockwise, at parameter s
+        (vectorized); at a junction, of the arc that starts there."""
+        idx, t = self._locate(s)
+        return np.cos(t)[:, None] * self.v0[idx] - np.sin(t)[:, None] * self.u0[idx]
+
+    def far_point(self, dirs) -> np.ndarray:
+        """The curve's farthest point from each direction: where p . x is
+        least.  A distance measured to it keeps its digits near 0 and pi,
+        where arccos of the support minimum loses them."""
+        return self.point_at(self.support_min_at(dirs)[1])
 
     def sample_params(self, n: int) -> np.ndarray:
         """n arc-length parameters; when n >= arc count, every arc start
@@ -235,16 +252,13 @@ class _Arcs:
         hemisphere of the direction.  The maximum over the curve is
         -support_extreme(-dirs).
         """
-        dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-        if dirs.shape[0] > 1 and self.count > _BLOCK:
-            return self.support_min_at(dirs)[0]
-        return _sliced(lambda d: (self._whole(d)[0].min(axis=1),), 3 * self.count, dirs)[0]
+        return self.support_min_at(dirs)[0]
 
     def support_min_at(self, dirs):
-        """support_extreme(dirs) plus the arc-length parameter where
-        each minimum is attained: returns (values, params).  point_at(params)
-        is the curve's farthest point from each direction, at angular
-        distance arccos(value).
+        """The support minimum in each direction plus the arc-length
+        parameter where it is attained: returns (values, params).
+        point_at(params) is the curve's farthest point from each direction,
+        at angular distance arccos(value).
         """
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         if dirs.shape[0] > 1 and self.count > _BLOCK:
@@ -260,8 +274,9 @@ class _Arcs:
         j = np.argmin(flat, axis=1)
         crit, slot = np.divmod(j, t.shape[1])
         arc = arcs[slot] if arcs.ndim == 1 else arcs[rows, slot]
-        return (flat[rows, j],
-                self.cum[arc] + self.sin_r[arc] * np.where(crit, t[rows, slot], 0.0))
+        # a minimum at an arc's end stays there, not at the next start (CLOSURE_TOL away)
+        s = self.cum[arc] + self.sin_r[arc] * np.where(crit, t[rows, slot], 0.0)
+        return flat[rows, j], np.minimum(s, np.nextafter(self.cum[arc + 1], 0.0))
 
     def _whole(self, d):
         return _closed_form((d @ self.table.T).reshape(-1, 3, self.count), self.sweeps,
@@ -656,8 +671,7 @@ def distance_to_body(body: SphericalBody, pts, tol: float = 1e-9) -> np.ndarray:
     """Angular distance from each point to the body (0 for members)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     # to the nearest point itself: arccos(p . x) reads 0 below about 1e-8
-    _, params = body.arcs.support_min_at(-pts)
-    d = dist(pts, body.arcs.point_at(params))
+    d = dist(pts, body.arcs.far_point(-pts))
     inside = body.contains_many(pts, tol=tol)
     return np.where(inside, 0.0, d)
 

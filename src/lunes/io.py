@@ -167,14 +167,13 @@ _VECTOR_KEYS = ("center", "from", "to")
 
 
 def _triple(x, name: str) -> list:
-    """x as a sequence of 3 (a document's vectors are lists of 3 numbers)."""
-    try:
-        seq = list(x)
-    except TypeError as exc:
-        raise ParseError(f"{name} must be a list of 3 numbers") from exc
-    if len(seq) != 3:
+    """x, which must be a JSON list of 3 (a document's vectors are lists of
+    3 numbers): a string or an object of 3 keys is not read as one."""
+    if type(x) is not list:
+        raise ParseError(f"{name} must be a list of 3 numbers")
+    if len(x) != 3:
         raise ParseError(f"{name} must have 3 components")
-    return seq
+    return x
 
 
 def _floats(nums: list, name) -> np.ndarray:

@@ -7,11 +7,13 @@ distance.  Everything rests on one exact primitive: the farthest point of an
 arc-bounded curve from a point p is where p . x is smallest, which has a
 closed form on every circular arc.  A width is pi minus the farthest
 distance along the supporting-center curve (the polar dual boundary); the
-diameter of a curve takes one golden-section search over the first point
-with the farthest partner exact; the thickness is pi minus the diameter of
-the supporting-center curve.  Every returned width is evaluated from its
-lune's semicircle midpoints and cross-checked against the closed form
-pi - dist(centers).
+thickness is pi minus the diameter of that curve.  A curve's samples and
+their exact farthest distances form one profile per resolution, which the
+diameter and the constant-width and constant-diameter verdicts share.  The
+diameter and the lune search of reduced_check refine a best sample by
+bisection on an exact slope, by the envelope theorem.  Every returned width
+is evaluated from its lune's semicircle midpoints and cross-checked against
+the closed form pi - dist(centers).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 
 from .body import SphericalBody
 from .errors import ConsistencyError, InvalidResolution, NotSupporting
-from .search import golden_max
 from .sphere import Hemisphere, dist, lune_make, normalize
 
 HALF_PI = 0.5 * math.pi
@@ -32,10 +33,11 @@ SUPPORT_TOL = 1e-8       # |min dot| beyond this means "not a supporting hemisph
 CROSS_CHECK_TOL = 1e-8   # agreement between definition-based and dual-form widths
 VERTEX_AGREE_TOL = 1e-9  # polygon diameter vs vertex-pair enumeration
 MAX_PROBES = 64          # reduced_check probes at most this many corners
+_ARG_TOL = 1e-12         # _climb stops at brackets this narrow (arc length)
+_FLAT = 1e-14            # _climb reads slopes this small as zero (roundoff)
 
-# (value, p, q) of _curve_diameter per arc table and resolution, and under
-# "vertex pairs" the farthest vertex pair's distance of a polygon (diameter)
-_DIAMETERS: WeakKeyDictionary = WeakKeyDictionary()
+# per arc table, what _memo computed: profiles, diameters, vertex pairs
+_MEMO: WeakKeyDictionary = WeakKeyDictionary()
 
 
 @dataclass
@@ -94,54 +96,75 @@ def _resolution(n) -> int:
     return int(n)
 
 
-def _samples(arcs, n):
-    return arcs.sample_points(max(_resolution(n), arcs.count, 8))
+def _memo(arcs, key, compute):
+    """compute(), once per arc table and key, kept while the table lives."""
+    memo = _MEMO.setdefault(arcs, {})
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
-def _farthest(arcs, pts) -> np.ndarray:
-    """Exact distance from each point to the farthest point of the curve.
+def _profile(arcs, n):
+    """(params, points, farthest distances) of max(n, arc count, 8) samples
+    of the curve (every junction among them), read-only, computed once per
+    arc table and resolution: the diameter and both verdicts read it."""
+    n = _resolution(n)
 
-    Measured to the point where the support minimum is attained rather than
-    as arccos(minimum), which loses digits at distances near 0 and pi.
-    """
-    _, params = arcs.support_min_at(pts)
-    return dist(pts, arcs.point_at(params))
+    def compute():
+        params, pts = arcs.sample_points(max(n, arcs.count, 8))
+        out = (params, pts, dist(pts, arcs.far_point(pts)))
+        for a in out:
+            a.flags.writeable = False
+        return out
+    return _memo(arcs, ("profile", n), compute)
+
+
+def _climb(slope, grid, j):
+    """Per row of an increasing grid, a local maximum of a function from its
+    exact slope, starting at the best point s = grid[row, j[row]].  The
+    one-sided slopes at s pick the neighbour toward which the function
+    rises (neither: s is the maximum), then bisection keeps the slope
+    positive at the low end and not positive at the high end, until the
+    bracket is below _ARG_TOL or the slope below roundoff (_FLAT)."""
+    rows, last = np.arange(len(grid)), grid.shape[1] - 1
+    s, prev, nxt = (grid[rows, np.clip(j + d, 0, last)] for d in (0, -1, 1))
+    rise = slope(s) > _FLAT
+    fall = ~rise & (slope(np.nextafter(s, -np.inf)) < -_FLAT)
+    lo, hi = np.where(fall, prev, s), np.where(rise, nxt, s)
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = hi - lo > _ARG_TOL
+        if not live.any():
+            return mid
+        g = slope(mid)
+        lo = np.where(live & ~(g < -_FLAT), mid, lo)  # a flat (or NaN) slope
+        hi = np.where(live & ~(g > _FLAT), mid, hi)   # closes the bracket
 
 
 def _curve_diameter(arcs, n):
     """Largest distance between two points of a closed arc curve.
 
-    Every sample's farthest partner is exact (the per-arc closed form of
-    the support minimum), so one golden-section search over the first point,
-    around the best sample, settles the diameter.  Returns (value, p, q)
-    with dist(p, q) = value.  The result is computed once per curve and
-    resolution and kept while the arc table, which never changes, lives;
-    p and q are read-only.
+    The farthest distance from p(s) grows with -min_q p(s) . q, whose slope
+    is -p'(s) . q*(s) by the envelope theorem (q* the exact farthest point;
+    one-sided at a junction, from each arc's tangent), and _climb follows it
+    from the profile's best sample.  Returns (value, p, q) with dist(p, q) =
+    value, never below that sample, once per curve and resolution; p and q
+    are read-only.
     """
-    key = _resolution(n)
-    memo = _DIAMETERS.setdefault(arcs, {})
-    if key not in memo:
-        memo[key] = _refined_diameter(arcs, key)
-    return memo[key]
+    def slope(s):
+        return -np.sum(arcs.tangent_at(s) * arcs.far_point(arcs.point_at(s)), axis=1)
 
-
-def _refined_diameter(arcs, n):
-    params, pts = _samples(arcs, n)
-    near = arcs.support_extreme(pts)
-    i = int(np.argmin(near))
-    bracket = 2.0 * arcs.total / len(params)
-
-    def f(s):
-        return -arcs.support_extreme(arcs.point_at(s))
-
-    s, v = golden_max(f, params[i] - bracket, params[i] + bracket)
-    if -v[0] > near[i]:  # the refinement never ends below the best sample
-        s = params[i:i + 1]
-    p = arcs.point_at(s)[0]
-    _, t = arcs.support_min_at(p)
-    q = arcs.point_at(t)[0]
-    p.flags.writeable = q.flags.writeable = False
-    return float(dist(p, q)), p, q
+    def compute():
+        params, _, far = _profile(arcs, n)
+        i = int(np.argmax(far)) + 1
+        grid = np.concatenate([params[-1:] - arcs.total, params, params[:1] + arcs.total])
+        p = arcs.point_at(np.append(_climb(slope, grid[None], np.array([i])), grid[i]))
+        q = arcs.far_point(p)
+        j = int(np.argmax(dist(p, q)))  # the refined point, unless below the sample
+        p, q = p[j], q[j]
+        p.flags.writeable = q.flags.writeable = False
+        return float(dist(p, q)), p, q
+    return _memo(arcs, ("diameter", _resolution(n)), compute)
 
 
 def _checked_width(k, kp) -> float:
@@ -169,9 +192,7 @@ def width_at(body: SphericalBody, support_center, n: int = 720) -> WidthSample:
     margin = float(body.support_min(k)[0])
     if abs(margin) > SUPPORT_TOL:
         raise NotSupporting(f"support minimum {margin:.3g} is not zero")
-    arcs = body.dual_arcs
-    _, t = arcs.support_min_at(k)
-    opposing = arcs.point_at(t)[0]
+    opposing = body.dual_arcs.far_point(k)[0]
     width = _checked_width(k, opposing)
     return WidthSample(support_center=k, width=width, opposing_center=opposing)
 
@@ -180,9 +201,9 @@ def thickness(body: SphericalBody, n: int = 720) -> ThicknessResult:
     """Minimal width over all supporting hemispheres.
 
     Equals pi minus the diameter of the supporting-center curve (the polar
-    dual boundary), computed from n samples with exact farthest partners
-    and one golden-section search; the witness lune is evaluated from its
-    semicircle midpoints and checked against pi - dist(centers).
+    dual boundary): its best profile sample of n, refined by bisection on
+    the exact slope of the farthest distance.  The witness lune is evaluated
+    from its semicircle midpoints and checked against pi - dist(centers).
     """
     _, k, kp = _curve_diameter(body.dual_arcs, n)
     width = _checked_width(k, kp)
@@ -192,20 +213,19 @@ def thickness(body: SphericalBody, n: int = 720) -> ThicknessResult:
 def diameter(body: SphericalBody, n: int = 720) -> DiameterResult:
     """Largest distance between two points of the body.
 
-    Attained on the boundary; computed from n boundary samples with exact
-    farthest partners and one golden-section search.  For polygons with
-    diameter at most pi/2 the result is checked against exhaustive
+    Attained on the boundary: the best profile sample of n, refined by
+    bisection on the exact slope of the farthest distance.  For polygons
+    with diameter at most pi/2 the result is checked against exhaustive
     vertex-pair enumeration, which runs once per body.
     """
     val, p, q = _curve_diameter(body.arcs, n)
     if body.is_polygon and val <= HALF_PI + 1e-8:
-        memo = _DIAMETERS[body.arcs]
-        if "vertex pairs" not in memo:
+        def vertex_pairs():
             # the farthest vertex pair is the one with the smallest dot product
             verts = body.vertices
             i, j = np.unravel_index(np.argmin(verts @ verts.T), (len(verts),) * 2)
-            memo["vertex pairs"] = float(dist(verts[i], verts[j]))
-        vmax = memo["vertex pairs"]
+            return float(dist(verts[i], verts[j]))
+        vmax = _memo(body.arcs, "vertex pairs", vertex_pairs)
         if abs(val - vmax) > VERTEX_AGREE_TOL:
             raise ConsistencyError(
                 f"sampled diameter {val!r} vs vertex enumeration {vmax!r}")
@@ -213,10 +233,9 @@ def diameter(body: SphericalBody, n: int = 720) -> DiameterResult:
 
 
 def is_constant_width(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdict:
-    """Whether the widths at n supporting centers are constant within tol."""
-    arcs = body.dual_arcs
-    _, centers = _samples(arcs, n)
-    widths = math.pi - _farthest(arcs, centers)
+    """Whether the widths at n profile centers are constant within tol."""
+    _, centers, far = _profile(body.dual_arcs, n)
+    widths = math.pi - far
     i_min = int(np.argmin(widths))
     i_max = int(np.argmax(widths))
     deviation = float(widths[i_max] - widths[i_min])
@@ -231,13 +250,11 @@ def is_constant_diameter(body: SphericalBody, tol: float = 1e-6,
                          n: int = 720) -> Verdict:
     """Whether every boundary point has a partner at the full diameter.
 
-    Fails (with the worst point as witness) when some of n boundary samples
-    has its farthest partner short of the diameter by more than tol.
+    Fails (with the worst point as witness) when some of the n profile
+    samples has its farthest partner short of the diameter by more than tol.
     """
     diam = diameter(body, n).value
-    arcs = body.arcs
-    _, pts = _samples(arcs, n)
-    far = _farthest(arcs, pts)
+    _, pts, far = _profile(body.arcs, n)
     shortfall = diam - far
     i_worst = int(np.argmax(shortfall))
     deviation = max(0.0, float(shortfall[i_worst]))
@@ -284,7 +301,7 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdi
     mid = dual.point_at(0.5 * (lo + hi))
     w_dir = normalize(mid - np.sum(corners * mid, axis=1)[:, None] * corners)
     cut_centers = -math.sin(depth) * corners + math.cos(depth) * w_dir
-    drops = _farthest(dual, cut_centers) - (math.pi - thick)
+    drops = dist(cut_centers, dual.far_point(cut_centers)) - (math.pi - thick)
     i = int(np.argmin(drops))
     if drops[i] <= tol:
         return Verdict(kind="reduced_necessary", passed=False,
@@ -296,20 +313,24 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdi
     # the center at angle pi - thickness through e yields every candidate
     # lune with e at a semicircle midpoint.  The lune contains the body iff
     # the partner center's support minimum is nonnegative.  All corners are
-    # scanned and refined together.
+    # scanned and refined together.  The partner c = -cos(thickness) d +
+    # sin(thickness) e moves at c' = -cos(thickness) e x d (d runs on a great
+    # arc about e), so min_x c . x has the slope c' . x* at the minimizer x*.
     cos_t, sin_t = math.cos(thick), math.sin(thick)
     n_scan = 33
     phis = np.linspace(lo, hi, n_scan, axis=1)
     cand = -cos_t * dual.point_at(phis.ravel()) + sin_t * np.repeat(corners, n_scan, axis=0)
-    jb = np.argmax(body.support_min(cand).reshape(len(rows), n_scan), axis=1)
-    start = phis[np.arange(len(rows)), jb]
-    span = (hi - lo) / (n_scan - 1)
+    scan = body.support_min(cand).reshape(len(rows), n_scan)
 
-    def f(phi):
-        c = -cos_t * dual.point_at(np.clip(phi, lo, hi)) + sin_t * corners
-        return body.support_min(c)
+    def partner(phi):
+        return -cos_t * dual.point_at(phi) + sin_t * corners
 
-    _, best = golden_max(f, start - span, start + span)
+    def slope(phi):
+        far = body.arcs.far_point(partner(phi))
+        return -cos_t * np.sum(np.cross(corners, dual.point_at(phi)) * far, axis=1)
+
+    phi = _climb(slope, phis, np.argmax(scan, axis=1))
+    best = np.maximum(body.support_min(partner(phi)), scan.max(axis=1))
     i = int(np.argmin(best))
     if best[i] < -tol:
         return Verdict(kind="reduced_necessary", passed=False,

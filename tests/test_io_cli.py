@@ -151,10 +151,12 @@ class TestMalformedDocuments:
     @pytest.mark.parametrize("key, value", [
         ("radius", "x"), ("radius", None), ("metadata", [1]), ("vertices", None),
         ("radius", 10**400), ("component", 10**400), ("component", "one"),
-        ("center", "0,0,1"), ("center", True),
+        ("center", "0,0,1"), ("center", True), ("center", "001"),
+        ("center", {"0": 0.0, "1": 0.0, "2": 1.0}),
     ], ids=["radius_string", "radius_null", "metadata_list", "vertices_null",
             "radius_huge_int", "component_huge_int", "component_word",
-            "vector_string", "vector_bool"])
+            "vector_string", "vector_bool", "vector_3_char_string",
+            "vector_3_key_object"])
     def test_body(self, tmp_path, key, value):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(

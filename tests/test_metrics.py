@@ -77,12 +77,35 @@ class TestThicknessDiameter:
         # and every call still compares the two
         poly = construct.random_convex_polygon(5, n=9, max_diam=1.2)
         first = metrics.diameter(poly, n=240).value
-        memo = metrics._DIAMETERS[poly.arcs]
+        memo = metrics._MEMO[poly.arcs]
         assert memo["vertex pairs"] == pytest.approx(first, abs=1e-9)
         assert metrics.diameter(poly, n=360).value == pytest.approx(first, abs=1e-9)
         memo["vertex pairs"] += 1e-6
         with pytest.raises(ConsistencyError, match="vertex enumeration"):
             metrics.diameter(poly, n=240)
+
+    @pytest.mark.parametrize("make", [
+        lambda: construct.random_convex_polygon(8, n=7, max_diam=1.2),
+        lambda: construct.cap(Z, 0.7),
+        lambda: construct.constant_diameter_triangle(
+            *random_cd_triangle_vertices(np.random.default_rng(3)))],
+        ids=["polygon", "cap", "cd_triangle"])
+    def test_verdicts_reuse_the_profile(self, monkeypatch, make):
+        # thickness and diameter sample both curves and find every sample's
+        # farthest point; the two verdicts read those profiles and query
+        # no sampling of n directions again
+        body, n = make(), 240
+        metrics.thickness(body, n=n)
+        metrics.diameter(body, n=n)
+        query = bd._Arcs.support_min_at
+
+        def small_only(arcs, dirs):
+            assert len(np.atleast_2d(dirs)) < n, "a new query of n directions"
+            return query(arcs, dirs)
+
+        monkeypatch.setattr(bd._Arcs, "support_min_at", small_only)
+        metrics.is_constant_width(body, n=n)
+        metrics.is_constant_diameter(body, n=n)
 
     def test_diameter_endpoints_on_body(self, cd_triangle):
         res = metrics.diameter(cd_triangle, n=240)
@@ -152,6 +175,24 @@ class TestReduced:
         square = bd.polygon_from_vertices(verts)
         v = metrics.reduced_check(square, tol=1e-6, n=240)
         assert not v.passed
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    @pytest.mark.parametrize("target", [0.4, 1.0, HALF_PI])
+    def test_lune_search_beats_dense_scan(self, n, target):
+        # the reported margin is the worst corner's best lune; no point of a
+        # dense scan along any corner's dual arc finds a better lune there
+        gon = construct.regular_odd_gon(n, target)
+        v = metrics.reduced_check(gon, tol=1e-6, n=720)
+        assert v.passed
+        thick = metrics.thickness(gon, n=720).value
+        rows = gon._corner_row[gon.corners]
+        dual = gon.dual_arcs
+        phis = np.linspace(dual.cum[rows], dual.cum[rows + 1], 4001, axis=1)
+        corners = np.repeat(gon.vertices[gon.corners], 4001, axis=0)
+        partners = (-math.cos(thick) * dual.point_at(phis.ravel())
+                    + math.sin(thick) * corners)
+        dense = gon.support_min(partners).reshape(len(rows), 4001).max(axis=1)
+        assert v.witness["worst_support_margin"] >= dense.min() - 1e-15
 
     def test_failing_verdict_independent_of_labelling(self):
         # the worst corner is reported, wherever the boundary starts

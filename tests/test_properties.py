@@ -111,6 +111,15 @@ SLIVER = bd.polygon_from_vertices([_cap_point(np.array([0.0, 0.0, 1.0]), polar, 
                                                      (0.5, math.pi))])
 
 
+# a constant-diameter triangle with two vertices 5e-7 apart: the minimum in
+# some directions sits at the very end of a corner arc, whose end misses the
+# next arc's start by about 5e-11
+NEAR_TWINS = construct.constant_diameter_triangle(
+    np.array([math.cos(0.5), math.sin(0.5), 0.0]),
+    *(v / np.linalg.norm(v) for v in (np.array([1.0, -9e-8, 5e-7]),
+                                      np.array([1.0, -1.8e-9, 1e-8]))))
+
+
 def _curves(body):
     return (body.arcs, body.dual_arcs)
 
@@ -118,6 +127,7 @@ def _curves(body):
 @settings(BOUNDED, max_examples=30)
 @given(bodies)
 @example(SLIVER)
+@example(NEAR_TWINS)
 def test_farthest_point_beats_dense_sampling(body):
     for arcs in _curves(body):
         _, queries = arcs.sample_points(64)
@@ -127,10 +137,14 @@ def test_farthest_point_beats_dense_sampling(body):
         # the returned point attains the returned minimum ...
         assert np.max(np.abs(np.sum(queries * farthest, axis=1) - vals)) <= 1e-12
         # ... and no boundary point lies farther
-        far = metrics._farthest(arcs, queries)
+        far = dist(queries, arcs.far_point(queries))
         _, dense = arcs.sample_points(DENSE)
         brute = dist(queries[:, None, :], dense[None, :, :]).max(axis=1)
         assert np.all(far >= brute - 1e-12)
+        # the diameter is no shorter than any dense sample's exact farthest
+        # distance: the slope search settles at the true maximum
+        diam, _, _ = metrics._curve_diameter(arcs, 720)
+        assert diam >= np.max(dist(dense, arcs.far_point(dense))) - 1e-13
 
 
 def _whole_table(arcs, dirs):
