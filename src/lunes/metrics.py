@@ -11,9 +11,9 @@ thickness is pi minus the diameter of that curve.  A curve's samples and
 their exact farthest distances form one profile per resolution, which the
 diameter and the constant-width and constant-diameter verdicts share.  The
 diameter and the lune search of reduced_check refine a best sample by
-bisection on an exact slope, by the envelope theorem.  Every returned width
-is evaluated from its lune's semicircle midpoints and cross-checked against
-the closed form pi - dist(centers).
+tangent-line steps on its exact value and slope (the envelope theorem).
+Every returned width is evaluated from its lune's semicircle midpoints and
+cross-checked against the closed form pi - dist(centers).
 """
 
 from __future__ import annotations
@@ -119,49 +119,68 @@ def _profile(arcs, n):
     return _memo(arcs, ("profile", n), compute)
 
 
-def _climb(slope, grid, j):
-    """Per row of an increasing grid, a local maximum of a function from its
-    exact slope, starting at the best point s = grid[row, j[row]].  The
-    one-sided slopes at s pick the neighbour toward which the function
-    rises (neither: s is the maximum), then bisection keeps the slope
-    positive at the low end and not positive at the high end, until the
-    bracket is below _ARG_TOL or the slope below roundoff (_FLAT)."""
+def _climb(fn, grid, j):
+    """Per row of an increasing grid, the best point evaluated, and its value,
+    in climbing from s = grid[row, j[row]] to a local maximum of a function
+    with exact (value, slope) = fn(s).  Unless s's one-sided slopes make it
+    the maximum, s and a neighbour bracket it, and a step goes where the
+    ends' tangents, bent by their branch's curvature, cross (exact on two
+    straight branches) or to a bent tangent's vertex (a smooth maximum), then
+    across by _ARG_TOL / 2, 1000 times more after a step that stays on its
+    side, until the bracket is below _ARG_TOL or a slope below _FLAT."""
     rows, last = np.arange(len(grid)), grid.shape[1] - 1
-    s, prev, nxt = (grid[rows, np.clip(j + d, 0, last)] for d in (0, -1, 1))
-    rise = slope(s) > _FLAT
-    fall = ~rise & (slope(np.nextafter(s, -np.inf)) < -_FLAT)
-    lo, hi = np.where(fall, prev, s), np.where(rise, nxt, s)
-    while True:
-        mid = 0.5 * (lo + hi)
-        live = hi - lo > _ARG_TOL
-        if not live.any():
-            return mid
-        g = slope(mid)
-        lo = np.where(live & ~(g < -_FLAT), mid, lo)  # a flat (or NaN) slope
-        hi = np.where(live & ~(g > _FLAT), mid, hi)   # closes the bracket
+    x, prev, nxt = (grid[rows, np.clip(j + d, 0, last)] for d in (0, -1, 1))
+    val, g = fn(x)
+    rise = (g > _FLAT) & (nxt > x)
+    live = rise | (fn(np.nextafter(x, -np.inf))[1] < -_FLAT) & (prev < x)
+    if not live.any():
+        return x, val
+    other = np.where(rise, nxt, prev)
+    near, far = (x, val, g, 0 * x), (other, *fn(other), 0 * x)  # point, value, slope, curvature
+    lo, hi = ([np.where(rise, p, q) for p, q in zip(*e)] for e in ((near, far), (far, near)))
+    best, step = x, np.full_like(x, 0.5 * _ARG_TOL)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while (live := live & (hi[0] - lo[0] > _ARG_TOL)).any():
+            (a, f_a, g_a, k_a), (b, f_b, g_b, k_b) = lo, hi
+            c = a + (f_b - f_a - (b - a) * g_b) / (g_a - g_b)
+            u, v = c - a, c - b
+            c -= 0.5 * (k_a * u * u - k_b * v * v) / (g_a - g_b + k_a * u - k_b * v)
+            k_a, k_b = np.where(k_a == 0, k_b, k_a), np.where(k_b == 0, k_a, k_b)
+            top = (np.where(k_a < 0, a - g_a / k_a, np.inf),
+                   np.where(k_b < 0, b - g_b / k_b, -np.inf))
+            c = np.clip(np.fmin(np.fmax(c, np.minimum(*top)), np.maximum(*top)), a, b)
+            c += np.where(g > 0, 1.0, -1.0) * np.minimum(step, 0.5 * (b - a))
+            x = np.where(live, np.clip(c, a + 0.5 * _ARG_TOL, b - 0.5 * _ARG_TOL), x)
+            (f, g), was = fn(x), g > 0
+            step = np.where((g > 0) == was, 1e3 * step, 0.5 * _ARG_TOL)
+            best, val = (np.where(live & (f >= val), p, q) for p, q in ((x, best), (f, val)))
+            rise, fall = live & (g > _FLAT), live & (g < -_FLAT)
+            lo, hi = ([np.where(side, p, q) for p, q in zip((x, f, g, (g - e[2]) / (x - e[0])), e)]
+                      for side, e in ((rise, lo), (fall, hi)))
+            live &= rise | fall
+    return best, val
 
 
 def _curve_diameter(arcs, n):
     """Largest distance between two points of a closed arc curve.
 
-    The farthest distance from p(s) grows with -min_q p(s) . q, whose slope
-    is -p'(s) . q*(s) by the envelope theorem (q* the exact farthest point;
-    one-sided at a junction, from each arc's tangent), and _climb follows it
+    The farthest distance from p(s) grows with -p(s) . q*(s) (q* the exact
+    farthest point), whose slope is -p'(s) . q*(s) by the envelope theorem
+    (one-sided at a junction, from each arc's tangent); _climb follows both
     from the profile's best sample.  Returns (value, p, q) with dist(p, q) =
-    value, never below that sample, once per curve and resolution; p and q
-    are read-only.
+    value, never below that sample's to roundoff, once per curve and
+    resolution; p and q are read-only.
     """
-    def slope(s):
-        return -np.sum(arcs.tangent_at(s) * arcs.far_point(arcs.point_at(s)), axis=1)
+    def fn(s):
+        q = arcs.far_point(p := arcs.point_at(s))
+        return -np.sum(p * q, axis=1), -np.sum(arcs.tangent_at(s) * q, axis=1)
 
     def compute():
         params, _, far = _profile(arcs, n)
-        i = int(np.argmax(far)) + 1
+        i = np.argmax(far, keepdims=True) + 1
         grid = np.concatenate([params[-1:] - arcs.total, params, params[:1] + arcs.total])
-        p = arcs.point_at(np.append(_climb(slope, grid[None], np.array([i])), grid[i]))
-        q = arcs.far_point(p)
-        j = int(np.argmax(dist(p, q)))  # the refined point, unless below the sample
-        p, q = p[j], q[j]
+        p = arcs.point_at(_climb(fn, grid[None], i)[0])[0]
+        q = arcs.far_point(p)[0]
         p.flags.writeable = q.flags.writeable = False
         return float(dist(p, q)), p, q
     return _memo(arcs, ("diameter", _resolution(n)), compute)
@@ -201,9 +220,9 @@ def thickness(body: SphericalBody, n: int = 720) -> ThicknessResult:
     """Minimal width over all supporting hemispheres.
 
     Equals pi minus the diameter of the supporting-center curve (the polar
-    dual boundary): its best profile sample of n, refined by bisection on
-    the exact slope of the farthest distance.  The witness lune is evaluated
-    from its semicircle midpoints and checked against pi - dist(centers).
+    dual boundary): its best profile sample of n, refined by tangent-line
+    steps.  The witness lune is evaluated from its semicircle midpoints and
+    checked against pi - dist(centers).
     """
     _, k, kp = _curve_diameter(body.dual_arcs, n)
     width = _checked_width(k, kp)
@@ -214,9 +233,9 @@ def diameter(body: SphericalBody, n: int = 720) -> DiameterResult:
     """Largest distance between two points of the body.
 
     Attained on the boundary: the best profile sample of n, refined by
-    bisection on the exact slope of the farthest distance.  For polygons
-    with diameter at most pi/2 the result is checked against exhaustive
-    vertex-pair enumeration, which runs once per body.
+    tangent-line steps.  For polygons with diameter at most pi/2 the result
+    is checked against exhaustive vertex-pair enumeration, which runs once
+    per body.
     """
     val, p, q = _curve_diameter(body.arcs, n)
     if body.is_polygon and val <= HALF_PI + 1e-8:
@@ -309,28 +328,24 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdi
                        witness={"mode": "cap_cut", "corner": corners[i],
                                 "thickness_drop": float(drops[i])})
 
-    # (a) lune search: pairing each supporting center on e's dual arc with
-    # the center at angle pi - thickness through e yields every candidate
-    # lune with e at a semicircle midpoint.  The lune contains the body iff
-    # the partner center's support minimum is nonnegative.  All corners are
-    # scanned and refined together.  The partner c = -cos(thickness) d +
-    # sin(thickness) e moves at c' = -cos(thickness) e x d (d runs on a great
-    # arc about e), so min_x c . x has the slope c' . x* at the minimizer x*.
+    # (a) lune search: pairing each supporting center d on e's dual arc with
+    # c = -cos(thickness) d + sin(thickness) e, at angle pi - thickness through
+    # e, yields every candidate lune with e at a semicircle midpoint; it holds
+    # the body iff min_x c . x >= 0.  All corners are scanned and refined
+    # together.  As d runs on a great arc about e, c moves at c' =
+    # -cos(thickness) e x d: min_x c . x has slope c' . x* at the minimizer x*.
     cos_t, sin_t = math.cos(thick), math.sin(thick)
     n_scan = 33
     phis = np.linspace(lo, hi, n_scan, axis=1)
     cand = -cos_t * dual.point_at(phis.ravel()) + sin_t * np.repeat(corners, n_scan, axis=0)
     scan = body.support_min(cand).reshape(len(rows), n_scan)
 
-    def partner(phi):
-        return -cos_t * dual.point_at(phi) + sin_t * corners
+    def fn(phi):
+        d = dual.point_at(phi)
+        vals, at = body.arcs.support_min_at(-cos_t * d + sin_t * corners)
+        return vals, -cos_t * np.sum(np.cross(corners, d) * body.arcs.point_at(at), axis=1)
 
-    def slope(phi):
-        far = body.arcs.far_point(partner(phi))
-        return -cos_t * np.sum(np.cross(corners, dual.point_at(phi)) * far, axis=1)
-
-    phi = _climb(slope, phis, np.argmax(scan, axis=1))
-    best = np.maximum(body.support_min(partner(phi)), scan.max(axis=1))
+    best = np.maximum(_climb(fn, phis, np.argmax(scan, axis=1))[1], scan.max(axis=1))
     i = int(np.argmin(best))
     if best[i] < -tol:
         return Verdict(kind="reduced_necessary", passed=False,

@@ -189,6 +189,18 @@ class TestMalformedDocuments:
         with pytest.raises(ParseError):
             io.load_gamma(str(path))
 
+    @pytest.mark.parametrize("where", ["top", "metadata"])
+    def test_deep_nesting(self, tmp_path, where):
+        # json.load gives up with RecursionError on 200,000 nested lists
+        deep = "[" * 200000 + "]" * 200000
+        doc = io.body_to_doc(construct.cap(Z, 0.5))
+        text = deep if where == "top" else json.dumps(
+            dict(doc, metadata="DEEP")).replace('"DEEP"', deep)
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="invalid JSON"):
+            io.load_body(str(path))
+
 
 class TestRenderSvg:
     def test_boundary_path_counts(self, tmp_path, octant, cd_triangle):
@@ -341,6 +353,15 @@ class TestCli:
         r = run_cli("analyze", "huge.json", cwd=tmp_path)
         assert r.returncode == 2, r.stdout + r.stderr
         assert "Traceback" not in r.stderr, r.stderr
+
+    def test_deep_nesting_exit_2(self, tmp_path):
+        (tmp_path / "deep.json").write_text("[" * 200000 + "]" * 200000)
+        for args in (("analyze", "deep.json"), ("roundtrip", "deep.json"),
+                     ("check", "reduced", "deep.json"),
+                     ("render", "deep.json", "--view", "0,0,1", "--out", "d.svg")):
+            r = run_cli(*args, cwd=tmp_path)
+            assert r.returncode == 2, (args, r.stdout + r.stderr)
+            assert "Traceback" not in r.stderr, r.stderr
 
     def test_nonpositive_samples_exit_2(self, tmp_path):
         io.save_body(construct.cap(Z, 0.5), str(tmp_path / "cap.json"))

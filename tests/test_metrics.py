@@ -194,6 +194,26 @@ class TestReduced:
         dense = gon.support_min(partners).reshape(len(rows), 4001).max(axis=1)
         assert v.witness["worst_support_margin"] >= dense.min() - 1e-15
 
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    @pytest.mark.parametrize("target", [0.4, 1.0, HALF_PI])
+    def test_lune_search_settles_kink_in_few_evaluations(self, monkeypatch, n, target):
+        # every corner's best lune touches the gon at two points: a kink on
+        # the middle scan sample, which the search must settle at once
+        gon = construct.regular_odd_gon(n, target)
+        metrics.thickness(gon, n=720)  # the diameter search runs here, once
+        evals, climb = [], metrics._climb
+
+        def counted(fn, grid, j):
+            evals.append(0)
+
+            def fn_counted(s):
+                evals[-1] += 1
+                return fn(s)
+            return climb(fn_counted, grid, j)
+        monkeypatch.setattr(metrics, "_climb", counted)
+        assert metrics.reduced_check(gon, tol=1e-6, n=720).passed
+        assert len(evals) == 1 and evals[0] <= 6
+
     def test_failing_verdict_independent_of_labelling(self):
         # the worst corner is reported, wherever the boundary starts
         poly = construct.random_convex_polygon(5, n=8, max_diam=0.8)

@@ -1,14 +1,16 @@
 """Property tests on generated bodies and polygons: the closed-form farthest
 point, the block-pruned support queries against a whole-table reference,
-and the width/diameter identities built on them, the planar hull against
-Qhull, the support-function polygon Hausdorff distance, the exact Wulff dual,
-the polar-dual involution, lossless persistence and the document layout,
-and boundary validation.
+and the width/diameter identities built on them, the exact-slope maximiser
+on synthetic kinks and smooth maxima, the planar hull against Qhull, the
+support-function polygon Hausdorff distance, the exact Wulff dual, the
+polar-dual involution, lossless persistence and the document layout, the
+loaders on mutated documents, and boundary validation.
 
 Example counts are bounded and the search is derandomized, so the suite is
 deterministic and its runtime fixed; it lives apart from the acceptance gate.
 """
 
+import copy
 import json
 import math
 import os
@@ -190,6 +192,99 @@ def test_thickness_plus_dual_diameter_is_pi(body):
                - math.pi) <= 1e-9
     assert abs(metrics.thickness(dual).value + metrics.diameter(body).value
                - math.pi) <= 1e-9
+
+
+# -- the exact-slope maximiser -------------------------------------------------
+
+# metrics._climb on synthetic (value, slope) functions over a 33-point grid:
+# the result lies within 1e-12 of the argmax and never below the best sample
+GRID = np.linspace(0.0, 1.0, 33)
+STEP = GRID[1]
+
+
+def _climbed(f, argmax):
+    """Run _climb from the best grid sample of f; returns its evaluations."""
+    calls = []
+
+    def fn(s):
+        calls.append(s)
+        return f(s)
+    samples = f(GRID)[0]
+    j = int(np.argmax(samples))
+    best, value = metrics._climb(fn, GRID[None], np.array([j]))
+    assert abs(best[0] - argmax) <= 1e-12
+    assert value[0] >= samples[j]
+    assert value[0] == f(best)[0][0]
+    return len(calls)
+
+
+def _kink(k, left, right, tie="left"):
+    """The lower of two branches through (k, 0), each given as (slope,
+    curvature); at the kink the slope is the `tie` branch's."""
+    def f(s):
+        u = s - k
+        a, b = (m * u + 0.5 * c * u * u for m, c in (left, right))
+        on_left = (a < b) | ((a == b) & (tie == "left"))
+        return np.minimum(a, b), np.where(on_left, left[0] + left[1] * u,
+                                          right[0] + right[1] * u)
+    return f
+
+
+# a branch's curvature relative to its slope: concave up to 4 times, convex
+# up to once, so each branch keeps its sign of slope over the whole grid and
+# the kink is the maximum
+slopes, bends = st.floats(0.1, 2.0), st.floats(-4.0, 1.0)
+
+
+@settings(BOUNDED, max_examples=40)
+@given(st.integers(8, 23), st.floats(0.05, 0.95), slopes, slopes)
+def test_climb_settles_straight_kink_off_grid(i, at, up, down):
+    # where the tangent lines cross is the kink itself
+    k = GRID[i] + at * STEP
+    assert _climbed(_kink(k, (up, 0.0), (-down, 0.0)), k) <= 8
+
+
+@settings(BOUNDED, max_examples=40)
+@given(st.integers(8, 23), slopes, slopes, bends, bends, st.sampled_from(["left", "right"]))
+def test_climb_settles_kink_on_sample(i, up, down, bend_up, bend_down, tie):
+    # the kink's sample is one end of the bracket, and its tangent is exact
+    # on whichever branch the tie picks
+    f = _kink(GRID[i], (up, bend_up * up), (-down, bend_down * down), tie)
+    assert _climbed(f, GRID[i]) <= 8
+
+
+@settings(BOUNDED, max_examples=40)
+@given(st.integers(8, 23), st.floats(0.05, 0.95), slopes, slopes, bends, bends)
+def test_climb_settles_curved_kink_off_grid(i, at, up, down, bend_up, bend_down):
+    # curved branches need their curvature, and convex ones put the tangent
+    # crossing on the side just evaluated, so the step must cross over; still
+    # far below the 37 evaluations that bisection from a grid step takes
+    k = GRID[i] + at * STEP
+    f = _kink(k, (up, bend_up * up), (-down, bend_down * down))
+    assert _climbed(f, k) <= 16
+
+
+@settings(BOUNDED, max_examples=40)
+@given(st.floats(0.2, 0.8), st.floats(0.5, 2.0), st.floats(-0.25, 0.25),
+       st.sampled_from([0.0, 0.7]))
+def test_climb_settles_smooth_maximum(m, bend, skew, peak):
+    def f(s):
+        u = s - m
+        return (peak - 0.5 * bend * u * u + skew * bend * u ** 3,
+                -bend * u + 3 * skew * bend * u * u)
+    assert _climbed(f, m) <= 16
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_climb_keeps_a_maximum_at_a_grid_end(sign):
+    # rising toward the end of the grid: the end sample is the maximum
+    def f(s):
+        return sign * s, np.full_like(s, sign)
+    assert _climbed(f, GRID[-1] if sign > 0 else GRID[0]) == 2
+
+
+def test_climb_stops_on_a_flat_function():
+    assert _climbed(lambda s: (np.zeros_like(s), np.zeros_like(s)), GRID[0]) == 2
 
 
 # -- planar hull ---------------------------------------------------------------
@@ -449,6 +544,98 @@ def test_saved_text_is_the_indented_json_document(body):
     for name in ("centers", "radii", "starts"):
         assert getattr(loaded, name).tobytes() == getattr(body, name).tobytes(), name
     assert loaded.meta == body.meta
+
+
+# -- loader fuzz ---------------------------------------------------------------
+
+_CAP = construct.cap(np.array([0.0, 0.0, 1.0]), 0.5)
+_DOCS = {
+    "body": (io.body_from_doc, [io.body_to_doc(b) for b in (
+        _CAP, bd.polygon_from_vertices(np.eye(3)),
+        construct.constant_diameter_triangle(*np.eye(3)), construct.regular_odd_gon(5, 1.0))]),
+    "gamma": (io.gamma_from_doc, [io.gamma_to_doc(wulff.GammaFn.from_callable(
+        lambda t: 1.0 + 0.2 * np.cos(3 * t), n=12))]),
+    "report": (io.report_from_doc, [io.report_to_doc(metrics.classify(_CAP, n=60))]),
+}
+# values of every JSON type, non-finite floats and a 400-digit integer
+_ODD = [None, True, False, "x", "1", "", [], {}, 0, -1, 2.5, math.nan, math.inf, -math.inf,
+        10**400, -10**400, [0.0, 0.0, 1.0], [[1.0]], {"center": [0.0, 0.0, 1.0]}]
+
+
+@st.composite
+def mutated_docs(draw):
+    kind = draw(st.sampled_from(sorted(_DOCS)))
+    loader, docs = _DOCS[kind]
+    doc = copy.deepcopy(draw(st.sampled_from(docs)))
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc  # walk down to a random slot, then change what it holds
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            if not keys:
+                break
+            key = draw(st.sampled_from(keys))
+            if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+                node = node[key]
+                continue
+            op = draw(st.sampled_from(["drop", "swap", "wrap", "unwrap"]))
+            if op == "drop":
+                del node[key]
+            elif op == "swap":
+                node[key] = copy.deepcopy(draw(st.sampled_from(_ODD)))
+            elif op == "wrap":
+                node[key] = draw(st.sampled_from([[node[key]], {"value": node[key]}]))
+            elif isinstance(node[key], (dict, list)) and node[key]:
+                inner = node[key]
+                node[key] = inner[draw(st.sampled_from(list(inner) if isinstance(inner, dict)
+                                                       else list(range(len(inner)))))]
+            break
+    return loader, doc
+
+
+def _slots(node, path=()):
+    """The path to every value inside a document."""
+    for key in (list(node) if isinstance(node, dict) else range(len(node))):
+        yield path + (key,)
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key], path + (key,))
+
+
+def _loads_or_lunes_error(loader, doc):
+    try:
+        loader(doc)
+    except LunesError:
+        pass
+
+
+@pytest.mark.parametrize("kind", sorted(_DOCS))
+def test_every_slot_mutated_raises_only_lunes_errors(kind):
+    # each value of each document dropped, replaced by each odd value,
+    # wrapped in a list or an object, or unwrapped
+    loader, docs = _DOCS[kind]
+    for base, path in ((base, path) for base in docs for path in _slots(base)):
+        held = base
+        for key in path:
+            held = held[key]
+        inner = list(held.values()) if isinstance(held, dict) else (
+            held if isinstance(held, list) else [])
+        for change in ["drop", [held], {"value": held}, *_ODD, *inner[:1]]:
+            doc = copy.deepcopy(base)
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if change == "drop":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(change)
+            _loads_or_lunes_error(loader, doc)
+
+
+@settings(BOUNDED, max_examples=300)
+@given(mutated_docs())
+def test_mutated_documents_raise_only_lunes_errors(case):
+    # up to three changes at once on any of the documents: nothing but a
+    # LunesError escapes the loaders
+    _loads_or_lunes_error(*case)
 
 
 def _rotated(x, axis, angle):
