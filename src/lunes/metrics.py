@@ -33,6 +33,7 @@ SUPPORT_TOL = 1e-8       # |min dot| beyond this means "not a supporting hemisph
 CROSS_CHECK_TOL = 1e-8   # agreement between definition-based and dual-form widths
 VERTEX_AGREE_TOL = 1e-9  # polygon diameter vs vertex-pair enumeration
 MAX_PROBES = 64          # reduced_check probes at most this many corners
+_SCAN = (3, 33)          # lune-search samples per probed corner: fewest, most
 _ARG_TOL = 1e-12         # _climb stops at brackets this narrow (arc length)
 _FLAT = 1e-14            # _climb reads slopes this small as zero (roundoff)
 
@@ -122,23 +123,26 @@ def _profile(arcs, n):
 def _climb(fn, grid, j):
     """Per row of an increasing grid, the best point evaluated, and its value,
     in climbing from s = grid[row, j[row]] to a local maximum of a function
-    with exact (value, slope) = fn(s).  Unless s's one-sided slopes make it
-    the maximum, s and a neighbour bracket it, and a step goes where the
-    ends' tangents, bent by their branch's curvature, cross (exact on two
-    straight branches) or to a bent tangent's vertex (a smooth maximum), then
-    across by _ARG_TOL / 2, 1000 times more after a step that stays on its
-    side, until the bracket is below _ARG_TOL or a slope below _FLAT."""
+    with exact (value, slope) = fn(s, rows) on the given rows of the grid.
+    Unless s's one-sided slopes make it the maximum, s and a neighbour
+    bracket it, and a step goes where the ends' tangents, bent by their
+    branch's curvature, cross (exact on two straight branches) or to a bent
+    tangent's vertex (a smooth maximum), then across by _ARG_TOL / 2, 1000
+    times more after a step that stays on its side, until the bracket is
+    below _ARG_TOL or a slope below _FLAT.  The steps evaluate only the rows
+    still climbing; the settled rows keep their last value and slope."""
     rows, last = np.arange(len(grid)), grid.shape[1] - 1
     x, prev, nxt = (grid[rows, np.clip(j + d, 0, last)] for d in (0, -1, 1))
-    val, g = fn(x)
+    val, g = fn(x, rows)
     rise = (g > _FLAT) & (nxt > x)
-    live = rise | (fn(np.nextafter(x, -np.inf))[1] < -_FLAT) & (prev < x)
+    live = rise | (fn(np.nextafter(x, -np.inf), rows)[1] < -_FLAT) & (prev < x)
     if not live.any():
         return x, val
     other = np.where(rise, nxt, prev)
-    near, far = (x, val, g, 0 * x), (other, *fn(other), 0 * x)  # point, value, slope, curvature
+    # bracket ends: point, value, slope, curvature
+    near, far = (x, val, g, 0 * x), (other, *fn(other, rows), 0 * x)
     lo, hi = ([np.where(rise, p, q) for p, q in zip(*e)] for e in ((near, far), (far, near)))
-    best, step = x, np.full_like(x, 0.5 * _ARG_TOL)
+    best, f, step = x, val, np.full_like(x, 0.5 * _ARG_TOL)
     with np.errstate(divide="ignore", invalid="ignore"):
         while (live := live & (hi[0] - lo[0] > _ARG_TOL)).any():
             (a, f_a, g_a, k_a), (b, f_b, g_b, k_b) = lo, hi
@@ -151,7 +155,8 @@ def _climb(fn, grid, j):
             c = np.clip(np.fmin(np.fmax(c, np.minimum(*top)), np.maximum(*top)), a, b)
             c += np.where(g > 0, 1.0, -1.0) * np.minimum(step, 0.5 * (b - a))
             x = np.where(live, np.clip(c, a + 0.5 * _ARG_TOL, b - 0.5 * _ARG_TOL), x)
-            (f, g), was = fn(x), g > 0
+            was, f, g = g > 0, f.copy(), g.copy()
+            f[live], g[live] = fn(x[live], np.flatnonzero(live))
             step = np.where((g > 0) == was, 1e3 * step, 0.5 * _ARG_TOL)
             best, val = (np.where(live & (f >= val), p, q) for p, q in ((x, best), (f, val)))
             rise, fall = live & (g > _FLAT), live & (g < -_FLAT)
@@ -171,7 +176,7 @@ def _curve_diameter(arcs, n):
     value, never below that sample's to roundoff, once per curve and
     resolution; p and q are read-only.
     """
-    def fn(s):
+    def fn(s, rows):
         q = arcs.far_point(p := arcs.point_at(s))
         return -np.sum(p * q, axis=1), -np.sum(arcs.tangent_at(s) * q, axis=1)
 
@@ -283,6 +288,17 @@ def is_constant_diameter(body: SphericalBody, tol: float = 1e-6,
                    deviation=deviation, tolerance=tol, witness=witness)
 
 
+def _probed_corners(body: SphericalBody) -> np.ndarray:
+    """The corners reduced_check probes: all of them, or the MAX_PROBES with
+    the largest turn (the longest dual arcs), ties broken by the corner's
+    coordinates, so the choice does not depend on where the boundary starts."""
+    idx = body.corners
+    if len(idx) <= MAX_PROBES:
+        return idx
+    turns = body.dual_arcs.lengths[body._corner_row[idx]]
+    return idx[np.lexsort((*body.vertices[idx].T[::-1], -turns))[:MAX_PROBES]]
+
+
 def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdict:
     """Necessary-condition screen for reducedness (heuristic, two parts).
 
@@ -291,18 +307,15 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdi
     midpoint of one bounding semicircle; (b) verify that slicing off a cap of
     depth 10*tol at e lowers the thickness by more than tol.  Bodies without
     isolated extreme points pass vacuously.  Bodies with more than MAX_PROBES
-    corners are probed on an evenly spaced subset.  A failing verdict reports
-    the worst probed corner, so with every corner probed it does not depend
-    on where the boundary starts.
+    corners are probed on the MAX_PROBES with the largest turn, ties broken
+    by position.  A failing verdict reports the worst probed corner, so it
+    does not depend on where the boundary starts.
     """
-    _resolution(n)
-    corner_idx = body.corners
+    n = _resolution(n)
+    corner_idx = _probed_corners(body)
     if not len(corner_idx):
         return Verdict(kind="reduced_necessary", passed=True, deviation=0.0,
                        tolerance=tol, witness={"note": "boundary is smooth"})
-    if len(corner_idx) > MAX_PROBES:
-        sel = np.linspace(0, len(corner_idx) - 1, MAX_PROBES).astype(int)
-        corner_idx = corner_idx[np.unique(sel)]
     thick = thickness(body, n).value
     dual = body.dual_arcs
     corners = body.vertices[corner_idx]
@@ -331,19 +344,22 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdi
     # (a) lune search: pairing each supporting center d on e's dual arc with
     # c = -cos(thickness) d + sin(thickness) e, at angle pi - thickness through
     # e, yields every candidate lune with e at a semicircle midpoint; it holds
-    # the body iff min_x c . x >= 0.  All corners are scanned and refined
-    # together.  As d runs on a great arc about e, c moves at c' =
+    # the body iff min_x c . x >= 0.  The probed corners are scanned and
+    # refined together.  As d runs on a great arc about e, c moves at c' =
     # -cos(thickness) e x d: min_x c . x has slope c' . x* at the minimizer x*.
+    # The scan samples the longest probed arc at the profile's spacing, so a
+    # many-arc body's short corner arcs take a few samples, not _SCAN[1].
     cos_t, sin_t = math.cos(thick), math.sin(thick)
-    n_scan = 33
+    spacing = dual.total / max(n, dual.count, 8)
+    n_scan = int(np.clip(math.ceil(np.max(hi - lo) / spacing) + 1, *_SCAN))
     phis = np.linspace(lo, hi, n_scan, axis=1)
     cand = -cos_t * dual.point_at(phis.ravel()) + sin_t * np.repeat(corners, n_scan, axis=0)
     scan = body.support_min(cand).reshape(len(rows), n_scan)
 
-    def fn(phi):
-        d = dual.point_at(phi)
-        vals, at = body.arcs.support_min_at(-cos_t * d + sin_t * corners)
-        return vals, -cos_t * np.sum(np.cross(corners, d) * body.arcs.point_at(at), axis=1)
+    def fn(phi, live):
+        d, e = dual.point_at(phi), corners[live]
+        vals, at = body.arcs.support_min_at(-cos_t * d + sin_t * e)
+        return vals, -cos_t * np.sum(np.cross(e, d) * body.arcs.point_at(at), axis=1)
 
     best = np.maximum(_climb(fn, phis, np.argmax(scan, axis=1))[1], scan.max(axis=1))
     i = int(np.argmin(best))

@@ -7,7 +7,7 @@ import pytest
 from conftest import random_cd_triangle_vertices
 
 from lunes import body as bd
-from lunes import construct, io, metrics, sphere
+from lunes import construct, io, metrics, sphere, wulff
 from lunes.errors import ConsistencyError, InvalidResolution, NotSupporting
 
 HALF_PI = math.pi / 2
@@ -176,6 +176,20 @@ class TestReduced:
         v = metrics.reduced_check(square, tol=1e-6, n=240)
         assert not v.passed
 
+    @staticmethod
+    def _dense_margin(body, samples):
+        """The best lune of a dense scan along each probed corner's dual
+        arc; the worst corner's."""
+        thick = metrics.thickness(body, n=720).value
+        idx = metrics._probed_corners(body)
+        rows = body._corner_row[idx]
+        dual = body.dual_arcs
+        phis = np.linspace(dual.cum[rows], dual.cum[rows + 1], samples, axis=1)
+        corners = np.repeat(body.vertices[idx], samples, axis=0)
+        partners = (-math.cos(thick) * dual.point_at(phis.ravel())
+                    + math.sin(thick) * corners)
+        return body.support_min(partners).reshape(len(rows), samples).max(axis=1).min()
+
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     @pytest.mark.parametrize("target", [0.4, 1.0, HALF_PI])
     def test_lune_search_beats_dense_scan(self, n, target):
@@ -184,15 +198,28 @@ class TestReduced:
         gon = construct.regular_odd_gon(n, target)
         v = metrics.reduced_check(gon, tol=1e-6, n=720)
         assert v.passed
-        thick = metrics.thickness(gon, n=720).value
-        rows = gon._corner_row[gon.corners]
-        dual = gon.dual_arcs
-        phis = np.linspace(dual.cum[rows], dual.cum[rows + 1], 4001, axis=1)
-        corners = np.repeat(gon.vertices[gon.corners], 4001, axis=0)
-        partners = (-math.cos(thick) * dual.point_at(phis.ravel())
-                    + math.sin(thick) * corners)
-        dense = gon.support_min(partners).reshape(len(rows), 4001).max(axis=1)
-        assert v.witness["worst_support_margin"] >= dense.min() - 1e-15
+        assert v.witness["worst_support_margin"] >= self._dense_margin(gon, 4001) - 1e-15
+
+    def test_lune_search_beats_dense_scan_on_induced_body(self, monkeypatch):
+        # 720 arcs, each corner's dual arc about 0.009 long: the scan takes
+        # a few samples at the profile's spacing, and the climb still finds
+        # every probed corner's best lune
+        tri = construct.constant_diameter_triangle(
+            np.array([0.6, 0.0, 0.8]), np.array([-0.3, 0.52, 0.8]),
+            np.array([-0.3, -0.52, 0.8]))
+        frame = wulff.frame_at(tri.enclosing_center)
+        body = wulff.induce_spherical(wulff.project_to_plane(tri, frame, n=720), frame)
+        assert len(body.corners) > metrics.MAX_PROBES
+        scans, climb = [], metrics._climb
+
+        def recorded(fn, grid, j):
+            scans.append(grid.shape)
+            return climb(fn, grid, j)
+        monkeypatch.setattr(metrics, "_climb", recorded)
+        v = metrics.reduced_check(body, tol=1e-4, n=720)
+        assert v.passed
+        assert scans[-1][0] == metrics.MAX_PROBES and 3 <= scans[-1][1] <= 8
+        assert v.witness["worst_support_margin"] >= self._dense_margin(body, 1001) - 1e-15
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     @pytest.mark.parametrize("target", [0.4, 1.0, HALF_PI])
@@ -206,9 +233,9 @@ class TestReduced:
         def counted(fn, grid, j):
             evals.append(0)
 
-            def fn_counted(s):
+            def fn_counted(s, rows):
                 evals[-1] += 1
-                return fn(s)
+                return fn(s, rows)
             return climb(fn_counted, grid, j)
         monkeypatch.setattr(metrics, "_climb", counted)
         assert metrics.reduced_check(gon, tol=1e-6, n=720).passed
@@ -229,6 +256,27 @@ class TestReduced:
             assert v.witness["mode"] == seen[0].witness["mode"]
             assert np.allclose(v.witness["corner"], seen[0].witness["corner"],
                                rtol=0.0, atol=1e-12)
+
+    def test_probes_independent_of_labelling(self):
+        # a hull of 114 corners, more than MAX_PROBES: the probed corners are
+        # those of largest turn, so every relabelling probes the same ones
+        rng = np.random.default_rng(3)
+        u, v = sphere.orthonormal_frame(Z)
+        polar = 0.6 * (1.0 + 0.001 * rng.uniform(-1.0, 1.0, 200))
+        az = rng.uniform(0.0, 2 * math.pi, 200)
+        pts = (np.sin(polar)[:, None] * (np.cos(az)[:, None] * u + np.sin(az)[:, None] * v)
+               + np.cos(polar)[:, None] * Z)
+        hull = bd.hull_from_points(pts)
+        assert len(hull.corners) > metrics.MAX_PROBES
+        seen = []
+        for k in range(0, len(hull.vertices), 15):
+            rolled = bd.polygon_from_vertices(np.roll(hull.vertices, k, axis=0),
+                                              enclosing_center=hull.enclosing_center)
+            seen.append(metrics.reduced_check(rolled, tol=1e-6, n=720))
+        assert not any(v.passed for v in seen)
+        for v in seen[1:]:
+            assert v.deviation == pytest.approx(seen[0].deviation, abs=1e-12)
+            assert v.witness["mode"] == seen[0].witness["mode"]
 
 
 class TestClassify:

@@ -206,7 +206,7 @@ def _climbed(f, argmax):
     """Run _climb from the best grid sample of f; returns its evaluations."""
     calls = []
 
-    def fn(s):
+    def fn(s, rows):
         calls.append(s)
         return f(s)
     samples = f(GRID)[0]
@@ -285,6 +285,47 @@ def test_climb_keeps_a_maximum_at_a_grid_end(sign):
 
 def test_climb_stops_on_a_flat_function():
     assert _climbed(lambda s: (np.zeros_like(s), np.zeros_like(s)), GRID[0]) == 2
+
+
+def test_climb_evaluates_only_live_rows():
+    # row 0 peaks on a kink at its best sample, where the one-sided slopes
+    # settle it: fn sees it in the first three calls (the sample, the left
+    # slope, the neighbour) and never again while row 1, a smooth maximum
+    # between samples, climbs on
+    kink = _kink(GRID[12], (1.0, 0.0), (-1.0, 0.0), tie="right")
+
+    def smooth(s):
+        u = s - 0.61
+        return 0.3 - 0.5 * u * u + 0.2 * u ** 3, -u + 0.6 * u * u
+    calls = []
+
+    def fn(s, rows):
+        calls.append(rows.tolist())
+        return tuple(np.where(rows == 0, a, b) for a, b in zip(kink(s), smooth(s)))
+    j = np.array([int(np.argmax(f(GRID)[0])) for f in (kink, smooth)])
+    best, value = metrics._climb(fn, np.stack([GRID, GRID]), j)
+    assert all(0 in rows for rows in calls[:3]) and len(calls) > 4
+    assert all(rows == [1] for rows in calls[3:])
+    assert abs(best[0] - GRID[12]) <= 1e-12 and abs(best[1] - 0.61) <= 1e-12
+    assert value[0] == kink(best[:1])[0][0] and value[1] == smooth(best[1:])[0][0]
+
+
+@BOUNDED
+@given(many_arc_bodies())
+def test_sized_lune_scan_matches_full_scan(body):
+    # the lune search samples each probed dual arc at the profile's spacing;
+    # the climb from those samples reaches the lunes that the most samples,
+    # _SCAN[1], lead to
+    sized = metrics.reduced_check(body, tol=1e-6, n=720)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_SCAN", (metrics._SCAN[1],) * 2)
+        full = metrics.reduced_check(body, tol=1e-6, n=720)
+    assert sized.passed == full.passed
+    assert abs(sized.deviation - full.deviation) <= 1e-12
+    for key in ("worst_support_margin", "support_margin", "thickness_drop"):
+        assert (key in sized.witness) == (key in full.witness)
+        if key in sized.witness:
+            assert abs(sized.witness[key] - full.witness[key]) <= 1e-12
 
 
 # -- planar hull ---------------------------------------------------------------
