@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (DegenerateHull, InvariantViolation, NoEnclosingHemisphere)
-from .sphere import dist, normalize, orthonormal_frame
+from .sphere import cross, dist, norm, normalize, orthonormal_frame
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -56,6 +56,11 @@ class _Valid(Boundary):
     __slots__ = ()
 
 
+def _rolled(x) -> np.ndarray:
+    """x's rows shifted up by one, cyclically: np.roll(x, -1, axis=0)."""
+    return np.concatenate([x[1:], x[:1]])
+
+
 def _validated(centers, radii, starts, ends=None) -> _Valid:
     """The per-arc checks, on all arcs at once.
 
@@ -70,11 +75,11 @@ def _validated(centers, radii, starts, ends=None) -> _Valid:
     a _Valid.
     """
     if ends is None:
-        ends = np.roll(np.reshape(starts, (-1, 3)), -1, axis=0)
+        ends = _rolled(np.reshape(starts, (-1, 3)))
     vecs = []
     for name, v in (("center", centers), ("start", starts), ("end", ends)):
         v = np.array(v, dtype=float).reshape(-1, 3)
-        n = np.linalg.norm(v, axis=1)
+        n = norm(v)
         bad = np.flatnonzero(np.abs(n - 1.0) > UNIT_TOL)
         if len(bad):
             k = int(bad[0])
@@ -100,10 +105,10 @@ def _validated(centers, radii, starts, ends=None) -> _Valid:
                 f"segment {k} {name} at distance {float(d[k])!r} from center, "
                 f"radius {float(r[k])!r}")
     m = len(r)
-    if m > 1 and np.any(np.linalg.norm(s - e, axis=1) < 1e-12):
+    if m > 1 and np.any(norm(s - e) < 1e-12):
         raise InvariantViolation(
             "closed boundary", "full-circle segment mixed with others")
-    gaps = np.linalg.norm(e - np.roll(s, -1, axis=0), axis=1)
+    gaps = norm(e - _rolled(s))
     open_ends = np.flatnonzero(gaps > CLOSURE_TOL)
     if len(open_ends):
         k = int(open_ends[0])
@@ -179,9 +184,9 @@ class _Arcs:
         cos_r = np.cos(b.radii)[:, None]
         sin_r = np.sin(b.radii)[:, None]
         u0 = (b.starts - cos_r * b.centers) / sin_r
-        u0 /= np.linalg.norm(u0, axis=1, keepdims=True)
-        v0 = np.cross(b.centers, u0)
-        e = (np.roll(b.starts, -1, axis=0) - cos_r * b.centers) / sin_r
+        u0 /= norm(u0)[:, None]
+        v0 = cross(b.centers, u0)
+        e = (_rolled(b.starts) - cos_r * b.centers) / sin_r
         sweeps = np.mod(np.arctan2(np.sum(e * v0, axis=1), np.sum(e * u0, axis=1)),
                         TWO_PI)
         if len(sweeps) == 1:
@@ -192,22 +197,28 @@ class _Arcs:
 
     def _locate(self, s):
         """The arc holding each cumulative arc-length parameter s, and the
-        angle along it; at a junction, the arc that starts there."""
+        cosine and sine (columns) of the angle along it; at a junction, the
+        arc that starts there."""
         s = np.mod(np.atleast_1d(np.asarray(s, dtype=float)), self.total)
-        idx = np.clip(np.searchsorted(self.cum, s, side="right") - 1, 0, self.count - 1)
-        return idx, (s - self.cum[idx]) / self.sin_r[idx]
+        # s >= 0 = cum[0], but it can round up to total: clamp the top only
+        idx = np.minimum(np.searchsorted(self.cum, s, side="right") - 1, self.count - 1)
+        t = (s - self.cum[idx]) / self.sin_r[idx]
+        return idx, np.cos(t)[:, None], np.sin(t)[:, None]
 
     def point_at(self, s):
         """Boundary point at cumulative arc-length parameter s (vectorized)."""
-        idx, t = self._locate(s)
-        w = (np.cos(t)[:, None] * self.u0[idx] + np.sin(t)[:, None] * self.v0[idx])
-        return self.cos_r[idx][:, None] * self.centers[idx] + self.sin_r[idx][:, None] * w
+        return self._point(*self._locate(s))
 
     def tangent_at(self, s):
-        """Unit tangent d point_at / ds, counterclockwise, at parameter s
-        (vectorized); at a junction, of the arc that starts there."""
-        idx, t = self._locate(s)
-        return np.cos(t)[:, None] * self.v0[idx] - np.sin(t)[:, None] * self.u0[idx]
+        """point_at(s) and the unit tangent d point_at / ds there,
+        counterclockwise, from one lookup (vectorized); at a junction, of
+        the arc that starts there."""
+        idx, cos_t, sin_t = self._locate(s)
+        return self._point(idx, cos_t, sin_t), cos_t * self.v0[idx] - sin_t * self.u0[idx]
+
+    def _point(self, idx, cos_t, sin_t):
+        w = cos_t * self.u0[idx] + sin_t * self.v0[idx]
+        return self.cos_r[idx][:, None] * self.centers[idx] + self.sin_r[idx][:, None] * w
 
     def far_point(self, dirs) -> np.ndarray:
         """The curve's farthest point from each direction: where p . x is
@@ -345,21 +356,21 @@ def _dual(b: Boundary):
     great = b.radii == HALF_PI
     cos_r = np.cos(b.radii)[:, None]
     sin_r = np.sin(b.radii)[:, None]
-    junctions = np.roll(b.starts, -1, axis=0)
+    junctions = _rolled(b.starts)
 
     def supporting(x):
         """Center of the hemisphere supporting the body at x[i] on arc i."""
         c = (b.centers - cos_r * x) / sin_r
-        c /= np.linalg.norm(c, axis=1, keepdims=True)
+        c /= norm(c)[:, None]
         return np.where(great[:, None], b.centers, c)
 
     at_start = supporting(b.starts)
     at_end = supporting(junctions)
-    at_next = np.roll(at_start, -1, axis=0)
+    at_next = _rolled(at_start)
     # the supporting centers at a convex corner turn counterclockwise about
     # it, from the one before the corner to the one after: a reflex junction
     # has them turn clockwise and gets a negative turn
-    orient = np.einsum("ij,ij->i", np.cross(at_end, at_next), junctions)
+    orient = np.einsum("ij,ij->i", cross(at_end, at_next), junctions)
     turns = np.copysign(dist(at_end, at_next), orient)  # 0 on a full circle
     keep = np.column_stack([~great, turns > CLOSURE_TOL]).ravel()
 
@@ -460,7 +471,7 @@ class SphericalBody:
     @property
     def vertices(self) -> np.ndarray:
         """Junction points (corner or smooth): the end of each segment."""
-        return np.empty((0, 3)) if self.is_full_circle else np.roll(self.starts, -1, axis=0)
+        return np.empty((0, 3)) if self.is_full_circle else _rolled(self.starts)
 
     @property
     def corners(self) -> np.ndarray:
@@ -494,11 +505,10 @@ def polygon_from_vertices(vertices, enclosing_center=None) -> SphericalBody:
     if len(verts) < 3:
         raise DegenerateHull("fewer than three vertices")
     verts = normalize(verts)
-    nxt = np.roll(verts, -1, axis=0)
     # a x (b - a) equals a x b, without the cancellation a x b suffers when
     # a and b nearly coincide
-    poles = np.cross(verts, nxt - verts)
-    norms = np.linalg.norm(poles, axis=1)
+    poles = cross(verts, _rolled(verts) - verts)
+    norms = norm(poles)
     if np.any(norms < 1e-12):
         raise DegenerateHull("consecutive vertices equal or antipodal")
     edges = Boundary(poles / norms[:, None], np.full(len(verts), HALF_PI), verts)

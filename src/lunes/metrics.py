@@ -26,7 +26,7 @@ import numpy as np
 
 from .body import SphericalBody
 from .errors import ConsistencyError, InvalidResolution, NotSupporting
-from .sphere import Hemisphere, dist, lune_make, normalize
+from .sphere import Hemisphere, cross, dist, lune_make, normalize
 
 HALF_PI = 0.5 * math.pi
 SUPPORT_TOL = 1e-8       # |min dot| beyond this means "not a supporting hemisphere"
@@ -129,18 +129,21 @@ def _climb(fn, grid, j):
     branch's curvature, cross (exact on two straight branches) or to a bent
     tangent's vertex (a smooth maximum), then across by _ARG_TOL / 2, 1000
     times more after a step that stays on its side, until the bracket is
-    below _ARG_TOL or a slope below _FLAT.  The steps evaluate only the rows
-    still climbing; the settled rows keep their last value and slope."""
+    below _ARG_TOL or a slope below _FLAT.  Past the sample, fn sees only
+    the rows that may still climb; the settled ones keep their last value."""
     rows, last = np.arange(len(grid)), grid.shape[1] - 1
-    x, prev, nxt = (grid[rows, np.clip(j + d, 0, last)] for d in (0, -1, 1))
+    x, prev, nxt = (grid[rows, np.minimum(np.maximum(j + d, 0), last)] for d in (0, -1, 1))
     val, g = fn(x, rows)
     rise = (g > _FLAT) & (nxt > x)
-    live = rise | (fn(np.nextafter(x, -np.inf), rows)[1] < -_FLAT) & (prev < x)
+    live, ask = rise.copy(), np.flatnonzero(~rise & (prev < x))
+    if len(ask):
+        live[ask] = fn(np.nextafter(x[ask], -np.inf), ask)[1] < -_FLAT
     if not live.any():
         return x, val
-    other = np.where(rise, nxt, prev)
-    # bracket ends: point, value, slope, curvature
-    near, far = (x, val, g, 0 * x), (other, *fn(other, rows), 0 * x)
+    # bracket ends: point, value, slope, curvature; settled rows' are not used
+    on, near = np.flatnonzero(live), (x, val, g, 0 * x)
+    far = (np.where(rise, nxt, prev), val.copy(), g.copy(), 0 * x)
+    far[1][on], far[2][on] = fn(far[0][on], on)
     lo, hi = ([np.where(rise, p, q) for p, q in zip(*e)] for e in ((near, far), (far, near)))
     best, f, step = x, val, np.full_like(x, 0.5 * _ARG_TOL)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -152,9 +155,10 @@ def _climb(fn, grid, j):
             k_a, k_b = np.where(k_a == 0, k_b, k_a), np.where(k_b == 0, k_a, k_b)
             top = (np.where(k_a < 0, a - g_a / k_a, np.inf),
                    np.where(k_b < 0, b - g_b / k_b, -np.inf))
-            c = np.clip(np.fmin(np.fmax(c, np.minimum(*top)), np.maximum(*top)), a, b)
+            c = np.fmin(np.fmax(c, np.minimum(*top)), np.maximum(*top))
+            c = np.minimum(np.maximum(c, a), b)
             c += np.where(g > 0, 1.0, -1.0) * np.minimum(step, 0.5 * (b - a))
-            x = np.where(live, np.clip(c, a + 0.5 * _ARG_TOL, b - 0.5 * _ARG_TOL), x)
+            x = np.where(live, np.minimum(np.maximum(c, a + 0.5 * _ARG_TOL), b - 0.5 * _ARG_TOL), x)
             was, f, g = g > 0, f.copy(), g.copy()
             f[live], g[live] = fn(x[live], np.flatnonzero(live))
             step = np.where((g > 0) == was, 1e3 * step, 0.5 * _ARG_TOL)
@@ -177,8 +181,9 @@ def _curve_diameter(arcs, n):
     resolution; p and q are read-only.
     """
     def fn(s, rows):
-        q = arcs.far_point(p := arcs.point_at(s))
-        return -np.sum(p * q, axis=1), -np.sum(arcs.tangent_at(s) * q, axis=1)
+        p, tangent = arcs.tangent_at(s)
+        q = arcs.far_point(p)
+        return -np.sum(p * q, axis=1), -np.sum(tangent * q, axis=1)
 
     def compute():
         params, _, far = _profile(arcs, n)
@@ -359,7 +364,7 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdi
     def fn(phi, live):
         d, e = dual.point_at(phi), corners[live]
         vals, at = body.arcs.support_min_at(-cos_t * d + sin_t * e)
-        return vals, -cos_t * np.sum(np.cross(e, d) * body.arcs.point_at(at), axis=1)
+        return vals, -cos_t * np.sum(cross(e, d) * body.arcs.point_at(at), axis=1)
 
     best = np.maximum(_climb(fn, phis, np.argmax(scan, axis=1))[1], scan.max(axis=1))
     i = int(np.argmin(best))

@@ -19,10 +19,22 @@ UNIT_TOL = 1e-12
 DEGENERATE_TOL = 1e-9
 
 
+def cross(a, b) -> np.ndarray:
+    """a x b over the last axis, by component: the arithmetic of np.cross."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def norm(v) -> np.ndarray:
+    """Length over the last axis: np.linalg.norm's formula for real arrays."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
+
+
 def normalize(v) -> np.ndarray:
     """Return v scaled to unit length (works on batches along the last axis)."""
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    n = norm(v)[..., None]
     if np.any(n < 1e-15):
         raise ValueError("cannot normalize a zero vector")
     return v / n
@@ -41,10 +53,7 @@ def dist(a, b):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    cr = np.cross(a, b)
-    s = np.linalg.norm(cr, axis=-1)
-    c = np.sum(a * b, axis=-1)
-    return np.arctan2(s, c)
+    return np.arctan2(norm(cross(a, b)), np.add.reduce(a * b, axis=-1))
 
 
 def antipode(a) -> np.ndarray:
@@ -114,7 +123,7 @@ def lune_make(g, h) -> Lune:
     ang = float(dist(cg, ch))
     if ang < DEGENERATE_TOL or ang > math.pi - DEGENERATE_TOL:
         raise DegenerateLune("hemisphere centers equal or antipodal")
-    corner = normalize(np.cross(cg, ch))
+    corner = normalize(cross(cg, ch))
     d = float(np.dot(cg, ch))
     mid_g = normalize(ch - d * cg)
     mid_h = normalize(cg - d * ch)
@@ -136,6 +145,6 @@ def orthonormal_frame(n) -> tuple:
     """Deterministic right-handed tangent basis (u, v) with u x v = n."""
     n = normalize(n)
     ref = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    u = normalize(np.cross(ref, n))
-    v = np.cross(n, u)
+    u = normalize(cross(ref, n))
+    v = cross(n, u)
     return u, v
