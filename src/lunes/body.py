@@ -160,7 +160,10 @@ class _Arcs:
     which bounds the minimum from above, then only the blocks whose bound
     does not exceed that.  A skipped block holds no smaller value, so the
     result is the whole table's minimum, with no tolerance.  One direction,
-    or one block, has nothing to prune and takes the whole table.
+    or one block, has nothing to prune and takes the whole table.  The
+    reduction keeps each row's winning arc and angle, so a support query
+    returns the farthest point itself, formed once by _point; arc-length
+    parameters serve only the walks along the curve (sampling, searches).
     """
 
     def __init__(self, centers, radii, u0, v0, sweeps):
@@ -217,6 +220,8 @@ class _Arcs:
         return self._point(idx, cos_t, sin_t), cos_t * self.v0[idx] - sin_t * self.u0[idx]
 
     def _point(self, idx, cos_t, sin_t):
+        """The point at angle t along arc idx (cos t and sin t as columns):
+        the one formula for a point on an arc."""
         w = cos_t * self.u0[idx] + sin_t * self.v0[idx]
         return self.cos_r[idx][:, None] * self.centers[idx] + self.sin_r[idx][:, None] * w
 
@@ -224,7 +229,7 @@ class _Arcs:
         """The curve's farthest point from each direction: where p . x is
         least.  A distance measured to it keeps its digits near 0 and pi,
         where arccos of the support minimum loses them."""
-        return self.point_at(self.support_min_at(dirs)[1])
+        return self.support_min_at(dirs)[1]
 
     def sample_params(self, n: int) -> np.ndarray:
         """n arc-length parameters; when n >= arc count, every arc start
@@ -263,14 +268,20 @@ class _Arcs:
         hemisphere of the direction.  The maximum over the curve is
         -support_extreme(-dirs).
         """
-        return self.support_min_at(dirs)[0]
+        return self._support(dirs)[0]
 
     def support_min_at(self, dirs):
-        """The support minimum in each direction plus the arc-length
-        parameter where it is attained: returns (values, params).
-        point_at(params) is the curve's farthest point from each direction,
-        at angular distance arccos(value).
+        """The support minimum in each direction plus the point where it is
+        attained: returns (values, points).  Each point is the curve's
+        farthest from its direction, at angular distance arccos(value),
+        made once from the arc and angle that won the minimum.
         """
+        vals, arc, t = self._support(dirs)
+        return vals, self._point(arc, np.cos(t)[:, None], np.sin(t)[:, None])
+
+    def _support(self, dirs):
+        """Per direction, the support minimum and the arc and angle along it
+        where it is attained: the kernel of every support query."""
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         if dirs.shape[0] > 1 and self.count > _BLOCK:
             width = max(9 * _BLOCK, len(self._blocks[0]))  # bounds, one block
@@ -279,15 +290,14 @@ class _Arcs:
         return _sliced(lambda d: self._reduce(*self._whole(d), arcs), 3 * self.count, dirs)
 
     def _reduce(self, flat, t, arcs):
-        """Each row's least candidate and its arc-length parameter; arcs
-        numbers the candidates' arcs, for all rows (1-D) or per row (2-D)."""
+        """Each row's least candidate, its arc and the angle along it (0 at
+        the start); arcs numbers the candidates' arcs, for all rows (1-D) or
+        per row (2-D)."""
         rows = np.arange(flat.shape[0])
         j = np.argmin(flat, axis=1)
         crit, slot = np.divmod(j, t.shape[1])
         arc = arcs[slot] if arcs.ndim == 1 else arcs[rows, slot]
-        # a minimum at an arc's end stays there, not at the next start (CLOSURE_TOL away)
-        s = self.cum[arc] + self.sin_r[arc] * np.where(crit, t[rows, slot], 0.0)
-        return flat[rows, j], np.minimum(s, np.nextafter(self.cum[arc + 1], 0.0))
+        return flat[rows, j], arc, np.where(crit, t[rows, slot], 0.0)
 
     def _whole(self, d):
         return _closed_form((d @ self.table.T).reshape(-1, 3, self.count), self.sweeps,
@@ -306,8 +316,7 @@ class _Arcs:
         m = self.count
         idx = np.minimum(np.arange(-(-m // _BLOCK) * _BLOCK), m - 1).reshape(-1, _BLOCK)
         half = 0.5 * self.sweeps[:, None]
-        mid = (self.cos_r[:, None] * self.centers + self.sin_r[:, None]
-               * (np.cos(half) * self.u0 + np.sin(half) * self.v0))[idx]
+        mid = self._point(np.arange(m), np.cos(half), np.sin(half))[idx]
         reach = 2.0 * np.arcsin(np.minimum(1.0, self.sin_r * np.sin(0.5 * half[:, 0])))
         center = normalize(mid.sum(axis=1))
         gap = np.arccos(np.clip(np.einsum("bij,bj->bi", mid, center), -1.0, 1.0))
@@ -328,15 +337,15 @@ class _Arcs:
         reach = np.arccos(np.clip(center @ d.T, -1.0, 1.0)) + radius[:, None]
         low = np.where(reach < math.pi, np.cos(reach), -np.inf)
         first = np.argmin(low, axis=0)
-        vals, params = self._blockwise(first, d)
+        vals, arc, t = self._blockwise(first, d)
         visit = low <= vals
         visit[first, np.arange(d.shape[0])] = False
         rows, blocks = np.nonzero(visit.T)
-        more, at = _sliced(self._blockwise, 9 * _BLOCK, blocks, d[rows])
+        more, more_arc, more_t = _sliced(self._blockwise, 9 * _BLOCK, blocks, d[rows])
         np.minimum.at(vals, rows, more)
         won = more == vals[rows]
-        params[rows[won]] = at[won]
-        return vals, params
+        arc[rows[won]], t[rows[won]] = more_arc[won], more_t[won]
+        return vals, arc, t
 
 
 def _dual(b: Boundary):
@@ -534,14 +543,11 @@ def find_enclosing_center(points, min_dot: float = ENCLOSING_MIN_DOT) -> np.ndar
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     mean = pts.mean(axis=0)
     candidates = []
+    best, best_val = None, -np.inf
     if np.linalg.norm(mean) > 1e-12:
-        candidates.append(mean / np.linalg.norm(mean))
-    best = None
-    best_val = -np.inf
-    for c in candidates:
-        val = float(np.min(pts @ c))
-        if val > best_val:
-            best, best_val = c, val
+        best = mean / np.linalg.norm(mean)
+        best_val = float(np.min(pts @ best))
+        candidates.append(best)
     if best_val > 10 * min_dot:
         return best
 

@@ -11,7 +11,8 @@ lays it out.  A body document is rendered from the boundary arrays instead,
 byte-identical to that: one template, one repr per center, start and
 radius.  It is read back in bulk: one pass over the segments for their keys
 and the shape of their vectors, one float conversion of every number, and
-array checks for finiteness and unit norm.
+array checks for finiteness and for the unit norm of the listed vertices
+(the segments' vectors are checked by body validation).
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ import math
 
 import numpy as np
 
-from .body import SphericalBody, _validated
+from .body import UNIT_TOL, SphericalBody, _validated
 from .errors import InvariantViolation, ParseError
 from .metrics import ClassifyReport
+from .sphere import norm
 from .wulff import GammaFn
 
 SCHEMA_VERSION = 1
@@ -239,18 +241,20 @@ def body_from_doc(doc: dict, where: str = "body document") -> SphericalBody:
         what = name(int(bad[0]))
         raise ParseError("radius is not finite" if what == "radius"
                          else f"{what} has a non-finite component")
-    rows = flat[:10 * m].reshape(m, 10)
-    vecs = np.concatenate([rows[:, :9].reshape(-1, 3), flat[10 * m:].reshape(-1, 3)])
-    norms = np.linalg.norm(vecs, axis=1)
-    bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-9)
+    # the segment vectors' norms are _validated's to check, the listed
+    # vertices' only this function's
+    listed = flat[10 * m:].reshape(-1, 3)
+    norms = norm(listed)
+    bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_TOL)
     if len(bad):
         k = int(bad[0])
         raise InvariantViolation(
-            f"{vector(k)}: unit norm violated, |v| = {float(norms[k])!r}")
+            f"{vector(3 * m + k)}: unit norm violated, |v| = {float(norms[k])!r}")
+    listed = listed / norms[:, None]
+    rows = flat[:10 * m].reshape(m, 10)
     # _validated checks each end against the next start, then drops it
     body = SphericalBody(_validated(rows[:, :3], rows[:, 9], rows[:, 3:6], rows[:, 6:9]),
                          meta=meta)
-    listed = vecs[3 * m:] / norms[3 * m:, None]
     if listed.shape != body.vertices.shape \
             or np.any(np.abs(listed - body.vertices) > 1e-10):
         raise ParseError(f"{where}: vertices do not match the segment junctions")

@@ -363,8 +363,8 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdi
 
     def fn(phi, live):
         d, e = dual.point_at(phi), corners[live]
-        vals, at = body.arcs.support_min_at(-cos_t * d + sin_t * e)
-        return vals, -cos_t * np.sum(cross(e, d) * body.arcs.point_at(at), axis=1)
+        vals, x = body.arcs.support_min_at(-cos_t * d + sin_t * e)
+        return vals, -cos_t * np.sum(cross(e, d) * x, axis=1)
 
     best = np.maximum(_climb(fn, phis, np.argmax(scan, axis=1))[1], scan.max(axis=1))
     i = int(np.argmin(best))

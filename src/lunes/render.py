@@ -24,8 +24,6 @@ _STYLE = ('<style>\n'
           '.boundary{fill:none;stroke:#000;stroke-width:0.01}\n'
           '.boundary-hidden{fill:none;stroke:#000;stroke-width:0.006;'
           'stroke-dasharray:0.03 0.02}\n'
-          '.overlay{fill:none;stroke:#c00;stroke-width:0.008;'
-          'stroke-dasharray:0.02 0.015}\n'
           '.marker{fill:#c00;stroke:none}\n'
           '</style>\n')
 
@@ -50,8 +48,7 @@ def _runs(mask: np.ndarray):
     return [(bool(mask[s]), slice(s, e)) for s, e in zip(starts, ends)]
 
 
-def _sphere_svg(body: SphericalBody, view: np.ndarray,
-                chords=(), points=()) -> str:
+def _sphere_svg(body: SphericalBody, view: np.ndarray) -> str:
     w = normalize(np.asarray(view, dtype=float))
     u, v = orthonormal_frame(w)
     out = [_HEADER.format(vb="-1.1 -1.1 2.2 2.2"), _STYLE]
@@ -61,25 +58,13 @@ def _sphere_svg(body: SphericalBody, view: np.ndarray,
     arcs = body.arcs
     for i in range(arcs.count):
         t = np.linspace(0.0, arcs.sweeps[i], _SEG_SAMPLES)[:, None]
-        rim = np.cos(t) * arcs.u0[i] + np.sin(t) * arcs.v0[i]
-        pts = arcs.cos_r[i] * arcs.centers[i] + arcs.sin_r[i] * rim
+        pts = arcs._point(np.full(_SEG_SAMPLES, i), np.cos(t), np.sin(t))
         xy = np.column_stack([pts @ u, pts @ v])
         visible = pts @ w >= 0.0
         for vis, sl in _runs(visible):
             if sl.stop - sl.start < 2:
                 continue
             out.append(_path(xy[sl], "boundary" if vis else "boundary-hidden"))
-    for a, b in chords:
-        a = normalize(np.asarray(a, dtype=float))
-        b = normalize(np.asarray(b, dtype=float))
-        t = np.linspace(0.0, 1.0, 33)[:, None]
-        line = normalize((1.0 - t) * a + t * b)
-        out.append(_path(np.column_stack([line @ u, line @ v]), "overlay"))
-    for p in points:
-        p = normalize(np.asarray(p, dtype=float))
-        if float(p @ w) >= 0.0:
-            out.append(f'<circle class="marker" cx="{_fmt(float(p @ u))}" '
-                       f'cy="{_fmt(-float(p @ v))}" r="0.02"/>\n')
     out.append("</svg>\n")
     return "".join(out)
 
@@ -97,14 +82,13 @@ def _shape_svg(shape: WulffShape) -> str:
     return "".join(out)
 
 
-def render_svg(obj, view, path: str, chords=(), points=()) -> None:
+def render_svg(obj, view, path: str) -> None:
     """Write an SVG of a SphericalBody (orthographic along view, hidden arcs
-    dashed) or a WulffShape (view ignored); optional great-arc chords and
-    point markers are drawn as overlays."""
+    dashed) or a WulffShape (view ignored, its origin marked)."""
     if isinstance(obj, WulffShape):
         text = _shape_svg(obj)
     elif isinstance(obj, SphericalBody):
-        text = _sphere_svg(obj, view, chords=chords, points=points)
+        text = _sphere_svg(obj, view)
     else:
         raise TypeError(f"cannot render {type(obj).__name__}")
     with open(path, "w", encoding="utf-8") as fh:

@@ -27,8 +27,7 @@ from .body import (SphericalBody, boundary_sample, planar_hull,
 from .errors import (DegenerateHull, EmptyInterior, InconsistentVerdicts,
                      InvalidSpec, InvariantViolation, NotInHemisphere,
                      PoleNotInterior)
-from .metrics import (Verdict, diameter, is_constant_diameter,
-                      is_constant_width, reduced_check, thickness)
+from .metrics import Verdict, classify
 from .sphere import normalize, orthonormal_frame
 
 TWO_PI = 2.0 * math.pi
@@ -68,17 +67,6 @@ class GammaFn:
     def constant(cls, value: float, n: int = 8) -> "GammaFn":
         ang = TWO_PI * np.arange(n) / n
         return cls(ang, np.full(n, float(value)))
-
-    @classmethod
-    def from_callable(cls, fn, n: int = 360) -> "GammaFn":
-        ang = TWO_PI * np.arange(n) / n
-        return cls(ang, np.array([float(fn(a)) for a in ang]))
-
-    @classmethod
-    def from_samples(cls, angles, values) -> "GammaFn":
-        order = np.argsort(np.asarray(angles, dtype=float))
-        return cls(np.asarray(angles, dtype=float)[order],
-                   np.asarray(values, dtype=float)[order])
 
 
 def _distinct(verts, tol: float = 1e-14) -> np.ndarray:
@@ -386,19 +374,18 @@ def self_dual_equivalence_report(shape: WulffShape, frame: ProjectionFrame,
 
     Conditions: constant width pi/2; reduced with thickness pi/2; reduced
     with diameter pi/2; constant diameter pi/2.  Each is a Verdict gated on
-    both the property check and the pi/2 value.  The self-duality gap is
-    the exact Hausdorff distance to the closed-form dual.  Disagreement
+    both the property check and the pi/2 value, measured by one
+    metrics.classify of the induced body.  The self-duality gap is the
+    exact Hausdorff distance to the closed-form dual.  Disagreement
     beyond tolerance slack (one strict pass at <= tol together with one
     failure at > 10*tol) raises InconsistentVerdicts.  dual_n is accepted
     for compatibility and ignored: the dual is exact.
     """
     sd, gap = is_self_dual(shape, tol=tol)
     body = induce_spherical(shape, frame)
-    th = thickness(body, n=n)
-    dm = diameter(body, n=n)
-    cw = is_constant_width(body, tol=tol, n=n)
-    cd = is_constant_diameter(body, tol=tol, n=n)
-    red = reduced_check(body, tol=tol, n=n)
+    rep = classify(body, tol=tol, n=n)
+    th, dm, cw, cd, red = (rep.thickness, rep.diameter, rep.constant_width,
+                           rep.constant_diameter, rep.reduced)
     w_mean = float(cw.witness["w_mean"])
 
     def gated(kind, base: Verdict, value: float) -> Verdict:

@@ -108,8 +108,8 @@ class TestBodyDocuments:
 
 class TestGammaAndReportDocuments:
     def test_gamma_round_trip(self, tmp_path):
-        g = wulff.GammaFn.from_callable(
-            lambda t: 1.0 + 0.3 * np.cos(2 * t), n=64)
+        ang = 2 * math.pi * np.arange(64) / 64
+        g = wulff.GammaFn(ang, 1.0 + 0.3 * np.cos(2 * ang))
         p1, p2 = tmp_path / "g1.json", tmp_path / "g2.json"
         io.save_gamma(g, str(p1))
         io.save_gamma(io.load_gamma(str(p1)), str(p2))
@@ -282,9 +282,9 @@ class TestCli:
                     cwd=tmp_path)
         assert r.returncode == 0, r.stdout + r.stderr
         assert "self-dual: pass (gap 5.88e-07," in r.stdout, r.stdout
-        io.save_gamma(wulff.GammaFn.from_callable(
-            lambda t: np.abs(np.cos(t)) + np.abs(np.sin(t)), n=360),
-            str(tmp_path / "sq.json"))
+        ang = 2 * math.pi * np.arange(360) / 360
+        io.save_gamma(wulff.GammaFn(ang, np.abs(np.cos(ang)) + np.abs(np.sin(ang))),
+                      str(tmp_path / "sq.json"))
         r = run_cli("wulff", "self-dual", "--gamma", "sq.json", cwd=tmp_path)
         assert r.returncode == 1
         assert "self-dual: FAIL" in r.stdout, r.stdout + r.stderr

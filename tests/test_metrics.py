@@ -93,17 +93,18 @@ class TestThicknessDiameter:
     def test_verdicts_reuse_the_profile(self, monkeypatch, make):
         # thickness and diameter sample both curves and find every sample's
         # farthest point; the two verdicts read those profiles and query
-        # no sampling of n directions again
+        # no sampling of n directions again; every support query, values
+        # only or with points, passes through the kernel _support
         body, n = make(), 240
         metrics.thickness(body, n=n)
         metrics.diameter(body, n=n)
-        query = bd._Arcs.support_min_at
+        query = bd._Arcs._support
 
         def small_only(arcs, dirs):
             assert len(np.atleast_2d(dirs)) < n, "a new query of n directions"
             return query(arcs, dirs)
 
-        monkeypatch.setattr(bd._Arcs, "support_min_at", small_only)
+        monkeypatch.setattr(bd._Arcs, "_support", small_only)
         metrics.is_constant_width(body, n=n)
         metrics.is_constant_diameter(body, n=n)
 

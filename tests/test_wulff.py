@@ -32,14 +32,14 @@ class TestGammaFn:
     def test_constant_and_callable(self):
         g = wulff.GammaFn.constant(2.0)
         assert g(0.0) == 2.0 and g(5.0) == 2.0
-        h = wulff.GammaFn.from_callable(lambda t: 1.0 + 0.5 * np.cos(t) ** 2,
-                                        n=256)
+        ang = 2 * math.pi * np.arange(256) / 256
+        h = wulff.GammaFn(ang, 1.0 + 0.5 * np.cos(ang) ** 2)
         assert h(0.0) == pytest.approx(1.5, abs=1e-4)
         assert h(math.pi / 2) == pytest.approx(1.0, abs=1e-4)
 
     def test_periodic_interpolation(self):
         ang = np.array([0.0, math.pi])
-        g = wulff.GammaFn.from_samples(ang, np.array([1.0, 3.0]))
+        g = wulff.GammaFn(ang, np.array([1.0, 3.0]))
         assert g(0.0) == pytest.approx(1.0)
         assert g(2 * math.pi) == pytest.approx(1.0)
         assert g(math.pi / 2) == pytest.approx(2.0)
@@ -49,8 +49,7 @@ class TestGammaFn:
         with pytest.raises(InvalidSpec):
             wulff.GammaFn.constant(-1.0)
         with pytest.raises(InvalidSpec):
-            wulff.GammaFn.from_samples(np.array([0.0, 1.0]),
-                                       np.array([1.0, 0.0]))
+            wulff.GammaFn(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
 
 
 class TestWulffShape:
@@ -70,8 +69,8 @@ class TestWulffShape:
                            atol=1e-12)
 
     def test_support_sampled_square(self, square):
-        g = wulff.GammaFn.from_callable(
-            lambda t: np.abs(np.cos(t)) + np.abs(np.sin(t)), n=360)
+        ang = 2 * math.pi * np.arange(360) / 360
+        g = wulff.GammaFn(ang, np.abs(np.cos(ang)) + np.abs(np.sin(ang)))
         shape = wulff.wulff_shape(g, n=360)
         assert wulff.hausdorff_polygons(shape, square) <= 1e-3
 
@@ -81,9 +80,8 @@ class TestWulffShape:
         ang = 2 * math.pi * np.arange(64) / 64
         spiked = np.ones(64)
         spiked[17] = 50.0
-        a = wulff.wulff_shape(wulff.GammaFn.from_samples(ang, np.ones(64)),
-                              n=64)
-        b = wulff.wulff_shape(wulff.GammaFn.from_samples(ang, spiked), n=64)
+        a = wulff.wulff_shape(wulff.GammaFn(ang, np.ones(64)), n=64)
+        b = wulff.wulff_shape(wulff.GammaFn(ang, spiked), n=64)
         assert len(a.vertices) == 64 and len(b.vertices) == 63
         assert all(b.contains(v, tol=1e-12) for v in a.vertices)
         theta = ang[np.abs(np.arange(64) - 17) > 1]
@@ -163,8 +161,8 @@ class TestDualWulff:
         assert ok
 
     def test_involution_small_gap(self):
-        g = wulff.GammaFn.from_callable(lambda t: 1.0 + 0.3 * np.cos(2 * t),
-                                        n=720)
+        ang = 2 * math.pi * np.arange(720) / 720
+        g = wulff.GammaFn(ang, 1.0 + 0.3 * np.cos(2 * ang))
         shape = wulff.wulff_shape(g, n=720)
         twice = wulff.dual_wulff(wulff.dual_wulff(shape))
         assert wulff.hausdorff_polygons(twice, shape) <= 1e-12
