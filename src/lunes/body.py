@@ -11,8 +11,11 @@ computed on these arrays in bulk, once per body.
 The polar dual (the curve of supporting-hemisphere centers) has a closed
 form per arc, which gives exact membership and support queries: a point lies
 in the body iff its dot product with every supporting center is nonnegative.
-A query in many directions on a curve of many arcs skips the blocks of 16
-arcs whose bounding caps cannot reach below the minimum, exactly (_Arcs).
+On a curve of many arcs, a profile (the farthest point of every sample, in
+order along the curve) walks the curve: each sample is searched only on the
+arcs between the farthest points of two coarse samples.  Other queries in
+many directions skip the blocks of 16 arcs whose bounding caps cannot reach
+below the minimum.  Both are exact (_Arcs).
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ INTERIOR_MIN = 1e-6       # the body must contain a cap of this angular radius
 _CHUNK = 262_144          # cap on temporary matrix entries in batched queries
 _BLOCK = 16               # arcs per block of the pruned support queries
 _CAP_SLACK = 1e-7         # widens each block's bounding cap past roundoff
+_STRIDE = 16              # profile samples per walked run (_Arcs.sample_far)
 
 
 class Boundary(NamedTuple):
@@ -123,19 +127,21 @@ def _validated(centers, radii, starts, ends=None) -> _Valid:
 
 def _closed_form(v, sweeps, cos_r, sin_r):
     """Candidates for the minimum of p . d over arcs: v is (rows, 3, n), the
-    a = u0 . d, b = v0 . d and c . d of n arcs.
+    a = u0 . d, b = v0 . d and c . d of n arcs, or (rows, 3, k, n) for k
+    directions per row on that row's arcs (the arc data broadcast).
 
     Along an arc p(t) . d = cos r (c . d) + sin r (a cos t + b sin t), so the
     minimum lies at the start (an arc's end is the next arc's start) or at
     the critical angle atan2(b, a) + pi, in [0, 2 pi], if the sweep reaches
-    it.  Returns the (rows, 2n) candidates, starts first, then the critical
-    values (+inf outside the sweep), and the critical angles.
+    it.  Returns the (rows, 2n) candidates, or (rows, k, 2n), starts first,
+    then the critical values (+inf outside the sweep), and the critical
+    angles.
     """
     a, b, base = v[:, 0], v[:, 1], v[:, 2]
     base *= cos_r  # in place: v is a temporary of the caller
     t = np.arctan2(b, a) + math.pi
     crit = np.where(t <= sweeps, base - sin_r * np.sqrt(a * a + b * b), np.inf)
-    return np.concatenate([base + sin_r * a, crit], axis=1), t
+    return np.concatenate([base + sin_r * a, crit], axis=-1), t
 
 
 def _sliced(query, width, *rows):
@@ -164,6 +170,22 @@ class _Arcs:
     reduction keeps each row's winning arc and angle, so a support query
     returns the farthest point itself, formed once by _point; arc-length
     parameters serve only the walks along the curve (sampling, searches).
+
+    A profile (sample_far) walks the curve instead.  For points of a convex
+    curve in the order s1 < s2 < t2 < t1 the diagonals cross, so
+    d(s1, t2) + d(s2, t1) >= d(s1, t1) + d(s2, t2) (the quadrangle
+    inequality), and if t_a is farthest from sample a and t_b from a later
+    sample b, with no farthest point between a and b, every sample between
+    them has a farthest point on the arcs from t_a's to t_b's.  Every
+    _STRIDE-th sample takes the pruned query; each run of _STRIDE samples
+    from one of those is evaluated only on its window, the arcs from its
+    winner to the next run's, in one batched product.  Every farthest
+    distance is at least half the diameter D, so the walk requires the
+    longest run, in arc length, to be shorter than half the largest
+    farthest distance of the pruned rows; it also requires each window to
+    span at most half the arcs (exact ties can let the winners wrap, and
+    such a window is no cheaper than the pruned query).  Otherwise, or on
+    at most _BLOCK arcs or fewer than 2 _STRIDE samples, it is far_point.
     """
 
     def __init__(self, centers, radii, u0, v0, sweeps):
@@ -261,6 +283,36 @@ class _Arcs:
     def sample_points(self, n: int):
         params = self.sample_params(n)
         return params, self.point_at(params)
+
+    def sample_far(self, n: int):
+        """sample_points(n) and each sample's farthest point, by the walk
+        the class describes: returns (params, points, farthest points).  The
+        windows are padded with their last arc to the widest one."""
+        params, pts = self.sample_points(n)
+        m = self.count
+        if m <= _BLOCK or n < 2 * _STRIDE:
+            return params, pts, self.far_point(pts)
+        coarse = pts[::_STRIDE]
+        _, lo, t = self._support(coarse)
+        reach = dist(coarse, self._point(lo, np.cos(t)[:, None], np.sin(t)[:, None]))
+        gap = np.diff(np.append(params[::_STRIDE], params[0] + self.total))
+        span = np.mod(_rolled(lo) - lo, m) + 1  # arcs per window
+        if np.max(gap) >= 0.5 * np.max(reach) or 2 * np.max(span) > m:
+            return params, pts, self.far_point(pts)
+        width = int(np.max(span))
+        win = np.mod(lo[:, None] + np.minimum(np.arange(width), span[:, None] - 1), m)
+        rows = np.minimum(np.arange(len(lo) * _STRIDE), n - 1).reshape(-1, _STRIDE)
+        _, arc, t = _sliced(self._windowed, 3 * _STRIDE * width, win, pts[rows])
+        return params, pts, self._point(arc[:n], np.cos(t[:n])[:, None], np.sin(t[:n])[:, None])
+
+    def _windowed(self, win, x):
+        """_reduce of the points x[i] (_STRIDE x 3) over the arcs win[i]."""
+        k, width = win.shape
+        table = self.table.reshape(3, self.count, 3)[:, win].transpose(1, 0, 3, 2)
+        flat, t = _closed_form(x[:, None] @ table, self.sweeps[win][:, None],
+                               self.cos_r[win][:, None], self.sin_r[win][:, None])
+        return self._reduce(flat.reshape(k * _STRIDE, -1), t.reshape(k * _STRIDE, -1),
+                            np.repeat(win, _STRIDE, axis=0))
 
     def support_extreme(self, dirs) -> np.ndarray:
         """Per-direction minimum of the dot product over the whole curve:

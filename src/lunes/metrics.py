@@ -9,9 +9,13 @@ closed form on every circular arc.  A width is pi minus the farthest
 distance along the supporting-center curve (the polar dual boundary); the
 thickness is pi minus the diameter of that curve.  A curve's samples and
 their exact farthest distances form one profile per resolution, which the
-diameter and the constant-width and constant-diameter verdicts share.  The
-diameter and the lune search of reduced_check refine a best sample by
-tangent-line steps on its exact value and slope (the envelope theorem).
+diameter and the constant-width and constant-diameter verdicts share; on a
+curve of many arcs the profile walks the curve, searching each sample only
+between the farthest points of two coarse samples (body._Arcs.sample_far).
+A polygon's diameter is its profile's best sample: it has a vertex at one
+end, and the profile holds every vertex.  The diameter of any other curve
+and the lune search of reduced_check refine a best sample by tangent-line
+steps on its exact value and slope (the envelope theorem).
 Every returned width is evaluated from its lune's semicircle midpoints and
 cross-checked against the closed form pi - dist(centers).
 """
@@ -108,12 +112,13 @@ def _memo(arcs, key, compute):
 def _profile(arcs, n):
     """(params, points, farthest distances) of max(n, arc count, 8) samples
     of the curve (every junction among them), read-only, computed once per
-    arc table and resolution: the diameter and both verdicts read it."""
+    arc table and resolution by the walk of sample_far: the diameter and
+    both verdicts read it."""
     n = _resolution(n)
 
     def compute():
-        params, pts = arcs.sample_points(max(n, arcs.count, 8))
-        out = (params, pts, dist(pts, arcs.far_point(pts)))
+        params, pts, far = arcs.sample_far(max(n, arcs.count, 8))
+        out = (params, pts, dist(pts, far))
         for a in out:
             a.flags.writeable = False
         return out
@@ -176,9 +181,12 @@ def _curve_diameter(arcs, n):
     The farthest distance from p(s) grows with -p(s) . q*(s) (q* the exact
     farthest point), whose slope is -p'(s) . q*(s) by the envelope theorem
     (one-sided at a junction, from each arc's tangent); _climb follows both
-    from the profile's best sample.  Returns (value, p, q) with dist(p, q) =
-    value, never below that sample's to roundoff, once per curve and
-    resolution; p and q are read-only.
+    from the profile's best sample.  On a polygon (every arc great) that
+    sample is p: a diameter with neither end at a vertex would grow by
+    moving its ends apart along their edges, so one end is a vertex, and
+    the profile holds every vertex with its exact farthest point.  Returns
+    (value, p, q) with dist(p, q) = value, never below that sample's to
+    roundoff, once per curve and resolution; p and q are read-only.
     """
     def fn(s, rows):
         p, tangent = arcs.tangent_at(s)
@@ -186,10 +194,13 @@ def _curve_diameter(arcs, n):
         return -np.sum(p * q, axis=1), -np.sum(tangent * q, axis=1)
 
     def compute():
-        params, _, far = _profile(arcs, n)
-        i = np.argmax(far, keepdims=True) + 1
-        grid = np.concatenate([params[-1:] - arcs.total, params, params[:1] + arcs.total])
-        p = arcs.point_at(_climb(fn, grid[None], i)[0])[0]
+        params, pts, far = _profile(arcs, n)
+        i = np.argmax(far, keepdims=True)
+        if np.all(arcs.radii == HALF_PI):
+            p = pts[i[0]]
+        else:
+            grid = np.concatenate([params[-1:] - arcs.total, params, params[:1] + arcs.total])
+            p = arcs.point_at(_climb(fn, grid[None], i + 1)[0])[0]
         q = arcs.far_point(p)[0]
         p.flags.writeable = q.flags.writeable = False
         return float(dist(p, q)), p, q
@@ -231,8 +242,8 @@ def thickness(body: SphericalBody, n: int = 720) -> ThicknessResult:
 
     Equals pi minus the diameter of the supporting-center curve (the polar
     dual boundary): its best profile sample of n, refined by tangent-line
-    steps.  The witness lune is evaluated from its semicircle midpoints and
-    checked against pi - dist(centers).
+    steps unless the curve is a polygon.  The witness lune is evaluated from
+    its semicircle midpoints and checked against pi - dist(centers).
     """
     _, k, kp = _curve_diameter(body.dual_arcs, n)
     width = _checked_width(k, kp)
@@ -243,9 +254,10 @@ def diameter(body: SphericalBody, n: int = 720) -> DiameterResult:
     """Largest distance between two points of the body.
 
     Attained on the boundary: the best profile sample of n, refined by
-    tangent-line steps.  For polygons with diameter at most pi/2 the result
-    is checked against exhaustive vertex-pair enumeration, which runs once
-    per body.
+    tangent-line steps unless the body is a polygon.  For polygons with
+    diameter at most pi/2 the result, and with it the walked profile, is
+    checked against exhaustive vertex-pair enumeration, which runs once per
+    body.
     """
     val, p, q = _curve_diameter(body.arcs, n)
     if body.is_polygon and val <= HALF_PI + 1e-8:

@@ -1,8 +1,10 @@
 """Deterministic SVG figures: orthographic sphere views and planar shapes.
 
 Bodies are drawn looking along the view direction; boundary arcs on the far
-hemisphere are dashed.  Output is byte-identical for identical inputs
-(fixed sampling, fixed %.6f coordinate formatting, no timestamps).
+hemisphere are dashed.  Each arc is drawn with a share of 96 points
+proportional to its sweep (at least 2), so a full circle gets 96.  Output is
+byte-identical for identical inputs (sampling fixed by the arcs, fixed %.6f
+coordinate formatting, no timestamps).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .body import SphericalBody
 from .sphere import normalize, orthonormal_frame
 from .wulff import WulffShape
 
-_SEG_SAMPLES = 96  # samples per boundary segment, fixed for determinism
+_SEG_SAMPLES = 96  # samples per full circle; an arc gets its sweep's share, at least 2
 
 _HEADER = ('<svg xmlns="http://www.w3.org/2000/svg" viewBox="{vb}" '
            'width="512" height="512">\n')
@@ -56,9 +58,10 @@ def _sphere_svg(body: SphericalBody, view: np.ndarray) -> str:
     out.append(_path(np.column_stack([np.cos(circle), np.sin(circle)]),
                      "outline"))
     arcs = body.arcs
-    for i in range(arcs.count):
-        t = np.linspace(0.0, arcs.sweeps[i], _SEG_SAMPLES)[:, None]
-        pts = arcs._point(np.full(_SEG_SAMPLES, i), np.cos(t), np.sin(t))
+    counts = np.maximum(2, np.ceil(_SEG_SAMPLES * (arcs.sweeps / (2.0 * math.pi)))).astype(int)
+    for i, k in enumerate(counts.tolist()):
+        t = np.linspace(0.0, arcs.sweeps[i], k)[:, None]
+        pts = arcs._point(np.full(k, i), np.cos(t), np.sin(t))
         xy = np.column_stack([pts @ u, pts @ v])
         visible = pts @ w >= 0.0
         for vis, sl in _runs(visible):

@@ -217,6 +217,21 @@ class TestRenderSvg:
         render.render_svg(octant, -octant.enclosing_center, str(p))
         assert p.read_text().count('class="boundary-hidden"') >= 1
 
+    def test_arcs_drawn_by_sweep(self, tmp_path, cd_triangle):
+        # an arc gets its sweep's share of 96 points: a full circle all 96,
+        # each of the 720 short arcs of the body a constant-diameter triangle
+        # induces 2, so a view of it stays under 0.1 MB (1.48 MB at 96 each)
+        p = tmp_path / "cap.svg"
+        render.render_svg(construct.cap(Z, 0.5), Z, str(p))
+        boundary = [line for line in p.read_text().splitlines() if 'class="boundary"' in line]
+        assert len(boundary) == 1 and boundary[0].count(" L ") == 95
+        frame = wulff.frame_at(cd_triangle.enclosing_center)
+        body = wulff.induce_spherical(wulff.project_to_plane(cd_triangle, frame, n=720), frame)
+        assert body.arcs.count == 720
+        for view in (frame.pole, -frame.pole, frame.u):
+            render.render_svg(body, view, str(p))
+            assert p.stat().st_size < 100_000
+
     def test_deterministic_bytes(self, tmp_path, cd_triangle):
         p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
         view = np.array([0.0, 0.0, 1.0])

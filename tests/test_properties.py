@@ -1,6 +1,7 @@
 """Property tests on generated bodies and polygons: the closed-form farthest
-point, the block-pruned support queries against a whole-table reference,
-and the width/diameter identities built on them, the exact-slope maximiser
+point, the block-pruned support queries and the profile walk against a
+whole-table reference, the walk's fallbacks, the polygon diameter read off
+the profile, and the width/diameter identities built on them, the exact-slope maximiser
 on synthetic kinks and smooth maxima, the planar hull against Qhull, the
 support-function polygon Hausdorff distance, the exact Wulff dual, the
 polar-dual involution, lossless persistence and the document layout, the
@@ -218,6 +219,119 @@ def test_far_point_from_polygon_is_a_vertex(body):
     for far in (arcs.far_point(pts), one_by_one):
         gaps = sphere.norm(far[:, None, :] - verts[None, :, :]).min(axis=1)
         assert np.max(gaps) <= 1e-15
+
+
+# -- the profile walk -----------------------------------------------------------
+
+
+def _regular_gon(k):
+    """A regular k-gon 1.0 thick, k odd: from each vertex the two opposite
+    vertices are equally far, an exact tie at every vertex."""
+    return construct.regular_odd_gon(k, 1.0)
+
+
+@settings(BOUNDED, max_examples=12)
+@given(st.one_of(many_arc_bodies(), narrow_polygons()))
+@example(_regular_gon(65))
+@example(_regular_gon(101))
+@example(_cd_induced())
+def test_walk_attains_whole_table_minimum(body):
+    for arcs in _curves(body):
+        for n in (40, 96, 720, 1500):
+            params, pts, far = arcs.sample_far(n)
+            want_params, want_pts = arcs.sample_points(n)
+            assert np.array_equal(params, want_params) and np.array_equal(pts, want_pts)
+            attained = np.sum(pts * far, axis=1)
+            assert np.max(np.abs(attained - _whole_table(arcs, pts))) <= 1e-15
+
+
+def _support_rows(monkeypatch, arcs, n):
+    """The row counts of the _support queries that sample_far(n) makes: [n]
+    when it goes to far_point at once, [coarse, n] when a guard sends it
+    there, [coarse] when it walks.  A fallback must return far_point's
+    points exactly."""
+    _, pts = arcs.sample_points(n)
+    want = arcs.far_point(pts)
+    rows, support = [], bd._Arcs._support
+    with monkeypatch.context() as mp:
+        mp.setattr(bd._Arcs, "_support", lambda a, d: rows.append(len(d)) or support(a, d))
+        far = arcs.sample_far(n)[2]
+    if rows[-1] == n:
+        assert np.array_equal(far, want)
+    return rows
+
+
+@pytest.mark.parametrize("make", [lambda: _regular_gon(65), lambda: _regular_gon(101),
+                                  _cd_induced], ids=["65-gon", "101-gon", "cd-induced"])
+def test_profile_walks(monkeypatch, make):
+    # ties at every vertex (the gons) and 720 arcs (the induced body) fire
+    # no guard at the profile's resolution
+    for arcs in _curves(make()):
+        assert _support_rows(monkeypatch, arcs, 720) == [45]
+
+
+def test_walk_needs_more_arcs_than_a_block(monkeypatch):
+    for arcs in _curves(_regular_gon(15)):
+        assert arcs.count <= bd._BLOCK
+        assert _support_rows(monkeypatch, arcs, 720) == [720]
+    for arcs in _curves(_regular_gon(17)):
+        assert _support_rows(monkeypatch, arcs, 720) == [45]
+
+
+def test_walk_needs_two_runs(monkeypatch):
+    arcs = _cd_induced().arcs
+    assert _support_rows(monkeypatch, arcs, 2 * bd._STRIDE - 1) == [31]
+
+
+def test_walk_guard_on_long_runs(monkeypatch):
+    # 48 samples in 3 runs: each run is a third of the perimeter, more than
+    # half the diameter, so a farthest point could lie inside a run; the
+    # windows alone would pass
+    arcs = _cd_induced().arcs
+    _, pts = arcs.sample_points(48)
+    _, lo, _ = arcs._support(pts[::bd._STRIDE])
+    assert 2 * np.max(np.mod(np.roll(lo, -1) - lo, arcs.count) + 1) <= arcs.count
+    assert _support_rows(monkeypatch, arcs, 48) == [3, 48]
+
+
+def test_walk_guard_on_wide_windows(monkeypatch):
+    # a coarse winner one arc behind the one before it (ties can do that)
+    # makes a window of every arc
+    arcs = _cd_induced().arcs
+    support = bd._Arcs._support
+
+    def wrapped(a, d):
+        vals, arc, t = support(a, d)
+        if len(d) == 45:
+            arc[1] = (arc[0] - 1) % a.count
+        return vals, arc, t
+    monkeypatch.setattr(bd._Arcs, "_support", wrapped)
+    assert _support_rows(monkeypatch, arcs, 720) == [45, 720]
+
+
+def _climbed_diameter(arcs, n):
+    """The diameter climbed from the best sample of a profile that
+    far_point makes, as for a curve of arcs that are not all great."""
+    params, pts = arcs.sample_points(max(n, arcs.count, 8))
+    far = dist(pts, arcs.far_point(pts))
+
+    def fn(s, rows):
+        p, tangent = arcs.tangent_at(s)
+        q = arcs.far_point(p)
+        return -np.sum(p * q, axis=1), -np.sum(tangent * q, axis=1)
+    grid = np.concatenate([params[-1:] - arcs.total, params, params[:1] + arcs.total])
+    p = arcs.point_at(metrics._climb(fn, grid[None], np.argmax(far, keepdims=True) + 1)[0])
+    return float(dist(p, arcs.far_point(p))[0])
+
+
+@BOUNDED
+@given(st.one_of(polygons(), narrow_polygons()))
+@example(_cd_induced())
+def test_polygon_diameter_is_the_best_sample(body):
+    for arcs in (body.arcs, bd.polar_dual(body).arcs):
+        assert np.all(arcs.radii == bd.HALF_PI)
+        value = metrics._curve_diameter(arcs, 720)[0]
+        assert abs(value - _climbed_diameter(arcs, 720)) <= 1e-14
 
 
 # -- array kernels against numpy's --------------------------------------------
