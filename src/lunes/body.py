@@ -179,9 +179,11 @@ class _Arcs:
     them has a farthest point on the arcs from t_a's to t_b's.  Every
     _STRIDE-th sample takes the pruned query; each run of _STRIDE samples
     from one of those is evaluated only on its window, the arcs from its
-    winner to the next run's, in one batched product.  Every farthest
-    distance is at least half the diameter D, so the walk requires the
-    longest run, in arc length, to be shorter than half the largest
+    winner to the next run's.  The windows are exact, so only their padding
+    to a common width is waste: the runs are sorted by window width and
+    batched in two halves, each padded to its own widest window.  Every
+    farthest distance is at least half the diameter D, so the walk requires
+    the longest run, in arc length, to be shorter than half the largest
     farthest distance of the pruned rows; it also requires each window to
     span at most half the arcs (exact ties can let the winners wrap, and
     such a window is no cheaper than the pruned query).  Otherwise, or on
@@ -287,7 +289,8 @@ class _Arcs:
     def sample_far(self, n: int):
         """sample_points(n) and each sample's farthest point, by the walk
         the class describes: returns (params, points, farthest points).  The
-        windows are padded with their last arc to the widest one."""
+        runs are sorted by window width and evaluated in two halves, each
+        window padded with its last arc to the widest of its half."""
         params, pts = self.sample_points(n)
         m = self.count
         if m <= _BLOCK or n < 2 * _STRIDE:
@@ -299,11 +302,14 @@ class _Arcs:
         span = np.mod(_rolled(lo) - lo, m) + 1  # arcs per window
         if np.max(gap) >= 0.5 * np.max(reach) or 2 * np.max(span) > m:
             return params, pts, self.far_point(pts)
-        width = int(np.max(span))
-        win = np.mod(lo[:, None] + np.minimum(np.arange(width), span[:, None] - 1), m)
         rows = np.minimum(np.arange(len(lo) * _STRIDE), n - 1).reshape(-1, _STRIDE)
-        _, arc, t = _sliced(self._windowed, 3 * _STRIDE * width, win, pts[rows])
-        return params, pts, self._point(arc[:n], np.cos(t[:n])[:, None], np.sin(t[:n])[:, None])
+        arc, t = np.empty(n, dtype=int), np.empty(n)
+        for runs in np.array_split(np.argsort(span, kind="stable"), 2):
+            width = int(span[runs[-1]])
+            win = np.mod(lo[runs, None] + np.minimum(np.arange(width), span[runs, None] - 1), m)
+            at = rows[runs].ravel()
+            _, arc[at], t[at] = _sliced(self._windowed, 3 * _STRIDE * width, win, pts[rows[runs]])
+        return params, pts, self._point(arc, np.cos(t)[:, None], np.sin(t)[:, None])
 
     def _windowed(self, win, x):
         """_reduce of the points x[i] (_STRIDE x 3) over the arcs win[i]."""
@@ -464,9 +470,9 @@ class SphericalBody:
     not repeated on the Boundary it returns.  Validation at construction, on the
     boundary and on its polar dual: unit vectors, radii in (0, pi/2],
     endpoints on their circles, consecutive segments sharing endpoints,
-    convex (leftward) junction turns, monotone winding about the enclosing
-    center, strict containment in the enclosing open hemisphere, and
-    nonempty interior.
+    convex (leftward) junction turns, strict containment in the enclosing
+    open hemisphere, nonempty interior, and one counterclockwise turn about
+    the enclosing center, checked exactly per arc (_check_winding).
 
     The boundary is held in `centers`, `radii` and `starts` (read-only
     arrays; arc i ends at the start of arc i + 1, so each junction is stored
@@ -518,12 +524,21 @@ class SphericalBody:
         self._check_winding()
 
     def _check_winding(self):
+        """The boundary winds once counterclockwise about the enclosing
+        center c.  Along an arc p x p' = sin r K (K the supporting center at
+        p), so the azimuth of p about c rises at a rate proportional to
+        c . K, which the interior check keeps above INTERIOR_MIN: it rises
+        strictly along every arc, by less than 2 pi.  The winding is then
+        the sum of the arcs' start-to-next-start azimuth steps mod 2 pi, on
+        m azimuths, with no sampling; a step that roundoff puts just below
+        zero (a very short arc) counts as zero, not as a turn."""
+        if self.is_full_circle:
+            return
         u, v = orthonormal_frame(self.enclosing_center)
-        _, pts = self.arcs.sample_points(max(96, 8 * self.arcs.count))
-        az = np.arctan2(pts @ v, pts @ u)
-        d = np.diff(np.concatenate([az, az[:1]]))
-        d = np.mod(d + math.pi, TWO_PI) - math.pi
-        if np.any(d < -1e-9) or abs(float(d.sum()) - TWO_PI) > 1e-6:
+        az = np.arctan2(self.starts @ v, self.starts @ u)
+        d = np.mod(_rolled(az) - az, TWO_PI)
+        d[d > TWO_PI - 1e-9] = 0.0
+        if abs(float(d.sum()) - TWO_PI) > 1e-6:
             raise InvariantViolation(
                 "convexity", "boundary does not wind once counterclockwise")
 

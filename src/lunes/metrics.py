@@ -35,13 +35,12 @@ from .sphere import Hemisphere, cross, dist, lune_make, normalize
 HALF_PI = 0.5 * math.pi
 SUPPORT_TOL = 1e-8       # |min dot| beyond this means "not a supporting hemisphere"
 CROSS_CHECK_TOL = 1e-8   # agreement between definition-based and dual-form widths
-VERTEX_AGREE_TOL = 1e-9  # polygon diameter vs vertex-pair enumeration
 MAX_PROBES = 64          # reduced_check probes at most this many corners
 _SCAN = (3, 33)          # lune-search samples per probed corner: fewest, most
 _ARG_TOL = 1e-12         # _climb stops at brackets this narrow (arc length)
 _FLAT = 1e-14            # _climb reads slopes this small as zero (roundoff)
 
-# per arc table, what _memo computed: profiles, diameters, vertex pairs
+# per arc table, what _memo computed: profiles and diameters
 _MEMO: WeakKeyDictionary = WeakKeyDictionary()
 
 
@@ -254,22 +253,10 @@ def diameter(body: SphericalBody, n: int = 720) -> DiameterResult:
     """Largest distance between two points of the body.
 
     Attained on the boundary: the best profile sample of n, refined by
-    tangent-line steps unless the body is a polygon.  For polygons with
-    diameter at most pi/2 the result, and with it the walked profile, is
-    checked against exhaustive vertex-pair enumeration, which runs once per
-    body.
+    tangent-line steps unless the body is a polygon, whose diameter has a
+    vertex at one end and so is the best sample exactly (_curve_diameter).
     """
     val, p, q = _curve_diameter(body.arcs, n)
-    if body.is_polygon and val <= HALF_PI + 1e-8:
-        def vertex_pairs():
-            # the farthest vertex pair is the one with the smallest dot product
-            verts = body.vertices
-            i, j = np.unravel_index(np.argmin(verts @ verts.T), (len(verts),) * 2)
-            return float(dist(verts[i], verts[j]))
-        vmax = _memo(body.arcs, "vertex pairs", vertex_pairs)
-        if abs(val - vmax) > VERTEX_AGREE_TOL:
-            raise ConsistencyError(
-                f"sampled diameter {val!r} vs vertex enumeration {vmax!r}")
     return DiameterResult(value=val, p=p, q=q)
 
 

@@ -8,7 +8,7 @@ from conftest import random_cd_triangle_vertices
 
 from lunes import body as bd
 from lunes import construct, io, metrics, sphere, wulff
-from lunes.errors import ConsistencyError, InvalidResolution, NotSupporting
+from lunes.errors import InvalidResolution, NotSupporting
 
 HALF_PI = math.pi / 2
 Z = np.array([0.0, 0.0, 1.0])
@@ -70,19 +70,6 @@ class TestThicknessDiameter:
                                 res.witness.opposing_center)
         assert lune.thickness == pytest.approx(res.value, abs=1e-8)
         assert sphere.lune_contains(lune, cd_triangle, tol=1e-6)
-
-    def test_vertex_pair_check_once_per_body(self):
-        # the O(m^2) vertex-pair cross-check of a polygon's diameter runs on
-        # the first call only; its outcome is memoized beside the diameter,
-        # and every call still compares the two
-        poly = construct.random_convex_polygon(5, n=9, max_diam=1.2)
-        first = metrics.diameter(poly, n=240).value
-        memo = metrics._MEMO[poly.arcs]
-        assert memo["vertex pairs"] == pytest.approx(first, abs=1e-9)
-        assert metrics.diameter(poly, n=360).value == pytest.approx(first, abs=1e-9)
-        memo["vertex pairs"] += 1e-6
-        with pytest.raises(ConsistencyError, match="vertex enumeration"):
-            metrics.diameter(poly, n=240)
 
     @pytest.mark.parametrize("make", [
         lambda: construct.random_convex_polygon(8, n=7, max_diam=1.2),

@@ -1,11 +1,12 @@
 """Property tests on generated bodies and polygons: the closed-form farthest
 point, the block-pruned support queries and the profile walk against a
 whole-table reference, the walk's fallbacks, the polygon diameter read off
-the profile, and the width/diameter identities built on them, the exact-slope maximiser
-on synthetic kinks and smooth maxima, the planar hull against Qhull, the
-support-function polygon Hausdorff distance, the exact Wulff dual, the
-polar-dual involution, lossless persistence and the document layout, the
-loaders on mutated documents, and boundary validation.
+the profile and against every vertex pair, and the width/diameter
+identities built on them, the exact-slope maximiser on synthetic kinks and
+smooth maxima, the planar hull against Qhull, the support-function polygon
+Hausdorff distance, the exact Wulff dual, the polar-dual involution,
+lossless persistence and the document layout, the loaders on mutated
+documents, and boundary validation, the winding included.
 
 Example counts are bounded and the search is derandomized, so the suite is
 deterministic and its runtime fixed; it lives apart from the acceptance gate.
@@ -332,6 +333,22 @@ def test_polygon_diameter_is_the_best_sample(body):
         assert np.all(arcs.radii == bd.HALF_PI)
         value = metrics._curve_diameter(arcs, 720)[0]
         assert abs(value - _climbed_diameter(arcs, 720)) <= 1e-14
+
+
+@BOUNDED
+@given(st.one_of(polygons(), narrow_polygons()))
+@example(_cd_induced())
+def test_polygon_diameter_is_a_vertex_pair(body):
+    # a polygon's diameter has a vertex at one end; up to pi/2 no edge dips
+    # to its sinusoid's minimum from inside, so both ends are vertices (the
+    # induced 720-gon has diameter pi/2 to roundoff)
+    verts = body.vertices
+    pairs = float(np.max(dist(verts[:, None, :], verts[None, :, :])))
+    value = metrics.diameter(body).value
+    if value <= bd.HALF_PI + 1e-12:
+        assert abs(value - pairs) <= 1e-12
+    else:
+        assert value >= pairs - 1e-12
 
 
 # -- array kernels against numpy's --------------------------------------------
@@ -960,14 +977,77 @@ def _full_circle_added(body):
     return _arcs(body) + _arcs(cap)
 
 
+def _wound_twice(body):
+    return _arcs(body) * 2
+
+
+WINDS_TWICE = (_wound_twice, "convexity: boundary does not wind once")
+
+
 @BOUNDED
 @given(bodies, st.sampled_from([(_open_boundary, "closed boundary"),
                                 (_off_radius, "segment radius"),
-                                (_full_circle_added, "closed boundary")]))
+                                (_full_circle_added, "closed boundary"),
+                                WINDS_TWICE]))
+@example(SLIVER, WINDS_TWICE)
+@example(NEAR_TWINS, WINDS_TWICE)
+@example(_cd_induced(), WINDS_TWICE)
 def test_broken_boundaries_rejected(body, breakage):
     breaker, invariant = breakage
+    # a cap listed twice is two full circles, an open boundary
+    assume(breaker is not _wound_twice or not body.is_full_circle)
     with pytest.raises(InvariantViolation, match=invariant):
         bd.SphericalBody(breaker(body))
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (7, 2), (7, 3)])
+def test_star_polygon_rejected(n, k):
+    # the star polygon {n/k} turns left at every vertex but winds k times
+    verts = construct.regular_polygon_vertices(n, 0.6, center=np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(InvariantViolation, match="convexity: boundary does not wind once"):
+        bd.polygon_from_vertices(verts[k * np.arange(n) % n])
+
+
+def _circle_arcs(sweeps, radius=0.5):
+    """Arcs of one circle about the pole, laid end to end, one per sweep
+    (in degrees)."""
+    axis = np.array([0.0, 0.0, 1.0])
+    pts = [_cap_point(axis, radius, a) for a in np.radians(np.cumsum([0, *sweeps]))]
+    return [(axis, radius, pts[i], pts[i + 1]) for i in range(len(sweeps))]
+
+
+def test_circle_wound_by_long_arcs():
+    # a 240-degree arc moves the azimuth by more than pi: once round it is a
+    # body, twice round it is not
+    assert bd.SphericalBody(_circle_arcs([240, 120])).arcs.count == 2
+    with pytest.raises(InvariantViolation, match="convexity: boundary does not wind once"):
+        bd.SphericalBody(_circle_arcs([240, 240, 240]))
+
+
+def test_shortest_edge_accepted():
+    # a triangle with a corner cut by an edge 1.01e-12 long, just above the
+    # 1e-12 floor of polygon_from_vertices: its azimuth step is about 2e-12
+    a, b, c = construct.regular_polygon_vertices(3, 0.6, center=np.array([0.0, 0.0, 1.0]))
+    cut = [a + 1.01e-12 * (x - a) / np.linalg.norm(x - a) for x in (b, c)]
+    body = bd.polygon_from_vertices([cut[0], b, c, cut[1]])
+    assert np.min(body.arcs.lengths) < 1.1e-12
+
+
+@pytest.mark.parametrize("back, winds", [(1e-12, True), (1e-6, False)])
+def test_winding_step_below_zero(back, winds):
+    # a start inserted `back` ahead of the next one about the center makes a
+    # step of -back: 1e-12 below zero is roundoff and counts as no turn,
+    # 1e-6 is a turn of almost 2 pi
+    body = construct.regular_odd_gon(5, 1.0)
+    c = body.enclosing_center
+    ahead = _rotated(body.starts[1], c, back)
+    fake = SimpleNamespace(is_full_circle=False, enclosing_center=c,
+                           starts=np.insert(body.starts, 1, ahead, axis=0))
+    if winds:
+        bd.SphericalBody._check_winding(fake)
+    else:
+        with pytest.raises(InvariantViolation, match="does not wind once"):
+            bd.SphericalBody._check_winding(fake)
 
 
 @BOUNDED
@@ -997,7 +1077,7 @@ def test_reflex_junction_rejected(poly, k, depth):
 @given(polygons(), st.integers(0, 8), st.floats(0.1, 0.9), st.floats(0.5, 2.0))
 def test_tiny_reflex_dent_rejected(poly, k, at, depth):
     # two vertices 8.4e-9 apart on edge k with a third between them pushed
-    # inward by about that much: a dent far below the sampled winding check,
+    # inward by about that much: the winding check cannot see such a dent,
     # which the signed junction turn must report as a convexity fault
     verts = np.array(poly.vertices)
     k %= len(verts)
