@@ -14,8 +14,8 @@ in the body iff its dot product with every supporting center is nonnegative.
 On a curve of many arcs, a profile (the farthest point of every sample, in
 order along the curve) walks the curve: each sample is searched only on the
 arcs between the farthest points of two coarse samples.  Other queries in
-many directions skip the blocks of 16 arcs whose bounding caps cannot reach
-below the minimum.  Both are exact (_Arcs).
+many directions skip each block of 16 arcs whose chord, widened by a slack,
+cannot reach below the minimum.  Both are exact (_Arcs).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ ENCLOSING_MIN_DOT = 1e-6  # strict containment margin for the enclosing hemisphe
 INTERIOR_MIN = 1e-6       # the body must contain a cap of this angular radius
 _CHUNK = 262_144          # cap on temporary matrix entries in batched queries
 _BLOCK = 16               # arcs per block of the pruned support queries
-_CAP_SLACK = 1e-7         # widens each block's bounding cap past roundoff
+_CAP_SLACK = 1e-7         # widens each block's slack past roundoff
 _STRIDE = 16              # profile samples per walked run (_Arcs.sample_far)
 
 
@@ -161,15 +161,17 @@ class _Arcs:
     support query gets a, b and c . d of every arc in one product with the
     directions, for _closed_form.  In more than one direction, on more than
     _BLOCK arcs, it is pruned: each block of _BLOCK consecutive arcs lies
-    in a cap (c_b, rho_b), so cos(min(pi, angle(c_b, d) + rho_b)) bounds its
-    values from below.  The block with the lowest bound is evaluated first,
-    which bounds the minimum from above, then only the blocks whose bound
-    does not exceed that.  A skipped block holds no smaller value, so the
-    result is the whole table's minimum, with no tolerance.  One direction,
-    or one block, has nothing to prune and takes the whole table.  The
-    reduction keeps each row's winning arc and angle, so a support query
-    returns the farthest point itself, formed once by _point; arc-length
-    parameters serve only the walks along the curve (sampling, searches).
+    within a slack h_b of its chord S_b, a great arc, so min over S_b of
+    y . d, less h_b, bounds its values from below (a line-swept sphere:
+    Larsen, Gottschalk, Lin and Manocha, ICRA 2000).  The block with the
+    lowest bound is evaluated first, which bounds the minimum from above,
+    then only the blocks whose bound does not exceed that.  A skipped block
+    holds no smaller value, so the result is the whole table's minimum, with
+    no tolerance.  One direction, or one block, has nothing to prune and
+    takes the whole table.  The reduction keeps each row's winning arc and
+    angle, so a support query returns the farthest point itself, formed
+    once by _point; arc-length parameters serve only the walks along the
+    curve (sampling, searches).
 
     A profile (sample_far) walks the curve instead.  For points of a convex
     curve in the order s1 < s2 < t2 < t1 the diagonals cross, so
@@ -187,7 +189,8 @@ class _Arcs:
     farthest distance of the pruned rows; it also requires each window to
     span at most half the arcs (exact ties can let the winners wrap, and
     such a window is no cheaper than the pruned query).  Otherwise, or on
-    at most _BLOCK arcs or fewer than 2 _STRIDE samples, it is far_point.
+    at most _BLOCK arcs, it is far_point, as is a profile of fewer than
+    2 _STRIDE samples: one of its runs spans half the perimeter, at least D.
     """
 
     def __init__(self, centers, radii, u0, v0, sweeps):
@@ -293,7 +296,7 @@ class _Arcs:
         window padded with its last arc to the widest of its half."""
         params, pts = self.sample_points(n)
         m = self.count
-        if m <= _BLOCK or n < 2 * _STRIDE:
+        if m <= _BLOCK:
             return params, pts, self.far_point(pts)
         coarse = pts[::_STRIDE]
         _, lo, t = self._support(coarse)
@@ -342,7 +345,7 @@ class _Arcs:
         where it is attained: the kernel of every support query."""
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         if dirs.shape[0] > 1 and self.count > _BLOCK:
-            width = max(9 * _BLOCK, len(self._blocks[0]))  # bounds, one block
+            width = max(9 * _BLOCK, 3 * len(self._blocks[0]))  # bounds, one block
             return _sliced(self._pruned, width, dirs)
         arcs = np.arange(self.count)
         return _sliced(lambda d: self._reduce(*self._whole(d), arcs), 3 * self.count, dirs)
@@ -364,36 +367,53 @@ class _Arcs:
     @cached_property
     def _blocks(self):
         """Arc numbers per block (the last padded with the final arc), the
-        blocks' tables and sweeps, and their caps, in O(m) on the first
-        pruned query.  Arc i lies in the cap about its midpoint of radius
-        2 asin(sin r sin(sweep/4)), which reaches its ends: the chord
-        2 sin r sin(tau/2) to the point tau along the circle grows with tau
-        up to pi >= sweep/2.  c_b is the normalized sum of the midpoints
-        (the curve lies in an open hemisphere), and rho_b covers each arc's
-        cap plus _CAP_SLACK, for the roundoff of arccos near 0 (2e-8)."""
+        blocks' tables and sweeps, and their chords and slacks, in O(m) on the
+        first pruned query.  Chord S_b is the great arc from s0, block b's
+        first start, to s1, the next block's (arc 0's after the last): rows
+        s0, v0 (the tangent at s0) and s1, and a sweep, 0 under 1e-12 (ends
+        only).  Arc i lies within 2 asin(sin r sin(sweep/4)) of its midpoint:
+        the straight distance 2 sin r sin(tau/2) to the point tau along it
+        grows with tau up to pi >= sweep/2.  The slack h_b is the largest such
+        radius plus midpoint distance to S_b, plus _CAP_SLACK for the roundoff
+        of arccos near 0 (2e-8)."""
         m = self.count
         idx = np.minimum(np.arange(-(-m // _BLOCK) * _BLOCK), m - 1).reshape(-1, _BLOCK)
+        s = self._point(np.append(idx[:, 0], 0), 1.0, 0.0)
+        s0, s1 = s[:-1], s[1:]
+        cos_s = np.sum(s0 * s1, axis=1)
+        w = s1 - cos_s[:, None] * s0
+        sin_s = norm(w)
+        flat = sin_s < 1e-12  # the first arc's tangent at s0 serves as v0
+        chord = np.concatenate([s0, normalize(np.where(flat[:, None], self.v0[idx[:, 0]], w)), s1])
+        sweep = np.where(flat, 0.0, np.arctan2(sin_s, cos_s))
         half = 0.5 * self.sweeps[:, None]
         mid = self._point(np.arange(m), np.cos(half), np.sin(half))[idx]
         reach = 2.0 * np.arcsin(np.minimum(1.0, self.sin_r * np.sin(0.5 * half[:, 0])))
-        center = normalize(mid.sum(axis=1))
-        gap = np.arccos(np.clip(np.einsum("bij,bj->bi", mid, center), -1.0, 1.0))
-        radius = np.max(gap + reach[idx], axis=1) + _CAP_SLACK
+        a, b, c = np.einsum("kbj,bij->kbi", chord.reshape(3, -1, 3), mid)
+        up = np.arctan2(b, a)
+        near = np.where((up >= 0.0) & (up <= sweep[:, None]), np.hypot(a, b), np.maximum(a, c))
+        slack = np.max(np.arccos(np.clip(near, -1.0, 1.0)) + reach[idx], axis=1) + _CAP_SLACK
         table = self.table.reshape(3, m, 3)[:, idx].transpose(1, 0, 2, 3)
         return (idx, table.reshape(len(idx), 3 * _BLOCK, 3), self.sweeps[idx],
-                self.cos_r[idx], self.sin_r[idx], center, radius)
+                self.cos_r[idx], self.sin_r[idx], chord, sweep, slack)
 
     def _blockwise(self, b, d):
         """_reduce over block b[i] in direction d[i], for each i."""
-        idx, table, sweeps, cos_r, sin_r, _, _ = self._blocks
+        idx, table, sweeps, cos_r, sin_r, *_ = self._blocks
         v = (table[b] @ d[:, :, None]).reshape(-1, 3, _BLOCK)
         return self._reduce(*_closed_form(v, sweeps[b], cos_r[b], sin_r[b]), idx[b])
 
+    def _low(self, d):
+        """Per block and direction, min over S_b of y . d less h_b: no point x
+        of the block is lower, as |d . x - d . y| <= dist(x, y)."""
+        *_, chord, sweep, slack = self._blocks
+        a, b, c = (chord @ d.T).reshape(3, len(sweep), -1)
+        crit = np.where(np.arctan2(b, a) + math.pi <= sweep[:, None], -np.hypot(a, b), np.inf)
+        return np.minimum(np.minimum(a, c), crit) - slack[:, None]
+
     def _pruned(self, d):
         """The minimum over the blocks that can hold it (see the class)."""
-        *_, center, radius = self._blocks
-        reach = np.arccos(np.clip(center @ d.T, -1.0, 1.0)) + radius[:, None]
-        low = np.where(reach < math.pi, np.cos(reach), -np.inf)
+        low = self._low(d)
         first = np.argmin(low, axis=0)
         vals, arc, t = self._blockwise(first, d)
         visit = low <= vals

@@ -109,35 +109,34 @@ def _memo(arcs, key, compute):
 
 
 def _profile(arcs, n):
-    """(params, points, farthest distances) of max(n, arc count, 8) samples
-    of the curve (every junction among them), read-only, computed once per
-    arc table and resolution by the walk of sample_far: the diameter and
-    both verdicts read it."""
+    """(params, points, farthest distances, farthest points) of max(n, arc
+    count, 8) samples of the curve (every junction among them), read-only,
+    computed once per arc table and resolution by the walk of sample_far:
+    the diameter and both verdicts read it."""
     n = _resolution(n)
 
     def compute():
         params, pts, far = arcs.sample_far(max(n, arcs.count, 8))
-        out = (params, pts, dist(pts, far))
+        out = (params, pts, dist(pts, far), far)
         for a in out:
             a.flags.writeable = False
         return out
     return _memo(arcs, ("profile", n), compute)
 
 
-def _climb(fn, grid, j):
+def _climb(fn, grid, j, val, g):
     """Per row of an increasing grid, the best point evaluated, and its value,
     in climbing from s = grid[row, j[row]] to a local maximum of a function
-    with exact (value, slope) = fn(s, rows) on the given rows of the grid.
-    Unless s's one-sided slopes make it the maximum, s and a neighbour
-    bracket it, and a step goes where the ends' tangents, bent by their
-    branch's curvature, cross (exact on two straight branches) or to a bent
-    tangent's vertex (a smooth maximum), then across by _ARG_TOL / 2, 1000
-    times more after a step that stays on its side, until the bracket is
-    below _ARG_TOL or a slope below _FLAT.  Past the sample, fn sees only
-    the rows that may still climb; the settled ones keep their last value."""
+    with exact (value, slope) = fn(s, rows) on the given rows of the grid;
+    the caller's scan or profile gives s's (val, g).  Unless s's one-sided
+    slopes make it the maximum, s and a neighbour bracket it, and a step
+    goes where the ends' tangents, bent by their branch's curvature, cross
+    (exact on two straight branches) or to a bent tangent's vertex (a smooth
+    maximum), then across by _ARG_TOL / 2, 1000 times more after a step that
+    stays on its side, until the bracket is below _ARG_TOL or a slope below
+    _FLAT, fn seeing only the rows that may still climb."""
     rows, last = np.arange(len(grid)), grid.shape[1] - 1
     x, prev, nxt = (grid[rows, np.minimum(np.maximum(j + d, 0), last)] for d in (0, -1, 1))
-    val, g = fn(x, rows)
     rise = (g > _FLAT) & (nxt > x)
     live, ask = rise.copy(), np.flatnonzero(~rise & (prev < x))
     if len(ask):
@@ -180,28 +179,28 @@ def _curve_diameter(arcs, n):
     The farthest distance from p(s) grows with -p(s) . q*(s) (q* the exact
     farthest point), whose slope is -p'(s) . q*(s) by the envelope theorem
     (one-sided at a junction, from each arc's tangent); _climb follows both
-    from the profile's best sample.  On a polygon (every arc great) that
-    sample is p: a diameter with neither end at a vertex would grow by
-    moving its ends apart along their edges, so one end is a vertex, and
-    the profile holds every vertex with its exact farthest point.  Returns
-    (value, p, q) with dist(p, q) = value, never below that sample's to
-    roundoff, once per curve and resolution; p and q are read-only.
+    from the profile's best sample and its farthest point q.  On a polygon
+    (every arc great) that sample is p: a diameter with neither end at a
+    vertex would grow by moving its ends apart along their edges, so one end
+    is a vertex, and the profile holds every vertex with its exact farthest
+    point.  Returns (value, p, q) with dist(p, q) = value, never below that
+    sample's to roundoff, once per curve and resolution; p and q read-only.
     """
-    def fn(s, rows):
+    def fn(s, rows, q=None):
         p, tangent = arcs.tangent_at(s)
-        q = arcs.far_point(p)
+        q = arcs.far_point(p) if q is None else q
         return -np.sum(p * q, axis=1), -np.sum(tangent * q, axis=1)
 
     def compute():
-        params, pts, far = _profile(arcs, n)
-        i = np.argmax(far, keepdims=True)
-        if np.all(arcs.radii == HALF_PI):
-            p = pts[i[0]]
-        else:
+        params, pts, far, far_pts = _profile(arcs, n)
+        i = int(np.argmax(far))
+        p, q = pts[i], far_pts[i]
+        if not np.all(arcs.radii == HALF_PI):
             grid = np.concatenate([params[-1:] - arcs.total, params, params[:1] + arcs.total])
-            p = arcs.point_at(_climb(fn, grid[None], i + 1)[0])[0]
-        q = arcs.far_point(p)[0]
-        p.flags.writeable = q.flags.writeable = False
+            start = fn(params[i:i + 1], None, q)
+            p = arcs.point_at(_climb(fn, grid[None], np.array([i + 1]), *start)[0])[0]
+            q = arcs.far_point(p)[0]
+            p.flags.writeable = q.flags.writeable = False
         return float(dist(p, q)), p, q
     return _memo(arcs, ("diameter", _resolution(n)), compute)
 
@@ -262,7 +261,7 @@ def diameter(body: SphericalBody, n: int = 720) -> DiameterResult:
 
 def is_constant_width(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdict:
     """Whether the widths at n profile centers are constant within tol."""
-    _, centers, far = _profile(body.dual_arcs, n)
+    _, centers, far, _ = _profile(body.dual_arcs, n)
     widths = math.pi - far
     i_min = int(np.argmin(widths))
     i_max = int(np.argmax(widths))
@@ -282,7 +281,7 @@ def is_constant_diameter(body: SphericalBody, tol: float = 1e-6,
     samples has its farthest partner short of the diameter by more than tol.
     """
     diam = diameter(body, n).value
-    _, pts, far = _profile(body.arcs, n)
+    _, pts, far, _ = _profile(body.arcs, n)
     shortfall = diam - far
     i_worst = int(np.argmax(shortfall))
     deviation = max(0.0, float(shortfall[i_worst]))
@@ -357,15 +356,16 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdi
     spacing = dual.total / max(n, dual.count, 8)
     n_scan = int(np.clip(math.ceil(np.max(hi - lo) / spacing) + 1, *_SCAN))
     phis = np.linspace(lo, hi, n_scan, axis=1)
-    cand = -cos_t * dual.point_at(phis.ravel()) + sin_t * np.repeat(corners, n_scan, axis=0)
-    scan = body.support_min(cand).reshape(len(rows), n_scan)
 
     def fn(phi, live):
         d, e = dual.point_at(phi), corners[live]
         vals, x = body.arcs.support_min_at(-cos_t * d + sin_t * e)
         return vals, -cos_t * np.sum(cross(e, d) * x, axis=1)
 
-    best = np.maximum(_climb(fn, phis, np.argmax(scan, axis=1))[1], scan.max(axis=1))
+    at = np.arange(len(rows))
+    scan, slope = (a.reshape(len(rows), n_scan) for a in fn(phis.ravel(), at.repeat(n_scan)))
+    j = np.argmax(scan, axis=1)
+    best = np.maximum(_climb(fn, phis, j, scan[at, j], slope[at, j])[1], scan.max(axis=1))
     i = int(np.argmin(best))
     if best[i] < -tol:
         return Verdict(kind="reduced_necessary", passed=False,

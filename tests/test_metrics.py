@@ -200,9 +200,9 @@ class TestReduced:
         assert len(body.corners) > metrics.MAX_PROBES
         scans, climb = [], metrics._climb
 
-        def recorded(fn, grid, j):
+        def recorded(fn, grid, j, *start):
             scans.append(grid.shape)
-            return climb(fn, grid, j)
+            return climb(fn, grid, j, *start)
         monkeypatch.setattr(metrics, "_climb", recorded)
         v = metrics.reduced_check(body, tol=1e-4, n=720)
         assert v.passed
@@ -218,13 +218,13 @@ class TestReduced:
         metrics.thickness(gon, n=720)  # the diameter search runs here, once
         evals, climb = [], metrics._climb
 
-        def counted(fn, grid, j):
+        def counted(fn, grid, j, *start):
             evals.append(0)
 
             def fn_counted(s, rows):
                 evals[-1] += 1
                 return fn(s, rows)
-            return climb(fn_counted, grid, j)
+            return climb(fn_counted, grid, j, *start)
         monkeypatch.setattr(metrics, "_climb", counted)
         assert metrics.reduced_check(gon, tol=1e-6, n=720).passed
         assert len(evals) == 1 and evals[0] <= 6

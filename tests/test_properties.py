@@ -1,8 +1,8 @@
 """Property tests on generated bodies and polygons: the closed-form farthest
-point, the block-pruned support queries and the profile walk against a
-whole-table reference, the walk's fallbacks, the polygon diameter read off
-the profile and against every vertex pair, and the width/diameter
-identities built on them, the exact-slope maximiser on synthetic kinks and
+point, the block-pruned support queries, their chord bounds and the profile
+walk against a whole-table reference, the walk's fallbacks, the polygon
+diameter read off the profile and against every vertex pair, and the
+width/diameter identities built on them, the exact-slope maximiser on synthetic kinks and
 smooth maxima, the planar hull against Qhull, the support-function polygon
 Hausdorff distance, the exact Wulff dual, the polar-dual involution,
 lossless persistence and the document layout, the loaders on mutated
@@ -280,8 +280,10 @@ def test_walk_needs_more_arcs_than_a_block(monkeypatch):
 
 
 def test_walk_needs_two_runs(monkeypatch):
+    # one run spans at least half the perimeter, at least the diameter, so
+    # the guard on long runs sends fewer than two runs to far_point
     arcs = _cd_induced().arcs
-    assert _support_rows(monkeypatch, arcs, 2 * bd._STRIDE - 1) == [31]
+    assert _support_rows(monkeypatch, arcs, 2 * bd._STRIDE - 1) == [2, 31]
 
 
 def test_walk_guard_on_long_runs(monkeypatch):
@@ -310,6 +312,90 @@ def test_walk_guard_on_wide_windows(monkeypatch):
     assert _support_rows(monkeypatch, arcs, 720) == [45, 720]
 
 
+# -- the chord bounds of the pruned support queries ---------------------------
+
+
+def _to_chords(x, s0, s1):
+    """Distance from the points x[b] (blocks x k x 3) to the great arc from
+    s0[b] to s1[b], through the pole of its great circle."""
+    pole = sphere.normalize(sphere.cross(s0, s1))
+    w = sphere.cross(pole, s0)
+    xs, xw, xp = (np.einsum("bkj,bj->bk", x, v) for v in (s0, w, pole))
+    along = np.arctan2(xw, xs)
+    span = dist(s0, s1)[:, None]
+    ends = np.minimum(dist(x, s0[:, None]), dist(x, s1[:, None]))
+    return np.where((along >= 0.0) & (along <= span),
+                    np.arctan2(np.abs(xp), np.hypot(xs, xw)), ends)
+
+
+def _block_minima(arcs, dirs):
+    """Each block's least value in each direction (blocks x rows), by
+    _whole_table on the block's own arcs."""
+    return np.stack([_whole_table(SimpleNamespace(**{k: getattr(arcs, k)[arc] for k in (
+        "u0", "v0", "centers", "cos_r", "sin_r", "sweeps")}), dirs) for arc in arcs._blocks[0]])
+
+
+@settings(BOUNDED, max_examples=12)
+@given(many_arc_bodies(), st.integers(0, 2**32 - 1))
+@example(_regular_gon(65), 0)
+@example(_cd_induced(), 0)
+def test_chords_bound_every_block(body, seed):
+    # the chords join the blocks' first starts around the curve; every point
+    # of a block, its arcs' ends included, lies within the block's slack of
+    # its chord, so each block's bound is at most its least value, in random
+    # directions and at the chords' ends and their antipodes
+    rng = np.random.default_rng(seed)
+    for arcs in _curves(body):
+        idx, *_, chord, sweep, slack = arcs._blocks
+        s0, _, s1 = chord.reshape(3, -1, 3)
+        assert np.max(sphere.norm(s0 - arcs.point_at(arcs.cum[idx[:, 0]]))) <= 1e-15
+        assert np.array_equal(s1, np.roll(s0, -1, axis=0))
+        assert np.max(np.abs(sweep - dist(s0, s1))) <= 1e-15
+        tau = np.linspace(0.0, 1.0, 33) * arcs.sweeps[idx][..., None]
+        x = arcs._point(np.repeat(idx.ravel(), 33), np.cos(tau).reshape(-1, 1),
+                        np.sin(tau).reshape(-1, 1)).reshape(len(idx), -1, 3)
+        assert np.all(_to_chords(x, s0, s1) <= slack[:, None])
+        randoms = sphere.normalize(rng.normal(size=(64, 3)))
+        dirs = np.concatenate([randoms, s0, -s0, s1, -s1])
+        assert np.all(arcs._low(dirs) <= _block_minima(arcs, dirs))
+
+
+def test_chords_shorter_than_roundoff():
+    # a circle 2e-13 across in 32 arcs (an arc table, not a body): each
+    # block's chord is shorter than 1e-12 and keeps only its ends, which
+    # still bound the block
+    c = np.array([0.0, 0.6, 0.8])
+    u, v = orthonormal_frame(c)
+    az = 2 * math.pi * np.arange(32) / 32
+    starts = sphere.normalize(c + 1e-13 * (np.cos(az)[:, None] * u + np.sin(az)[:, None] * v))
+    arcs = bd._Arcs.from_boundary(bd.Boundary(np.tile(c, (32, 1)), np.full(32, 1e-13), starts))
+    assert np.all(arcs._blocks[-2] == 0.0)
+    dirs = sphere.normalize(np.random.default_rng(3).normal(size=(64, 3)))
+    assert np.max(np.abs(arcs.support_extreme(dirs) - _whole_table(arcs, dirs))) <= 1e-15
+    assert np.all(arcs._low(dirs) <= _block_minima(arcs, dirs))
+
+
+def test_lune_scan_visits_few_blocks(monkeypatch):
+    # on the induced 720-gon a block's slack (median 0.004) is a tenth of the
+    # radius of a cap about it: a row of the lune search's scan evaluates
+    # about 3.5 of the 45 blocks (bounded by such caps, 7.4)
+    body, tally = _cd_induced(), []
+    pruned, blockwise = bd._Arcs._pruned, bd._Arcs._blockwise
+
+    def rows(arcs, d):
+        tally.append([len(d), 0])
+        return pruned(arcs, d)
+
+    def blocks(arcs, b, d):
+        tally[-1][1] += len(b)
+        return blockwise(arcs, b, d)
+    monkeypatch.setattr(bd._Arcs, "_pruned", rows)
+    monkeypatch.setattr(bd._Arcs, "_blockwise", blocks)
+    assert metrics.reduced_check(body, tol=1e-4).passed
+    scans = [t for t in tally if t[0] > metrics.MAX_PROBES]
+    assert len(scans) == 1 and scans[0][1] <= 4.5 * scans[0][0]
+
+
 def _climbed_diameter(arcs, n):
     """The diameter climbed from the best sample of a profile that
     far_point makes, as for a curve of arcs that are not all great."""
@@ -321,7 +407,8 @@ def _climbed_diameter(arcs, n):
         q = arcs.far_point(p)
         return -np.sum(p * q, axis=1), -np.sum(tangent * q, axis=1)
     grid = np.concatenate([params[-1:] - arcs.total, params, params[:1] + arcs.total])
-    p = arcs.point_at(metrics._climb(fn, grid[None], np.argmax(far, keepdims=True) + 1)[0])
+    j = np.argmax(far, keepdims=True) + 1
+    p = arcs.point_at(metrics._climb(fn, grid[None], j, *fn(grid[j], j))[0])
     return float(dist(p, arcs.far_point(p))[0])
 
 
@@ -462,7 +549,8 @@ STEP = GRID[1]
 
 
 def _climbed(f, argmax):
-    """Run _climb from the best grid sample of f; returns its evaluations."""
+    """Run _climb from the best grid sample of f; returns its evaluations,
+    the sample's own included."""
     calls = []
 
     def fn(s, rows):
@@ -470,7 +558,7 @@ def _climbed(f, argmax):
         return f(s)
     samples = f(GRID)[0]
     j = int(np.argmax(samples))
-    best, value = metrics._climb(fn, GRID[None], np.array([j]))
+    best, value = metrics._climb(fn, GRID[None], np.array([j]), *fn(GRID[[j]], np.array([0])))
     assert abs(best[0] - argmax) <= 1e-12
     assert value[0] >= samples[j]
     assert value[0] == f(best)[0][0]
@@ -564,7 +652,8 @@ def test_climb_evaluates_only_live_rows():
         calls.append(rows.tolist())
         return tuple(np.where(rows == 0, a, b) for a, b in zip(kink(s), smooth(s)))
     j = np.array([int(np.argmax(f(GRID)[0])) for f in (kink, smooth)])
-    best, value = metrics._climb(fn, np.stack([GRID, GRID]), j)
+    rows = np.arange(2)
+    best, value = metrics._climb(fn, np.stack([GRID, GRID]), j, *fn(GRID[j], rows))
     assert all(0 in rows for rows in calls[:2]) and len(calls) > 4
     assert all(rows == [1] for rows in calls[2:])
     assert abs(best[0] - GRID[12]) <= 1e-12 and abs(best[1] - 0.61) <= 1e-12
