@@ -75,13 +75,13 @@ def _validated(centers, radii, starts, ends=None) -> _Valid:
     where it starts (within 1e-12) is a full circle and must be alone.
     Each arc ends at the next start unless ends are given, as by
     (center, radius, start, end) rows: those must meet the next starts
-    within CLOSURE_TOL and are then dropped.  Returns read-only copies, as
-    a _Valid.
+    within CLOSURE_TOL and are then dropped.  Implied ends (ends None) are
+    the checked starts, rolled: only their distance check is run.  Returns
+    read-only copies, as a _Valid.
     """
-    if ends is None:
-        ends = _rolled(np.reshape(starts, (-1, 3)))
+    named = (("center", centers), ("start", starts))
     vecs = []
-    for name, v in (("center", centers), ("start", starts), ("end", ends)):
+    for name, v in named if ends is None else (*named, ("end", ends)):
         v = np.array(v, dtype=float).reshape(-1, 3)
         n = norm(v)
         bad = np.flatnonzero(np.abs(n - 1.0) > UNIT_TOL)
@@ -92,7 +92,8 @@ def _validated(centers, radii, starts, ends=None) -> _Valid:
         rescale = np.abs(n - 1.0) > 1e-13
         v[rescale] /= n[rescale, None]
         vecs.append(v)
-    c, s, e = vecs
+    c, s = vecs[:2]
+    e = _rolled(s) if ends is None else vecs[2]
     r = np.array(radii, dtype=float).reshape(-1)
     r[np.abs(r - HALF_PI) <= 1e-9] = HALF_PI
     bad = np.flatnonzero(~((r >= 1e-9) & (r <= HALF_PI)))
@@ -112,13 +113,14 @@ def _validated(centers, radii, starts, ends=None) -> _Valid:
     if m > 1 and np.any(norm(s - e) < 1e-12):
         raise InvariantViolation(
             "closed boundary", "full-circle segment mixed with others")
-    gaps = norm(e - _rolled(s))
-    open_ends = np.flatnonzero(gaps > CLOSURE_TOL)
-    if len(open_ends):
-        k = int(open_ends[0])
-        raise InvariantViolation(
-            "closed boundary",
-            f"segment {k} end misses segment {(k + 1) % m} start by {gaps[k]:.3g}")
+    if ends is not None:  # implied ends meet the next starts exactly
+        gaps = norm(e - _rolled(s))
+        open_ends = np.flatnonzero(gaps > CLOSURE_TOL)
+        if len(open_ends):
+            k = int(open_ends[0])
+            raise InvariantViolation(
+                "closed boundary",
+                f"segment {k} end misses segment {(k + 1) % m} start by {gaps[k]:.3g}")
     out = _Valid(c, r, s)
     for arr in out:
         arr.flags.writeable = False
@@ -391,7 +393,8 @@ class _Arcs:
         reach = 2.0 * np.arcsin(np.minimum(1.0, self.sin_r * np.sin(0.5 * half[:, 0])))
         a, b, c = np.einsum("kbj,bij->kbi", chord.reshape(3, -1, 3), mid)
         up = np.arctan2(b, a)
-        near = np.where((up >= 0.0) & (up <= sweep[:, None]), np.hypot(a, b), np.maximum(a, c))
+        near = np.where((up >= 0.0) & (up <= sweep[:, None]), np.sqrt(a * a + b * b),
+                        np.maximum(a, c))
         slack = np.max(np.arccos(np.clip(near, -1.0, 1.0)) + reach[idx], axis=1) + _CAP_SLACK
         table = self.table.reshape(3, m, 3)[:, idx].transpose(1, 0, 2, 3)
         return (idx, table.reshape(len(idx), 3 * _BLOCK, 3), self.sweeps[idx],
@@ -408,7 +411,8 @@ class _Arcs:
         of the block is lower, as |d . x - d . y| <= dist(x, y)."""
         *_, chord, sweep, slack = self._blocks
         a, b, c = (chord @ d.T).reshape(3, len(sweep), -1)
-        crit = np.where(np.arctan2(b, a) + math.pi <= sweep[:, None], -np.hypot(a, b), np.inf)
+        crit = np.where(np.arctan2(b, a) + math.pi <= sweep[:, None], -np.sqrt(a * a + b * b),
+                        np.inf)
         return np.minimum(np.minimum(a, c), crit) - slack[:, None]
 
     def _pruned(self, d):
@@ -457,8 +461,9 @@ def _dual(b: Boundary):
     # the supporting centers at a convex corner turn counterclockwise about
     # it, from the one before the corner to the one after: a reflex junction
     # has them turn clockwise and gets a negative turn
-    orient = np.einsum("ij,ij->i", cross(at_end, at_next), junctions)
-    turns = np.copysign(dist(at_end, at_next), orient)  # 0 on a full circle
+    axis = cross(at_end, at_next)  # shared by the orientation and dist's formula
+    turns = np.copysign(np.arctan2(norm(axis), np.add.reduce(at_end * at_next, axis=-1)),
+                        np.einsum("ij,ij->i", axis, junctions))  # 0 on a full circle
     keep = np.column_stack([~great, turns > CLOSURE_TOL]).ravel()
 
     def interleaved(arc_piece, corner_piece):

@@ -294,11 +294,14 @@ def is_constant_diameter(body: SphericalBody, tol: float = 1e-6,
 def _probed_corners(body: SphericalBody) -> np.ndarray:
     """The corners reduced_check probes: all of them, or the MAX_PROBES with
     the largest turn (the longest dual arcs), ties broken by the corner's
-    coordinates, so the choice does not depend on where the boundary starts."""
+    coordinates, so the choice does not depend on where the boundary starts.
+    Only the corners turning at least the MAX_PROBES-th largest are sorted."""
     idx = body.corners
     if len(idx) <= MAX_PROBES:
         return idx
     turns = body.dual_arcs.lengths[body._corner_row[idx]]
+    top = turns >= np.partition(turns, -MAX_PROBES)[-MAX_PROBES]
+    idx, turns = idx[top], turns[top]
     return idx[np.lexsort((*body.vertices[idx].T[::-1], -turns))[:MAX_PROBES]]
 
 

@@ -20,10 +20,15 @@ DEGENERATE_TOL = 1e-9
 
 
 def cross(a, b) -> np.ndarray:
-    """a x b over the last axis, by component: the arithmetic of np.cross."""
+    """a x b over the last axis, by component into one array: np.cross's arithmetic."""
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+    x = a1 * b2
+    out = np.empty(x.shape + (3,), x.dtype)
+    np.subtract(x, a2 * b1, out=out[..., 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
+    return out
 
 
 def norm(v) -> np.ndarray:

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .body import (SphericalBody, boundary_sample, planar_hull,
-                   polygon_from_vertices)
+from .body import (ENCLOSING_MIN_DOT, INTERIOR_MIN, SphericalBody,
+                   boundary_sample, planar_hull, polygon_from_vertices)
 from .errors import (DegenerateHull, EmptyInterior, InconsistentVerdicts,
                      InvalidSpec, InvariantViolation, NotInHemisphere,
                      PoleNotInterior)
@@ -340,10 +340,19 @@ def induce_spherical(shape: WulffShape, frame: ProjectionFrame,
     normalize(N + x u + y v), one edge per edge of the shape, in the shape's
     vertex order.  n is accepted for compatibility and ignored: the lift is
     exact.
+
+    The pole N is the enclosing center when it clears SphericalBody's two
+    margins twice over: 1 / sqrt(1 + |v|^2) at the shape's farthest vertex
+    v (an edge's least dot with N is at an end), and o / sqrt(1 + o^2) at
+    its nearest edge line, at distance o (which lifts to a great circle
+    atan(o) from N).  Otherwise the center is searched for.
     """
     x, y = shape.vertices.T
     lifted = normalize(frame.pole + x[:, None] * frame.u + y[:, None] * frame.v)
-    body = polygon_from_vertices(lifted)
+    near = float(np.min(shape.offsets))
+    clear = (1.0 / math.sqrt(1.0 + float(np.max(x * x + y * y))) > 2.0 * ENCLOSING_MIN_DOT
+             and near / math.sqrt(1.0 + near * near) > 2.0 * INTERIOR_MIN)
+    body = polygon_from_vertices(lifted, enclosing_center=frame.pole if clear else None)
     body.meta.update({"kind": "induced"})
     return body
 

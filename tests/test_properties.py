@@ -540,6 +540,55 @@ def test_thickness_plus_dual_diameter_is_pi(body):
                - math.pi) <= 1e-9
 
 
+# -- constant width of every width ---------------------------------------------
+
+
+@st.composite
+def reuleaux_gons(draw):
+    """A spherical Reuleaux n-gon of width w (n in 3, 5, 7, w in [0.3, pi/2])
+    about a random axis, or its polar dual, of constant width pi - w
+    (Lassak and Musielak, Aequationes Math. 92, 2018); returns (body, width).
+
+    The regular n-gon's diagonal, from v_0 to v_h with h = (n - 1) / 2,
+    spans pi (n - 1) / n of azimuth, so its circumradius R has
+    sin R = sin(w / 2) / sin(pi (n - 1) / 2n); the arc from v_j to v_j+1
+    has radius w about the opposite vertex v_j+h+1.  Rows, checked as such.
+    """
+    n = draw(st.sampled_from([3, 5, 7]))
+    w = draw(st.floats(0.3, math.pi / 2))
+    radius = math.asin(math.sin(0.5 * w) / math.sin(0.5 * math.pi * (n - 1) / n))
+    v = construct.regular_polygon_vertices(n, radius, center=draw(units),
+                                           phase=draw(st.floats(0.0, 1.0)))
+    body = bd.SphericalBody([(v[(j + n // 2 + 1) % n], w, v[j], v[(j + 1) % n])
+                             for j in range(n)])
+    return (bd.polar_dual(body), math.pi - w) if draw(st.booleans()) else (body, w)
+
+
+def _widths(body):
+    return metrics.thickness(body).value, metrics.diameter(body).value
+
+
+@BOUNDED
+@given(reuleaux_gons(), units, st.floats(0.1, 3.0))
+def test_reuleaux_gons_have_constant_width(case, axis, angle):
+    # cornered bodies of constant width off pi/2, and past it in the duals
+    body, width = case
+    report = metrics.classify(body, tol=1e-6, n=720)
+    assert report.constant_width.passed and report.constant_diameter.passed
+    assert report.reduced.passed
+    assert max(abs(report.thickness.value - width), abs(report.diameter.value - width)) <= 1e-12
+    polar = bd.polar_dual(body)
+    assert abs(metrics.thickness(body).value + metrics.diameter(polar).value - math.pi) <= 1e-12
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "a.json")
+        io.save_body(body, path)
+        loaded = io.load_body(path)
+    turned = bd.SphericalBody([[_rotated(x, axis, angle) if np.ndim(x) else x for x in row]
+                               for row in _arcs(body)])
+    for other in (loaded, turned):
+        assert np.max(np.abs(np.subtract(_widths(other), width))) <= 1e-12
+
+
 # -- the exact-slope maximiser -------------------------------------------------
 
 # metrics._climb on synthetic (value, slope) functions over a 33-point grid:
@@ -1073,18 +1122,52 @@ def _wound_twice(body):
 WINDS_TWICE = (_wound_twice, "convexity: boundary does not wind once")
 
 
+def _next_start_off_circle(body):
+    """The Boundary form with arc 1's start moved along arc 1's circle until
+    it lies 1e-9 off arc 0's: only arc 0's implied end is off its circle."""
+    (c0, c1), (r0, r1) = body.centers[:2], body.radii[:2]
+    g = c0 @ c1
+    pole = np.cross(c0, c1) / np.linalg.norm(np.cross(c0, c1))
+    for off in (1e-9, -1e-9):
+        # p = x c0 + y c1 + z pole with p . c0 = cos(r0 + off), p . c1 = cos r1
+        h0, h1 = math.cos(r0 + off), math.cos(r1)
+        x, y = (h0 - g * h1) / (1 - g * g), (h1 - g * h0) / (1 - g * g)
+        zz = 1.0 - x * x - y * y - 2.0 * g * x * y
+        if zz > 0.0:
+            break
+    near = x * c0 + y * c1 + math.sqrt(zz) * np.array([pole, -pole])
+    starts = np.array(body.starts)
+    starts[1] = near[np.argmin(np.linalg.norm(near - starts[1], axis=1))]
+    return bd.Boundary(body.centers, body.radii, starts)
+
+
+def _start_off_unit(body):
+    starts = np.array(body.starts)
+    starts[-1] *= 1.0 + 1e-8
+    return bd.Boundary(body.centers, body.radii, starts)
+
+
+# the dual of a polygon puts a moved junction in a dual start, so only the
+# primal check reports it as an end
+NEXT_START_OFF = (_next_start_off_circle, "segment radius: segment 0 end")
+
+
 @BOUNDED
 @given(bodies, st.sampled_from([(_open_boundary, "closed boundary"),
                                 (_off_radius, "segment radius"),
                                 (_full_circle_added, "closed boundary"),
-                                WINDS_TWICE]))
+                                WINDS_TWICE, NEXT_START_OFF,
+                                (_start_off_unit, "unit norm: segment [0-9]+ start")]))
 @example(SLIVER, WINDS_TWICE)
 @example(NEAR_TWINS, WINDS_TWICE)
 @example(_cd_induced(), WINDS_TWICE)
+@example(SLIVER, NEXT_START_OFF)
+@example(_cd_induced(), NEXT_START_OFF)
 def test_broken_boundaries_rejected(body, breakage):
     breaker, invariant = breakage
-    # a cap listed twice is two full circles, an open boundary
-    assume(breaker is not _wound_twice or not body.is_full_circle)
+    # a cap listed twice is two full circles, an open boundary; a cap's one
+    # start is its own end
+    assume(breaker not in (_wound_twice, _next_start_off_circle) or not body.is_full_circle)
     with pytest.raises(InvariantViolation, match=invariant):
         bd.SphericalBody(breaker(body))
 

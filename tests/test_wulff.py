@@ -1,14 +1,17 @@
 """Wulff shapes: construction, radial/dual functions, projection bridge."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from lunes import body as bd
-from lunes import construct, metrics, sphere, wulff
+from lunes import construct, io, metrics, sphere, wulff
 from lunes.errors import (EmptyInterior, InvalidSpec, NotInHemisphere,
                           PoleNotInterior)
+
+from conftest import random_cd_triangle_vertices
 
 Z = np.array([0.0, 0.0, 1.0])
 SQUARE = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
@@ -250,6 +253,57 @@ class TestProjection:
         assert gaps.min() < 1e-7
         body = wulff.induce_spherical(shape, wulff.frame_at(pole))
         assert body.is_polygon and len(body.radii) > 600
+
+
+def _lifted(shape, fr):
+    """The shape's vertices lifted as induce_spherical lifts them."""
+    x, y = shape.vertices.T
+    return sphere.normalize(fr.pole + x[:, None] * fr.u + y[:, None] * fr.v)
+
+
+def _roundtrip_shapes():
+    """Projections at their own enclosing centers: eight constant-diameter
+    triangles and four random polygons of seed 1, then the triangle that the
+    CI smoke step projects."""
+    rng = np.random.default_rng(1)
+    bodies = [construct.constant_diameter_triangle(*random_cd_triangle_vertices(rng))
+              for _ in range(8)]
+    bodies += [construct.random_convex_polygon(1 + k, n=4 + 2 * k, max_diam=1.0)
+               for k in range(4)]
+    bodies.append(construct.constant_diameter_triangle(
+        np.array([0.6, 0.0, 0.8]), np.array([-0.3, 0.52, 0.8]), np.array([-0.3, -0.52, 0.8])))
+    for body in bodies:
+        fr = wulff.frame_at(body.enclosing_center)
+        yield wulff.project_to_plane(body, fr, n=720), fr
+
+
+class TestInducedCenter:
+    def test_pole_is_the_enclosing_center(self):
+        # the pole replaces the searched center, and nothing a report reads
+        # depends on which one the body holds
+        for shape, fr in _roundtrip_shapes():
+            induced = wulff.induce_spherical(shape, fr)
+            assert np.array_equal(induced.enclosing_center, fr.pole)
+            searched = bd.polygon_from_vertices(_lifted(shape, fr))
+            assert not np.array_equal(searched.enclosing_center, fr.pole)
+            docs = [json.dumps(io.report_to_doc(metrics.classify(b, tol=1e-4, n=720)))
+                    for b in (induced, searched)]
+            assert docs[0] == docs[1]
+
+    def test_edge_near_the_pole_falls_back_to_the_search(self):
+        # gamma 1e-8 at angle 0: an edge line 1e-8 from the origin, whose
+        # great circle passes asin(1e-8) from the pole, under INTERIOR_MIN
+        theta = 2 * math.pi * np.arange(720) / 720
+        gamma = wulff.GammaFn(theta, np.where(np.arange(720) == 0, 1e-8, 1.0))
+        shape, fr = wulff.wulff_shape(gamma), wulff.frame_at(Z)
+        assert shape.offsets.min() == pytest.approx(1e-8, rel=1e-6)
+        induced = wulff.induce_spherical(shape, fr)
+        plain = bd.polygon_from_vertices(_lifted(shape, fr))
+        for got, want in zip((induced.centers, induced.radii, induced.starts),
+                             (plain.centers, plain.radii, plain.starts)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(induced.enclosing_center, plain.enclosing_center)
+        assert induced.enclosing_center @ fr.pole < 0.99
 
 
 class TestSelfDualReport:
