@@ -18,18 +18,17 @@ from .errors import (BadRadius, ConsistencyError, DegenerateArc,
                      PoleNotInterior)
 from .io import (SCHEMA_VERSION, body_from_doc, body_kind, body_to_doc,
                  gamma_from_doc, gamma_to_doc, load_body, load_document,
-                 load_gamma, load_report, report_from_doc, report_to_doc,
+                 load_gamma, report_from_doc, report_to_doc,
                  save_body, save_gamma, save_report)
 from .metrics import (ClassifyReport, DiameterResult, ThicknessResult, Verdict,
                       WidthSample, classify, diameter, is_constant_diameter,
                       is_constant_width, reduced_check, thickness, width_at)
 from .render import render_svg
-from .sphere import (Hemisphere, Lune, antipode, dist,
-                     geodesic_point, lune_contains, lune_make, normalize,
-                     orthonormal_frame, unit_vec)
+from .sphere import (Hemisphere, Lune, dist, geodesic_point, lune_contains,
+                     lune_make, normalize, orthonormal_frame)
 from .wulff import (DualityReport, GammaFn, ProjectionFrame, WulffShape,
                     dual_wulff, frame_at, hausdorff_polygons, induce_spherical,
-                    is_self_dual, polygon_gamma, project_to_plane, radial_w,
+                    is_self_dual, polygon_gamma, project_to_plane,
                     self_dual_equivalence_report, wulff_shape)
 
 __version__ = "0.1.0"

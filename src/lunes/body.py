@@ -84,7 +84,7 @@ def _validated(centers, radii, starts, ends=None) -> _Valid:
     for name, v in named if ends is None else (*named, ("end", ends)):
         v = np.array(v, dtype=float).reshape(-1, 3)
         n = norm(v)
-        bad = np.flatnonzero(np.abs(n - 1.0) > UNIT_TOL)
+        bad = np.flatnonzero(~(np.abs(n - 1.0) <= UNIT_TOL))  # NaN too
         if len(bad):
             k = int(bad[0])
             raise InvariantViolation(
@@ -617,59 +617,68 @@ def polygon_from_vertices(vertices, enclosing_center=None) -> SphericalBody:
                          meta={"kind": "polygon"})
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on the first call: only the SLSQP
-    fallback of find_enclosing_center needs scipy, so importing the package
-    does not load it."""
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(*args, **kwargs)
+def _cap(q, min_dot):
+    """Center and margin of the smallest cap with the one to three points q
+    on its circle: the point, the midpoint of two, or the pole of the plane
+    of three on their side.  Raises NoEnclosingHemisphere for a margin at
+    most min_dot, as of an antipodal pair or three points on a great circle."""
+    n = q.sum(axis=0) if len(q) < 3 else cross(q[1] - q[0], q[2] - q[0])
+    h, nn = float(n @ q[0]), float(norm(n))
+    if h < 0.0:
+        n, h = -n, -h
+    if not h > min_dot * nn:
+        raise NoEnclosingHemisphere(
+            f"no cap through {len(q)} of the points has margin above {min_dot:.3g}")
+    return n / nn, h / nn
 
 
 def find_enclosing_center(points, min_dot: float = ENCLOSING_MIN_DOT) -> np.ndarray:
     """Unit vector whose open hemisphere strictly contains all points.
 
-    Fast path is the normalized mean; otherwise the max-min-dot problem is
-    solved iteratively (SLSQP on the sphere, the one use of scipy).  Raises NoEnclosingHemisphere
-    when the best achievable minimum dot product is below min_dot.
+    The points are unit vectors.  Fast path is the normalized mean, taken
+    when its margin (least dot product with a point) exceeds 10 min_dot.
+    Otherwise the center is that of the smallest cap holding the points,
+    which maximizes the margin: Welzl's randomized incremental algorithm
+    (E. Welzl, Smallest enclosing disks (balls and ellipsoids), 1991), as a
+    triple loop over a fixed shuffle.  Each cap it builds is no larger than
+    the final one, so a cap of margin at most min_dot ends it.  Raises
+    NoEnclosingHemisphere when the margin is at most min_dot, or a point is
+    not finite.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.all(np.isfinite(pts)):
+        raise NoEnclosingHemisphere("non-finite point")
     mean = pts.mean(axis=0)
-    candidates = []
-    best, best_val = None, -np.inf
     if np.linalg.norm(mean) > 1e-12:
         best = mean / np.linalg.norm(mean)
-        best_val = float(np.min(pts @ best))
-        candidates.append(best)
-    if best_val > 10 * min_dot:
-        return best
+        if float(np.min(pts @ best)) > 10 * min_dot:
+            return best
+    p = pts[np.random.default_rng(0).permutation(len(pts))]
 
-    def neg_t(x):
-        return -x[3]
+    # the first of p[lo:hi] outside the cap, or hi; within 1e-15 is inside,
+    # so that roundoff puts no circle through two copies of one point
+    def outside(lo, hi):
+        out = np.flatnonzero(p[lo:hi] @ c < t - 1e-15)
+        return lo + int(out[0]) if len(out) else hi
 
-    cons = [
-        {"type": "ineq", "fun": lambda x: pts @ x[:3] - x[3]},
-        {"type": "eq", "fun": lambda x: x[:3] @ x[:3] - 1.0},
-    ]
-    seeds = candidates + [np.array(e, dtype=float)
-                          for e in ((0, 0, 1), (0, 0, -1), (1, 0, 0), (0, 1, 0))]
-    for seed in seeds:
-        x0 = np.concatenate([seed, [float(np.min(pts @ seed))]])
-        res = minimize(neg_t, x0, constraints=cons, method="SLSQP",
-                       options={"maxiter": 200, "ftol": 1e-14})
-        c = res.x[:3]
-        nrm = np.linalg.norm(c)
-        if nrm < 1e-12:
-            continue
-        c = c / nrm
-        val = float(np.min(pts @ c))
-        if val > best_val:
-            best, best_val = c, val
-        if best_val > 10 * min_dot:
-            break
-    if best is None or best_val <= min_dot:
+    c, t = _cap(p[[0]], min_dot)
+    i = outside(1, len(p))
+    while i < len(p):
+        c, t = _cap(p[[i]], min_dot)
+        j = outside(0, i)
+        while j < i:
+            c, t = _cap(p[[i, j]], min_dot)
+            k = outside(0, j)
+            while k < j:
+                c, t = _cap(p[[i, j, k]], min_dot)
+                k = outside(k + 1, j)
+            j = outside(j + 1, i)
+        i = outside(i + 1, len(p))
+    margin = float(np.min(pts @ c))
+    if not margin > min_dot:
         raise NoEnclosingHemisphere(
-            f"best containment margin {best_val:.3g} below {min_dot:.3g}")
-    return best
+            f"best containment margin {margin:.3g} below {min_dot:.3g}")
+    return c
 
 
 def planar_hull(points) -> np.ndarray:
@@ -720,9 +729,12 @@ def hull_from_points(points) -> SphericalBody:
     Projects onto the tangent plane at an enclosing-hemisphere center, where
     great circles become straight lines, takes the planar hull
     (planar_hull), and lifts the extreme subset back.  Raises
-    NoEnclosingHemisphere or DegenerateHull.
+    NoEnclosingHemisphere or DegenerateHull (also for a non-finite point).
     """
-    pts = normalize(np.atleast_2d(np.asarray(points, dtype=float)))
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.all(np.isfinite(pts)):
+        raise DegenerateHull("non-finite point")
+    pts = normalize(pts)
     # drop duplicates: after a lexicographic sort, points within 1e-12 of
     # each other are adjacent, so one linear pass suffices
     order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))

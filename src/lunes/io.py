@@ -353,10 +353,6 @@ def save_report(report: ClassifyReport, path: str) -> None:
     _dump(report_to_doc(report), path)
 
 
-def load_report(path: str) -> dict:
-    return report_from_doc(_load(path), where=path)
-
-
 def load_document(path: str) -> dict:
     """Load any document and dispatch on its kind tag (for the CLI)."""
     doc = _load(path)

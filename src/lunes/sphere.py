@@ -45,11 +45,6 @@ def normalize(v) -> np.ndarray:
     return v / n
 
 
-def unit_vec(x: float, y: float, z: float) -> np.ndarray:
-    """Build a unit vector from components, normalizing the input."""
-    return normalize(np.array([x, y, z], dtype=float))
-
-
 def dist(a, b):
     """Great-circle distance in [0, pi].
 
@@ -59,11 +54,6 @@ def dist(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return np.arctan2(norm(cross(a, b)), np.add.reduce(a * b, axis=-1))
-
-
-def antipode(a) -> np.ndarray:
-    """The point diametrically opposite a."""
-    return -np.asarray(a, dtype=float)
 
 
 def geodesic_point(a, b, t: float) -> np.ndarray:

@@ -203,12 +203,6 @@ def wulff_shape(gamma: GammaFn, n: int = 720) -> WulffShape:
     return _polar(pts[idx])
 
 
-def radial_w(shape: WulffShape, theta) -> float | np.ndarray:
-    """Radial function w of the shape; scalar in, scalar out."""
-    out = shape.radial(theta)
-    return float(out[0]) if np.isscalar(theta) or np.ndim(theta) == 0 else out
-
-
 def dual_wulff(shape: WulffShape, n: int = 720) -> WulffShape:
     """Wulff shape of gamma_bar(theta) = 1 / w(theta + pi), in closed form.
 

@@ -1,6 +1,9 @@
 """Convex bodies: hulls, membership, sampling, extreme points, polar duals."""
 
+import ast
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,8 @@ from conftest import cap_points, random_unit
 
 from lunes import body as bd
 from lunes import construct, sphere
-from lunes.errors import InvariantViolation, NoEnclosingHemisphere
+from lunes.errors import (DegenerateHull, InvariantViolation,
+                          NoEnclosingHemisphere)
 
 E1, E2, E3 = np.eye(3)
 Z = np.array([0.0, 0.0, 1.0])
@@ -36,7 +40,7 @@ class TestHull:
         assert vertex_sets_match(hull.vertices, np.eye(3), tol=1e-12)
 
     def test_interior_point_absorbed(self):
-        pts = np.vstack([np.eye(3), sphere.unit_vec(1.0, 1.0, 1.0)])
+        pts = np.vstack([np.eye(3), sphere.normalize([1.0, 1.0, 1.0])])
         hull = bd.hull_from_points(pts)
         assert vertex_sets_match(hull.vertices, np.eye(3), tol=1e-12)
 
@@ -50,6 +54,81 @@ class TestHull:
             again = bd.hull_from_points(bd.boundary_sample(poly, 48))
             assert vertex_sets_match(again.vertices, poly.vertices, tol=1e-9)
             assert bd.hausdorff_bodies(poly, again, n=240) <= 1e-9
+
+
+class TestEnclosingCenter:
+    @staticmethod
+    def _lopsided():
+        """50 points near (1, 0, 0.02) and three near the equator: the
+        mean's margin is -0.9995, the best margin 0.0099995."""
+        near = [[1.0, 0.01 * math.sin(j), 0.02 + 0.001 * math.cos(j)]
+                for j in range(50)]
+        equator = [[math.cos(a), math.sin(a), 0.01]
+                   for a in (math.pi / 2, math.pi, 1.5 * math.pi)]
+        return sphere.normalize(np.array(near + equator))
+
+    def test_lopsided_set_needs_no_scipy(self, monkeypatch):
+        for name in [m for m in sys.modules if m.split(".")[0] == "scipy"]:
+            monkeypatch.setitem(sys.modules, name, None)
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        pts = self._lopsided()
+        mean = pts.mean(axis=0)
+        assert np.min(pts @ (mean / np.linalg.norm(mean))) < 0.0
+        assert np.min(pts @ bd.find_enclosing_center(pts)) >= 0.0099
+
+    def test_repeated_points(self):
+        # roundoff must not put a cap's circle through two copies of a point
+        pts = self._lopsided()
+        once = np.min(pts @ bd.find_enclosing_center(pts))
+        twice = np.min(pts @ bd.find_enclosing_center(np.repeat(pts, 2, axis=0)))
+        assert twice == pytest.approx(once, abs=1e-15)
+
+    @pytest.mark.parametrize("pts", [
+        [E1, -E1],
+        [E1, -E1, E2],
+        [[1.0, 0.0, 0.0], [-0.5, math.sqrt(0.75), 0.0], [-0.5, -math.sqrt(0.75), 0.0]],
+        [[math.cos(a), math.sin(a), 0.0] for a in 2 * math.pi * np.arange(8) / 8],
+        [E1, E2, E3, -sphere.normalize([1.0, 1.0, 1.0])],
+    ], ids=["antipodal pair", "antipodal in three", "equilateral on a great circle",
+            "octagon on a great circle", "tetrahedron"])
+    def test_no_hemisphere_raises(self, pts):
+        with pytest.raises(NoEnclosingHemisphere):
+            bd.find_enclosing_center(np.array(pts, dtype=float))
+
+    def test_package_imports_stdlib_numpy_and_itself_only(self):
+        allowed = set(sys.stdlib_module_names) | {"numpy", "lunes"}
+        for path in Path(bd.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    assert name.split(".")[0] in allowed, (path.name, name)
+
+
+_TRIANGLE = bd.polygon_from_vertices(np.eye(3))
+_NAN_START = np.array(_TRIANGLE.starts)
+_NAN_START[1, 0] = math.nan
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: bd.find_enclosing_center([[math.inf, 0.0, 1.0], E1, E2]),
+     NoEnclosingHemisphere, "non-finite point"),
+    (lambda: bd.hull_from_points([E1, E2, E3, [math.nan, 0.0, 1.0]]),
+     DegenerateHull, "non-finite point"),
+    (lambda: bd.polygon_from_vertices([E1, E2, [math.nan, 0.0, 1.0]]),
+     InvariantViolation, "unit norm"),
+    (lambda: bd.SphericalBody(bd.Boundary(_TRIANGLE.centers, _TRIANGLE.radii,
+                                          _NAN_START)),
+     InvariantViolation, "unit norm"),
+], ids=["find_enclosing_center", "hull_from_points", "polygon_from_vertices",
+        "SphericalBody"])
+def test_non_finite_points_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 class TestMembership:
@@ -179,8 +258,8 @@ class TestPolarDual:
 
     def test_distance_to_body(self, quarter_cap):
         on = bd.boundary_sample(quarter_cap, 16)
-        off = np.array([sphere.unit_vec(0.0, 0.0, 1.0),
-                        sphere.unit_vec(1.0, 0.0, 0.0)])
+        off = np.array([sphere.normalize([0.0, 0.0, 1.0]),
+                        sphere.normalize([1.0, 0.0, 0.0])])
         d_on = bd.distance_to_body(quarter_cap, on)
         d_off = bd.distance_to_body(quarter_cap, off)
         assert np.max(np.abs(d_on)) < 1e-12

@@ -62,7 +62,7 @@ class TestRegularOddGon:
             construct.regular_odd_gon(5, HALF_PI + 0.01)
 
     def test_custom_center(self):
-        c = sphere.unit_vec(1.0, 2.0, 2.0)
+        c = sphere.normalize([1.0, 2.0, 2.0])
         body = construct.regular_odd_gon(5, 1.0, center=c)
         assert np.allclose(body.enclosing_center, c, atol=1e-9)
 

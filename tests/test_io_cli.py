@@ -119,7 +119,7 @@ class TestGammaAndReportDocuments:
         rep = metrics.classify(quarter_cap, tol=1e-6, n=240)
         path = tmp_path / "r.report.json"
         io.save_report(rep, str(path))
-        doc = io.load_report(str(path))
+        doc = io.load_document(str(path))["report"]
         assert doc["kind"] == "report"
         assert doc["thickness"] == rep.thickness.value
         assert doc["diameter"] == rep.diameter.value
@@ -423,8 +423,8 @@ class TestCli:
             (tmp_path / "r2.json").read_bytes()
 
     def test_commands_load_no_scipy(self, tmp_path):
-        # scipy is for the SLSQP fallback of find_enclosing_center only;
-        # -X importtime logs every module the child imports
+        # the package depends on numpy alone, and scipy is installed only
+        # for the tests; -X importtime logs every module the child imports
         commands = [["-c", "import lunes"],
                     ["-m", "lunes", "construct", "random", "--out", "poly.json"],
                     ["-m", "lunes", "analyze", "poly.json"],

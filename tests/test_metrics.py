@@ -44,7 +44,7 @@ class TestWidthAt:
 
     def test_non_supporting_center_rejected(self, octant):
         with pytest.raises(NotSupporting):
-            metrics.width_at(octant, sphere.unit_vec(1.0, 1.0, 1.0))
+            metrics.width_at(octant, sphere.normalize([1.0, 1.0, 1.0]))
         with pytest.raises(NotSupporting):
             metrics.width_at(octant, -np.array([1.0, 0.0, 0.0]))
 

@@ -13,6 +13,7 @@ deterministic and its runtime fixed; it lives apart from the acceptance gate.
 """
 
 import copy
+import itertools
 import json
 import math
 import os
@@ -24,6 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 from scipy.spatial import ConvexHull, QhullError
 
 from lunes import body as bd
@@ -813,6 +815,66 @@ def test_degenerate_hull_inputs_rejected():
             bd.hull_from_points(pts)
 
 
+# -- enclosing center ----------------------------------------------------------
+
+
+def _fallback_min_dot(pts):
+    """A min_dot under which find_enclosing_center skips its mean fast path
+    (10 min_dot is at least the mean's margin) and the points' best margin,
+    at least cos 1.5 here, still clears it."""
+    mean = pts.mean(axis=0)
+    return max(float(np.min(pts @ (mean / np.linalg.norm(mean)))), 1e-8) / 9
+
+
+def _brute_force_margin(pts):
+    """The best margin over the centers of all caps with one, two or three
+    of the points on their circle; the smallest enclosing cap is one."""
+    centers = list(pts)
+    for a, b in itertools.combinations(pts, 2):
+        centers.append((a + b) / np.linalg.norm(a + b))
+    for a, b, c in itertools.combinations(pts, 3):
+        n = np.cross(b - a, c - a)
+        if np.linalg.norm(n) > 1e-15:
+            centers.append(math.copysign(1.0, n @ a) * n / np.linalg.norm(n))
+    return max(float(np.min(pts @ c)) for c in centers)
+
+
+def _slsqp_margin(pts):
+    """The best margin SLSQP reaches from the normalized mean and four axes,
+    maximizing t subject to pts . x >= t and |x| = 1."""
+    cons = [{"type": "ineq", "fun": lambda x: pts @ x[:3] - x[3]},
+            {"type": "eq", "fun": lambda x: x[:3] @ x[:3] - 1.0}]
+    best = -math.inf
+    for seed in [pts.mean(axis=0), (0, 0, 1), (0, 0, -1), (1, 0, 0), (0, 1, 0)]:
+        seed = np.asarray(seed, dtype=float) / np.linalg.norm(seed)
+        res = minimize(lambda x: -x[3], np.append(seed, np.min(pts @ seed)),
+                       constraints=cons, method="SLSQP",
+                       options={"maxiter": 200, "ftol": 1e-14})
+        c = res.x[:3] / np.linalg.norm(res.x[:3])
+        best = max(best, float(np.min(pts @ c)))
+    return best
+
+
+def _cap_sets(max_radius):
+    """3 to 11 points in a cap of radius 0.05 to max_radius."""
+    return st.tuples(st.integers(3, 11), st.floats(0.05, max_radius)).flatmap(
+        lambda count_radius: cap_points(*count_radius))
+
+
+@settings(BOUNDED, max_examples=100)
+@given(_cap_sets(1.4))
+def test_enclosing_center_is_the_brute_force_optimum(pts):
+    c = bd.find_enclosing_center(pts, min_dot=_fallback_min_dot(pts))
+    assert abs(float(np.min(pts @ c)) - _brute_force_margin(pts)) <= 1e-12
+
+
+@settings(BOUNDED, max_examples=30)
+@given(_cap_sets(1.5))
+def test_enclosing_center_at_least_slsqp(pts):
+    c = bd.find_enclosing_center(pts, min_dot=_fallback_min_dot(pts))
+    assert float(np.min(pts @ c)) >= _slsqp_margin(pts) - 1e-12
+
+
 # -- polygon Hausdorff distance ------------------------------------------------
 
 
@@ -910,7 +972,7 @@ def test_dual_support_is_reciprocal_radial(verts):
     # a fine grid united with the dual's edge normals
     shape = _centered(verts)
     g = wulff.polygon_gamma(wulff.dual_wulff(shape))
-    w = wulff.radial_w(shape, g.angles + math.pi)
+    w = shape.radial(g.angles + math.pi)
     assert np.max(np.abs(g.values * w - 1.0)) <= 1e-12
 
 

@@ -58,17 +58,17 @@ class TestGammaFn:
 class TestWulffShape:
     def test_unit_gamma_circumscribes_disk(self, disk):
         theta = np.linspace(0.0, 2 * math.pi, 511)
-        r = wulff.radial_w(disk, theta)
+        r = disk.radial(theta)
         assert np.all(r >= 1.0 - 1e-12)
         assert np.all(r <= 1.0 / math.cos(math.pi / 360) + 1e-12)
 
     def test_square_radial_values(self, square):
-        assert wulff.radial_w(square, 0.0) == pytest.approx(1.0, abs=1e-12)
-        assert wulff.radial_w(square, math.pi / 4) == pytest.approx(
+        assert square.radial(0.0)[0] == pytest.approx(1.0, abs=1e-12)
+        assert square.radial(math.pi / 4)[0] == pytest.approx(
             math.sqrt(2.0), abs=1e-12)
         theta = np.linspace(0.0, 2 * math.pi, 97)
-        assert np.allclose(wulff.radial_w(square, theta),
-                           wulff.radial_w(square, theta + 2 * math.pi),
+        assert np.allclose(square.radial(theta),
+                           square.radial(theta + 2 * math.pi),
                            atol=1e-12)
 
     def test_support_sampled_square(self, square):
@@ -88,8 +88,7 @@ class TestWulffShape:
         assert len(a.vertices) == 64 and len(b.vertices) == 63
         assert all(b.contains(v, tol=1e-12) for v in a.vertices)
         theta = ang[np.abs(np.arange(64) - 17) > 1]
-        assert np.allclose(wulff.radial_w(b, theta),
-                           wulff.radial_w(a, theta), atol=1e-12)
+        assert np.allclose(b.radial(theta), a.radial(theta), atol=1e-12)
 
     @staticmethod
     def _kept(verts):
@@ -144,7 +143,7 @@ class TestDualWulff:
     def test_dual_gamma_times_radial_is_one(self, square):
         # the dual's support is gamma_bar(theta) = 1 / w(theta + pi)
         g = wulff.polygon_gamma(wulff.dual_wulff(square))
-        w = wulff.radial_w(square, g.angles + math.pi)
+        w = square.radial(g.angles + math.pi)
         assert np.max(np.abs(g.values * w - 1.0)) <= 1e-12
 
     def test_square_dual_is_diamond(self, square):
@@ -186,7 +185,7 @@ class TestProjection:
     def test_quarter_cap_projects_to_unit_disk(self, quarter_cap):
         fr = wulff.frame_at(Z)
         shape = wulff.project_to_plane(quarter_cap, fr, n=720)
-        r = wulff.radial_w(shape, np.linspace(0, 2 * math.pi, 257))
+        r = shape.radial(np.linspace(0, 2 * math.pi, 257))
         assert np.all(np.abs(r - 1.0) <= 1e-4)
 
     def test_polygon_round_trip_exact(self):
