@@ -83,7 +83,8 @@ def _validated(centers, radii, starts, ends=None) -> _Valid:
     vecs = []
     for name, v in named if ends is None else (*named, ("end", ends)):
         v = np.array(v, dtype=float).reshape(-1, 3)
-        n = norm(v)
+        with np.errstate(over="ignore"):  # a norm past the float range reads inf
+            n = norm(v)
         bad = np.flatnonzero(~(np.abs(n - 1.0) <= UNIT_TOL))  # NaN too
         if len(bad):
             k = int(bad[0])

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import construct, io, metrics, render, wulff
 from .errors import LunesError
-from .sphere import normalize
+from .sphere import norm
 
 
 def _parse_vec(text: str) -> np.ndarray:
@@ -28,10 +28,12 @@ def _parse_vec(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if not np.all(np.isfinite(vec)):
         raise argparse.ArgumentTypeError(f"expected finite components, got {text!r}")
-    try:
-        normalize(vec)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a nonzero vector, got {text!r}") from None
+    with np.errstate(over="ignore"):  # a norm past the float range reads inf
+        length = float(norm(vec))
+    if length < 1e-15:
+        raise argparse.ArgumentTypeError(f"expected a nonzero vector, got {text!r}")
+    if length == math.inf:
+        raise argparse.ArgumentTypeError(f"vector too long to normalize: {text!r}")
     return vec
 
 
@@ -187,33 +189,23 @@ def _run(args) -> int:
     if args.command == "wulff":
         if args.what == "project":
             body = io.load_body(args.body)
-            frame = wulff.frame_at(body.enclosing_center)
-            shape = wulff.project_to_plane(body, frame, n=n)
-            io.save_gamma(wulff.polygon_gamma(shape), args.out)
-            print(f"wrote {args.out} ({len(shape.vertices)} vertices)")
-            return 0
-        gamma = io.load_gamma(args.gamma)
-        if args.what == "build":
-            shape = wulff.wulff_shape(gamma, n=n)
-            io.save_gamma(wulff.polygon_gamma(shape), args.out)
-            print(f"wrote {args.out} ({len(shape.vertices)} vertices)")
-            return 0
-        if args.what == "dual":
-            shape = wulff.dual_wulff(wulff.wulff_shape(gamma, n=n))
-            io.save_gamma(wulff.polygon_gamma(shape), args.out)
-            print(f"wrote {args.out} ({len(shape.vertices)} vertices)")
-            return 0
+            shape = wulff.project_to_plane(body, wulff.frame_at(body.enclosing_center), n=n)
+        else:
+            shape = wulff.wulff_shape(io.load_gamma(args.gamma), n=n)
         if args.what == "self-dual":
-            shape = wulff.wulff_shape(gamma, n=n)
             ok, gap = wulff.is_self_dual(shape, tol=tol)
             print(f"self-dual: {'pass' if ok else 'FAIL'} "
                   f"(gap {gap:.3g}, tolerance {tol:g})")
             return 0 if ok else 1
-        shape = wulff.wulff_shape(gamma, n=n)
-        frame = wulff.frame_at(args.pole)
-        body = wulff.induce_spherical(shape, frame)
-        io.save_body(body, args.out)
-        print(f"wrote {args.out} ({len(body.radii)} segments)")
+        if args.what == "induce":
+            body = wulff.induce_spherical(shape, wulff.frame_at(args.pole))
+            io.save_body(body, args.out)
+            print(f"wrote {args.out} ({len(body.radii)} segments)")
+            return 0
+        if args.what == "dual":
+            shape = wulff.dual_wulff(shape)
+        io.save_gamma(wulff.polygon_gamma(shape), args.out)
+        print(f"wrote {args.out} ({len(shape.vertices)} vertices)")
         return 0
 
     if args.command == "roundtrip":

@@ -244,7 +244,8 @@ def body_from_doc(doc: dict, where: str = "body document") -> SphericalBody:
     # the segment vectors' norms are _validated's to check, the listed
     # vertices' only this function's
     listed = flat[10 * m:].reshape(-1, 3)
-    norms = norm(listed)
+    with np.errstate(over="ignore"):  # a norm past the float range reads inf
+        norms = norm(listed)
     bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_TOL)
     if len(bad):
         k = int(bad[0])

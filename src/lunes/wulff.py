@@ -7,12 +7,15 @@ radial function; for a polygon W its Wulff shape is the polar of -W, built
 in closed form with one vertex per edge of W.  Central (gnomonic)
 projection at a pole N carries these polygons to spherical convex bodies
 and back; it maps great circles to lines, so a polygon lifts exactly to the
-spherical polygon over its lifted vertices.  That turns the self-duality
-question into width/diameter checks on the sphere; the equivalence report
-runs all five checks and treats any disagreement as an internal error.
-Self-duality gaps are exact polygon Hausdorff distances, taken from the two
-support functions over the merged edge-normal angles in
-O((m + k) log(m + k)) for polygons of m and k vertices.
+spherical polygon over its lifted vertices.  A body projects, about a pole
+inside it, to its boundary samples in boundary order, one point per great
+arc: the image is convex as it stands, and no hull is taken.  That turns
+the self-duality question into width/diameter checks on the sphere; the
+equivalence report runs all five checks and treats any disagreement as
+an internal error.  Self-duality gaps are exact polygon Hausdorff
+distances, taken from the two support functions over the merged
+edge-normal angles in O((m + k) log(m + k)) for polygons of m and k
+vertices.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .body import (ENCLOSING_MIN_DOT, INTERIOR_MIN, SphericalBody,
-                   boundary_sample, planar_hull, polygon_from_vertices)
+from .body import (ENCLOSING_MIN_DOT, INTERIOR_MIN, SphericalBody, planar_hull,
+                   polygon_from_vertices)
 from .errors import (DegenerateHull, EmptyInterior, InconsistentVerdicts,
                      InvalidSpec, InvariantViolation, NotInHemisphere,
                      PoleNotInterior)
@@ -300,11 +303,14 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
                      n: int = 720) -> WulffShape:
     """Central projection of the body onto the tangent plane at frame.pole.
 
-    p maps to (p.u / p.N, p.v / p.N); the output is the planar hull
-    (planar_hull) of n projected boundary samples, or of the projected
-    vertices of a polygon, whose edges map to segments.  The body must sit
-    strictly inside the open hemisphere at the pole, and the pole strictly
-    inside the body (so the origin is interior to the image).
+    p maps to (p.u / p.N, p.v / p.N).  The body must sit strictly inside
+    the open hemisphere at the pole, and the pole strictly inside the body,
+    so the image is a convex curve about the origin, traversed in the
+    boundary's counterclockwise order; and great arcs, only they, map to
+    segments.  The image is therefore the projection of max(n, arc count)
+    boundary samples, in order from starts[0], less every sample of a great
+    arc but its start: one point per great arc, no collinear run, and no
+    hull to take.  A polygon's image is its projected vertices.
     """
     margin = float(body.support_min(frame.pole)[0])
     if margin <= 1e-6:
@@ -314,15 +320,12 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
     if interior <= 1e-6:
         raise PoleNotInterior(
             f"pole has containment margin only {interior:.3g}")
-    pts = (body.vertices if body.is_polygon
-           else boundary_sample(body, max(n, body.arcs.count)))
+    arcs = body.arcs
+    s = arcs.sample_params(max(n, arcs.count))
+    arc = np.searchsorted(arcs.cum, s, side="right") - 1
+    pts = arcs.point_at(s[(arcs.radii[arc] < HALF_PI) | (s == arcs.cum[arc])])
     w = pts @ frame.pole
-    plane = np.column_stack([pts @ frame.u / w, pts @ frame.v / w])
-    try:
-        idx = planar_hull(plane)
-    except DegenerateHull as exc:
-        raise InvalidSpec(f"projected boundary degenerate: {exc}") from exc
-    return WulffShape(plane[idx])
+    return WulffShape(np.column_stack([pts @ frame.u / w, pts @ frame.v / w]))
 
 
 def induce_spherical(shape: WulffShape, frame: ProjectionFrame,

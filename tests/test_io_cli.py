@@ -12,7 +12,7 @@ import pytest
 
 import lunes
 from lunes import body as bd
-from lunes import construct, io, metrics, render, wulff
+from lunes import cli, construct, io, metrics, render, wulff
 from lunes.errors import InvariantViolation, ParseError
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -28,6 +28,17 @@ def child_env():
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = root + (os.pathsep + rest if rest else "")
     return env
+
+
+HUGE = "1e300,0,1"
+
+
+def _main(argv):
+    """cli.main's exit code, argparse's exit included."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def run_cli(*args, cwd):
@@ -406,6 +417,41 @@ class TestCli:
         r = run_cli(*args, cwd=tmp_path)
         assert r.returncode == 2, r.stdout + r.stderr
         assert flag in r.stderr and "Traceback" not in r.stderr, r.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["construct", "cap", "--center", HUGE, "--rho", "0.5", "--out", "c.json"],
+        ["construct", "cd-triangle", "--v1", HUGE, "--v2", "1,0,1", "--v3", "0,1,1",
+         "--out", "t.json"],
+        ["construct", "cd-triangle", "--v1", "1,0,1", "--v2", HUGE, "--v3", "0,1,1",
+         "--out", "t.json"],
+        ["construct", "cd-triangle", "--v1", "1,0,1", "--v2", "0,1,1", "--v3", HUGE,
+         "--out", "t.json"],
+        ["construct", "cd-oddgon", "--vertices", f"1,0,1;0,1,1;{HUGE}", "--out", "g.json"],
+        ["wulff", "induce", "--gamma", "g.json", "--pole", HUGE, "--out", "i.json"],
+        ["render", "cap.json", "--view", HUGE, "--out", "cap.svg"],
+    ], ids=["center", "v1", "v2", "v3", "vertices", "pole", "view"])
+    def test_huge_vector_flag_exit_2(self, monkeypatch, capsys, args):
+        # a component of 1e300 squares to inf: the vector is rejected as
+        # too long, with no overflow warning (an error under Tier-1's
+        # filter) and no zero vector passed on
+        monkeypatch.setenv("COLUMNS", "200")  # argparse's usage on one line
+        assert _main(args) == 2
+        err = capsys.readouterr().err
+        rest = [line for line in err.splitlines() if not line.startswith("usage: lunes ")]
+        assert len(rest) == 1 and "error: argument" in rest[0], err
+        assert "too long" in rest[0], err
+
+    @pytest.mark.parametrize("slot", ["center", "from", "to", "vertex"])
+    def test_huge_document_component_exit_2(self, tmp_path, capsys, octant, slot):
+        doc = io.body_to_doc(octant)
+        vec = doc["vertices"][0] if slot == "vertex" else doc["segments"][0][slot]
+        vec[0] = 1e300
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert _main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "norm inf" in err or "|v| = inf" in err, err
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_bad_tolerance_exit_2(self, tmp_path, tol):

@@ -34,6 +34,8 @@ from lunes.errors import (DegenerateHull, InconsistentVerdicts,
                           InvariantViolation, LunesError)
 from lunes.sphere import dist, orthonormal_frame
 
+from conftest import mixed_cd_triangle_vertices
+
 DENSE = 4096  # boundary samples of the brute-force farthest-point oracle
 
 BOUNDED = settings(max_examples=20, deadline=None, derandomize=True)
@@ -813,6 +815,28 @@ def test_degenerate_hull_inputs_rejected():
     for pts in (arc, arc[:2]):  # on one great circle; two points
         with pytest.raises(DegenerateHull):
             bd.hull_from_points(pts)
+
+
+@settings(BOUNDED, max_examples=16)
+@given(bodies)
+@example(construct.constant_diameter_triangle(*mixed_cd_triangle_vertices(1.0)))
+@example(construct.constant_diameter_triangle(*mixed_cd_triangle_vertices(1.3)))
+def test_projection_is_in_hull_order(body):
+    # the image is the projection of the samples that project_to_plane
+    # keeps (every sample of an arc that is not great, a great arc's start
+    # alone), from starts[0] on, and already its own hull: planar_hull
+    # returns every index, in cyclic order
+    fr = wulff.frame_at(body.enclosing_center)
+    shape = wulff.project_to_plane(body, fr, n=720)
+    arcs = body.arcs
+    params, pts = arcs.sample_points(max(720, arcs.count))
+    arc = np.searchsorted(arcs.cum, params, side="right") - 1
+    kept = pts[(body.radii[arc] < bd.HALF_PI) | (params == arcs.cum[arc])]
+    xy = np.column_stack([kept @ fr.u, kept @ fr.v]) / (kept @ fr.pole)[:, None]
+    assert shape.vertices.shape == xy.shape
+    assert np.max(np.abs(shape.vertices - xy)) <= 1e-15 * max(1.0, float(np.max(np.abs(xy))))
+    idx = bd.planar_hull(shape.vertices)
+    assert np.array_equal(np.roll(idx, -int(np.argmin(idx))), np.arange(len(xy)))
 
 
 # -- enclosing center ----------------------------------------------------------

@@ -11,7 +11,7 @@ from lunes import construct, io, metrics, sphere, wulff
 from lunes.errors import (EmptyInterior, InvalidSpec, NotInHemisphere,
                           PoleNotInterior)
 
-from conftest import random_cd_triangle_vertices
+from conftest import mixed_cd_triangle_vertices, random_cd_triangle_vertices
 
 Z = np.array([0.0, 0.0, 1.0])
 SQUARE = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
@@ -211,15 +211,31 @@ class TestProjection:
     @pytest.mark.parametrize("seed, k", [(13, 7), (1, 8), (5, 4)])
     def test_polygon_projects_its_vertices(self, seed, k):
         # the image of a polygon is the polygon over its projected vertices,
-        # listed from some vertex on
+        # listed from the projection of starts[0] on
         poly = construct.random_convex_polygon(seed, n=k, max_diam=1.0)
         fr = wulff.frame_at(poly.enclosing_center)
         shape = wulff.project_to_plane(poly, fr, n=720)
-        v = poly.vertices
-        xy = np.column_stack([v @ fr.u, v @ fr.v]) / (v @ fr.pole)[:, None]
-        assert len(shape.vertices) == len(xy)
-        shift = int(np.argmin(np.linalg.norm(xy - shape.vertices[0], axis=1)))
-        assert np.max(np.abs(shape.vertices - np.roll(xy, -shift, axis=0))) <= 1e-15
+        xy = _projected(poly.starts, fr)
+        assert shape.vertices.shape == xy.shape
+        assert np.max(np.abs(shape.vertices - xy)) <= 1e-15
+
+    @pytest.mark.parametrize("a", [0.8, 1.0, 1.3])
+    def test_great_arc_projects_to_one_edge(self, a):
+        # a constant-diameter triangle with one zero corner radius: 5 arcs,
+        # one great.  Its image is one segment from the projection of the
+        # great arc's start to that of the next arc's start, and the
+        # round-trip report is all True.
+        body = construct.constant_diameter_triangle(*mixed_cd_triangle_vertices(a))
+        great = np.flatnonzero(body.radii == bd.HALF_PI)
+        assert len(body.radii) == 5 and len(great) == 1
+        fr = wulff.frame_at(body.enclosing_center)
+        shape = wulff.project_to_plane(body, fr, n=720)
+        ends = _projected(body.starts[[great[0], (great[0] + 1) % 5]], fr)
+        i = int(np.argmin(np.linalg.norm(shape.vertices - ends[0], axis=1)))
+        got = shape.vertices[[i, (i + 1) % len(shape.vertices)]]
+        assert np.max(np.abs(got - ends)) <= 1e-15
+        rep = wulff.self_dual_equivalence_report(shape, fr, tol=1e-4, n=720)
+        assert rep.booleans == [True] * 5
 
     def test_square_induces_known_diameter(self, square):
         fr = wulff.frame_at(Z)
@@ -252,6 +268,11 @@ class TestProjection:
         assert gaps.min() < 1e-7
         body = wulff.induce_spherical(shape, wulff.frame_at(pole))
         assert body.is_polygon and len(body.radii) > 600
+
+
+def _projected(pts, fr):
+    """Central projection of points at the frame's pole."""
+    return np.column_stack([pts @ fr.u, pts @ fr.v]) / (pts @ fr.pole)[:, None]
 
 
 def _lifted(shape, fr):
