@@ -688,9 +688,12 @@ def planar_hull(points) -> np.ndarray:
     A Graham scan about the centroid, which lies inside the hull: in order
     of angle about it the points bound a star-shaped polygon, and one pass
     around that polygon, starting at the point farthest from the centroid
-    (a hull vertex), pops every vertex that does not turn left by more than
-    roundoff (distance to the chord of its neighbours at most 1e-13 of the
-    coordinate scale).  Points on a hull edge, and all but one copy of a
+    (a hull vertex), pops every vertex b that does not turn left by more
+    than roundoff.  The centroid serves the order alone: b's turn is the
+    cross product of the differences at b, (x - b) x (a - b), so it keeps
+    b's own digits when a neighbour lies far away, and it must exceed a
+    bound on its roundoff, 1e-13 (|x-b| |a-b| + |b| (|x-b| + |a-b|)) in
+    L1 and max norms.  Points on a hull edge, and all but one copy of a
     repeated point, are not vertices.  The scan is sequential because a pop
     can expose the vertex before it: rounds of simultaneous pops would need
     one round per exposed vertex, O(n^2) on a long convex chain hidden
@@ -703,18 +706,19 @@ def planar_hull(points) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise DegenerateHull("non-finite point")
     q = pts - pts.mean(axis=0)
-    tol = 1e-13 * float(np.max(np.abs(q)))
     order = np.argsort(np.arctan2(q[:, 1], q[:, 0]), kind="stable")
     order = np.roll(order, -int(np.argmax(np.hypot(q[order, 0], q[order, 1]))))
-    xs, ys = q[order].T.tolist()
+    xs, ys = pts[order].T.tolist()
+    mag = np.max(np.abs(pts[order]), axis=1).tolist()
     stack = [0]
     for k in list(range(1, len(order))) + [0]:
         x, y = xs[k], ys[k]
         while len(stack) >= 2:
-            ax, ay = xs[stack[-2]], ys[stack[-2]]
-            bx, by = xs[stack[-1]], ys[stack[-1]]
-            # b turns left by more than tol iff it lies that far right of a -> x
-            if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > tol * math.hypot(x - ax, y - ay):
+            a, b = stack[-2], stack[-1]
+            bx, by = xs[b], ys[b]
+            px, py, rx, ry = x - bx, y - by, xs[a] - bx, ys[a] - by
+            p1, r1 = abs(px) + abs(py), abs(rx) + abs(ry)
+            if px * ry - py * rx > 1e-13 * (p1 * r1 + mag[b] * (p1 + r1)):
                 break
             stack.pop()
         stack.append(k)

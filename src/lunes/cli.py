@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import construct, io, metrics, render, wulff
+from . import io
 from .errors import LunesError
 from .sphere import norm
 
@@ -142,7 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> int:
     n, tol = args.samples, args.tol
+    # each command imports the modules it calls, and no others
     if args.command == "construct":
+        from . import construct
         if args.what == "cap":
             body = construct.cap(args.center, args.rho)
         elif args.what == "oddgon":
@@ -160,6 +162,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "analyze":
+        from . import metrics
         body = io.load_body(args.body)
         report = metrics.classify(body, tol=tol, n=n)
         print(f"thickness {report.thickness.value:.12f}")
@@ -177,6 +180,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "check":
+        from . import metrics
         body = io.load_body(args.body)
         fn = {"constant-width": metrics.is_constant_width,
               "constant-diameter": metrics.is_constant_diameter,
@@ -187,6 +191,7 @@ def _run(args) -> int:
         return 0 if verdict.passed else 1
 
     if args.command == "wulff":
+        from . import wulff
         if args.what == "project":
             body = io.load_body(args.body)
             shape = wulff.project_to_plane(body, wulff.frame_at(body.enclosing_center), n=n)
@@ -209,6 +214,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "roundtrip":
+        from . import wulff
         body = io.load_body(args.body)
         frame = wulff.frame_at(body.enclosing_center)
         shape = wulff.project_to_plane(body, frame, n=n)
@@ -219,6 +225,7 @@ def _run(args) -> int:
             print(f"{name}: {verdict.passed} (deviation {verdict.deviation:.3g})")
         return 0 if all(report.booleans) else 1
 
+    from . import render, wulff
     body_doc = io.load_document(args.doc)
     view = args.view
     if body_doc["kind"] == "body":

@@ -24,9 +24,10 @@ import numpy as np
 
 from .body import UNIT_TOL, SphericalBody, _validated
 from .errors import InvariantViolation, ParseError
-from .metrics import ClassifyReport
 from .sphere import norm
-from .wulff import GammaFn
+
+# annotations name wulff.GammaFn and metrics.ClassifyReport, which a body
+# document does not need, without importing either layer
 
 SCHEMA_VERSION = 1
 BODY_KINDS = ("polygon", "arc_boundary", "cap")
@@ -288,6 +289,8 @@ def gamma_to_doc(gamma: GammaFn) -> dict:
 
 
 def gamma_from_doc(doc: dict, where: str = "gamma document") -> GammaFn:
+    from .wulff import GammaFn  # only gamma documents need the Wulff layer
+
     _check_keys(doc, {"schema_version", "kind", "samples"}, set(), where)
     _check_version(doc, where)
     if doc["kind"] != "gamma":

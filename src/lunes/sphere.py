@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import DegenerateArc, DegenerateLune
 
-UNIT_TOL = 1e-12
 # below this separation (or above pi minus it) paired points stop defining
 # a great circle / lune reliably
 DEGENERATE_TOL = 1e-9

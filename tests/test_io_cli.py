@@ -470,13 +470,20 @@ class TestCli:
 
     def test_commands_load_no_scipy(self, tmp_path):
         # the package depends on numpy alone, and scipy is installed only
-        # for the tests; -X importtime logs every module the child imports
-        commands = [["-c", "import lunes"],
-                    ["-m", "lunes", "construct", "random", "--out", "poly.json"],
-                    ["-m", "lunes", "analyze", "poly.json"],
-                    ["-m", "lunes", "check", "constant-width", "poly.json"],
-                    ["-m", "lunes", "roundtrip", "poly.json"]]
-        for args in commands:
+        # for the tests; -X importtime logs every module the child imports.
+        # `import lunes` loads no submodule, and each command loads the
+        # modules it calls: analyze and check no Wulff layer, construct no
+        # metrics, roundtrip no construct or render
+        read = {"cli", "io", "body", "sphere", "errors"}
+        commands = [(["-c", "import lunes"], set()),
+                    (["-m", "lunes", "construct", "random", "--out", "poly.json"],
+                     read | {"construct"}),
+                    (["-m", "lunes", "analyze", "poly.json"], read | {"metrics"}),
+                    (["-m", "lunes", "check", "constant-width", "poly.json"],
+                     read | {"metrics"}),
+                    (["-m", "lunes", "roundtrip", "poly.json"],
+                     read | {"metrics", "wulff"})]
+        for args, loaded in commands:
             r = subprocess.run([sys.executable, "-X", "importtime", *args],
                                cwd=tmp_path, env=child_env(), capture_output=True,
                                text=True)
@@ -486,3 +493,5 @@ class TestCli:
                        if line.startswith("import time:")]
             assert "lunes" in modules, args
             assert not [m for m in modules if m.split(".")[0] == "scipy"], args
+            assert {m.split(".", 1)[1] for m in modules
+                    if m.startswith("lunes.")} == loaded, args

@@ -19,6 +19,7 @@ import math
 import os
 import tempfile
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -808,6 +809,61 @@ def test_planar_hull_matches_qhull(pts):
     edges = np.roll(got, -1, axis=0) - got
     nxt = np.roll(edges, -1, axis=0)
     assert np.all(edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0] > 0.0)
+
+
+def _exact_hull(pts):
+    """The hull's vertices, counterclockwise from the lowest of the leftmost
+    points: Andrew's monotone chain in exact rational arithmetic, so a point
+    on an edge is not a vertex."""
+    rows = sorted({(Fraction(x), Fraction(y)) for x, y in pts.tolist()})
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and ((out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                                     - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+    return chain(rows) + chain(rows[::-1])
+
+
+def _assert_exact_hull(pts):
+    want = _exact_hull(pts)
+    if len(want) < 3:
+        with pytest.raises(DegenerateHull):
+            bd.planar_hull(pts)
+        return
+    got = [(Fraction(x), Fraction(y)) for x, y in pts[bd.planar_hull(pts)].tolist()]
+    assert want[0] in got
+    start = got.index(want[0])
+    assert got[start:] + got[:start] == want
+
+
+@settings(BOUNDED, max_examples=40)
+@given(clouds, st.integers(4, 14), st.floats(0.0, 2 * math.pi))
+def test_planar_hull_exact_beside_a_far_point(pts, scale, azimuth):
+    # a point 10**scale away: each turn is taken from differences at its
+    # vertex and held against that vertex's own roundoff, so the far point's
+    # scale neither hides a near vertex nor cancels its digits.  The oracle is
+    # exact, because Qhull also degrades at these scales
+    far = 10.0 ** scale * np.array([[math.cos(azimuth), math.sin(azimuth)]])
+    _assert_exact_hull(np.concatenate([pts, far]))
+
+
+@pytest.mark.parametrize("n", [96, 720])
+@pytest.mark.parametrize("tiny", [1e-11, 1e-12, 1e-14])
+def test_wulff_shape_beside_a_far_dual_point(tiny, n):
+    # gamma = tiny at one of 8 samples puts that direction's dual point
+    # 1/tiny out; every active half-plane is kept, and the shape breaks none
+    gamma = wulff.GammaFn(2 * math.pi * np.arange(8) / 8, np.array([tiny] + [1.0] * 7))
+    ang = np.unique(np.concatenate([2 * math.pi * np.arange(n) / n, gamma.angles]))
+    u = np.column_stack([np.cos(ang), np.sin(ang)])
+    pts = u / gamma(ang)[:, None]
+    _assert_exact_hull(pts)
+    shape = wulff.wulff_shape(gamma, n=n)
+    assert len(shape.vertices) == len(_exact_hull(pts))
+    assert float(np.max(shape.vertices @ u.T - gamma(ang))) <= 1e-13
 
 
 def test_degenerate_hull_inputs_rejected():
