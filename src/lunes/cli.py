@@ -1,8 +1,8 @@
 """Command-line surface: construct, measure, check, and render documents.
 
-Exit codes: 0 success or verdict pass, 1 verdict fail, 2 usage or
-validation error.  Global flags --samples/--tol/--seed sit before the
-subcommand.
+Exit codes: 0 success or verdict pass, 1 verdict fail, 2 usage or input
+error, a --samples too large to allocate among them.  Global flags
+--samples/--tol/--seed sit before the subcommand.
 """
 
 from __future__ import annotations
@@ -253,6 +253,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy refuses an array past memory at once
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

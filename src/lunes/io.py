@@ -33,11 +33,21 @@ SCHEMA_VERSION = 1
 BODY_KINDS = ("polygon", "arc_boundary", "cap")
 
 
-def _finite(x, name: str) -> float:
+def _number(x) -> float | None:
+    """x as a float if it is a JSON number in the float range, else None: an
+    int or a float, never a bool (an int to Python) or a numeric string."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return None
     try:
-        v = float(x)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{name} must be a number, got {x!r}") from exc
+        return float(x)
+    except OverflowError:
+        return None
+
+
+def _finite(x, name: str) -> float:
+    v = _number(x)
+    if v is None:
+        raise ParseError(f"{name} must be a number, got {x!r}")
     if not math.isfinite(v):
         raise ParseError(f"{name} is not finite")
     return v
@@ -62,10 +72,9 @@ def _list(x, where: str) -> list:
 
 
 def _check_version(doc: dict, where: str) -> None:
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ParseError(
-            f"{where}: schema_version must be {SCHEMA_VERSION}, "
-            f"got {doc.get('schema_version')!r}")
+    version = doc.get("schema_version")
+    if version != SCHEMA_VERSION or isinstance(version, bool):  # true == 1
+        raise ParseError(f"{where}: schema_version must be {SCHEMA_VERSION}, got {version!r}")
 
 
 def _dump(doc: dict, path: str) -> None:
@@ -180,21 +189,20 @@ def _triple(x, name: str) -> list:
 
 
 def _floats(nums: list, name) -> np.ndarray:
-    """The numbers as one float array; anything but an int or a float goes
-    through float().  name(k) names the vector or radius of number k."""
+    """The numbers as one float array; each must be a JSON number (see
+    _number).  name(k) names the vector or radius of number k."""
     try:
-        return np.array([x if type(x) is float or type(x) is int else float(x)
-                         for x in nums], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        for k, x in enumerate(nums):
-            try:
-                float(x)
-            except (TypeError, ValueError, OverflowError):
-                what = name(k)
-                if what == "radius":
-                    raise ParseError(f"radius must be a number, got {x!r}") from exc
-                raise ParseError(f"{what} must be a list of 3 numbers") from exc
-        raise
+        if {float, int}.issuperset(map(type, nums)):
+            return np.array(nums, dtype=float)
+    except OverflowError:  # an int past the float range
+        pass
+    for k, x in enumerate(nums):
+        if _number(x) is None:
+            what = name(k)
+            if what == "radius":
+                raise ParseError(f"radius must be a number, got {x!r}")
+            raise ParseError(f"{what} must be a list of 3 numbers")
+    return np.array(nums, dtype=float)  # numbers of a float subclass
 
 
 def body_from_doc(doc: dict, where: str = "body document") -> SphericalBody:

@@ -72,60 +72,35 @@ class GammaFn:
         return cls(ang, np.full(n, float(value)))
 
 
-def _distinct(verts, tol: float = 1e-14) -> np.ndarray:
-    """Mask of the vertices kept when each one is dropped within tol of the
-    last one kept, and the last kept is dropped within tol of the first.
-
-    Next to a kept vertex the last one kept is the neighbour, so one
-    vectorized pass decides most vertices; after a dropped vertex the
-    following ones are compared with the last kept until one is kept."""
-    n = len(verts)
-    keep = np.ones(n, dtype=bool)
-    keep[1:] = np.linalg.norm(np.diff(verts, axis=0), axis=1) > tol
-    settled = 0
-    for j in np.flatnonzero(~keep):
-        if j <= settled:
-            continue
-        last, i = j - 1, j + 1
-        while i < n and np.linalg.norm(verts[i] - verts[last]) <= tol:
-            keep[i] = False
-            i += 1
-        if i < n:
-            keep[i] = True
-        settled = i
-    last = np.flatnonzero(keep)[-1]
-    if np.linalg.norm(verts[last] - verts[0]) <= tol:
-        keep[last] = False
-    return keep
-
-
 class WulffShape:
     """Convex planar polygon with the origin strictly interior.
 
-    Vertices counterclockwise; edge normals and offsets are derived at
-    construction.
+    Vertices counterclockwise, winding once, none repeated: checked as
+    given, with relative tolerances only, so a shape and its multiples pass
+    or fail together.  Edge normals and offsets are derived at construction.
     """
 
     def __init__(self, vertices):
         verts = np.atleast_2d(np.asarray(vertices, dtype=float))
         if verts.shape[1] != 2 or len(verts) < 3:
             raise InvalidSpec("need at least 3 planar vertices")
-        verts = verts[_distinct(verts)]
-        if len(verts) < 3:
-            raise InvalidSpec("fewer than 3 distinct vertices")
-        edges = np.roll(verts, -1, axis=0) - verts
-        cross = verts[:, 0] * np.roll(verts, -1, axis=0)[:, 1] \
-            - verts[:, 1] * np.roll(verts, -1, axis=0)[:, 0]
-        if float(cross.sum()) <= 0.0:
+        if not np.all(np.isfinite(verts)):
+            raise InvalidSpec("non-finite vertex")
+        nxt = np.roll(verts, -1, axis=0)
+        edges = nxt - verts
+        if float(np.sum(verts[:, 0] * nxt[:, 1] - verts[:, 1] * nxt[:, 0])) <= 0.0:
             raise InvariantViolation("convexity", "vertices not counterclockwise")
-        turn = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] \
-            - edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
-        if np.any(turn < -1e-12 * np.max(np.abs(verts)) ** 2):
+        ahead = np.roll(edges, -1, axis=0)
+        turn = edges[:, 0] * ahead[:, 1] - edges[:, 1] * ahead[:, 0]
+        scale = float(np.max(np.abs(verts)))
+        if np.any(turn < -1e-12 * scale ** 2):
             raise InvariantViolation("convexity", "reflex planar vertex")
         normals = np.column_stack([edges[:, 1], -edges[:, 0]])
         norms = np.linalg.norm(normals, axis=1)
-        if np.any(norms < 1e-15):
+        if np.any(norms <= 1e-15 * scale):
             raise InvalidSpec("repeated vertex")
+        if abs(float(np.arctan2(turn, np.sum(edges * ahead, axis=1)).sum()) - TWO_PI) > 1e-6:
+            raise InvariantViolation("convexity", "vertices do not wind once")
         normals = normals / norms[:, None]
         offsets = np.sum(normals * verts, axis=1)
         if np.any(offsets <= 0.0):

@@ -164,35 +164,28 @@ class TestMalformedDocuments:
         ("radius", 10**400), ("component", 10**400), ("component", "one"),
         ("center", "0,0,1"), ("center", True), ("center", "001"),
         ("center", {"0": 0.0, "1": 0.0, "2": 1.0}),
+        ("component", "1"), ("component", " 1e0 "), ("component", True),
+        ("radius", "0.5"), ("schema_version", True),
     ], ids=["radius_string", "radius_null", "metadata_list", "vertices_null",
             "radius_huge_int", "component_huge_int", "component_word",
             "vector_string", "vector_bool", "vector_3_char_string",
-            "vector_3_key_object"])
+            "vector_3_key_object", "component_numeric_string",
+            "component_padded_string", "component_bool", "radius_numeric_string",
+            "version_bool"])
     def test_body(self, tmp_path, key, value):
+        # only JSON numbers are numbers: no numeric string, and no boolean
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(
             _malformed(io.body_to_doc(construct.cap(Z, 0.5)), key, value)))
         with pytest.raises(ParseError):
             io.load_body(str(path))
 
-    @pytest.mark.parametrize("key, value", [
-        ("component", "1"), ("component", " 1e0 "), ("component", True),
-        ("radius", "0.5"),
-    ], ids=["component_numeric_string", "component_padded_string",
-            "component_bool", "radius_numeric_string"])
-    def test_body_numbers_through_float(self, tmp_path, key, value):
-        # a number in a vector or radius slot goes through float(), so
-        # numeric strings and booleans load as the numbers they convert to
-        cap = construct.cap(Z, 0.5)
-        path = tmp_path / "odd.json"
-        path.write_text(json.dumps(_malformed(io.body_to_doc(cap), key, value)))
-        body = io.load_body(str(path))
-        for name in ("centers", "radii", "starts"):
-            assert np.array_equal(getattr(body, name), getattr(cap, name)), name
-
     @pytest.mark.parametrize("key, value", [("sample", [0, "a"]), ("samples", 5),
-                                            ("sample", [0, 10**400])],
-                             ids=["sample_string", "samples_number", "sample_huge_int"])
+                                            ("sample", [0, 10**400]),
+                                            ("sample", [0, "1.5"]),
+                                            ("sample", [True, 1.0])],
+                             ids=["sample_string", "samples_number", "sample_huge_int",
+                                  "sample_numeric_string", "sample_bool"])
     def test_gamma(self, tmp_path, key, value):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(
@@ -395,6 +388,14 @@ class TestCli:
             r = run_cli("--samples", samples, "analyze", "cap.json", cwd=tmp_path)
             assert r.returncode == 2, r.stdout + r.stderr
             assert "--samples" in r.stderr and "Traceback" not in r.stderr, r.stderr
+
+    def test_samples_past_memory_exit_2(self, tmp_path, capsys, octant):
+        # numpy refuses an array of 10**15 samples at once, before anything
+        # is allocated: one error line, no traceback
+        io.save_body(octant, str(tmp_path / "octant.json"))
+        assert _main(["--samples", str(10**15), "analyze", str(tmp_path / "octant.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1, err
 
     def test_negative_seed_exit_2(self, tmp_path):
         r = run_cli("--seed", "-1", "construct", "random", "--out", "r.json",

@@ -8,8 +8,8 @@ import pytest
 
 from lunes import body as bd
 from lunes import construct, io, metrics, sphere, wulff
-from lunes.errors import (EmptyInterior, InvalidSpec, NotInHemisphere,
-                          PoleNotInterior)
+from lunes.errors import (EmptyInterior, InvalidSpec, InvariantViolation,
+                          NotInHemisphere, PoleNotInterior)
 
 from conftest import mixed_cd_triangle_vertices, random_cd_triangle_vertices
 
@@ -90,41 +90,29 @@ class TestWulffShape:
         theta = ang[np.abs(np.arange(64) - 17) > 1]
         assert np.allclose(b.radial(theta), a.radial(theta), atol=1e-12)
 
-    @staticmethod
-    def _kept(verts):
-        """The repeated-vertex rule, one vertex at a time: a vertex within
-        1e-14 of the last one kept is dropped, and so is the last one kept
-        when it is within 1e-14 of the first."""
-        keep = [0]
-        for i in range(1, len(verts)):
-            if np.linalg.norm(verts[i] - verts[keep[-1]]) > 1e-14:
-                keep.append(i)
-        if np.linalg.norm(verts[keep[-1]] - verts[0]) <= 1e-14:
-            keep.pop()
-        return keep
+    @pytest.mark.parametrize("scale", [1e-15, 1.0, 1e15])
+    def test_vertices_checked_as_given(self, scale):
+        # nothing is merged: a repeated vertex, a ring closed by a copy of
+        # its first vertex and a NaN are rejected at every scale, and a tiny
+        # square keeps its four vertices
+        nan = float("nan")
+        for verts, message in [
+                (np.insert(SQUARE, 2, SQUARE[1], axis=0), "repeated vertex"),
+                (np.vstack([SQUARE, SQUARE[:1]]), "repeated vertex"),
+                ([[nan, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], "non-finite vertex")]:
+            with pytest.raises(InvalidSpec, match=message):
+                wulff.WulffShape(scale * np.array(verts))
+        tiny = wulff.WulffShape(1e-15 * SQUARE)
+        assert np.array_equal(tiny.vertices, 1e-15 * SQUARE)
 
-    def test_near_duplicate_chains_dropped_against_last_kept(self):
-        ang = 2 * math.pi * np.arange(12) / 12
-        ring = np.column_stack([np.cos(ang), np.sin(ang)])
-        e = (ring[4] - ring[3]) / np.linalg.norm(ring[4] - ring[3])
-        # steps of 0.6e-14 from vertex 3: the second is 1.2e-14 from the
-        # last vertex kept (3) and stays, though 0.6e-14 from its neighbour
-        chain = ring[3] + np.outer([0.6e-14, 1.2e-14, 1.8e-14], e)
-        verts = np.vstack([ring[:4], chain, ring[4:], ring[:1] + 0.5e-14 * e])
-        keep = self._kept(verts)
-        assert keep == [0, 1, 2, 3, 5] + list(range(7, 15))
-        assert np.array_equal(wulff.WulffShape(verts).vertices, verts[keep])
-        # chains of random near-duplicate steps along every edge
-        rng = np.random.default_rng(4)
-        rows = []
-        for k in range(12):
-            e = ring[(k + 1) % 12] - ring[k]
-            steps = rng.uniform(0.2e-14, 0.9e-14, size=rng.integers(0, 6))
-            rows += [ring[k]] + list(ring[k] + np.outer(np.cumsum(steps), e / np.linalg.norm(e)))
-        verts = np.array(rows + [ring[0] + 0.9e-14 * e / np.linalg.norm(e)])
-        keep = self._kept(verts)
-        assert len(keep) > 12
-        assert np.array_equal(wulff.WulffShape(verts).vertices, verts[keep])
+    @pytest.mark.parametrize("scale", [1e-15, 1.0, 1e15])
+    def test_pentagram_rejected(self, scale):
+        # a {5/2} pentagram turns left at every vertex, has a positive
+        # signed area and the origin inside every edge, but winds twice
+        star = [[math.cos(0.8 * math.pi * k), math.sin(0.8 * math.pi * k)]
+                for k in range(5)]
+        with pytest.raises(InvariantViolation, match="do not wind once"):
+            wulff.WulffShape(scale * np.array(star))
 
     def test_contains_and_origin_interior(self, square):
         assert square.contains(np.array([0.9, -0.9]))
@@ -174,6 +162,24 @@ class TestDualWulff:
         a = wulff.dual_wulff(square.scaled(s), n=360)
         b = wulff.dual_wulff(square, n=360).scaled(1.0 / s)
         assert wulff.hausdorff_polygons(a, b) <= 1e-9
+
+    @pytest.mark.parametrize("values", [
+        lambda ang: np.ones_like(ang),
+        lambda ang: 0.5 * (1.0 + 0.08 * np.cos(3 * ang + 1.1)),
+    ], ids=["constant", "build_style"])
+    def test_every_vertex_kept_at_every_scale(self, values):
+        # W(s gamma) = s W(gamma) and its dual is dual(W(gamma)) / s, vertex
+        # for vertex, from s = 1e-15 to 1e15; the lists may start apart
+        ang = 2 * math.pi * np.arange(720) / 720
+        one = wulff.wulff_shape(wulff.GammaFn(ang, values(ang)))
+        dual = wulff.dual_wulff(one)
+        for s in 10.0 ** np.arange(-15, 16, 3):
+            shape = wulff.wulff_shape(wulff.GammaFn(ang, s * values(ang)))
+            assert len(shape.vertices) == len(one.vertices), s
+            assert wulff.hausdorff_polygons(shape, one.scaled(s)) <= 1e-12 * s
+            d = wulff.dual_wulff(shape)
+            assert wulff.hausdorff_polygons(d, dual.scaled(1.0 / s)) <= 1e-12 / s
+            assert wulff.hausdorff_polygons(wulff.dual_wulff(d), shape) <= 1e-12 * s
 
 
 class TestProjection:
