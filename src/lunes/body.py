@@ -6,7 +6,8 @@ arc i + 1 starts (cyclically), so each junction is stored once, and a lone
 arc is a full circle.  Every radius is at most pi/2, and every arc runs
 counterclockwise as seen from its circle center, with the body on the left.
 Validation, the polar dual and the arc tables behind every query are
-computed on these arrays in bulk, once per body.
+computed on these arrays in bulk, once per body; a table holds each arc
+pre-scaled, as three rows in which a point along it is linear (_Arcs).
 
 The polar dual (the curve of supporting-hemisphere centers) has a closed
 form per arc, which gives exact membership and support queries: a point lies
@@ -128,23 +129,20 @@ def _validated(centers, radii, starts, ends=None) -> _Valid:
     return out
 
 
-def _closed_form(v, sweeps, cos_r, sin_r):
-    """Candidates for the minimum of p . d over arcs: v is (rows, 3, n), the
-    a = u0 . d, b = v0 . d and c . d of n arcs, or (rows, 3, k, n) for k
-    directions per row on that row's arcs (the arc data broadcast).
+def _closed_form(a, b, c, sweeps):
+    """Candidates for the minimum of p . d over arcs, from the products
+    a = A . d, b = B . d and c = C . d of the pre-scaled arc rows (_Arcs),
+    any shape, with sweeps broadcast to it.
 
-    Along an arc p(t) . d = cos r (c . d) + sin r (a cos t + b sin t), so the
-    minimum lies at the start (an arc's end is the next arc's start) or at
-    the critical angle atan2(b, a) + pi, in [0, 2 pi], if the sweep reaches
-    it.  Returns the (rows, 2n) candidates, or (rows, k, 2n), starts first,
-    then the critical values (+inf outside the sweep), and the critical
+    Along an arc p(t) . d = c + a cos t + b sin t, so the minimum lies at
+    the start, c + a (an arc's end is the next arc's start), or at the
+    critical angle atan2(b, a) + pi, in [0, 2 pi], where it is
+    c - sqrt(a^2 + b^2), if the sweep reaches it.  Returns the start
+    values, the critical values (+inf outside the sweep) and the critical
     angles.
     """
-    a, b, base = v[:, 0], v[:, 1], v[:, 2]
-    base *= cos_r  # in place: v is a temporary of the caller
     t = np.arctan2(b, a) + math.pi
-    crit = np.where(t <= sweeps, base - sin_r * np.sqrt(a * a + b * b), np.inf)
-    return np.concatenate([base + sin_r * a, crit], axis=-1), t
+    return c + a, np.where(t <= sweeps, c - np.sqrt(a * a + b * b), np.inf), t
 
 
 def _sliced(query, width, *rows):
@@ -160,9 +158,13 @@ def _sliced(query, width, *rows):
 class _Arcs:
     """Stacked arc data with vectorized point and support queries.
 
-    u0, v0 and the centers are rows of one read-only (3m x 3) table, so a
-    support query gets a, b and c . d of every arc in one product with the
-    directions, for _closed_form.  In more than one direction, on more than
+    Along an arc, p(t) = cos r c + sin r (cos t u0 + sin t v0) is
+    C + cos t A + sin t B in the pre-scaled rows A = sin r u0 (su0),
+    B = sin r v0 (sv0) and C = cos r c (cc) of one read-only (3m x 3)
+    table: a support query gets A . d, B . d and C . d of every arc in one
+    product with the directions, for _closed_form, and _point scales
+    nothing.  u0, v0, the centers, cos r and sin r stay plain arrays, for
+    tangents, chords and lengths.  In more than one direction, on more than
     _BLOCK arcs, it is pruned: each block of _BLOCK consecutive arcs lies
     within a slack h_b of its chord S_b, a great arc, so min over S_b of
     y . d, less h_b, bounds its values from below (a line-swept sphere:
@@ -197,13 +199,14 @@ class _Arcs:
     """
 
     def __init__(self, centers, radii, u0, v0, sweeps):
-        self.radii = radii
-        self.sweeps = sweeps
+        self.centers, self.radii, self.u0, self.v0, self.sweeps = centers, radii, u0, v0, sweeps
         self.cos_r = np.cos(radii)
         self.sin_r = np.sin(radii)
-        self.table = np.concatenate([u0, v0, centers])
-        self.table.flags.writeable = False
-        self.u0, self.v0, self.centers = np.split(self.table, 3)  # views
+        s = self.sin_r[:, None]
+        self.table = np.concatenate([s * u0, s * v0, self.cos_r[:, None] * centers])
+        for arr in (self.table, u0, v0):
+            arr.flags.writeable = False
+        self.su0, self.sv0, self.cc = np.split(self.table, 3)  # views: A, B and C
         self.lengths = sweeps * self.sin_r
         self.cum = np.concatenate([[0.0], np.cumsum(self.lengths)])
         self.total = float(self.cum[-1])
@@ -252,8 +255,7 @@ class _Arcs:
     def _point(self, idx, cos_t, sin_t):
         """The point at angle t along arc idx (cos t and sin t as columns):
         the one formula for a point on an arc."""
-        w = cos_t * self.u0[idx] + sin_t * self.v0[idx]
-        return self.cos_r[idx][:, None] * self.centers[idx] + self.sin_r[idx][:, None] * w
+        return self.cc[idx] + cos_t * self.su0[idx] + sin_t * self.sv0[idx]
 
     def far_point(self, dirs) -> np.ndarray:
         """The curve's farthest point from each direction: where p . x is
@@ -321,9 +323,9 @@ class _Arcs:
         """_reduce of the points x[i] (_STRIDE x 3) over the arcs win[i]."""
         k, width = win.shape
         table = self.table.reshape(3, self.count, 3)[:, win].transpose(1, 0, 3, 2)
-        flat, t = _closed_form(x[:, None] @ table, self.sweeps[win][:, None],
-                               self.cos_r[win][:, None], self.sin_r[win][:, None])
-        return self._reduce(flat.reshape(k * _STRIDE, -1), t.reshape(k * _STRIDE, -1),
+        v = (x[:, None] @ table).swapaxes(0, 1)
+        found = _closed_form(*v, self.sweeps[win][:, None])
+        return self._reduce(*(y.reshape(k * _STRIDE, -1) for y in found),
                             np.repeat(win, _STRIDE, axis=0))
 
     def support_extreme(self, dirs) -> np.ndarray:
@@ -353,19 +355,25 @@ class _Arcs:
         arcs = np.arange(self.count)
         return _sliced(lambda d: self._reduce(*self._whole(d), arcs), 3 * self.count, dirs)
 
-    def _reduce(self, flat, t, arcs):
-        """Each row's least candidate, its arc and the angle along it (0 at
-        the start); arcs numbers the candidates' arcs, for all rows (1-D) or
-        per row (2-D)."""
+    def _reduce(self, start, crit, t, arcs):
+        """Each row's least candidate of _closed_form (rows x arcs), its arc
+        and the angle along it (0 at the start), a start winning a tie;
+        arcs numbers the candidates' arcs, for all rows (1-D) or per row
+        (2-D)."""
+        flat = np.concatenate([start, crit], axis=1)
         rows = np.arange(flat.shape[0])
         j = np.argmin(flat, axis=1)
-        crit, slot = np.divmod(j, t.shape[1])
+        critical, slot = np.divmod(j, t.shape[1])
         arc = arcs[slot] if arcs.ndim == 1 else arcs[rows, slot]
-        return flat[rows, j], arc, np.where(crit, t[rows, slot], 0.0)
+        return flat[rows, j], arc, np.where(critical, t[rows, slot], 0.0)
 
     def _whole(self, d):
-        return _closed_form((d @ self.table.T).reshape(-1, 3, self.count), self.sweeps,
-                            self.cos_r, self.sin_r)
+        """_closed_form on every arc, laid out arcs first: the (3m x k)
+        product with the k directions gives A . d, B . d and C . d as
+        contiguous (m x k) rows.  Returns the candidates transposed, per
+        direction (views)."""
+        v = (self.table @ d.T).reshape(3, self.count, -1)
+        return [y.T for y in _closed_form(*v, self.sweeps[:, None])]
 
     @cached_property
     def _blocks(self):
@@ -398,14 +406,13 @@ class _Arcs:
                         np.maximum(a, c))
         slack = np.max(np.arccos(np.clip(near, -1.0, 1.0)) + reach[idx], axis=1) + _CAP_SLACK
         table = self.table.reshape(3, m, 3)[:, idx].transpose(1, 0, 2, 3)
-        return (idx, table.reshape(len(idx), 3 * _BLOCK, 3), self.sweeps[idx],
-                self.cos_r[idx], self.sin_r[idx], chord, sweep, slack)
+        return idx, table.reshape(len(idx), 3 * _BLOCK, 3), self.sweeps[idx], chord, sweep, slack
 
     def _blockwise(self, b, d):
         """_reduce over block b[i] in direction d[i], for each i."""
-        idx, table, sweeps, cos_r, sin_r, *_ = self._blocks
-        v = (table[b] @ d[:, :, None]).reshape(-1, 3, _BLOCK)
-        return self._reduce(*_closed_form(v, sweeps[b], cos_r[b], sin_r[b]), idx[b])
+        idx, table, sweeps, *_ = self._blocks
+        v = (table[b] @ d[:, :, None]).reshape(-1, 3, _BLOCK).swapaxes(0, 1)
+        return self._reduce(*_closed_form(*v, sweeps[b]), idx[b])
 
     def _low(self, d):
         """Per block and direction, min over S_b of y . d less h_b: no point x
@@ -517,7 +524,7 @@ class SphericalBody:
         self.is_full_circle = m == 1
         self.meta = dict(meta or {})
         self.arcs = _Arcs.from_boundary(b)
-        self.centers = self.arcs.centers  # a view: the centers are stored once
+        self.centers = b.centers  # unscaled, shared with arcs.centers
 
         dual, turns, self._corner_row = _dual(b)
         reflex = np.flatnonzero(turns < -CLOSURE_TOL)
@@ -528,7 +535,7 @@ class SphericalBody:
                 f"(turn {float(turns[k]):.3g})")
         dual = _validated(*dual)
         self.dual_arcs = _Arcs.from_boundary(dual)
-        self.dual_boundary = dual._replace(centers=self.dual_arcs.centers)
+        self.dual_boundary = dual
 
         if enclosing_center is None:
             probe = self.arcs.point_at(

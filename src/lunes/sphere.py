@@ -106,8 +106,10 @@ def lune_make(g, h) -> Lune:
     """Build the lune G intersect H from two hemispheres (or their centers).
 
     The midpoint of the semicircle bd(G) inside H is the point of bd(G)
-    maximizing the dot product with h's center, i.e. the normalized
-    projection of h's center onto the plane of bd(G); symmetrically for H.
+    nearest h's center, its projection (ch - (cg . ch) cg) / sin, which is
+    corner x cg for the unit corner (cg x ch) / sin; symmetrically,
+    ch x corner for H.  The cross products keep the digits that the
+    projection loses at nearly equal or antipodal centers.
     """
     if not isinstance(g, Hemisphere):
         g = Hemisphere(np.asarray(g, dtype=float))
@@ -117,10 +119,11 @@ def lune_make(g, h) -> Lune:
     ang = float(dist(cg, ch))
     if ang < DEGENERATE_TOL or ang > math.pi - DEGENERATE_TOL:
         raise DegenerateLune("hemisphere centers equal or antipodal")
-    corner = normalize(cross(cg, ch))
-    d = float(np.dot(cg, ch))
-    mid_g = normalize(ch - d * cg)
-    mid_h = normalize(cg - d * ch)
+    # cg x ch = cg x (ch - cg) = cg x (ch + cg): the shorter of ch -/+ cg is
+    # exact where cg x ch would cancel
+    corner = normalize(cross(cg, ch - cg if cg @ ch > 0.0 else ch + cg))
+    mid_g = cross(corner, cg)
+    mid_h = cross(ch, corner)
     thickness = float(dist(mid_g, mid_h))
     return Lune(g=g, h=h, corners=(corner, -corner), mid_g=mid_g, mid_h=mid_h,
                 thickness=thickness)

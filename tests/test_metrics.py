@@ -293,6 +293,16 @@ class TestClassify:
         assert rep.checks["thickness_equals_diameter_above_halfpi"]
         assert rep.checks["halfpi_sign_agreement"]
 
+    @pytest.mark.parametrize("rho", [1.57079, 1e-5])
+    def test_extreme_caps_at_tight_tolerance(self, rho):
+        # nearly a hemisphere, or tiny: the widths' lunes have nearly equal
+        # or nearly antipodal centers, where their midpoints must keep
+        # their digits for every theorem check to hold at tol 1e-12
+        rep = metrics.classify(construct.cap(np.array([0.6, 0.0, 0.8]), rho), tol=1e-12)
+        assert abs(rep.thickness.value - 2 * rho) <= 1e-15
+        assert abs(rep.diameter.value - 2 * rho) <= 1e-15
+        assert all(rep.checks.values())
+
     def test_thickness_never_exceeds_diameter(self, random_polygons):
         for poly in random_polygons[:8]:
             rep = metrics.classify(poly, tol=1e-6, n=240)

@@ -170,6 +170,29 @@ def _whole_table(arcs, dirs):
     return np.minimum(np.min(base + arcs.sin_r * a, axis=1), np.min(crit, axis=1))
 
 
+@settings(BOUNDED, max_examples=30)
+@given(bodies, st.integers(0, 2**32 - 1))
+@example(construct.cap(np.array([0.6, 0.0, 0.8]), 1e-5), 0)
+@example(construct.cap(np.array([0.6, 0.0, 0.8]), math.pi / 2 - 1e-5), 0)
+def test_prescaled_rows_match_unscaled_arcs(body, seed):
+    # points, tangents and support minima from the pre-scaled rows agree
+    # with the formulas on u0, v0, the centers, cos r and sin r
+    rng = np.random.default_rng(seed)
+    for arcs in _curves(body):
+        s = np.concatenate([arcs.sample_params(64), rng.uniform(0.0, arcs.total, 64)])
+        i = np.minimum(np.searchsorted(arcs.cum, s, side="right") - 1, arcs.count - 1)
+        t = ((s - arcs.cum[i]) / arcs.sin_r[i])[:, None]
+        along = np.cos(t) * arcs.u0[i] + np.sin(t) * arcs.v0[i]
+        want = arcs.cos_r[i, None] * arcs.centers[i] + arcs.sin_r[i, None] * along
+        assert np.max(np.abs(arcs.point_at(s) - want)) <= 1e-15
+        p, tangent = arcs.tangent_at(s)
+        assert np.array_equal(p, arcs.point_at(s))
+        derivative = np.cos(t) * arcs.v0[i] - np.sin(t) * arcs.u0[i]  # d want / ds
+        assert np.max(np.abs(tangent - derivative)) <= 1e-15
+        dirs = sphere.normalize(rng.normal(size=(64, 3)))
+        assert np.max(np.abs(arcs.support_extreme(dirs) - _whole_table(arcs, dirs))) <= 1e-15
+
+
 @settings(BOUNDED, max_examples=12)
 @given(many_arc_bodies(), st.integers(0, 2**32 - 1))
 def test_pruned_support_matches_whole_table(body, seed):
@@ -545,6 +568,30 @@ def test_thickness_plus_dual_diameter_is_pi(body):
                - math.pi) <= 1e-9
 
 
+# -- lunes ---------------------------------------------------------------------
+
+
+@settings(BOUNDED, max_examples=40)
+@given(units, units, st.floats(-8.0, -1.0), st.booleans())
+@example(np.array([0.6, 0.0, 0.8]), np.array([0.0, 1.0, 0.0]), -8.0, False)
+@example(np.array([0.6, 0.0, 0.8]), np.array([0.0, 1.0, 0.0]), -8.0, True)
+def test_lune_midpoints_near_equal_and_antipodal_centers(g, w, log_eps, antipodal):
+    # centers 1e-8 to 1e-1 from equal (a lune nearly a hemisphere) or from
+    # antipodal (a thin lune): the midpoints' distance is pi - dist(g, h),
+    # each midpoint lies on its own boundary circle, and the corner on both
+    q = sphere.cross(g, w)
+    assume(sphere.norm(q) > 1e-3)
+    eps = 10.0 ** log_eps
+    h = math.cos(eps) * g + math.sin(eps) * sphere.normalize(q)
+    h = -h if antipodal else h
+    lune = sphere.lune_make(g, h)
+    assert abs(lune.thickness - (math.pi - float(dist(g, h)))) <= 1e-15
+    assert abs(lune.mid_g @ g) <= 1e-15 and abs(lune.mid_h @ h) <= 1e-15
+    for x in (lune.mid_g, lune.mid_h, *lune.corners):
+        assert abs(sphere.norm(x) - 1.0) <= 1e-15
+    assert max(abs(lune.corners[0] @ g), abs(lune.corners[0] @ h)) <= 1e-15
+
+
 # -- constant width of every width ---------------------------------------------
 
 
@@ -561,12 +608,27 @@ def reuleaux_gons(draw):
     """
     n = draw(st.sampled_from([3, 5, 7]))
     w = draw(st.floats(0.3, math.pi / 2))
-    radius = math.asin(math.sin(0.5 * w) / math.sin(0.5 * math.pi * (n - 1) / n))
-    v = construct.regular_polygon_vertices(n, radius, center=draw(units),
-                                           phase=draw(st.floats(0.0, 1.0)))
-    body = bd.SphericalBody([(v[(j + n // 2 + 1) % n], w, v[j], v[(j + 1) % n])
-                             for j in range(n)])
+    body = _reuleaux(n, w, draw(units), draw(st.floats(0.0, 1.0)))
     return (bd.polar_dual(body), math.pi - w) if draw(st.booleans()) else (body, w)
+
+
+def _reuleaux(n, w, axis, phase):
+    radius = math.asin(math.sin(0.5 * w) / math.sin(0.5 * math.pi * (n - 1) / n))
+    v = construct.regular_polygon_vertices(n, radius, center=axis, phase=phase)
+    return bd.SphericalBody([(v[(j + n // 2 + 1) % n], w, v[j], v[(j + 1) % n])
+                             for j in range(n)])
+
+
+def _many_arc_reuleaux_examples(test):
+    """Explicit examples: the Reuleaux 65-, 67- and 101-gons of widths 1.0,
+    0.5 and 1.4 and their polar duals, bodies of more than one block of
+    arcs whose blocks turn far (every arc of a gon has sin r < 1)."""
+    axis = sphere.normalize(np.array([0.3, -0.4, 0.85]))
+    for n, w in itertools.product((65, 67, 101), (1.0, 0.5, 1.4)):
+        body = _reuleaux(n, w, axis, 0.25)
+        for case in ((body, w), (bd.polar_dual(body), math.pi - w)):
+            test = example(case, axis, 1.0)(test)
+    return test
 
 
 def _widths(body):
@@ -575,6 +637,7 @@ def _widths(body):
 
 @BOUNDED
 @given(reuleaux_gons(), units, st.floats(0.1, 3.0))
+@_many_arc_reuleaux_examples
 def test_reuleaux_gons_have_constant_width(case, axis, angle):
     # cornered bodies of constant width off pi/2, and past it in the duals
     body, width = case
