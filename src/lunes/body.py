@@ -10,8 +10,10 @@ computed on these arrays in bulk, once per body; a table holds each arc
 pre-scaled, as three rows in which a point along it is linear (_Arcs).
 
 The polar dual (the curve of supporting-hemisphere centers) has a closed
-form per arc, which gives exact membership and support queries: a point lies
-in the body iff its dot product with every supporting center is nonnegative.
+form per arc, read off the arc frame: at cos r c + sin r w on an arc (w the
+unit radial direction) the supporting center is sin r c - cos r w.  It gives
+exact membership and support queries: a point lies in the body iff its dot
+product with every supporting center is nonnegative.
 On a curve of many arcs, a profile (the farthest point of every sample, in
 order along the curve) walks the curve: each sample is searched only on the
 arcs between the farthest points of two coarse samples.  Other queries in
@@ -198,38 +200,32 @@ class _Arcs:
     2 _STRIDE samples: one of its runs spans half the perimeter, at least D.
     """
 
-    def __init__(self, centers, radii, u0, v0, sweeps):
-        self.centers, self.radii, self.u0, self.v0, self.sweeps = centers, radii, u0, v0, sweeps
-        self.cos_r = np.cos(radii)
-        self.sin_r = np.sin(radii)
-        s = self.sin_r[:, None]
-        self.table = np.concatenate([s * u0, s * v0, self.cos_r[:, None] * centers])
-        for arr in (self.table, u0, v0):
+    def __init__(self, b: Boundary):
+        """Each arc's frame, once: u0 and u1 the unit radial directions at
+        the start and the end, v0 = center x u0, and the sweep (2 pi for a
+        full circle)."""
+        self.centers, self.radii = b.centers, b.radii
+        self.cos_r, self.sin_r = np.cos(b.radii), np.sin(b.radii)
+        cos_r, sin_r = self.cos_r[:, None], self.sin_r[:, None]
+        u0 = (b.starts - cos_r * b.centers) / sin_r
+        u0 /= norm(u0)[:, None]
+        v0 = cross(b.centers, u0)
+        u1 = (_rolled(b.starts) - cos_r * b.centers) / sin_r
+        sweeps = np.mod(np.arctan2(np.sum(u1 * v0, axis=1), np.sum(u1 * u0, axis=1)), TWO_PI)
+        if len(sweeps) == 1:
+            sweeps[0] = TWO_PI
+        if np.any(sweeps < 1e-12):
+            raise InvariantViolation("degenerate segment", "zero-length boundary arc")
+        u1 /= norm(u1)[:, None]
+        self.u0, self.v0, self.u1, self.sweeps = u0, v0, u1, sweeps
+        self.table = np.concatenate([sin_r * u0, sin_r * v0, cos_r * b.centers])
+        for arr in (self.table, u0, v0, u1):
             arr.flags.writeable = False
         self.su0, self.sv0, self.cc = np.split(self.table, 3)  # views: A, B and C
         self.lengths = sweeps * self.sin_r
         self.cum = np.concatenate([[0.0], np.cumsum(self.lengths)])
         self.total = float(self.cum[-1])
-        self.count = len(radii)
-
-    @classmethod
-    def from_boundary(cls, b: Boundary) -> "_Arcs":
-        """Arc frames and sweeps: u0 points from the circle center's axis to
-        the start, v0 = center x u0, and the sweep runs from the start to the
-        next arc's start (2 pi for a full circle)."""
-        cos_r = np.cos(b.radii)[:, None]
-        sin_r = np.sin(b.radii)[:, None]
-        u0 = (b.starts - cos_r * b.centers) / sin_r
-        u0 /= norm(u0)[:, None]
-        v0 = cross(b.centers, u0)
-        e = (_rolled(b.starts) - cos_r * b.centers) / sin_r
-        sweeps = np.mod(np.arctan2(np.sum(e * v0, axis=1), np.sum(e * u0, axis=1)),
-                        TWO_PI)
-        if len(sweeps) == 1:
-            sweeps[0] = TWO_PI
-        if np.any(sweeps < 1e-12):
-            raise InvariantViolation("degenerate segment", "zero-length boundary arc")
-        return cls(b.centers, b.radii, u0, v0, sweeps)
+        self.count = len(sweeps)
 
     def _locate(self, s):
         """The arc holding each cumulative arc-length parameter s, and the
@@ -438,33 +434,35 @@ class _Arcs:
         return vals, arc, t
 
 
-def _dual(b: Boundary):
+def interleaved(keep, first: Boundary, second: Boundary) -> Boundary:
+    """The arcs first[0], second[0], first[1], second[1], ... of two
+    boundaries of m arcs, where keep (2m booleans) is True."""
+    return Boundary(*(np.stack([x, y], axis=1).reshape((-1,) + x.shape[1:])[keep]
+                      for x, y in zip(first, second)))
+
+
+def _dual(b: Boundary, arcs: _Arcs):
     """Closed-form polar dual boundary.
 
     Each arc of radius rho dualizes to an arc of radius pi/2 - rho about the
     same center (a single point when rho = pi/2); each corner junction
     contributes a great arc about the junction point sweeping the supporting
-    centers.  The pieces keep the boundary order, each arc's own piece before
-    the one of the junction at its end; a smooth junction (|turn| at most
-    CLOSURE_TOL) has none.  Returns the dual boundary (not yet validated),
-    the signed turn angle at the end of every arc (negative at a reflex
-    junction), and the dual row of the great arc at each corner (-1 at a
-    smooth junction).
+    centers.  At cos r c + sin r w on an arc (w = arcs.u0 at its start,
+    arcs.u1 at its end) the supporting center is sin r c - cos r w, read
+    off the frame with no cancellation (cos r is 0 on a great arc).  The
+    pieces keep the boundary order, each arc's own piece before the one of
+    the junction at its end; a smooth junction (|turn| at most CLOSURE_TOL)
+    has none.  Returns the dual boundary (not yet validated), the signed
+    turn angle at the end of every arc (negative at a reflex junction), and
+    the dual row of the great arc at each corner (-1 at a smooth junction).
     """
     m = len(b.radii)
     great = b.radii == HALF_PI
-    cos_r = np.cos(b.radii)[:, None]
-    sin_r = np.sin(b.radii)[:, None]
+    cos_r = np.where(great, 0.0, arcs.cos_r)[:, None]
+    sin_r = arcs.sin_r[:, None]
     junctions = _rolled(b.starts)
-
-    def supporting(x):
-        """Center of the hemisphere supporting the body at x[i] on arc i."""
-        c = (b.centers - cos_r * x) / sin_r
-        c /= norm(c)[:, None]
-        return np.where(great[:, None], b.centers, c)
-
-    at_start = supporting(b.starts)
-    at_end = supporting(junctions)
+    at_start = sin_r * b.centers - cos_r * arcs.u0
+    at_end = sin_r * b.centers - cos_r * arcs.u1
     at_next = _rolled(at_start)
     # the supporting centers at a convex corner turn counterclockwise about
     # it, from the one before the corner to the one after: a reflex junction
@@ -473,14 +471,8 @@ def _dual(b: Boundary):
     turns = np.copysign(np.arctan2(norm(axis), np.add.reduce(at_end * at_next, axis=-1)),
                         np.einsum("ij,ij->i", axis, junctions))  # 0 on a full circle
     keep = np.column_stack([~great, turns > CLOSURE_TOL]).ravel()
-
-    def interleaved(arc_piece, corner_piece):
-        pieces = np.stack([arc_piece, corner_piece], axis=1)
-        return pieces.reshape((2 * m,) + pieces.shape[2:])[keep]
-
-    dual = Boundary(centers=interleaved(b.centers, junctions),
-                    radii=interleaved(HALF_PI - b.radii, np.full(m, HALF_PI)),
-                    starts=interleaved(at_start, at_end))
+    dual = interleaved(keep, Boundary(b.centers, HALF_PI - b.radii, at_start),
+                       Boundary(junctions, np.full(m, HALF_PI), at_end))
     row = np.cumsum(keep) - 1
     corner_row = np.where(keep[1::2], row[1::2], -1)
     return dual, turns, corner_row
@@ -523,10 +515,10 @@ class SphericalBody:
         self.radii, self.starts = b.radii, b.starts
         self.is_full_circle = m == 1
         self.meta = dict(meta or {})
-        self.arcs = _Arcs.from_boundary(b)
+        self.arcs = _Arcs(b)
         self.centers = b.centers  # unscaled, shared with arcs.centers
 
-        dual, turns, self._corner_row = _dual(b)
+        dual, turns, self._corner_row = _dual(b, self.arcs)
         reflex = np.flatnonzero(turns < -CLOSURE_TOL)
         if len(reflex):
             k = int(reflex[0])
@@ -534,7 +526,7 @@ class SphericalBody:
                 "convexity", f"reflex junction at the end of segment {k} "
                 f"(turn {float(turns[k]):.3g})")
         dual = _validated(*dual)
-        self.dual_arcs = _Arcs.from_boundary(dual)
+        self.dual_arcs = _Arcs(dual)
         self.dual_boundary = dual
 
         if enclosing_center is None:
@@ -692,29 +684,40 @@ def find_enclosing_center(points, min_dot: float = ENCLOSING_MIN_DOT) -> np.ndar
 def planar_hull(points) -> np.ndarray:
     """Indices of the extreme points of a planar set, counterclockwise.
 
-    A Graham scan about the centroid, which lies inside the hull: in order
-    of angle about it the points bound a star-shaped polygon, and one pass
-    around that polygon, starting at the point farthest from the centroid
-    (a hull vertex), pops every vertex b that does not turn left by more
-    than roundoff.  The centroid serves the order alone: b's turn is the
-    cross product of the differences at b, (x - b) x (a - b), so it keeps
-    b's own digits when a neighbour lies far away, and it must exceed a
-    bound on its roundoff, 1e-13 (|x-b| |a-b| + |b| (|x-b| + |a-b|)) in
-    L1 and max norms.  Points on a hull edge, and all but one copy of a
-    repeated point, are not vertices.  The scan is sequential because a pop
-    can expose the vertex before it: rounds of simultaneous pops would need
-    one round per exposed vertex, O(n^2) on a long convex chain hidden
-    behind a far point.  Raises DegenerateHull for fewer than three points,
-    a non-finite one, or a set on one line within roundoff.
+    A Graham scan (hull_scan) in order of angle about the centroid, which
+    lies inside the hull.  Raises DegenerateHull for fewer than three
+    points, a non-finite one, or a set on one line within roundoff.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) < 3:
         raise DegenerateHull("fewer than three points")
+    q = pts - pts.mean(axis=0)
+    return hull_scan(pts, np.argsort(np.arctan2(q[:, 1], q[:, 0]), kind="stable"))
+
+
+def hull_scan(pts, order) -> np.ndarray:
+    """Indices of the extreme points of pts, counterclockwise, given their
+    cyclic order by angle about a point strictly inside their hull: one
+    pass around that star-shaped polygon, from the point farthest from the
+    centroid (a hull vertex; among ties, the first by angle about the
+    centroid from -pi), pops every vertex b that does not turn left by more
+    than roundoff.  b's turn is the cross product of the differences at b,
+    (x - b) x (a - b), so it keeps b's own digits when a neighbour lies far
+    away, and it must exceed a bound on its roundoff, 1e-13 (|x-b| |a-b| +
+    |b| (|x-b| + |a-b|)) in L1 and max norms.  Points on a hull edge, and
+    all but one copy of a repeated point, are not vertices.  The scan is
+    sequential because a pop can expose the vertex before it: rounds of
+    simultaneous pops would need one round per exposed vertex, O(n^2) on a
+    long convex chain hidden behind a far point.  Raises DegenerateHull for
+    a non-finite point or a set on one line within roundoff.
+    """
     if not np.all(np.isfinite(pts)):
         raise DegenerateHull("non-finite point")
     q = pts - pts.mean(axis=0)
-    order = np.argsort(np.arctan2(q[:, 1], q[:, 0]), kind="stable")
-    order = np.roll(order, -int(np.argmax(np.hypot(q[order, 0], q[order, 1]))))
+    h = np.hypot(q[:, 0], q[:, 1])
+    far = np.flatnonzero(h == h.max())
+    start = far[np.argmin(np.arctan2(q[far, 1], q[far, 0]))]
+    order = np.roll(order, -int(np.flatnonzero(order == start)[0]))
     xs, ys = pts[order].T.tolist()
     mag = np.max(np.abs(pts[order]), axis=1).tolist()
     stack = [0]

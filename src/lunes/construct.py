@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .body import (Boundary, SphericalBody, find_enclosing_center,
-                   hull_from_points, polygon_from_vertices)
+                   hull_from_points, interleaved, polygon_from_vertices)
 from .errors import BadRadius, EvenN, InvalidSpec, LunesError
 from .sphere import dist, normalize, orthonormal_frame
 
@@ -99,12 +99,8 @@ class OddGonSpec:
     diagonals: np.ndarray
     corner_radii: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return len(self.corner_radii)
 
-
-def _canonical_ccw(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _canonical_ccw(vertices: np.ndarray) -> np.ndarray:
     """Vertices reordered counterclockwise about their enclosing center.
 
     Only cyclic rotation and reversal are applied; vertices not in convex
@@ -130,7 +126,7 @@ def _canonical_ccw(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         axis=1))
     if np.any(triples < -1e-12):
         raise InvalidSpec("vertices are not in convex position in cyclic order")
-    return ordered, center
+    return ordered
 
 
 def solve_corner_radii(vertices) -> OddGonSpec:
@@ -144,7 +140,7 @@ def solve_corner_radii(vertices) -> OddGonSpec:
     n = len(np.atleast_2d(np.asarray(vertices, dtype=float)))
     if n < 3 or n % 2 == 0:
         raise EvenN(f"need an odd number of vertices >= 3, got {n}")
-    verts, _ = _canonical_ccw(vertices)
+    verts = _canonical_ccw(vertices)
     pair = dist(verts[:, None, :], verts[None, :, :])
     if float(pair.max()) > HALF_PI + 1e-9:
         raise InvalidSpec("vertex pair farther apart than pi/2")
@@ -167,15 +163,6 @@ def solve_corner_radii(vertices) -> OddGonSpec:
     return OddGonSpec(vertices=verts, diagonals=kappa, corner_radii=sigma)
 
 
-def _tangent(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Unit tangent at a along the great arc toward b."""
-    t = b - float(a @ b) * a
-    norm = np.linalg.norm(t)
-    if norm < 1e-12:
-        raise InvalidSpec("coincident or antipodal vertices")
-    return t / norm
-
-
 def constant_diameter_odd_gon(vertices) -> SphericalBody:
     """Body of constant diameter pi/2 grown from an odd polygon.
 
@@ -183,34 +170,29 @@ def constant_diameter_odd_gon(vertices) -> SphericalBody:
     directions away from the two far vertices, alternating with arcs at
     distance pi/2 - sigma_j from the respective far vertex v_j.  Consecutive
     arcs meet tangentially; zero corner radii leave a genuine corner (the
-    all-right-angle triangle gives the octant).
+    all-right-angle triangle gives the octant).  Built in bulk: every vertex
+    moved sigma_i away from v_{i+m} starts its corner arc, and moved away
+    from v_{i+m+1} starts the far arc about v_{i+m+1}, which ends where
+    corner arc i + 1 starts (at v_{i+1} itself when sigma_{i+1} = 0).
     """
     spec = solve_corner_radii(vertices)
-    verts = spec.vertices
-    sigma = spec.corner_radii
-    n = spec.n
-    m = (n - 1) // 2
+    verts, sigma = spec.vertices, spec.corner_radii
+    n = len(verts)
+    far = (np.arange(n) + (n - 1) // 2) % n
 
-    def prolong(i: int, j: int) -> np.ndarray:
-        if sigma[i] == 0.0:
-            return verts[i]
-        t = _tangent(verts[i], verts[j])
-        return math.cos(sigma[i]) * verts[i] - math.sin(sigma[i]) * t
+    def moved(away):  # each vertex sigma_i along the great arc away from verts[away]
+        b = verts[away]
+        t = normalize(b - np.sum(verts * b, axis=1)[:, None] * verts)
+        return np.cos(sigma)[:, None] * verts - np.sin(sigma)[:, None] * t
 
-    rows = []
-    for i in range(n):
-        far1 = (i + m) % n
-        far2 = (i + m + 1) % n
-        if sigma[i] > 0.0:
-            rows.append((verts[i], float(sigma[i]),
-                         prolong(i, far1), prolong(i, far2)))
-        rows.append((verts[far2], HALF_PI - float(sigma[far2]),
-                     prolong(i, far2), prolong((i + 1) % n, far2)))
-    body = SphericalBody(rows, meta={
+    keep = np.column_stack([sigma > 0.0, np.ones(n, dtype=bool)]).ravel()
+    far2 = (far + 1) % n
+    boundary = interleaved(keep, Boundary(verts, sigma, moved(far)),
+                           Boundary(verts[far2], HALF_PI - sigma[far2], moved(far2)))
+    return SphericalBody(boundary, meta={
         "kind": "constant_diameter_odd_gon", "n": n,
         "corner_radii": [float(s) for s in sigma],
         "diagonals": [float(k) for k in spec.diagonals]})
-    return body
 
 
 def constant_diameter_triangle(v1, v2, v3) -> SphericalBody:

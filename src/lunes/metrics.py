@@ -259,16 +259,22 @@ def diameter(body: SphericalBody, n: int = 720) -> DiameterResult:
     return DiameterResult(value=val, p=p, q=q)
 
 
+def _first_tied(x, best, scale) -> int:
+    """The first index whose x lies within 64 ulps of scale of best: on a
+    tied profile, a witness that roundoff in the values leaves in place."""
+    return int(np.argmax(np.abs(x - best) <= 64 * np.spacing(scale)))
+
+
 def is_constant_width(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdict:
-    """Whether the widths at n profile centers are constant within tol."""
+    """Whether the widths at n profile centers are constant within tol.  The
+    witnesses are the first centers tied with the extremes (_first_tied)."""
     _, centers, far, _ = _profile(body.dual_arcs, n)
     widths = math.pi - far
-    i_min = int(np.argmin(widths))
-    i_max = int(np.argmax(widths))
-    deviation = float(widths[i_max] - widths[i_min])
-    witness = {"w_min": widths[i_min], "w_max": widths[i_max],
-               "w_mean": float(widths.mean()),
-               "argmin_center": centers[i_min], "argmax_center": centers[i_max]}
+    w_min, w_max = widths.min(), widths.max()
+    deviation = float(w_max - w_min)
+    witness = {"w_min": w_min, "w_max": w_max, "w_mean": float(widths.mean()),
+               "argmin_center": centers[_first_tied(widths, w_min, w_max)],
+               "argmax_center": centers[_first_tied(widths, w_max, w_max)]}
     return Verdict(kind="constant_width", passed=deviation <= tol,
                    deviation=deviation, tolerance=tol, witness=witness)
 
@@ -279,14 +285,15 @@ def is_constant_diameter(body: SphericalBody, tol: float = 1e-6,
 
     Fails (with the worst point as witness) when some of the n profile
     samples has its farthest partner short of the diameter by more than tol.
+    The worst point is the first sample tied with the shortest farthest
+    distance, at the diameter's scale (_first_tied).
     """
     diam = diameter(body, n).value
     _, pts, far, _ = _profile(body.arcs, n)
-    shortfall = diam - far
-    i_worst = int(np.argmax(shortfall))
-    deviation = max(0.0, float(shortfall[i_worst]))
-    witness = {"delta": diam, "worst_point": pts[i_worst],
-               "worst_partner_distance": float(far[i_worst])}
+    worst = far.min()
+    deviation = max(0.0, float(diam - worst))
+    witness = {"delta": diam, "worst_point": pts[_first_tied(far, worst, diam)],
+               "worst_partner_distance": float(worst)}
     return Verdict(kind="constant_diameter", passed=deviation <= tol,
                    deviation=deviation, tolerance=tol, witness=witness)
 
@@ -368,7 +375,7 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdi
     at = np.arange(len(rows))
     scan, slope = (a.reshape(len(rows), n_scan) for a in fn(phis.ravel(), at.repeat(n_scan)))
     j = np.argmax(scan, axis=1)
-    best = np.maximum(_climb(fn, phis, j, scan[at, j], slope[at, j])[1], scan.max(axis=1))
+    best = _climb(fn, phis, j, scan[at, j], slope[at, j])[1]
     i = int(np.argmin(best))
     if best[i] < -tol:
         return Verdict(kind="reduced_necessary", passed=False,

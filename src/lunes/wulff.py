@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .body import (ENCLOSING_MIN_DOT, INTERIOR_MIN, SphericalBody, planar_hull,
+from .body import (ENCLOSING_MIN_DOT, INTERIOR_MIN, SphericalBody, hull_scan,
                    polygon_from_vertices)
 from .errors import (DegenerateHull, EmptyInterior, InconsistentVerdicts,
                      InvalidSpec, InvariantViolation, NotInHemisphere,
@@ -165,8 +165,11 @@ def wulff_shape(gamma: GammaFn, n: int = 720) -> WulffShape:
 
     Directions are n equispaced angles united with gamma's own sample
     angles.  Each half-plane maps to the dual point u/gamma; active
-    half-planes are the hull vertices of those points (planar_hull), and
-    consecutive actives intersect in the Wulff vertices.
+    half-planes are the hull vertices of those points, and consecutive
+    actives intersect in the Wulff vertices.  The points come in order of
+    angle about the origin, strictly inside their hull, and hull_scan takes
+    that order: one far point (a tiny gamma) drags their centroid out until
+    angles about it, planar_hull's order, cannot order the rest.
     """
     if n < 3:
         raise InvalidSpec("need at least 3 directions")
@@ -175,7 +178,7 @@ def wulff_shape(gamma: GammaFn, n: int = 720) -> WulffShape:
     dirs = np.column_stack([np.cos(ang), np.sin(ang)])
     pts = dirs / g[:, None]
     try:
-        idx = planar_hull(pts)
+        idx = hull_scan(pts, np.arange(len(ang)))
     except DegenerateHull as exc:
         raise EmptyInterior(f"degenerate half-plane family: {exc}") from exc
     return _polar(pts[idx])

@@ -82,12 +82,12 @@ def random_cd_gon_vertices(rng: np.random.Generator, n: int, cap_rad: float,
         return v
 
 
-def mixed_cd_triangle_vertices(a: float) -> np.ndarray:
+def mixed_cd_triangle_vertices(a: float, eps: float = 0.0) -> np.ndarray:
     """Triangle over (0, 0, 1), (sin a, 0, cos a) and (sin a cos phi,
-    sin a sin phi, cos a), phi chosen so the far side is 2a - pi/2 long.
-    The corner radius at (0, 0, 1) is zero, so its constant-diameter body
-    has 5 arcs, one of them great."""
-    cos_phi = (math.sin(2 * a) - math.cos(a) ** 2) / math.sin(a) ** 2
+    sin a sin phi, cos a), phi chosen so the far side is 2a - pi/2 + 2 eps
+    long.  The corner radius at (0, 0, 1) is eps: at eps = 0 its
+    constant-diameter body has 5 arcs, one of them great."""
+    cos_phi = (math.sin(2 * a + 2 * eps) - math.cos(a) ** 2) / math.sin(a) ** 2
     sin_phi = math.sqrt(1.0 - cos_phi ** 2)
     return np.array([[0.0, 0.0, 1.0], [math.sin(a), 0.0, math.cos(a)],
                      [math.sin(a) * cos_phi, math.sin(a) * sin_phi, math.cos(a)]])

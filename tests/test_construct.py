@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import (cap_points, random_cd_gon_vertices,
-                      random_cd_triangle_vertices)
+from conftest import (cap_points, mixed_cd_triangle_vertices,
+                      random_cd_gon_vertices, random_cd_triangle_vertices)
 
 from lunes import body as bd
 from lunes import construct, metrics, sphere
-from lunes.errors import BadRadius, EvenN, InvalidSpec
+from lunes.errors import BadRadius, EvenN, InvalidSpec, InvariantViolation
 
 HALF_PI = math.pi / 2
 Z = np.array([0.0, 0.0, 1.0])
@@ -33,6 +33,17 @@ class TestCap:
         assert cap.is_full_circle
         assert cap.radii[0] == pytest.approx(0.4, abs=1e-15)
         assert np.allclose(cap.centers[0], Z)
+
+    @pytest.mark.parametrize("rho", [1e-8, 1e-7])
+    def test_below_interior_min_has_empty_interior(self, rho):
+        # the dual arc of radius pi/2 - rho keeps its start on its circle, so
+        # the only complaint is the cap's own size, below asin(INTERIOR_MIN)
+        with pytest.raises(InvariantViolation, match="nonempty interior"):
+            construct.cap(np.array([0.6, 0.0, 0.8]), rho)
+
+    def test_at_interior_min_builds(self):
+        cap = construct.cap(np.array([0.6, 0.0, 0.8]), 1e-6)
+        assert metrics.thickness(cap).value == pytest.approx(2e-6, rel=1e-9)
 
 
 class TestRegularOddGon:
@@ -200,6 +211,15 @@ class TestConstantDiameterOddGon:
                 break
         with pytest.raises(InvalidSpec):
             construct.constant_diameter_odd_gon(pts)
+
+    @pytest.mark.parametrize("eps", [1.8e-9, 1e-8, 3e-8])
+    def test_tiny_corner_radius(self, eps):
+        # a corner arc of radius eps: its dual arc, of radius pi/2 - eps,
+        # starts on its circle, and the corner pieces about its ends close
+        body = construct.constant_diameter_odd_gon(mixed_cd_triangle_vertices(1.0, eps))
+        assert len(body.radii) == 6
+        assert float(np.min(body.radii)) == pytest.approx(eps, rel=1e-6)
+        assert metrics.diameter(body).value == pytest.approx(HALF_PI, abs=1e-12)
 
 
 class TestRandomPolygon:

@@ -147,6 +147,29 @@ class TestConstantDiameter:
             assert cw.passed == cd.passed
 
 
+class TestTiedWitnesses:
+    @staticmethod
+    def _witnesses(body):
+        cw = metrics.is_constant_width(body, tol=1e-6, n=240).witness
+        cd = metrics.is_constant_diameter(body, tol=1e-6, n=240).witness
+        return np.stack([cw["argmin_center"], cw["argmax_center"], cd["worst_point"]])
+
+    def test_cap_witnesses_are_first_samples(self):
+        # every width and farthest distance of a cap ties: each witness is
+        # the first sample of its profile
+        cap = construct.cap(np.array([0.6, 0.0, 0.8]), 0.7)
+        first = [metrics._profile(a, 240)[1][0] for a in (cap.dual_arcs, cap.dual_arcs, cap.arcs)]
+        assert np.array_equal(self._witnesses(cap), np.stack(first))
+
+    def test_one_ulp_leaves_witnesses_in_place(self, cd_triangle):
+        # the profile of a constant-diameter body ties to roundoff, so a
+        # radius one ulp longer leaves each witness at its sample
+        b = cd_triangle
+        nudged = bd.SphericalBody(bd.Boundary(b.centers, np.nextafter(b.radii, 4.0), b.starts))
+        moved = sphere.dist(self._witnesses(b), self._witnesses(nudged))
+        assert np.all(moved <= 1e-12)
+
+
 class TestReduced:
     def test_narrow_five_gon_passes(self, regular_gons):
         v = metrics.reduced_check(regular_gons[(5, 1.2)]

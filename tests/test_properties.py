@@ -396,7 +396,7 @@ def test_chords_shorter_than_roundoff():
     u, v = orthonormal_frame(c)
     az = 2 * math.pi * np.arange(32) / 32
     starts = sphere.normalize(c + 1e-13 * (np.cos(az)[:, None] * u + np.sin(az)[:, None] * v))
-    arcs = bd._Arcs.from_boundary(bd.Boundary(np.tile(c, (32, 1)), np.full(32, 1e-13), starts))
+    arcs = bd._Arcs(bd.Boundary(np.tile(c, (32, 1)), np.full(32, 1e-13), starts))
     assert np.all(arcs._blocks[-2] == 0.0)
     dirs = sphere.normalize(np.random.default_rng(3).normal(size=(64, 3)))
     assert np.max(np.abs(arcs.support_extreme(dirs) - _whole_table(arcs, dirs))) <= 1e-15
@@ -915,15 +915,18 @@ def test_planar_hull_exact_beside_a_far_point(pts, scale, azimuth):
 
 
 @pytest.mark.parametrize("n", [96, 720])
-@pytest.mark.parametrize("tiny", [1e-11, 1e-12, 1e-14])
+@pytest.mark.parametrize("tiny", [1e-11, 1e-12, 1e-14, 1e-15, 1e-16])
 def test_wulff_shape_beside_a_far_dual_point(tiny, n):
     # gamma = tiny at one of 8 samples puts that direction's dual point
-    # 1/tiny out; every active half-plane is kept, and the shape breaks none
+    # 1/tiny out; every active half-plane is kept, and the shape breaks none.
+    # The points are scanned in their own angular order: from 1e-15 on, the
+    # far point drags the centroid too far out for planar_hull's sort
     gamma = wulff.GammaFn(2 * math.pi * np.arange(8) / 8, np.array([tiny] + [1.0] * 7))
     ang = np.unique(np.concatenate([2 * math.pi * np.arange(n) / n, gamma.angles]))
     u = np.column_stack([np.cos(ang), np.sin(ang)])
     pts = u / gamma(ang)[:, None]
-    _assert_exact_hull(pts)
+    if tiny >= 1e-14:
+        _assert_exact_hull(pts)
     shape = wulff.wulff_shape(gamma, n=n)
     assert len(shape.vertices) == len(_exact_hull(pts))
     assert float(np.max(shape.vertices @ u.T - gamma(ang))) <= 1e-13
@@ -1159,6 +1162,29 @@ def _cyclic_gap(body, other):
 def test_double_polar_dual_reproduces_body(body):
     twice = bd.polar_dual(bd.polar_dual(body))
     assert _cyclic_gap(body, twice) <= 1e-12
+
+
+def _assert_supporting_centers_on_circles(body):
+    """Every piece of the unvalidated dual starts on its circle, and every
+    corner's great arc ends pi/2 from the corner, within 1e-15: sin r c -
+    cos r w has no cancellation, however small the arc."""
+    dual, _, corner_row = bd._dual(bd.Boundary(body.centers, body.radii, body.starts),
+                                   body.arcs)
+    assert np.max(np.abs(dist(dual.centers, dual.starts) - dual.radii)) <= 1e-15
+    rows = corner_row[corner_row >= 0]
+    ends = np.roll(dual.starts, -1, axis=0)[rows]
+    assert np.all(np.abs(dist(dual.centers[rows], ends) - bd.HALF_PI) <= 1e-15)
+
+
+@BOUNDED
+@given(bodies)
+def test_supporting_centers_on_their_circles(body):
+    _assert_supporting_centers_on_circles(body)
+
+
+@pytest.mark.parametrize("rho", [1e-6, math.pi / 2 - 1e-5])
+def test_supporting_centers_of_extreme_caps(rho):
+    _assert_supporting_centers_on_circles(construct.cap(np.array([0.6, 0.0, 0.8]), rho))
 
 
 @BOUNDED

@@ -225,6 +225,14 @@ class TestProjection:
         assert shape.vertices.shape == xy.shape
         assert np.max(np.abs(shape.vertices - xy)) <= 1e-15
 
+    def test_tiny_corner_radius_round_trip(self):
+        # a corner arc of radius 3e-8: the body builds, and the round trip
+        # through its projection reports all five conditions
+        body = construct.constant_diameter_triangle(*mixed_cd_triangle_vertices(1.0, 3e-8))
+        fr = wulff.frame_at(body.enclosing_center)
+        shape = wulff.project_to_plane(body, fr, n=720)
+        assert all(wulff.self_dual_equivalence_report(shape, fr, tol=1e-4, n=720).booleans)
+
     @pytest.mark.parametrize("a", [0.8, 1.0, 1.3])
     def test_great_arc_projects_to_one_edge(self, a):
         # a constant-diameter triangle with one zero corner radius: 5 arcs,
