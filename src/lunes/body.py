@@ -41,6 +41,8 @@ RADIUS_MATCH_TOL = 1e-10  # endpoint distance to circle center vs radius
 CLOSURE_TOL = 1e-10       # junction tolerance: end-to-start gap, smooth turn
 ENCLOSING_MIN_DOT = 1e-6  # strict containment margin for the enclosing hemisphere
 INTERIOR_MIN = 1e-6       # the body must contain a cap of this angular radius
+ZERO_RADIUS = 1e-9        # least arc radius: a corner arc any smaller is a corner
+EDGE_POLE_MIN = 1e-12     # least |a x (b - a)| of a polygon edge from a to b
 _CHUNK = 262_144          # cap on temporary matrix entries in batched queries
 _BLOCK = 16               # arcs per block of the pruned support queries
 _CAP_SLACK = 1e-7         # widens each block's slack past roundoff
@@ -73,9 +75,9 @@ def _validated(centers, radii, starts, ends=None) -> _Valid:
 
     Vectors must be unit within UNIT_TOL and are rescaled to unit length
     unless already within 1e-13 of it (which keeps them bit-stable); a
-    radius within 1e-9 of pi/2 snaps to pi/2 and must lie in [1e-9, pi/2];
-    both endpoints must lie at the radius from the center; an arc ending
-    where it starts (within 1e-12) is a full circle and must be alone.
+    radius within 1e-9 of pi/2 snaps to it and must lie in [ZERO_RADIUS,
+    pi/2]; both endpoints must lie at the radius from the center; an arc
+    ending where it starts (within 1e-12) is a full circle and must be alone.
     Each arc ends at the next start unless ends are given, as by
     (center, radius, start, end) rows: those must meet the next starts
     within CLOSURE_TOL and are then dropped.  Implied ends (ends None) are
@@ -100,7 +102,7 @@ def _validated(centers, radii, starts, ends=None) -> _Valid:
     e = _rolled(s) if ends is None else vecs[2]
     r = np.array(radii, dtype=float).reshape(-1)
     r[np.abs(r - HALF_PI) <= 1e-9] = HALF_PI
-    bad = np.flatnonzero(~((r >= 1e-9) & (r <= HALF_PI)))
+    bad = np.flatnonzero(~((r >= ZERO_RADIUS) & (r <= HALF_PI)))
     if len(bad):
         raise InvariantViolation(
             "radius range", f"radius {float(r[bad[0]])!r} outside (0, pi/2]")
@@ -610,7 +612,7 @@ def polygon_from_vertices(vertices, enclosing_center=None) -> SphericalBody:
     # a and b nearly coincide
     poles = cross(verts, _rolled(verts) - verts)
     norms = norm(poles)
-    if np.any(norms < 1e-12):
+    if np.any(norms < EDGE_POLE_MIN):
         raise DegenerateHull("consecutive vertices equal or antipodal")
     edges = Boundary(poles / norms[:, None], np.full(len(verts), HALF_PI), verts)
     return SphericalBody(edges, enclosing_center=enclosing_center,
@@ -743,30 +745,21 @@ def hull_from_points(points) -> SphericalBody:
 
     Projects onto the tangent plane at an enclosing-hemisphere center, where
     great circles become straight lines, takes the planar hull
-    (planar_hull), and lifts the extreme subset back.  Raises
+    (planar_hull), and lifts the extreme subset back.  Copies of a point
+    are neighbours in hull order; of each run, the last is kept.  Raises
     NoEnclosingHemisphere or DegenerateHull (also for a non-finite point).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(np.isfinite(pts)):
         raise DegenerateHull("non-finite point")
     pts = normalize(pts)
-    # drop duplicates: after a lexicographic sort, points within 1e-12 of
-    # each other are adjacent, so one linear pass suffices
-    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
-    ranked = pts[order]
-    fresh = np.ones(len(pts), dtype=bool)
-    if len(pts) > 1:
-        fresh[1:] = np.linalg.norm(np.diff(ranked, axis=0), axis=1) > 1e-12
-    keep = np.zeros(len(pts), dtype=bool)
-    keep[order[fresh]] = True
-    pts = pts[keep]
-    if len(pts) < 3:
-        raise DegenerateHull("fewer than three distinct points")
     center = find_enclosing_center(pts)
     u, v = orthonormal_frame(center)
     w = pts @ center
     plane = np.column_stack([pts @ u / w, pts @ v / w])
-    return polygon_from_vertices(pts[planar_hull(plane)], enclosing_center=center)
+    hull = pts[planar_hull(plane)]
+    hull = hull[norm(cross(hull, _rolled(hull) - hull)) >= EDGE_POLE_MIN]
+    return polygon_from_vertices(hull, enclosing_center=center)
 
 
 # -- module-level operations ----------------------------------------------

@@ -4,7 +4,7 @@ Besides caps and regular odd polygons of prescribed thickness, this module
 grows bodies of constant diameter pi/2 from an odd polygon: each vertex is
 replaced by a circular corner arc and each edge-facing stretch by an arc at
 distance pi/2 from the opposite vertex, with the corner radii solved from a
-cyclic linear system so all pieces meet tangentially.
+cyclic linear system, in closed form, so all pieces meet tangentially.
 """
 
 from __future__ import annotations
@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body import (Boundary, SphericalBody, find_enclosing_center,
+from .body import (ZERO_RADIUS, Boundary, SphericalBody, find_enclosing_center,
                    hull_from_points, interleaved, polygon_from_vertices)
 from .errors import BadRadius, EvenN, InvalidSpec, LunesError
 from .sphere import dist, normalize, orthonormal_frame
 
 HALF_PI = 0.5 * math.pi
-ZERO_RADIUS = 1e-9  # corner arcs below this are dropped (exact corner instead)
 
 
 def cap(center, radius: float) -> SphericalBody:
@@ -133,7 +132,11 @@ def solve_corner_radii(vertices) -> OddGonSpec:
     """Corner radii for the constant-diameter construction over an odd gon.
 
     With m = (n-1)/2 and kappa_i = dist(v_i, v_{i+m}), solves the cyclic
-    system sigma_i + sigma_{i+m} = pi/2 - kappa_i.  All corner radii must
+    system sigma_i + sigma_{i+m} = pi/2 - kappa_i = rhs_i in closed form.
+    As gcd(m, n) = 1, the indices j_k = k m mod n run through one cycle of
+    odd length n, on which sigma_{j_{k+1}} = rhs_{j_k} - sigma_{j_k}; going
+    round once gives sigma_{j_0} = (1/2) sum_k (-1)^k rhs_{j_k}, and the
+    rest follow from one alternating cumulative sum.  All corner radii must
     come out nonnegative and the polygon must fit in a pi/2 ball, else
     InvalidSpec.
     """
@@ -147,15 +150,12 @@ def solve_corner_radii(vertices) -> OddGonSpec:
     m = (n - 1) // 2
     idx = np.arange(n)
     kappa = dist(verts, verts[(idx + m) % n])
-    a = np.zeros((n, n))
-    a[idx, idx] += 1.0
-    a[idx, (idx + m) % n] += 1.0
-    rhs = HALF_PI - kappa
-    sigma = np.linalg.solve(a, rhs)
-    residual = float(np.max(np.abs(a @ sigma - rhs)))
-    if residual > 1e-12:
-        raise InvalidSpec(f"corner radius system residual {residual:.3g}")
-    if float(sigma.min()) < -1e-9:
+    j = idx * m % n
+    sign = np.where(idx % 2, -1.0, 1.0)
+    alt = np.cumsum(sign * (HALF_PI - kappa[j]))  # sum over k' <= k of (-1)^k' rhs_{j_k'}
+    sigma = np.empty(n)
+    sigma[j] = sign * (0.5 * alt[-1] - np.concatenate([[0.0], alt[:-1]]))
+    if float(sigma.min()) < -ZERO_RADIUS:
         raise InvalidSpec(
             f"negative corner radius {float(sigma.min()):.3g}; "
             "polygon diagonals are incompatible with diameter pi/2")

@@ -9,7 +9,8 @@ closed form on every circular arc.  A width is pi minus the farthest
 distance along the supporting-center curve (the polar dual boundary); the
 thickness is pi minus the diameter of that curve.  A curve's samples and
 their exact farthest distances form one profile per resolution, which the
-diameter and the constant-width and constant-diameter verdicts share; on a
+diameter, the constant-width and constant-diameter verdicts and the arc
+screen of reduced_check share; on a
 curve of many arcs the profile walks the curve, searching each sample only
 between the farthest points of two coarse samples (body._Arcs.sample_far).
 A polygon's diameter is its profile's best sample: it has a vertex at one
@@ -179,7 +180,8 @@ def _curve_diameter(arcs, n):
     The farthest distance from p(s) grows with -p(s) . q*(s) (q* the exact
     farthest point), whose slope is -p'(s) . q*(s) by the envelope theorem
     (one-sided at a junction, from each arc's tangent); _climb follows both
-    from the profile's best sample and its farthest point q.  On a polygon
+    from the profile's best sample (the first tied with the best,
+    _first_tied) and its farthest point q.  On a polygon
     (every arc great) that sample is p: a diameter with neither end at a
     vertex would grow by moving its ends apart along their edges, so one end
     is a vertex, and the profile holds every vertex with its exact farthest
@@ -193,7 +195,7 @@ def _curve_diameter(arcs, n):
 
     def compute():
         params, pts, far, far_pts = _profile(arcs, n)
-        i = int(np.argmax(far))
+        i = _first_tied(far, far.max(), far.max())
         p, q = pts[i], far_pts[i]
         if not np.all(arcs.radii == HALF_PI):
             grid = np.concatenate([params[-1:] - arcs.total, params, params[:1] + arcs.total])
@@ -313,24 +315,45 @@ def _probed_corners(body: SphericalBody) -> np.ndarray:
 
 
 def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdict:
-    """Necessary-condition screen for reducedness (heuristic, two parts).
+    """Necessary-condition screen for reducedness, at every extreme point.
 
-    For each isolated extreme point e: (a) search for a lune of thickness
-    equal to the body's thickness that contains the body with e at the
-    midpoint of one bounding semicircle; (b) verify that slicing off a cap of
-    depth 10*tol at e lowers the thickness by more than tol.  Bodies without
-    isolated extreme points pass vacuously.  Bodies with more than MAX_PROBES
-    corners are probed on the MAX_PROBES with the largest turn, ties broken
-    by position.  A failing verdict reports the worst probed corner, so it
-    does not depend on where the boundary starts.
+    Through each extreme point e of a reduced body passes a lune of the
+    body's thickness that holds the body, with e at the midpoint of one
+    bounding semicircle (Lassak, Aequationes Math. 89, 2015).  On an arc of
+    radius below pi/2, every point is extreme with one supporting
+    hemisphere, so the width there is the thickness: the arc screen fails
+    (mode arc_width) when the widths at the dual profile's samples on the
+    arcs' own pieces exceed the thickness by more than tol.  At each probed
+    corner (all, or the MAX_PROBES of largest turn, ties broken by
+    position): (a) search for that lune (mode lune_search); (b) verify that
+    slicing off a cap of depth 10*tol at e lowers the thickness by more
+    than tol (mode cap_cut).  A failing verdict reports the worst sample or
+    corner, so it does not depend on where the boundary starts; a passing
+    one what it screened.
     """
     n = _resolution(n)
+    dual = body.dual_arcs
+    screened = {}
+    curved = dual.radii < HALF_PI
+    if curved.any():
+        params, centers, far, _ = _profile(dual, n)
+        if not curved.all():  # leave out the samples on the corners' arcs
+            on = curved[np.searchsorted(dual.cum, params, side="right") - 1]
+            centers, far = centers[on], far[on]
+        reach, least = _curve_diameter(dual, n)[0], float(far.min())
+        excess = reach - least  # the largest width there less the thickness
+        if excess > tol:
+            k = centers[_first_tied(far, least, reach)]
+            return Verdict(kind="reduced_necessary", passed=False, deviation=excess,
+                           tolerance=tol,
+                           witness={"mode": "arc_width", "point": body.arcs.far_point(k)[0],
+                                    "support_center": k, "width": math.pi - least})
+        screened = {"arc_samples": len(far), "arc_width_excess": excess}
     corner_idx = _probed_corners(body)
     if not len(corner_idx):
         return Verdict(kind="reduced_necessary", passed=True, deviation=0.0,
-                       tolerance=tol, witness={"note": "boundary is smooth"})
+                       tolerance=tol, witness={"probes": 0, **screened})
     thick = thickness(body, n).value
-    dual = body.dual_arcs
     corners = body.vertices[corner_idx]
     # hemisphere centers supporting at corner e form a great arc about e (a
     # dual junction arc), dual parameters lo..hi
@@ -384,7 +407,7 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdi
                                 "support_margin": float(best[i])})
     return Verdict(kind="reduced_necessary", passed=True, deviation=0.0,
                    tolerance=tol,
-                   witness={"probes": len(corner_idx),
+                   witness={"probes": len(corner_idx), **screened,
                             "worst_support_margin": float(best[i])})
 
 

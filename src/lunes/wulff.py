@@ -291,11 +291,11 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
     hull to take.  A polygon's image is its projected vertices.
     """
     margin = float(body.support_min(frame.pole)[0])
-    if margin <= 1e-6:
+    if margin <= ENCLOSING_MIN_DOT:
         raise NotInHemisphere(
             f"body reaches dot {margin:.3g} with the projection pole")
     interior = float(body.dual_arcs.support_extreme(frame.pole)[0])
-    if interior <= 1e-6:
+    if interior <= INTERIOR_MIN:
         raise PoleNotInterior(
             f"pole has containment margin only {interior:.3g}")
     arcs = body.arcs
@@ -316,18 +316,18 @@ def induce_spherical(shape: WulffShape, frame: ProjectionFrame,
     vertex order.  n is accepted for compatibility and ignored: the lift is
     exact.
 
-    The pole N is the enclosing center when it clears SphericalBody's two
-    margins twice over: 1 / sqrt(1 + |v|^2) at the shape's farthest vertex
-    v (an edge's least dot with N is at an end), and o / sqrt(1 + o^2) at
-    its nearest edge line, at distance o (which lifts to a great circle
-    atan(o) from N).  Otherwise the center is searched for.
+    The pole N is the enclosing center unless SphericalBody refuses it, by
+    its enclosing-hemisphere or interior margin; then the center is
+    searched for.
     """
     x, y = shape.vertices.T
     lifted = normalize(frame.pole + x[:, None] * frame.u + y[:, None] * frame.v)
-    near = float(np.min(shape.offsets))
-    clear = (1.0 / math.sqrt(1.0 + float(np.max(x * x + y * y))) > 2.0 * ENCLOSING_MIN_DOT
-             and near / math.sqrt(1.0 + near * near) > 2.0 * INTERIOR_MIN)
-    body = polygon_from_vertices(lifted, enclosing_center=frame.pole if clear else None)
+    try:
+        body = polygon_from_vertices(lifted, enclosing_center=frame.pole)
+    except InvariantViolation as exc:
+        if exc.invariant not in ("enclosing hemisphere", "nonempty interior"):
+            raise
+        body = polygon_from_vertices(lifted)
     body.meta.update({"kind": "induced"})
     return body
 

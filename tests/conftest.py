@@ -93,6 +93,25 @@ def mixed_cd_triangle_vertices(a: float, eps: float = 0.0) -> np.ndarray:
                      [math.sin(a) * cos_phi, math.sin(a) * sin_phi, math.cos(a)]])
 
 
+def lens(c1, r1, c2, r2) -> bd.SphericalBody:
+    """The intersection of the caps of radius r1 about c1 and r2 about c2,
+    as two arcs: about c1 from the corner on the side of c2 x c1 to the one
+    on the side of c1 x c2, and back about c2.  The circles must cross."""
+    c1, c2 = (np.asarray(c, dtype=float) / np.linalg.norm(c) for c in (c1, c2))
+    g = float(c1 @ c2)
+    alpha, beta = np.linalg.solve([[1.0, g], [g, 1.0]], [math.cos(r1), math.cos(r2)])
+    base, a = alpha * c1 + beta * c2, np.cross(c1, c2)
+    h = a * math.sqrt(1.0 - base @ base) / np.linalg.norm(a)
+    return bd.SphericalBody(bd.Boundary(np.array([c1, c2]), np.array([r1, r2]),
+                                        np.array([base - h, base + h])))
+
+
+# the polar dual of this lens is the stadium: 4 arcs, 0 corners, and widths
+# on its curved arcs up to 0.459 above its thickness
+STADIUM_LENS = ((math.sin(0.25), 0.0, math.cos(0.25)), 1.0,
+                (-math.sin(0.25), 0.0, math.cos(0.25)), 1.0)
+
+
 # -- shared reference bodies --------------------------------------------------
 
 

@@ -55,6 +55,27 @@ class TestHull:
             assert vertex_sets_match(again.vertices, poly.vertices, tol=1e-9)
             assert bd.hausdorff_bodies(poly, again, n=240) <= 1e-9
 
+    def test_near_copy_of_a_vertex_merged(self):
+        # a copy of vertex 0 moved 5e-13, and an interior point that sorts
+        # between the two: the copies are neighbours in hull order only
+        hexagon = construct.regular_polygon_vertices(6, 0.5)
+        pts = sphere.normalize(np.vstack([hexagon, hexagon[0] + [4e-13, 0.0, -3e-13],
+                                          [2e-13, -0.2, 0.98]]))
+        hull = bd.hull_from_points(pts)
+        assert vertex_sets_match(hull.vertices, hexagon, tol=1e-12)
+
+    @pytest.mark.parametrize("k", [0, 17, 49, 50, 52])
+    def test_lopsided_hull_keeps_its_vertices_beside_a_near_copy(self, k):
+        # the center comes from the smallest enclosing cap, which must not
+        # put its circle through the two copies
+        pts = TestEnclosingCenter._lopsided()
+        step = np.cross(pts[k], E3)
+        copied = np.vstack([pts, pts[k] + 5e-13 * step / np.linalg.norm(step)])
+        hull = bd.hull_from_points(pts)
+        assert len(hull.radii) == 6
+        assert vertex_sets_match(bd.hull_from_points(copied).vertices, hull.vertices,
+                                 tol=1e-12)
+
 
 class TestEnclosingCenter:
     @staticmethod

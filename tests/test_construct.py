@@ -107,6 +107,22 @@ class TestCornerRadii:
                              + spec.corner_radii[(i + m) % n] + kappa)
                     assert total == pytest.approx(HALF_PI, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 21])
+    def test_closed_form_matches_the_linear_solve(self, n):
+        # a regular n-gon's vertices jittered by up to 1 % in radius and in
+        # spacing; the reference solves the n x n system itself
+        rng = np.random.default_rng(n)
+        az = 2 * math.pi * (np.arange(n) + rng.uniform(-0.01, 0.01, n)) / n
+        pol = 0.3 * (1.0 + rng.uniform(-0.01, 0.01, n))
+        v = np.c_[np.sin(pol) * np.cos(az), np.sin(pol) * np.sin(az), np.cos(pol)]
+        spec = construct.solve_corner_radii(v)
+        m, idx = (n - 1) // 2, np.arange(n)
+        a = np.zeros((n, n))
+        a[idx, idx] += 1.0
+        a[idx, (idx + m) % n] += 1.0
+        want = np.linalg.solve(a, HALF_PI - spec.diagonals)
+        assert np.max(np.abs(spec.corner_radii - want)) <= 1e-14
+
     def test_prolongations_quarter_circle_apart(self):
         rng = np.random.default_rng(23)
         for _ in range(10):

@@ -15,6 +15,8 @@ from lunes import body as bd
 from lunes import cli, construct, io, metrics, render, wulff
 from lunes.errors import InvariantViolation, ParseError
 
+from conftest import STADIUM_LENS, lens
+
 Z = np.array([0.0, 0.0, 1.0])
 
 
@@ -289,6 +291,18 @@ class TestCli:
         assert r.returncode == 1
         assert "constant_diameter: FAIL" in r.stdout, r.stdout + r.stderr
         assert "Traceback" not in r.stderr, r.stderr
+
+    def test_stadium_is_not_reduced(self, tmp_path):
+        # a smooth body that is not reduced: check exits 1, and analyze
+        # reports no theorem check False
+        io.save_body(bd.polar_dual(lens(*STADIUM_LENS)), str(tmp_path / "stadium.json"))
+        r = run_cli("check", "reduced", "stadium.json", cwd=tmp_path)
+        assert r.returncode == 1, r.stdout + r.stderr
+        assert "reduced_necessary: FAIL" in r.stdout, r.stdout
+        r = run_cli("analyze", "stadium.json", cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert "reduced: FAIL" in r.stdout
+        assert not [line for line in r.stdout.splitlines() if line.endswith(": False")]
 
     def test_wulff_self_dual_exit_codes(self, tmp_path):
         # unit gamma builds the n-gon circumscribing the unit circle; its

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_cd_triangle_vertices
+from conftest import STADIUM_LENS, lens, random_cd_triangle_vertices
 
 from lunes import body as bd
 from lunes import construct, io, metrics, sphere, wulff
@@ -152,13 +152,18 @@ class TestTiedWitnesses:
     def _witnesses(body):
         cw = metrics.is_constant_width(body, tol=1e-6, n=240).witness
         cd = metrics.is_constant_diameter(body, tol=1e-6, n=240).witness
-        return np.stack([cw["argmin_center"], cw["argmax_center"], cd["worst_point"]])
+        th = metrics.thickness(body, n=240).witness
+        dm = metrics.diameter(body, n=240)
+        return np.stack([cw["argmin_center"], cw["argmax_center"], cd["worst_point"],
+                         th.support_center, th.opposing_center, dm.p, dm.q])
 
     def test_cap_witnesses_are_first_samples(self):
         # every width and farthest distance of a cap ties: each witness is
-        # the first sample of its profile
+        # the first sample of its profile, or that sample's farthest point
         cap = construct.cap(np.array([0.6, 0.0, 0.8]), 0.7)
-        first = [metrics._profile(a, 240)[1][0] for a in (cap.dual_arcs, cap.dual_arcs, cap.arcs)]
+        dual, arcs = (metrics._profile(a, 240) for a in (cap.dual_arcs, cap.arcs))
+        first = [dual[1][0], dual[1][0], arcs[1][0], dual[1][0], dual[3][0],
+                 arcs[1][0], arcs[3][0]]
         assert np.array_equal(self._witnesses(cap), np.stack(first))
 
     def test_one_ulp_leaves_witnesses_in_place(self, cd_triangle):
@@ -171,6 +176,39 @@ class TestTiedWitnesses:
 
 
 class TestReduced:
+    def test_stadium_fails_on_its_arcs(self):
+        # no corner to probe: its widths on the curved arcs reach 0.459
+        # above the thickness, which the theorem checks would read as the
+        # paper's theorem failing
+        stadium = bd.polar_dual(lens(*STADIUM_LENS))
+        assert len(stadium.corners) == 0
+        v = metrics.reduced_check(stadium, tol=1e-6, n=720)
+        assert not v.passed and v.witness["mode"] == "arc_width"
+        assert v.deviation == pytest.approx(0.4585176964777, abs=1e-9)
+        thick = metrics.thickness(stadium, n=720).value
+        assert v.witness["width"] - thick == pytest.approx(v.deviation, abs=1e-15)
+        # the witness point is where its supporting hemisphere touches
+        assert abs(v.witness["point"] @ v.witness["support_center"]) <= 1e-12
+        assert all(metrics.classify(stadium, tol=1e-6, n=720).checks.values())
+
+    @pytest.mark.parametrize("r1, r2, d", [(0.3, 0.3, 0.5), (1.2, 0.4, 1.1), (0.8, 1.5, 1.0)])
+    def test_lens_duals_fail_on_their_arcs(self, r1, r2, d):
+        body = bd.polar_dual(lens(Z, r1, [math.sin(d), 0.0, math.cos(d)], r2))
+        v = metrics.reduced_check(body, tol=1e-6, n=720)
+        assert not v.passed and v.witness["mode"] == "arc_width"
+
+    def test_reduced_smooth_bodies_pass_their_arc_screen(self, cd_triangle):
+        # caps and constant-diameter bodies, and their polar duals: every
+        # width on the curved arcs is the thickness, to roundoff
+        gon = construct.constant_diameter_odd_gon(
+            construct.regular_polygon_vertices(5, 0.4, phase=0.3))
+        for body in (construct.cap(Z, 0.2), construct.cap(Z, 1.3), cd_triangle, gon):
+            for b in (body, bd.polar_dual(body)):
+                v = metrics.reduced_check(b, tol=1e-6, n=720)
+                assert v.passed, v.witness
+                assert v.witness["arc_samples"] >= 720
+                assert v.witness["arc_width_excess"] <= 1e-12
+
     def test_narrow_five_gon_passes(self, regular_gons):
         v = metrics.reduced_check(regular_gons[(5, 1.2)]
                                   if (5, 1.2) in regular_gons

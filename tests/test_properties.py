@@ -2,7 +2,8 @@
 point, the block-pruned support queries, their chord bounds and the profile
 walk against a whole-table reference, the walk's fallbacks, the polygon
 diameter read off the profile and against every vertex pair, and the
-width/diameter identities built on them, the exact-slope maximiser on synthetic kinks and
+width/diameter identities built on them, classify's theorem checks on lenses and
+polar duals, the exact-slope maximiser on synthetic kinks and
 smooth maxima, the planar hull against Qhull, the support-function polygon
 Hausdorff distance, the exact Wulff dual, the polar-dual involution,
 lossless persistence and the document layout, the loaders on mutated
@@ -35,7 +36,7 @@ from lunes.errors import (DegenerateHull, InconsistentVerdicts,
                           InvariantViolation, LunesError)
 from lunes.sphere import dist, orthonormal_frame
 
-from conftest import mixed_cd_triangle_vertices
+from conftest import STADIUM_LENS, lens, mixed_cd_triangle_vertices
 
 DENSE = 4096  # boundary samples of the brute-force farthest-point oracle
 
@@ -655,6 +656,68 @@ def test_reuleaux_gons_have_constant_width(case, axis, angle):
                                for row in _arcs(body)])
     for other in (loaded, turned):
         assert np.max(np.abs(np.subtract(_widths(other), width))) <= 1e-12
+
+
+# -- the paper's theorems on bodies that could break them -----------------------
+
+# classify's checks hold on every body: each encodes a relation that the
+# paper proves for reduced bodies, so a False is a wrong verdict or a wrong
+# theorem.  Lenses have corners and curved arcs, and their polar duals are
+# smooth without constant width.  Only examples whose verdict deviations are
+# 0 to roundoff or above 1e-3 are used, so no verdict sits at its tolerance.
+
+
+@st.composite
+def lenses(draw):
+    """The intersection of two caps of radii in [0.1, 1.5] whose circles
+    cross, the centers at least 0.02 past containment and at most
+    r1 + r2 - 0.02 apart."""
+    r1, r2 = draw(st.floats(0.1, 1.5)), draw(st.floats(0.1, 1.5))
+    d = draw(st.floats(abs(r1 - r2) + 0.02, r1 + r2 - 0.02))
+    c1 = draw(units)
+    try:
+        return lens(c1, r1, _cap_point(c1, d, draw(st.floats(0.0, 2 * math.pi))), r2)
+    except LunesError:
+        assume(False)
+
+
+polar_duals = bodies.map(bd.polar_dual)
+
+
+def _settled(report):
+    """Every verdict's deviation is 0 to roundoff or above 1e-3."""
+    devs = [v.deviation for v in (report.constant_width, report.constant_diameter,
+                                  report.reduced)]
+    return all(d <= 1e-9 or d > 1e-3 for d in devs)
+
+
+@settings(BOUNDED, max_examples=100)
+@given(lenses(), st.booleans())
+@example(lens(*STADIUM_LENS), True)
+def test_lenses_and_their_duals_are_not_reduced(body, dualize):
+    report = metrics.classify(bd.polar_dual(body) if dualize else body, tol=1e-6, n=720)
+    assume(_settled(report))
+    assert not report.reduced.passed
+    assert all(report.checks.values()), report.checks
+
+
+@settings(BOUNDED, max_examples=40)
+@given(polar_duals)
+def test_theorem_checks_hold_on_polar_duals(body):
+    report = metrics.classify(body, tol=1e-6, n=720)
+    assume(_settled(report))
+    assert all(report.checks.values()), report.checks
+
+
+@settings(BOUNDED, max_examples=40)
+@given(st.one_of(bodies, lenses()))
+def test_body_and_dual_share_constant_width(body):
+    # width w for C is pi - w for C° (Lassak and Musielak, Aequationes
+    # Math. 92, 2018)
+    verdicts = [metrics.is_constant_width(b, tol=1e-6, n=720)
+                for b in (body, bd.polar_dual(body))]
+    assume(all(v.deviation <= 1e-9 or v.deviation > 1e-3 for v in verdicts))
+    assert verdicts[0].passed == verdicts[1].passed
 
 
 # -- the exact-slope maximiser -------------------------------------------------

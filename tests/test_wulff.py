@@ -339,6 +339,17 @@ class TestInducedCenter:
         assert np.array_equal(induced.enclosing_center, plain.enclosing_center)
         assert induced.enclosing_center @ fr.pole < 0.99
 
+    @pytest.mark.parametrize("x0, kept", [(-1.5e-6, True), (-1e-8, False)])
+    def test_pole_kept_unless_the_body_refuses_it(self, x0, kept):
+        # an edge line |x0| from the origin lifts to a great circle
+        # asin(|x0|) from the pole: 1.5e-6 clears INTERIOR_MIN, 1e-8 does
+        # not, and the body builds about a searched center
+        shape = wulff.WulffShape(np.array([[x0, -1.0], [1.0, -1.0], [1.0, 1.0], [x0, 1.0]]))
+        fr = wulff.frame_at(Z)
+        induced = wulff.induce_spherical(shape, fr)
+        assert np.array_equal(induced.enclosing_center, fr.pole) == kept
+        assert induced.arcs.count == 4
+
 
 class TestSelfDualReport:
     def test_disk_all_true(self, disk):
