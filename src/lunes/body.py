@@ -58,35 +58,23 @@ class Boundary(NamedTuple):
     starts: np.ndarray   # (m, 3) start points
 
 
-class _Valid(Boundary):
-    """A Boundary that _validated returned: its read-only arrays passed the
-    per-arc checks, so SphericalBody takes it without checking it again."""
-
-    __slots__ = ()
-
-
 def _rolled(x) -> np.ndarray:
     """x's rows shifted up by one, cyclically: np.roll(x, -1, axis=0)."""
     return np.concatenate([x[1:], x[:1]])
 
 
-def _validated(centers, radii, starts, ends=None) -> _Valid:
+def _validated(centers, radii, starts) -> Boundary:
     """The per-arc checks, on all arcs at once.
 
     Vectors must be unit within UNIT_TOL and are rescaled to unit length
     unless already within 1e-13 of it (which keeps them bit-stable); a
     radius within 1e-9 of pi/2 snaps to it and must lie in [ZERO_RADIUS,
-    pi/2]; both endpoints must lie at the radius from the center; an arc
-    ending where it starts (within 1e-12) is a full circle and must be alone.
-    Each arc ends at the next start unless ends are given, as by
-    (center, radius, start, end) rows: those must meet the next starts
-    within CLOSURE_TOL and are then dropped.  Implied ends (ends None) are
-    the checked starts, rolled: only their distance check is run.  Returns
-    read-only copies, as a _Valid.
+    pi/2]; each arc's start and its end, the next arc's start, must lie at
+    the radius from the center; an arc ending where it starts (within
+    1e-12) is a full circle and must be alone.  Returns read-only copies.
     """
-    named = (("center", centers), ("start", starts))
     vecs = []
-    for name, v in named if ends is None else (*named, ("end", ends)):
+    for name, v in (("center", centers), ("start", starts)):
         v = np.array(v, dtype=float).reshape(-1, 3)
         with np.errstate(over="ignore"):  # a norm past the float range reads inf
             n = norm(v)
@@ -98,8 +86,8 @@ def _validated(centers, radii, starts, ends=None) -> _Valid:
         rescale = np.abs(n - 1.0) > 1e-13
         v[rescale] /= n[rescale, None]
         vecs.append(v)
-    c, s = vecs[:2]
-    e = _rolled(s) if ends is None else vecs[2]
+    c, s = vecs
+    e = _rolled(s)
     r = np.array(radii, dtype=float).reshape(-1)
     r[np.abs(r - HALF_PI) <= 1e-9] = HALF_PI
     bad = np.flatnonzero(~((r >= ZERO_RADIUS) & (r <= HALF_PI)))
@@ -115,19 +103,10 @@ def _validated(centers, radii, starts, ends=None) -> _Valid:
                 "segment radius",
                 f"segment {k} {name} at distance {float(d[k])!r} from center, "
                 f"radius {float(r[k])!r}")
-    m = len(r)
-    if m > 1 and np.any(norm(s - e) < 1e-12):
+    if len(r) > 1 and np.any(norm(s - e) < 1e-12):
         raise InvariantViolation(
             "closed boundary", "full-circle segment mixed with others")
-    if ends is not None:  # implied ends meet the next starts exactly
-        gaps = norm(e - _rolled(s))
-        open_ends = np.flatnonzero(gaps > CLOSURE_TOL)
-        if len(open_ends):
-            k = int(open_ends[0])
-            raise InvariantViolation(
-                "closed boundary",
-                f"segment {k} end misses segment {(k + 1) % m} start by {gaps[k]:.3g}")
-    out = _Valid(c, r, s)
+    out = Boundary(c, r, s)
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -414,12 +393,12 @@ class _Arcs:
 
     def _low(self, d):
         """Per block and direction, min over S_b of y . d less h_b: no point x
-        of the block is lower, as |d . x - d . y| <= dist(x, y)."""
+        of the block is lower, as |d . x - d . y| <= dist(x, y).  A chord is
+        a great arc, with no C row: _closed_form with c = 0, and its end."""
         *_, chord, sweep, slack = self._blocks
-        a, b, c = (chord @ d.T).reshape(3, len(sweep), -1)
-        crit = np.where(np.arctan2(b, a) + math.pi <= sweep[:, None], -np.sqrt(a * a + b * b),
-                        np.inf)
-        return np.minimum(np.minimum(a, c), crit) - slack[:, None]
+        a, b, end = (chord @ d.T).reshape(3, len(sweep), -1)
+        start, crit, _ = _closed_form(a, b, 0.0, sweep[:, None])
+        return np.minimum(np.minimum(start, end), crit) - slack[:, None]
 
     def _pruned(self, d):
         """The minimum over the blocks that can hold it (see the class)."""
@@ -492,14 +471,13 @@ class ExtremeSet:
 class SphericalBody:
     """Closed convex region of the sphere, inside some open hemisphere.
 
-    `segments` is a Boundary of arrays, or a sequence of
-    (center, radius, start, end) rows; the per-arc checks of _validated are
-    not repeated on the Boundary it returns.  Validation at construction, on the
-    boundary and on its polar dual: unit vectors, radii in (0, pi/2],
-    endpoints on their circles, consecutive segments sharing endpoints,
-    convex (leftward) junction turns, strict containment in the enclosing
-    open hemisphere, nonempty interior, and one counterclockwise turn about
-    the enclosing center, checked exactly per arc (_check_winding).
+    Built from a Boundary of arrays, validated once, here: by _validated on
+    the boundary and on its polar dual (unit vectors, radii in (0, pi/2],
+    endpoints on their circles, a lone full circle), then convex (leftward)
+    junction turns, an enclosing center (refusal), and one counterclockwise
+    turn about that center, checked exactly per arc (_check_winding).  A
+    given enclosing center is tried first; if it is refused, or none is
+    given, one is searched for (find_enclosing_center).
 
     The boundary is held in `centers`, `radii` and `starts` (read-only
     arrays; arc i ends at the start of arc i + 1, so each junction is stored
@@ -507,10 +485,8 @@ class SphericalBody:
     both in `arcs` and `dual_arcs`.
     """
 
-    def __init__(self, segments, enclosing_center=None, meta=None):
-        if not isinstance(segments, Boundary):  # rows to columns
-            segments = list(zip(*segments)) or [()] * 4
-        b = segments if isinstance(segments, _Valid) else _validated(*segments)
+    def __init__(self, boundary: Boundary, enclosing_center=None, meta=None):
+        b = _validated(*boundary)
         m = len(b.radii)
         if m == 0:
             raise InvariantViolation("closed boundary", "no segments")
@@ -531,24 +507,31 @@ class SphericalBody:
         self.dual_arcs = _Arcs(dual)
         self.dual_boundary = dual
 
-        if enclosing_center is None:
-            probe = self.arcs.point_at(
-                self.arcs.sample_params(max(16, 4 * m)))
-            enclosing_center = find_enclosing_center(probe)
-        self.enclosing_center = normalize(np.asarray(enclosing_center, dtype=float))
-        margin = float(self.arcs.support_extreme(self.enclosing_center)[0])
-        if margin <= ENCLOSING_MIN_DOT:
-            raise InvariantViolation(
-                "enclosing hemisphere",
-                f"boundary reaches dot {margin:.3g} with the enclosing center")
-
-        interior = float(self.dual_arcs.support_extreme(self.enclosing_center)[0])
-        if interior < INTERIOR_MIN * (1.0 - 1e-9):
-            raise InvariantViolation(
-                "nonempty interior",
-                f"interior cap radius only asin({interior:.3g})")
-
+        if enclosing_center is not None:
+            enclosing_center = normalize(np.asarray(enclosing_center, dtype=float))
+        if enclosing_center is None or self.refusal(enclosing_center) is not None:
+            probe = self.arcs.point_at(self.arcs.sample_params(max(16, 4 * m)))
+            enclosing_center = normalize(find_enclosing_center(probe))
+            violation = self.refusal(enclosing_center)
+            if violation is not None:
+                raise violation
+        self.enclosing_center = enclosing_center
         self._check_winding()
+
+    def refusal(self, center) -> InvariantViolation | None:
+        """What the unit vector center fails as an enclosing center, or None:
+        the body must lie in its open hemisphere with margin above
+        ENCLOSING_MIN_DOT ("enclosing hemisphere"), and hold a cap of radius
+        asin(INTERIOR_MIN) about it, to roundoff ("nonempty interior")."""
+        margin = float(self.arcs.support_extreme(center)[0])
+        if not margin > ENCLOSING_MIN_DOT:  # NaN too
+            return InvariantViolation(
+                "enclosing hemisphere", f"boundary reaches dot {margin:.3g} with the center")
+        interior = float(self.dual_arcs.support_extreme(center)[0])
+        if not interior >= INTERIOR_MIN * (1.0 - 1e-9):
+            return InvariantViolation(
+                "nonempty interior", f"interior cap radius only asin({interior:.3g})")
+        return None
 
     def _check_winding(self):
         """The boundary winds once counterclockwise about the enclosing

@@ -11,8 +11,10 @@ lays it out.  A body document is rendered from the boundary arrays instead,
 byte-identical to that: one template, one repr per center, start and
 radius.  It is read back in bulk: one pass over the segments for their keys
 and the shape of their vectors, one float conversion of every number, and
-array checks for finiteness and for the unit norm of the listed vertices
-(the segments' vectors are checked by body validation).
+array checks for finiteness.  The body is built from each segment's
+center, radius and start ("from"); the vectors the document repeats, each
+segment's end ("to") and the listed vertices, must be unit and must match
+the built body's junctions.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 
 import numpy as np
 
-from .body import UNIT_TOL, SphericalBody, _validated
+from .body import CLOSURE_TOL, UNIT_TOL, Boundary, SphericalBody, _rolled
 from .errors import InvariantViolation, ParseError
 from .sphere import norm
 
@@ -250,21 +252,29 @@ def body_from_doc(doc: dict, where: str = "body document") -> SphericalBody:
         what = name(int(bad[0]))
         raise ParseError("radius is not finite" if what == "radius"
                          else f"{what} has a non-finite component")
-    # the segment vectors' norms are _validated's to check, the listed
-    # vertices' only this function's
-    listed = flat[10 * m:].reshape(-1, 3)
+    # a document repeats each segment's end ("to") and the junctions
+    # ("vertices"): both are checked here, the first against the next start
+    # of the body built from the rest, the second against its junctions
+    rows = flat[:10 * m].reshape(m, 10)
+    copies = np.concatenate([rows[:, 6:9], flat[10 * m:].reshape(-1, 3)])
     with np.errstate(over="ignore"):  # a norm past the float range reads inf
-        norms = norm(listed)
+        norms = norm(copies)
     bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_TOL)
     if len(bad):
         k = int(bad[0])
         raise InvariantViolation(
-            f"{vector(3 * m + k)}: unit norm violated, |v| = {float(norms[k])!r}")
-    listed = listed / norms[:, None]
-    rows = flat[:10 * m].reshape(m, 10)
-    # _validated checks each end against the next start, then drops it
-    body = SphericalBody(_validated(rows[:, :3], rows[:, 9], rows[:, 3:6], rows[:, 6:9]),
-                         meta=meta)
+            f"{vector(3 * k + 2 if k < m else 2 * m + k)}: unit norm violated, "
+            f"|v| = {float(norms[k])!r}")
+    copies = copies / norms[:, None]
+    body = SphericalBody(Boundary(rows[:, :3], rows[:, 9], rows[:, 3:6]), meta=meta)
+    gaps = norm(copies[:m] - _rolled(body.starts))
+    open_ends = np.flatnonzero(gaps > CLOSURE_TOL)
+    if len(open_ends):
+        k = int(open_ends[0])
+        raise InvariantViolation(
+            "closed boundary", f"{where}: segment {k} to misses segment "
+            f"{(k + 1) % m} from by {gaps[k]:.3g}")
+    listed = copies[m:]
     if listed.shape != body.vertices.shape \
             or np.any(np.abs(listed - body.vertices) > 1e-10):
         raise ParseError(f"{where}: vertices do not match the segment junctions")

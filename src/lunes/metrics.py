@@ -30,7 +30,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .body import SphericalBody
-from .errors import ConsistencyError, InvalidResolution, NotSupporting
+from .errors import ConsistencyError, InvalidResolution, InvalidSpec, NotSupporting
 from .sphere import Hemisphere, cross, dist, lune_make, normalize
 
 HALF_PI = 0.5 * math.pi
@@ -99,6 +99,12 @@ def _resolution(n) -> int:
     if not n >= 1:
         raise InvalidResolution(f"sample count must be at least 1, got {n!r}")
     return int(n)
+
+
+def _tolerance(tol) -> None:
+    """Rejects a NaN or negative verdict tolerance tol."""
+    if not tol >= 0.0:
+        raise InvalidSpec(f"tolerance must be at least 0, got {tol!r}")
 
 
 def _memo(arcs, key, compute):
@@ -270,6 +276,7 @@ def _first_tied(x, best, scale) -> int:
 def is_constant_width(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdict:
     """Whether the widths at n profile centers are constant within tol.  The
     witnesses are the first centers tied with the extremes (_first_tied)."""
+    _tolerance(tol)
     _, centers, far, _ = _profile(body.dual_arcs, n)
     widths = math.pi - far
     w_min, w_max = widths.min(), widths.max()
@@ -290,6 +297,7 @@ def is_constant_diameter(body: SphericalBody, tol: float = 1e-6,
     The worst point is the first sample tied with the shortest farthest
     distance, at the diameter's scale (_first_tied).
     """
+    _tolerance(tol)
     diam = diameter(body, n).value
     _, pts, far, _ = _profile(body.arcs, n)
     worst = far.min()
@@ -326,12 +334,14 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdi
     arcs' own pieces exceed the thickness by more than tol.  At each probed
     corner (all, or the MAX_PROBES of largest turn, ties broken by
     position): (a) search for that lune (mode lune_search); (b) verify that
-    slicing off a cap of depth 10*tol at e lowers the thickness by more
-    than tol (mode cap_cut).  A failing verdict reports the worst sample or
+    slicing off a cap of depth min(10*tol, thickness/2) at e lowers the
+    thickness by more than min(tol, thickness/20) (mode cap_cut), so every
+    finite tol screens.  A failing verdict reports the worst sample or
     corner, so it does not depend on where the boundary starts; a passing
     one what it screened.
     """
     n = _resolution(n)
+    _tolerance(tol)
     dual = body.dual_arcs
     screened = {}
     curved = dual.radii < HALF_PI
@@ -365,15 +375,17 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdi
     # pi - max(dual diameter, max dist from that center to the dual curve).
     # The cut tilts toward the corner's bisecting supporting center, the
     # midpoint of its dual arc, so the probe depends on the boundary alone.
-    depth = 10.0 * tol
+    # Its depth and the drop it must make are bounded by the body: a cut
+    # deeper than about twice the thickness no longer thins a reduced body.
+    depth, need = min(10.0 * tol, 0.5 * thick), min(tol, 0.05 * thick)
     mid = dual.point_at(0.5 * (lo + hi))
     w_dir = normalize(mid - np.sum(corners * mid, axis=1)[:, None] * corners)
     cut_centers = -math.sin(depth) * corners + math.cos(depth) * w_dir
     drops = dist(cut_centers, dual.far_point(cut_centers)) - (math.pi - thick)
     i = int(np.argmin(drops))
-    if drops[i] <= tol:
+    if drops[i] <= need:
         return Verdict(kind="reduced_necessary", passed=False,
-                       deviation=float(max(0.0, tol - drops[i])), tolerance=tol,
+                       deviation=float(max(0.0, need - drops[i])), tolerance=tol,
                        witness={"mode": "cap_cut", "corner": corners[i],
                                 "thickness_drop": float(drops[i])})
 
@@ -386,7 +398,7 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdi
     # The scan samples the longest probed arc at the profile's spacing, so a
     # many-arc body's short corner arcs take a few samples, not _SCAN[1].
     cos_t, sin_t = math.cos(thick), math.sin(thick)
-    spacing = dual.total / max(n, dual.count, 8)
+    spacing = dual.total / len(_profile(dual, n)[0])
     n_scan = int(np.clip(math.ceil(np.max(hi - lo) / spacing) + 1, *_SCAN))
     phis = np.linspace(lo, hi, n_scan, axis=1)
 
@@ -436,6 +448,7 @@ def classify(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> ClassifyRe
       constant_width_above_halfpi: reduced bodies with diameter >= pi/2 are
         constant-width.
     """
+    _tolerance(tol)
     th = thickness(body, n)
     dm = diameter(body, n)
     cw = is_constant_width(body, tol=tol, n=n)

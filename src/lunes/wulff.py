@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .body import (ENCLOSING_MIN_DOT, INTERIOR_MIN, SphericalBody, hull_scan,
-                   polygon_from_vertices)
+from .body import SphericalBody, hull_scan, polygon_from_vertices
 from .errors import (DegenerateHull, EmptyInterior, InconsistentVerdicts,
                      InvalidSpec, InvariantViolation, NotInHemisphere,
                      PoleNotInterior)
@@ -288,16 +287,14 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
     segments.  The image is therefore the projection of max(n, arc count)
     boundary samples, in order from starts[0], less every sample of a great
     arc but its start: one point per great arc, no collinear run, and no
-    hull to take.  A polygon's image is its projected vertices.
+    hull to take.  A polygon's image is its projected vertices.  The pole
+    must be one the body accepts as its enclosing center
+    (SphericalBody.refusal): NotInHemisphere or PoleNotInterior otherwise.
     """
-    margin = float(body.support_min(frame.pole)[0])
-    if margin <= ENCLOSING_MIN_DOT:
-        raise NotInHemisphere(
-            f"body reaches dot {margin:.3g} with the projection pole")
-    interior = float(body.dual_arcs.support_extreme(frame.pole)[0])
-    if interior <= INTERIOR_MIN:
-        raise PoleNotInterior(
-            f"pole has containment margin only {interior:.3g}")
+    refused = body.refusal(frame.pole)
+    if refused is not None:
+        raise (NotInHemisphere if refused.invariant == "enclosing hemisphere"
+               else PoleNotInterior)(f"projection pole: {refused}")
     arcs = body.arcs
     s = arcs.sample_params(max(n, arcs.count))
     arc = np.searchsorted(arcs.cum, s, side="right") - 1
@@ -316,18 +313,11 @@ def induce_spherical(shape: WulffShape, frame: ProjectionFrame,
     vertex order.  n is accepted for compatibility and ignored: the lift is
     exact.
 
-    The pole N is the enclosing center unless SphericalBody refuses it, by
-    its enclosing-hemisphere or interior margin; then the center is
-    searched for.
+    The pole N is tried first as the enclosing center (SphericalBody).
     """
     x, y = shape.vertices.T
     lifted = normalize(frame.pole + x[:, None] * frame.u + y[:, None] * frame.v)
-    try:
-        body = polygon_from_vertices(lifted, enclosing_center=frame.pole)
-    except InvariantViolation as exc:
-        if exc.invariant not in ("enclosing hemisphere", "nonempty interior"):
-            raise
-        body = polygon_from_vertices(lifted)
+    body = polygon_from_vertices(lifted, enclosing_center=frame.pole)
     body.meta.update({"kind": "induced"})
     return body
 

@@ -77,6 +77,29 @@ class TestHull:
                                  tol=1e-12)
 
 
+class TestGivenCenter:
+    def test_center_outside_the_polygon_is_replaced_by_the_search(self, random_polygons):
+        # a given center is tried first; refused, it is searched for as if
+        # none were given, and the body is the same
+        for poly in random_polygons[:4]:
+            verts = poly.vertices
+            plain = bd.polygon_from_vertices(verts)
+            for center in (-plain.enclosing_center, sphere.normalize(verts[0] - 0.5 * verts[1])):
+                assert plain.refusal(center) is not None
+                got = bd.polygon_from_vertices(verts, enclosing_center=center)
+                for x, y in zip((got.centers, got.radii, got.starts, got.enclosing_center),
+                                (plain.centers, plain.radii, plain.starts, plain.enclosing_center)):
+                    assert np.array_equal(x, y)
+
+    def test_refusal_names_the_failed_rule(self):
+        cap = construct.cap(Z, 0.3)
+        assert cap.refusal(Z) is None
+        assert cap.refusal(-Z).invariant == "enclosing hemisphere"
+        edge = sphere.normalize(np.array([math.sin(0.3), 0.0, math.cos(0.3)]))
+        assert cap.refusal(edge).invariant == "nonempty interior"
+        assert cap.refusal(np.full(3, math.nan)).invariant == "enclosing hemisphere"
+
+
 class TestEnclosingCenter:
     @staticmethod
     def _lopsided():

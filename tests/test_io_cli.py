@@ -107,6 +107,14 @@ class TestBodyDocuments:
         with pytest.raises(ParseError, match="vertices"):
             io.body_from_doc(bad)
 
+    def test_non_unit_segment_end_rejected(self, octant):
+        # each segment's "to" repeats the next "from": it is checked as the
+        # listed vertices are, for unit norm first
+        doc = io.body_to_doc(octant)
+        doc["segments"][1]["to"] = [1.1 * x for x in doc["segments"][1]["to"]]
+        with pytest.raises(InvariantViolation, match="segment 1 to: unit norm violated"):
+            io.body_from_doc(doc)
+
     def test_boundary_gap_rejected(self, octant):
         doc = io.body_to_doc(octant)
         seg = doc["segments"][0]
@@ -467,6 +475,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "norm inf" in err or "|v| = inf" in err, err
+
+    def test_open_document_boundary_exit_2(self, tmp_path, capsys, octant):
+        doc = io.body_to_doc(octant)
+        seg = doc["segments"][0]
+        c, b = np.array(seg["center"]), np.array(seg["to"])
+        seg["to"] = [float(x) for x in math.cos(0.1) * b + math.sin(0.1) * np.cross(c, b)]
+        path = tmp_path / "open.json"
+        path.write_text(json.dumps(doc))
+        assert _main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: closed boundary") and err.count("\n") == 1, err
+
+    def test_huge_tolerance_gives_an_answer(self, tmp_path):
+        # every finite tol >= 0 screens: the cap-cut depth is bounded by
+        # the body, so 1e308 neither overflows nor fails a reduced gon
+        io.save_body(construct.random_convex_polygon(7, n=6, max_diam=1.0),
+                     str(tmp_path / "poly.json"))
+        io.save_body(construct.regular_odd_gon(7, 0.5), str(tmp_path / "g7.json"))
+        for args in (["analyze", "poly.json"], ["check", "reduced", "g7.json"]):
+            r = run_cli("--tol", "1e308", *args, cwd=tmp_path)
+            assert r.returncode == 0 and "Traceback" not in r.stderr, r.stdout + r.stderr
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_bad_tolerance_exit_2(self, tmp_path, tol):

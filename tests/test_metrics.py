@@ -8,7 +8,7 @@ from conftest import STADIUM_LENS, lens, random_cd_triangle_vertices
 
 from lunes import body as bd
 from lunes import construct, io, metrics, sphere, wulff
-from lunes.errors import InvalidResolution, NotSupporting
+from lunes.errors import InvalidResolution, InvalidSpec, NotSupporting
 
 HALF_PI = math.pi / 2
 Z = np.array([0.0, 0.0, 1.0])
@@ -225,6 +225,28 @@ class TestReduced:
         v = metrics.reduced_check(square, tol=1e-6, n=240)
         assert not v.passed
 
+    TOLS = [1e-6, 1e-4, 1e-3, 3e-3, 0.01, 0.03, 0.1, 0.2, 1.0, 1e308]
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("target", [0.01, 1.0])
+    def test_regular_gons_pass_at_every_tolerance(self, n, target):
+        # the cap-cut probe is bounded by the body, depth min(10 tol,
+        # thickness / 2): an unbounded cut, deeper than about twice the
+        # thickness, no longer thins a reduced gon, and at 1e308 its depth
+        # overflowed
+        gon = construct.regular_odd_gon(n, target)
+        for tol in self.TOLS:
+            v = metrics.reduced_check(gon, tol=tol, n=720)
+            assert v.passed, (tol, v.witness)
+
+    def test_bounded_cut_still_fails_the_square_and_random_polygons(self):
+        square = bd.polygon_from_vertices(construct.regular_polygon_vertices(4, 0.7))
+        for tol in self.TOLS[:8]:
+            assert not metrics.reduced_check(square, tol=tol, n=720).passed, tol
+        for seed in range(30):
+            body = construct.random_convex_polygon(seed)
+            assert not metrics.reduced_check(body, tol=1e-6, n=720).passed, seed
+
     @staticmethod
     def _dense_margin(body, samples):
         """The best lune of a dense scan along each probed corner's dual
@@ -416,6 +438,18 @@ class TestResolution:
         for n in (0, -5):
             with pytest.raises(InvalidResolution):
                 fn(octant, n=n)
+
+    @pytest.mark.parametrize("fn", [
+        metrics.is_constant_width, metrics.is_constant_diameter, metrics.reduced_check,
+        metrics.classify])
+    @pytest.mark.parametrize("tol", [math.nan, -1e-6])
+    def test_nan_or_negative_tolerance_rejected(self, fn, tol):
+        # a NaN tolerance passed every comparison it failed: the square
+        # passed reduced_check, and classify reported thickness_le_diameter
+        # False
+        square = bd.polygon_from_vertices(construct.regular_polygon_vertices(4, 0.7))
+        with pytest.raises(InvalidSpec, match="tolerance"):
+            fn(square, tol=tol, n=240)
 
     def test_width_at_rejects_sample_count_below_one(self, octant):
         with pytest.raises(InvalidResolution):

@@ -605,7 +605,7 @@ def reuleaux_gons(draw):
     The regular n-gon's diagonal, from v_0 to v_h with h = (n - 1) / 2,
     spans pi (n - 1) / n of azimuth, so its circumradius R has
     sin R = sin(w / 2) / sin(pi (n - 1) / 2n); the arc from v_j to v_j+1
-    has radius w about the opposite vertex v_j+h+1.  Rows, checked as such.
+    has radius w about the opposite vertex v_j+h+1.
     """
     n = draw(st.sampled_from([3, 5, 7]))
     w = draw(st.floats(0.3, math.pi / 2))
@@ -616,8 +616,7 @@ def reuleaux_gons(draw):
 def _reuleaux(n, w, axis, phase):
     radius = math.asin(math.sin(0.5 * w) / math.sin(0.5 * math.pi * (n - 1) / n))
     v = construct.regular_polygon_vertices(n, radius, center=axis, phase=phase)
-    return bd.SphericalBody([(v[(j + n // 2 + 1) % n], w, v[j], v[(j + 1) % n])
-                             for j in range(n)])
+    return bd.SphericalBody(bd.Boundary(v[(np.arange(n) + n // 2 + 1) % n], np.full(n, w), v))
 
 
 def _many_arc_reuleaux_examples(test):
@@ -652,8 +651,8 @@ def test_reuleaux_gons_have_constant_width(case, axis, angle):
         path = os.path.join(tmp, "a.json")
         io.save_body(body, path)
         loaded = io.load_body(path)
-    turned = bd.SphericalBody([[_rotated(x, axis, angle) if np.ndim(x) else x for x in row]
-                               for row in _arcs(body)])
+    turned = bd.SphericalBody(bd.Boundary(_rotated(body.centers, axis, angle), body.radii,
+                                          _rotated(body.starts, axis, angle)))
     for other in (loaded, turned):
         assert np.max(np.abs(np.subtract(_widths(other), width))) <= 1e-12
 
@@ -1380,37 +1379,25 @@ def test_mutated_documents_raise_only_lunes_errors(case):
 
 
 def _rotated(x, axis, angle):
-    """x rotated by angle about the unit axis (Rodrigues)."""
+    """x, a vector or rows of them, rotated by angle about the unit axis
+    (Rodrigues)."""
     return (x * math.cos(angle) + np.cross(axis, x) * math.sin(angle)
-            + axis * (axis @ x) * (1.0 - math.cos(angle)))
-
-
-def _arcs(body):
-    return [list(row) for row in zip(body.centers, body.radii, body.starts, _ends(body))]
-
-
-def _open_boundary(body):
-    arcs = _arcs(body)
-    center, _, _, end = arcs[0]
-    arcs[0][3] = _rotated(end, center, -0.1)  # slide the end back along its circle
-    return arcs
-
-
-def _off_radius(body):
-    arcs = _arcs(body)
-    center, _, _, end = arcs[0]
-    away = np.cross(center, end)
-    arcs[0][3] = _rotated(end, away / np.linalg.norm(away), 1e-9)
-    return arcs
+            + axis * (x @ axis)[..., None] * (1.0 - math.cos(angle)))
 
 
 def _full_circle_added(body):
-    cap = construct.cap(body.enclosing_center, 0.01)
-    return _arcs(body) + _arcs(cap)
+    """The Boundary form with a circle of radius 0.01 through the first
+    start put before the first arc: a full circle, as it starts where the
+    next arc starts, mixed with others."""
+    s0 = body.starts[0]
+    away = np.cross(s0, body.enclosing_center)
+    center = _rotated(s0, away / np.linalg.norm(away), 0.01)
+    return bd.Boundary(np.concatenate([[center], body.centers]),
+                       np.concatenate([[0.01], body.radii]), np.concatenate([[s0], body.starts]))
 
 
 def _wound_twice(body):
-    return _arcs(body) * 2
+    return bd.Boundary(*(np.concatenate([x, x]) for x in (body.centers, body.radii, body.starts)))
 
 
 WINDS_TWICE = (_wound_twice, "convexity: boundary does not wind once")
@@ -1447,9 +1434,7 @@ NEXT_START_OFF = (_next_start_off_circle, "segment radius: segment 0 end")
 
 
 @BOUNDED
-@given(bodies, st.sampled_from([(_open_boundary, "closed boundary"),
-                                (_off_radius, "segment radius"),
-                                (_full_circle_added, "closed boundary"),
+@given(bodies, st.sampled_from([(_full_circle_added, "closed boundary"),
                                 WINDS_TWICE, NEXT_START_OFF,
                                 (_start_off_unit, "unit norm: segment [0-9]+ start")]))
 @example(SLIVER, WINDS_TWICE)
@@ -1466,6 +1451,29 @@ def test_broken_boundaries_rejected(body, breakage):
         bd.SphericalBody(breaker(body))
 
 
+def _open_boundary(segment):
+    segment["to"] = _rotated(np.array(segment["to"]), np.array(segment["center"]),
+                             -0.1).tolist()  # slide the end back along its circle
+
+
+def _off_radius(segment):
+    end = np.array(segment["to"])
+    away = np.cross(segment["center"], end)
+    segment["to"] = _rotated(end, away / np.linalg.norm(away), 1e-9).tolist()
+
+
+@BOUNDED
+@given(bodies, st.sampled_from([_open_boundary, _off_radius]))
+def test_document_end_off_the_next_start_rejected(body, breaker):
+    # a document repeats each arc's end as "to", the next arc's "from": the
+    # body is built from the starts, and a "to" off the next start (along
+    # its circle or 1e-9 off it) opens the boundary
+    doc = io.body_to_doc(body)
+    breaker(doc["segments"][0])
+    with pytest.raises(InvariantViolation, match="closed boundary: .* segment 0 to misses"):
+        io.body_from_doc(doc)
+
+
 @pytest.mark.parametrize("n, k", [(5, 2), (7, 2), (7, 3)])
 def test_star_polygon_rejected(n, k):
     # the star polygon {n/k} turns left at every vertex but winds k times
@@ -1476,10 +1484,12 @@ def test_star_polygon_rejected(n, k):
 
 def _circle_arcs(sweeps, radius=0.5):
     """Arcs of one circle about the pole, laid end to end, one per sweep
-    (in degrees)."""
+    (in degrees); the last ends at the first start, so its sweep is the
+    rest of the turns the sweeps add up to."""
     axis = np.array([0.0, 0.0, 1.0])
-    pts = [_cap_point(axis, radius, a) for a in np.radians(np.cumsum([0, *sweeps]))]
-    return [(axis, radius, pts[i], pts[i + 1]) for i in range(len(sweeps))]
+    starts = [_cap_point(axis, radius, a) for a in np.radians(np.cumsum([0, *sweeps[:-1]]))]
+    return bd.Boundary(np.tile(axis, (len(sweeps), 1)), np.full(len(sweeps), radius),
+                       np.array(starts))
 
 
 def test_circle_wound_by_long_arcs():
@@ -1532,11 +1542,10 @@ def test_reflex_junction_rejected(poly, k, depth):
     mid = (prev + nxt) / np.linalg.norm(prev + nxt)
     dent = mid - depth * (verts[k] - mid)
     verts[k] = dent / np.linalg.norm(dent)
-    succ = np.roll(verts, -1, axis=0)
-    poles = np.cross(verts, succ)
+    poles = np.cross(verts, np.roll(verts, -1, axis=0))
     poles /= np.linalg.norm(poles, axis=1, keepdims=True)
     with pytest.raises(InvariantViolation):
-        bd.SphericalBody([(c, math.pi / 2, a, b) for c, a, b in zip(poles, verts, succ)])
+        bd.SphericalBody(bd.Boundary(poles, np.full(n, math.pi / 2), verts))
 
 
 @BOUNDED

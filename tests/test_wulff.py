@@ -339,6 +339,19 @@ class TestInducedCenter:
         assert np.array_equal(induced.enclosing_center, plain.enclosing_center)
         assert induced.enclosing_center @ fr.pole < 0.99
 
+    def test_refused_pole_validates_once(self, monkeypatch):
+        # the body that refuses the pole searches its own center: the
+        # boundary and its dual are validated once each, not rebuilt
+        calls = []
+        validated = bd._validated
+        monkeypatch.setattr(bd, "_validated", lambda *a: calls.append(1) or validated(*a))
+        theta = 2 * math.pi * np.arange(720) / 720
+        gamma = wulff.GammaFn(theta, np.where(np.arange(720) == 0, 1e-8, 1.0))
+        shape, fr = wulff.wulff_shape(gamma), wulff.frame_at(Z)
+        induced = wulff.induce_spherical(shape, fr)
+        assert not np.array_equal(induced.enclosing_center, fr.pole)
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("x0, kept", [(-1.5e-6, True), (-1e-8, False)])
     def test_pole_kept_unless_the_body_refuses_it(self, x0, kept):
         # an edge line |x0| from the origin lifts to a great circle
