@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (DegenerateHull, InvariantViolation, NoEnclosingHemisphere)
-from .sphere import cross, dist, norm, normalize, orthonormal_frame
+from .sphere import cross, dist, dot, norm, normalize, orthonormal_frame
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -71,22 +71,23 @@ def _validated(centers, radii, starts) -> Boundary:
     radius within 1e-9 of pi/2 snaps to it and must lie in [ZERO_RADIUS,
     pi/2]; each arc's start and its end, the next arc's start, must lie at
     the radius from the center; an arc ending where it starts (within
-    1e-12) is a full circle and must be alone.  Returns read-only copies.
+    1e-12) is a full circle and must be alone.  Unit norms are checked on
+    the centers and starts stacked, and distances on the starts and ends
+    stacked, so a fault in any center is reported before one in a start, and
+    in any start before one in an end.  Returns read-only copies.
     """
-    vecs = []
-    for name, v in (("center", centers), ("start", starts)):
-        v = np.array(v, dtype=float).reshape(-1, 3)
-        with np.errstate(over="ignore"):  # a norm past the float range reads inf
-            n = norm(v)
-        bad = np.flatnonzero(~(np.abs(n - 1.0) <= UNIT_TOL))  # NaN too
-        if len(bad):
-            k = int(bad[0])
-            raise InvariantViolation(
-                "unit norm", f"segment {k} {name} has norm {float(n[k])!r}")
-        rescale = np.abs(n - 1.0) > 1e-13
-        v[rescale] /= n[rescale, None]
-        vecs.append(v)
-    c, s = vecs
+    c = np.array(centers, dtype=float).reshape(-1, 3)
+    v = np.concatenate([c, np.array(starts, dtype=float).reshape(-1, 3)])
+    with np.errstate(over="ignore"):  # a norm past the float range reads inf
+        n = norm(v)
+    bad = np.flatnonzero(~(np.abs(n - 1.0) <= UNIT_TOL))  # NaN too
+    if len(bad):
+        k = int(bad[0])
+        name, j = ("center", k) if k < len(c) else ("start", k - len(c))
+        raise InvariantViolation("unit norm", f"segment {j} {name} has norm {float(n[k])!r}")
+    rescale = np.abs(n - 1.0) > 1e-13
+    v[rescale] /= n[rescale, None]
+    c, s = v[:len(c)], v[len(c):]
     e = _rolled(s)
     r = np.array(radii, dtype=float).reshape(-1)
     r[np.abs(r - HALF_PI) <= 1e-9] = HALF_PI
@@ -94,16 +95,16 @@ def _validated(centers, radii, starts) -> Boundary:
     if len(bad):
         raise InvariantViolation(
             "radius range", f"radius {float(r[bad[0]])!r} outside (0, pi/2]")
-    for name, x in (("start", s), ("end", e)):
-        d = dist(c, x)
-        bad = np.flatnonzero(np.abs(d - r) > RADIUS_MATCH_TOL)
-        if len(bad):
-            k = int(bad[0])
-            raise InvariantViolation(
-                "segment radius",
-                f"segment {k} {name} at distance {float(d[k])!r} from center, "
-                f"radius {float(r[k])!r}")
-    if len(r) > 1 and np.any(norm(s - e) < 1e-12):
+    d = dist(np.concatenate([c, c]), np.concatenate([s, e]))  # starts, then ends
+    bad = np.flatnonzero(np.abs(d - np.concatenate([r, r])) > RADIUS_MATCH_TOL)
+    if len(bad):
+        k = int(bad[0])
+        name, j = ("start", k) if k < len(r) else ("end", k - len(r))
+        raise InvariantViolation(
+            "segment radius",
+            f"segment {j} {name} at distance {float(d[k])!r} from center, "
+            f"radius {float(r[j])!r}")
+    if len(r) > 1 and (norm(s - e) < 1e-12).any():
         raise InvariantViolation(
             "closed boundary", "full-circle segment mixed with others")
     out = Boundary(c, r, s)
@@ -121,11 +122,17 @@ def _closed_form(a, b, c, sweeps):
     the start, c + a (an arc's end is the next arc's start), or at the
     critical angle atan2(b, a) + pi, in [0, 2 pi], where it is
     c - sqrt(a^2 + b^2), if the sweep reaches it.  Returns the start
-    values, the critical values (+inf outside the sweep) and the critical
-    angles.
+    values, the critical values (+inf where the angle is outside the sweep
+    or NaN) and the critical angles.
     """
-    t = np.arctan2(b, a) + math.pi
-    return c + a, np.where(t <= sweeps, c - np.sqrt(a * a + b * b), np.inf), t
+    t = np.arctan2(b, a)
+    t += math.pi
+    crit = a * a
+    crit += b * b
+    np.sqrt(crit, out=crit)
+    np.subtract(c, crit, out=crit)
+    np.putmask(crit, ~(t <= sweeps), np.inf)
+    return c + a, crit, t
 
 
 def _sliced(query, width, *rows):
@@ -192,17 +199,17 @@ class _Arcs:
         u0 /= norm(u0)[:, None]
         v0 = cross(b.centers, u0)
         u1 = (_rolled(b.starts) - cos_r * b.centers) / sin_r
-        sweeps = np.mod(np.arctan2(np.sum(u1 * v0, axis=1), np.sum(u1 * u0, axis=1)), TWO_PI)
+        sweeps = np.mod(np.arctan2(dot(u1, v0), dot(u1, u0)), TWO_PI)
         if len(sweeps) == 1:
             sweeps[0] = TWO_PI
-        if np.any(sweeps < 1e-12):
+        if (sweeps < 1e-12).any():
             raise InvariantViolation("degenerate segment", "zero-length boundary arc")
         u1 /= norm(u1)[:, None]
         self.u0, self.v0, self.u1, self.sweeps = u0, v0, u1, sweeps
         self.table = np.concatenate([sin_r * u0, sin_r * v0, cos_r * b.centers])
         for arr in (self.table, u0, v0, u1):
             arr.flags.writeable = False
-        self.su0, self.sv0, self.cc = np.split(self.table, 3)  # views: A, B and C
+        self.su0, self.sv0, self.cc = self.table.reshape(3, -1, 3)  # views: A, B and C
         self.lengths = sweeps * self.sin_r
         self.cum = np.concatenate([[0.0], np.cumsum(self.lengths)])
         self.total = float(self.cum[-1])
@@ -227,12 +234,14 @@ class _Arcs:
         counterclockwise, from one lookup (vectorized); at a junction, of
         the arc that starts there."""
         idx, cos_t, sin_t = self._locate(s)
-        return self._point(idx, cos_t, sin_t), cos_t * self.v0[idx] - sin_t * self.u0[idx]
+        return (self._point(idx, cos_t, sin_t),
+                cos_t * self.v0.take(idx, 0) - sin_t * self.u0.take(idx, 0))
 
     def _point(self, idx, cos_t, sin_t):
         """The point at angle t along arc idx (cos t and sin t as columns):
         the one formula for a point on an arc."""
-        return self.cc[idx] + cos_t * self.su0[idx] + sin_t * self.sv0[idx]
+        return (self.cc.take(idx, 0) + cos_t * self.su0.take(idx, 0)
+                + sin_t * self.sv0.take(idx, 0))
 
     def far_point(self, dirs) -> np.ndarray:
         """The curve's farthest point from each direction: where p . x is
@@ -285,7 +294,7 @@ class _Arcs:
         reach = dist(coarse, self._point(lo, np.cos(t)[:, None], np.sin(t)[:, None]))
         gap = np.diff(np.append(params[::_STRIDE], params[0] + self.total))
         span = np.mod(_rolled(lo) - lo, m) + 1  # arcs per window
-        if np.max(gap) >= 0.5 * np.max(reach) or 2 * np.max(span) > m:
+        if gap.max() >= 0.5 * reach.max() or 2 * span.max() > m:
             return params, pts, self.far_point(pts)
         rows = np.minimum(np.arange(len(lo) * _STRIDE), n - 1).reshape(-1, _STRIDE)
         arc, t = np.empty(n, dtype=int), np.empty(n)
@@ -299,9 +308,9 @@ class _Arcs:
     def _windowed(self, win, x):
         """_reduce of the points x[i] (_STRIDE x 3) over the arcs win[i]."""
         k, width = win.shape
-        table = self.table.reshape(3, self.count, 3)[:, win].transpose(1, 0, 3, 2)
+        table = self.table.reshape(3, self.count, 3).take(win, 1).transpose(1, 0, 3, 2)
         v = (x[:, None] @ table).swapaxes(0, 1)
-        found = _closed_form(*v, self.sweeps[win][:, None])
+        found = _closed_form(*v, self.sweeps.take(win)[:, None])
         return self._reduce(*(y.reshape(k * _STRIDE, -1) for y in found),
                             np.repeat(win, _STRIDE, axis=0))
 
@@ -334,15 +343,17 @@ class _Arcs:
 
     def _reduce(self, start, crit, t, arcs):
         """Each row's least candidate of _closed_form (rows x arcs), its arc
-        and the angle along it (0 at the start), a start winning a tie;
-        arcs numbers the candidates' arcs, for all rows (1-D) or per row
-        (2-D)."""
-        flat = np.concatenate([start, crit], axis=1)
-        rows = np.arange(flat.shape[0])
-        j = np.argmin(flat, axis=1)
-        critical, slot = np.divmod(j, t.shape[1])
-        arc = arcs[slot] if arcs.ndim == 1 else arcs[rows, slot]
-        return flat[rows, j], arc, np.where(critical, t[rows, slot], 0.0)
+        and the angle along it (0 at the start): the row's least start
+        unless its least critical value is strictly lower, the first arc
+        among equals; arcs numbers the candidates' arcs, for all rows (1-D)
+        or per row (2-D)."""
+        rows = np.arange(len(start))
+        i, j = start.argmin(axis=1), crit.argmin(axis=1)
+        low_start, low_crit = start[rows, i], crit[rows, j]
+        critical = low_crit < low_start
+        slot = np.where(critical, j, i)
+        arc = arcs.take(slot) if arcs.ndim == 1 else arcs[rows, slot]
+        return np.where(critical, low_crit, low_start), arc, np.where(critical, t[rows, j], 0.0)
 
     def _whole(self, d):
         """_closed_form on every arc, laid out arcs first: the (3m x k)
@@ -368,7 +379,7 @@ class _Arcs:
         idx = np.minimum(np.arange(-(-m // _BLOCK) * _BLOCK), m - 1).reshape(-1, _BLOCK)
         s = self._point(np.append(idx[:, 0], 0), 1.0, 0.0)
         s0, s1 = s[:-1], s[1:]
-        cos_s = np.sum(s0 * s1, axis=1)
+        cos_s = dot(s0, s1)
         w = s1 - cos_s[:, None] * s0
         sin_s = norm(w)
         flat = sin_s < 1e-12  # the first arc's tangent at s0 serves as v0
@@ -382,14 +393,14 @@ class _Arcs:
         near = np.where((up >= 0.0) & (up <= sweep[:, None]), np.sqrt(a * a + b * b),
                         np.maximum(a, c))
         slack = np.max(np.arccos(np.clip(near, -1.0, 1.0)) + reach[idx], axis=1) + _CAP_SLACK
-        table = self.table.reshape(3, m, 3)[:, idx].transpose(1, 0, 2, 3)
+        table = self.table.reshape(3, m, 3).take(idx, 1).transpose(1, 0, 2, 3)
         return idx, table.reshape(len(idx), 3 * _BLOCK, 3), self.sweeps[idx], chord, sweep, slack
 
     def _blockwise(self, b, d):
         """_reduce over block b[i] in direction d[i], for each i."""
         idx, table, sweeps, *_ = self._blocks
-        v = (table[b] @ d[:, :, None]).reshape(-1, 3, _BLOCK).swapaxes(0, 1)
-        return self._reduce(*_closed_form(*v, sweeps[b]), idx[b])
+        v = (table.take(b, 0) @ d[:, :, None]).reshape(-1, 3, _BLOCK).swapaxes(0, 1)
+        return self._reduce(*_closed_form(*v, sweeps.take(b, 0)), idx.take(b, 0))
 
     def _low(self, d):
         """Per block and direction, min over S_b of y . d less h_b: no point x
@@ -403,7 +414,7 @@ class _Arcs:
     def _pruned(self, d):
         """The minimum over the blocks that can hold it (see the class)."""
         low = self._low(d)
-        first = np.argmin(low, axis=0)
+        first = low.argmin(axis=0)
         vals, arc, t = self._blockwise(first, d)
         visit = low <= vals
         visit[first, np.arange(d.shape[0])] = False
@@ -449,7 +460,7 @@ def _dual(b: Boundary, arcs: _Arcs):
     # it, from the one before the corner to the one after: a reflex junction
     # has them turn clockwise and gets a negative turn
     axis = cross(at_end, at_next)  # shared by the orientation and dist's formula
-    turns = np.copysign(np.arctan2(norm(axis), np.add.reduce(at_end * at_next, axis=-1)),
+    turns = np.copysign(np.arctan2(norm(axis), dot(at_end, at_next)),
                         np.einsum("ij,ij->i", axis, junctions))  # 0 on a full circle
     keep = np.column_stack([~great, turns > CLOSURE_TOL]).ravel()
     dual = interleaved(keep, Boundary(b.centers, HALF_PI - b.radii, at_start),
@@ -566,7 +577,7 @@ class SphericalBody:
 
     @property
     def is_polygon(self) -> bool:
-        return bool(np.all(self.radii == HALF_PI))
+        return bool((self.radii == HALF_PI).all())
 
     def support_min(self, dirs) -> np.ndarray:
         """Minimum of p . dir over the body, per direction (shape (k,))."""
@@ -595,7 +606,7 @@ def polygon_from_vertices(vertices, enclosing_center=None) -> SphericalBody:
     # a and b nearly coincide
     poles = cross(verts, _rolled(verts) - verts)
     norms = norm(poles)
-    if np.any(norms < EDGE_POLE_MIN):
+    if (norms < EDGE_POLE_MIN).any():
         raise DegenerateHull("consecutive vertices equal or antipodal")
     edges = Boundary(poles / norms[:, None], np.full(len(verts), HALF_PI), verts)
     return SphericalBody(edges, enclosing_center=enclosing_center,
@@ -631,12 +642,12 @@ def find_enclosing_center(points, min_dot: float = ENCLOSING_MIN_DOT) -> np.ndar
     not finite.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise NoEnclosingHemisphere("non-finite point")
     mean = pts.mean(axis=0)
     if np.linalg.norm(mean) > 1e-12:
         best = mean / np.linalg.norm(mean)
-        if float(np.min(pts @ best)) > 10 * min_dot:
+        if float((pts @ best).min()) > 10 * min_dot:
             return best
     p = pts[np.random.default_rng(0).permutation(len(pts))]
 

@@ -109,7 +109,7 @@ def _numbers(body: SphericalBody) -> np.ndarray:
     """The centers, starts and radii of the body, flat and in that order:
     7 numbers per arc, each junction once."""
     flat = np.concatenate([body.centers.ravel(), body.starts.ravel(), body.radii])
-    if not np.all(np.isfinite(flat)):
+    if not np.isfinite(flat).all():
         raise ParseError("body has a non-finite component")
     return flat
 
@@ -125,7 +125,7 @@ def body_to_doc(body: SphericalBody) -> dict:
         "segments": [{"center": c, "radius": r, "from": a, "to": b}
                      for c, r, a, b in zip(centers.tolist(), flat[6 * m:].tolist(),
                                            starts.tolist(),
-                                           np.roll(starts, -1, axis=0).tolist())],
+                                           _rolled(starts).tolist())],
         "metadata": body.meta,
     }
 
@@ -276,7 +276,7 @@ def body_from_doc(doc: dict, where: str = "body document") -> SphericalBody:
             f"{(k + 1) % m} from by {gaps[k]:.3g}")
     listed = copies[m:]
     if listed.shape != body.vertices.shape \
-            or np.any(np.abs(listed - body.vertices) > 1e-10):
+            or (np.abs(listed - body.vertices) > 1e-10).any():
         raise ParseError(f"{where}: vertices do not match the segment junctions")
     actual = body_kind(body)
     if actual != kind:

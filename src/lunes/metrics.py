@@ -31,7 +31,7 @@ import numpy as np
 
 from .body import SphericalBody
 from .errors import ConsistencyError, InvalidResolution, InvalidSpec, NotSupporting
-from .sphere import Hemisphere, cross, dist, lune_make, normalize
+from .sphere import Hemisphere, cross, dist, dot, lune_make, normalize
 
 HALF_PI = 0.5 * math.pi
 SUPPORT_TOL = 1e-8       # |min dot| beyond this means "not a supporting hemisphere"
@@ -197,13 +197,13 @@ def _curve_diameter(arcs, n):
     def fn(s, rows, q=None):
         p, tangent = arcs.tangent_at(s)
         q = arcs.far_point(p) if q is None else q
-        return -np.sum(p * q, axis=1), -np.sum(tangent * q, axis=1)
+        return -dot(p, q), -dot(tangent, q)
 
     def compute():
         params, pts, far, far_pts = _profile(arcs, n)
         i = _first_tied(far, far.max(), far.max())
         p, q = pts[i], far_pts[i]
-        if not np.all(arcs.radii == HALF_PI):
+        if not (arcs.radii == HALF_PI).all():
             grid = np.concatenate([params[-1:] - arcs.total, params, params[:1] + arcs.total])
             start = fn(params[i:i + 1], None, q)
             p = arcs.point_at(_climb(fn, grid[None], np.array([i + 1]), *start)[0])[0]
@@ -379,10 +379,10 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdi
     # deeper than about twice the thickness no longer thins a reduced body.
     depth, need = min(10.0 * tol, 0.5 * thick), min(tol, 0.05 * thick)
     mid = dual.point_at(0.5 * (lo + hi))
-    w_dir = normalize(mid - np.sum(corners * mid, axis=1)[:, None] * corners)
+    w_dir = normalize(mid - dot(corners, mid)[:, None] * corners)
     cut_centers = -math.sin(depth) * corners + math.cos(depth) * w_dir
     drops = dist(cut_centers, dual.far_point(cut_centers)) - (math.pi - thick)
-    i = int(np.argmin(drops))
+    i = int(drops.argmin())
     if drops[i] <= need:
         return Verdict(kind="reduced_necessary", passed=False,
                        deviation=float(max(0.0, need - drops[i])), tolerance=tol,
@@ -405,13 +405,13 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdi
     def fn(phi, live):
         d, e = dual.point_at(phi), corners[live]
         vals, x = body.arcs.support_min_at(-cos_t * d + sin_t * e)
-        return vals, -cos_t * np.sum(cross(e, d) * x, axis=1)
+        return vals, -cos_t * dot(cross(e, d), x)
 
     at = np.arange(len(rows))
     scan, slope = (a.reshape(len(rows), n_scan) for a in fn(phis.ravel(), at.repeat(n_scan)))
     j = np.argmax(scan, axis=1)
     best = _climb(fn, phis, j, scan[at, j], slope[at, j])[1]
-    i = int(np.argmin(best))
+    i = int(best.argmin())
     if best[i] < -tol:
         return Verdict(kind="reduced_necessary", passed=False,
                        deviation=float(-best[i]), tolerance=tol,

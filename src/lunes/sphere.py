@@ -31,15 +31,29 @@ def cross(a, b) -> np.ndarray:
 
 
 def norm(v) -> np.ndarray:
-    """Length over the last axis: np.linalg.norm's formula for real arrays."""
-    return np.sqrt(np.add.reduce(v * v, axis=-1))
+    """Length over the last axis of 3: np.linalg.norm's formula for real
+    arrays, its squares added in np.add.reduce's order."""
+    p = v * v
+    return np.sqrt(p[..., 0] + p[..., 1] + p[..., 2])
+
+
+def dot(a, b) -> np.ndarray:
+    """a . b over the last axis of 3: np.add.reduce(a * b, axis=-1) bit for
+    bit, without its wrapper.  add.reduce sums from its identity, ((0 + x) +
+    y) + z; adding 0.0 last gives the same bits, as all it changes is a sum
+    of -0.0, to +0.0."""
+    p = a * b
+    s = p[..., 0] + p[..., 1]
+    s += p[..., 2]
+    s += 0.0
+    return s
 
 
 def normalize(v) -> np.ndarray:
     """Return v scaled to unit length (works on batches along the last axis)."""
     v = np.asarray(v, dtype=float)
     n = norm(v)[..., None]
-    if np.any(n < 1e-15):
+    if (n < 1e-15).any():
         raise ValueError("cannot normalize a zero vector")
     return v / n
 
@@ -52,7 +66,7 @@ def dist(a, b):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return np.arctan2(norm(cross(a, b)), np.add.reduce(a * b, axis=-1))
+    return np.arctan2(norm(cross(a, b)), dot(a, b))
 
 
 def geodesic_point(a, b, t: float) -> np.ndarray:

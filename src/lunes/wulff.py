@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .body import SphericalBody, hull_scan, polygon_from_vertices
+from .body import SphericalBody, _rolled, hull_scan, polygon_from_vertices
 from .errors import (DegenerateHull, EmptyInterior, InconsistentVerdicts,
                      InvalidSpec, InvariantViolation, NotInHemisphere,
                      PoleNotInterior)
@@ -83,26 +83,26 @@ class WulffShape:
         verts = np.atleast_2d(np.asarray(vertices, dtype=float))
         if verts.shape[1] != 2 or len(verts) < 3:
             raise InvalidSpec("need at least 3 planar vertices")
-        if not np.all(np.isfinite(verts)):
+        if not np.isfinite(verts).all():
             raise InvalidSpec("non-finite vertex")
-        nxt = np.roll(verts, -1, axis=0)
+        nxt = _rolled(verts)
         edges = nxt - verts
         if float(np.sum(verts[:, 0] * nxt[:, 1] - verts[:, 1] * nxt[:, 0])) <= 0.0:
             raise InvariantViolation("convexity", "vertices not counterclockwise")
-        ahead = np.roll(edges, -1, axis=0)
+        ahead = _rolled(edges)
         turn = edges[:, 0] * ahead[:, 1] - edges[:, 1] * ahead[:, 0]
-        scale = float(np.max(np.abs(verts)))
-        if np.any(turn < -1e-12 * scale ** 2):
+        scale = float(np.abs(verts).max())
+        if (turn < -1e-12 * scale ** 2).any():
             raise InvariantViolation("convexity", "reflex planar vertex")
         normals = np.column_stack([edges[:, 1], -edges[:, 0]])
         norms = np.linalg.norm(normals, axis=1)
-        if np.any(norms <= 1e-15 * scale):
+        if (norms <= 1e-15 * scale).any():
             raise InvalidSpec("repeated vertex")
         if abs(float(np.arctan2(turn, np.sum(edges * ahead, axis=1)).sum()) - TWO_PI) > 1e-6:
             raise InvariantViolation("convexity", "vertices do not wind once")
         normals = normals / norms[:, None]
         offsets = np.sum(normals * verts, axis=1)
-        if np.any(offsets <= 0.0):
+        if (offsets <= 0.0).any():
             raise EmptyInterior("origin not strictly interior")
         self.vertices = verts
         self.normals = normals
@@ -150,9 +150,9 @@ def _polar(pa: np.ndarray) -> WulffShape:
     """Intersection of the half-planes y . p <= 1 over the counterclockwise
     points p of pa, in convex position: its vertices are where the lines of
     consecutive points meet."""
-    pb = np.roll(pa, -1, axis=0)
+    pb = _rolled(pa)
     den = pa[:, 0] * pb[:, 1] - pa[:, 1] * pb[:, 0]
-    if np.any(den <= 1e-300):
+    if (den <= 1e-300).any():
         raise EmptyInterior("origin on or outside the polygon of half-plane poles")
     verts = np.column_stack([(pb[:, 1] - pa[:, 1]) / den,
                              (pa[:, 0] - pb[:, 0]) / den])
@@ -201,7 +201,7 @@ def _normal_angles(verts: np.ndarray) -> np.ndarray:
     polygon, unwrapped to a nondecreasing run from that of edge 0.  A turn
     below zero, which roundoff can leave at a straight vertex, holds the
     angle where it was."""
-    edges = np.roll(verts, -1, axis=0) - verts
+    edges = _rolled(verts) - verts
     t = np.arctan2(-edges[:, 0], edges[:, 1])
     turns = np.mod(np.diff(t) + math.pi, TWO_PI) - math.pi
     return t[0] + np.maximum.accumulate(np.concatenate([[0.0], np.cumsum(turns)]))

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -173,6 +174,126 @@ _NAN_START[1, 0] = math.nan
 def test_non_finite_points_rejected(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def _slid(p, c, angle):
+    """p turned by angle about the unit vector c: it stays on its circle
+    about c (Rodrigues' rotation)."""
+    return (math.cos(angle) * p + math.sin(angle) * np.cross(c, p)
+            + (1.0 - math.cos(angle)) * (c @ p) * c)
+
+
+class TestValidationOrder:
+    """_validated checks every center before any start, and every start
+    before any end (the next arc's start): with two faults, the error names
+    the one found first in that order, not the lower segment."""
+
+    @staticmethod
+    def _rows(body):
+        return [np.array(x) for x in (body.centers, body.radii, body.starts)]
+
+    def test_bad_start_and_later_bad_center(self):
+        c, r, s = self._rows(bd.polygon_from_vertices(
+            construct.regular_polygon_vertices(5, 0.5)))
+        s[0] *= 1.1
+        c[2] *= 1.1
+        with pytest.raises(InvariantViolation,
+                           match=r"^unit norm: segment 2 center has norm 1\.1"):
+            bd.SphericalBody(bd.Boundary(c, r, s))
+        c[2] /= 1.1
+        with pytest.raises(InvariantViolation,
+                           match=r"^unit norm: segment 0 start has norm 1\.1"):
+            bd.SphericalBody(bd.Boundary(c, r, s))
+
+    @pytest.mark.parametrize("body", [
+        bd.polygon_from_vertices(construct.regular_polygon_vertices(5, 0.5)),
+        construct.constant_diameter_odd_gon(construct.regular_polygon_vertices(5, 0.4)),
+    ], ids=["pentagon", "cd_pentagon"])
+    def test_bad_start_and_earlier_bad_end(self, body):
+        # starts[3] slides along arc 2's circle: start 3 is off its circle,
+        # end 2 is not; starts[1] slides along arc 1's circle: end 0 is off
+        c, r, s = self._rows(body)
+        m = len(r)
+        j = m - 2
+        s[j] = _slid(s[j], c[j - 1], 0.05)
+        s[1] = _slid(s[1], c[1], 0.05)
+        with pytest.raises(InvariantViolation, match=(
+                rf"^segment radius: segment {j} start at distance \S+ from center, "
+                rf"radius {re.escape(repr(float(r[j])))}$")):
+            bd.SphericalBody(bd.Boundary(c, r, s))
+        s[j] = body.starts[j]
+        with pytest.raises(InvariantViolation, match=(
+                r"^segment radius: segment 0 end at distance \S+ from center, "
+                rf"radius {re.escape(repr(float(r[0])))}$")):
+            bd.SphericalBody(bd.Boundary(c, r, s))
+
+
+class TestSupportKernel:
+    """The rules of _closed_form and _Arcs._reduce."""
+
+    def test_closed_form_angle_outside_sweep_or_nan_gives_inf(self):
+        # (a, b) = (-1, 0): angle 2 pi; (1, 0): angle pi; NaN: a NaN angle
+        a = np.array([[-1.0, 1.0, 1.0, math.nan, 0.6]])
+        b = np.array([[0.0, 0.0, 0.0, 0.0, -0.8]])
+        c = np.array([[0.5, 0.5, 0.5, 0.5, 0.25]])
+        sweeps = np.array([2 * math.pi, math.pi, math.pi - 1e-12, 6.0, 6.0])
+        _, crit, t = bd._closed_form(a, b, c, sweeps)
+        assert crit.tolist() == [[-0.5, -0.5, math.inf, math.inf, -0.75]]
+        assert t[0, 0] == 2 * math.pi and t[0, 1] == math.pi and math.isnan(t[0, 3])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_closed_form_is_its_formula(self, seed):
+        # bit for bit c + a, np.where(t <= sweeps, c - sqrt(a^2 + b^2), inf)
+        # and t, with sweeps broadcast and c an array or a scalar, NaNs included
+        rng = np.random.default_rng(seed)
+        a, b, c = rng.normal(size=(3, 40, 7))
+        a[rng.uniform(size=a.shape) < 0.1] = math.nan
+        b[rng.uniform(size=b.shape) < 0.1] = math.nan
+        sweeps = rng.uniform(0.0, 2 * math.pi, size=(40, 1))
+        for cc in (c, 0.0):
+            t = np.arctan2(b, a) + math.pi
+            want = (cc + a, np.where(t <= sweeps, cc - np.sqrt(a * a + b * b), math.inf), t)
+            for x, y in zip(bd._closed_form(a, b, cc, sweeps), want):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    # candidates of 5 arcs in 5 directions: a start tied with a critical
+    # value; starts tied; critical values tied; a critical value strictly
+    # lower; critical values tied below every start
+    INF = math.inf
+    START = [[2.0, 1.0, 3.0, 1.5, 4.0], [2.0, 1.0, 1.0, 3.0, 1.0], [5.0] * 5,
+             [2.0, 1.0, 4.0, 1.0, 3.0], [1.0] * 5]
+    CRIT = [[1.0, INF, 5.0, INF, INF], [INF] * 5, [INF, 1.0, 1.0, INF, 1.0],
+            [INF, INF, 0.5, INF, 0.5], [1.0, 0.5, 0.5, 2.0, INF]]
+    T = np.arange(1.0, 26.0).reshape(5, 5) / 10.0
+    WANT_VALS = [1.0, 1.0, 1.0, 0.5, 0.5]
+    WANT_SLOT = [1, 1, 1, 2, 1]
+    WANT_T = [0.0, 0.0, 1.2, 1.8, 2.2]
+
+    @pytest.fixture
+    def pentagon_arcs(self):
+        return bd.polygon_from_vertices(construct.regular_polygon_vertices(5, 0.5)).arcs
+
+    def test_reduce_ties_on_the_whole_table(self, pentagon_arcs, monkeypatch):
+        # _whole's candidates are laid out arcs first and numbered by the
+        # 1-D arcs: the start wins a tie with a critical value, and the
+        # lowest arc wins among equals
+        crafted = [np.array(x, dtype=float).T.copy() for x in (self.START, self.CRIT, self.T)]
+        monkeypatch.setattr(bd, "_closed_form", lambda *_: crafted)
+        vals, arc, t = pentagon_arcs._support(np.tile(Z, (5, 1)))
+        assert vals.tolist() == self.WANT_VALS
+        assert arc.tolist() == self.WANT_SLOT
+        assert t.tolist() == self.WANT_T
+
+    def test_reduce_ties_on_a_window(self, pentagon_arcs, monkeypatch):
+        # _windowed's rows each number their own window of arcs (2-D)
+        rows = np.minimum(np.arange(bd._STRIDE), 4)
+        crafted = [np.array(x, dtype=float)[rows][None] for x in (self.START, self.CRIT, self.T)]
+        monkeypatch.setattr(bd, "_closed_form", lambda *_: crafted)
+        win = np.array([[3, 4, 0, 1, 2]])
+        vals, arc, t = pentagon_arcs._windowed(win, np.tile(Z, (1, bd._STRIDE, 1)))
+        assert vals[:5].tolist() == self.WANT_VALS
+        assert arc[:5].tolist() == win[0, self.WANT_SLOT].tolist()
+        assert t[:5].tolist() == self.WANT_T
 
 
 class TestMembership:

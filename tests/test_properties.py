@@ -469,8 +469,9 @@ def test_polygon_diameter_is_a_vertex_pair(body):
 
 # -- array kernels against numpy's --------------------------------------------
 
-# sphere.cross, sphere.norm and body._rolled do numpy's arithmetic without its
-# wrappers: they must agree with np.cross, np.linalg.norm and np.roll bit for bit
+# sphere.cross, sphere.norm, sphere.dot and body._rolled do numpy's arithmetic
+# without its wrappers: they must agree with np.cross, np.linalg.norm,
+# np.add.reduce and np.roll bit for bit
 
 
 def _same(x, y):
@@ -506,6 +507,17 @@ def test_dist_and_normalize_are_their_linalg_forms(seed, k):
     for x, y in ((a[0], b[0]), (a, b), (a[0], b)):
         ref = np.arctan2(np.linalg.norm(np.cross(x, y), axis=-1), np.sum(x * y, axis=-1))
         assert _same(dist(x, y), ref)
+
+
+@BOUNDED
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_dot_and_norm_are_add_reduce(seed, k):
+    a, b = _vectors(seed, k)
+    # a row whose products are all -0.0: add.reduce sums it to +0.0
+    a[0], b[0] = [1.0, -0.0, 0.0], [-0.0, 2.0, -3.0]
+    for x, y in ((a[0], b[0]), (a, b), (a[0], b), (a.reshape(1, k, 3), b)):
+        assert _same(sphere.dot(x, y), np.add.reduce(x * y, axis=-1))
+        assert _same(sphere.norm(x), np.linalg.norm(x, axis=-1))
 
 
 @pytest.mark.parametrize("shape", [(1,), (2,), (7,), (1, 3), (2, 3), (7, 3)])
@@ -549,7 +561,10 @@ def test_classify_documents_match_numpy_kernels(monkeypatch):
             monkeypatch.setattr(mod, "cross", np.cross)
         if hasattr(mod, "norm"):
             monkeypatch.setattr(mod, "norm", lambda v: np.linalg.norm(v, axis=-1))
-    monkeypatch.setattr(bd, "_rolled", lambda x: np.roll(x, -1, axis=0))
+        if hasattr(mod, "dot"):
+            monkeypatch.setattr(mod, "dot", lambda x, y: np.add.reduce(x * y, axis=-1))
+        if hasattr(mod, "_rolled"):
+            monkeypatch.setattr(mod, "_rolled", lambda x: np.roll(x, -1, axis=0))
     assert ours == _classify_docs()
 
 
