@@ -37,8 +37,7 @@ TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
 
 UNIT_TOL = 1e-9          # how far off unit length stored vectors may be
-RADIUS_MATCH_TOL = 1e-10  # endpoint distance to circle center vs radius
-CLOSURE_TOL = 1e-10       # junction tolerance: end-to-start gap, smooth turn
+CLOSURE_TOL = 1e-10       # junction tolerance: gap, smooth turn, endpoint off its circle
 ENCLOSING_MIN_DOT = 1e-6  # strict containment margin for the enclosing hemisphere
 INTERIOR_MIN = 1e-6       # the body must contain a cap of this angular radius
 ZERO_RADIUS = 1e-9        # least arc radius: a corner arc any smaller is a corner
@@ -96,7 +95,7 @@ def _validated(centers, radii, starts) -> Boundary:
         raise InvariantViolation(
             "radius range", f"radius {float(r[bad[0]])!r} outside (0, pi/2]")
     d = dist(np.concatenate([c, c]), np.concatenate([s, e]))  # starts, then ends
-    bad = np.flatnonzero(np.abs(d - np.concatenate([r, r])) > RADIUS_MATCH_TOL)
+    bad = np.flatnonzero(np.abs(d - np.concatenate([r, r])) > CLOSURE_TOL)
     if len(bad):
         k = int(bad[0])
         name, j = ("start", k) if k < len(r) else ("end", k - len(r))

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body import (ZERO_RADIUS, Boundary, SphericalBody, find_enclosing_center,
-                   hull_from_points, interleaved, polygon_from_vertices)
+from .body import (HALF_PI, TWO_PI, ZERO_RADIUS, Boundary, SphericalBody,
+                   find_enclosing_center, hull_from_points, interleaved, polygon_from_vertices)
 from .errors import BadRadius, EvenN, InvalidSpec, LunesError
 from .sphere import dist, normalize, orthonormal_frame
-
-HALF_PI = 0.5 * math.pi
 
 
 def cap(center, radius: float) -> SphericalBody:
@@ -46,7 +44,7 @@ def regular_polygon_vertices(n: int, circumradius: float, center=None,
         center = np.array([0.0, 0.0, 1.0])
     c = normalize(np.asarray(center, dtype=float))
     u, v = orthonormal_frame(c)
-    ang = phase + 2.0 * math.pi * np.arange(n) / n
+    ang = phase + TWO_PI * np.arange(n) / n
     rim = np.cos(ang)[:, None] * u + np.sin(ang)[:, None] * v
     return math.cos(circumradius) * c + math.sin(circumradius) * rim
 
@@ -110,12 +108,12 @@ def _canonical_ccw(vertices: np.ndarray) -> np.ndarray:
     center = find_enclosing_center(verts)
     u, v = orthonormal_frame(center)
     az = np.arctan2(verts @ v, verts @ u)
-    d = np.mod(np.diff(np.concatenate([az, az[:1]])), 2.0 * math.pi)
+    d = np.mod(np.diff(np.concatenate([az, az[:1]])), TWO_PI)
     total = float(d.sum())  # winding: 2*pi when ccw, 2*pi*(n-1) when cw
-    if np.all(d > 1e-12) and abs(total - 2.0 * math.pi) < 1e-9:
+    if np.all(d > 1e-12) and abs(total - TWO_PI) < 1e-9:
         ordered = verts
-    elif np.all(d < 2.0 * math.pi - 1e-12) \
-            and abs(total - 2.0 * math.pi * (n - 1)) < 1e-9:
+    elif np.all(d < TWO_PI - 1e-12) \
+            and abs(total - TWO_PI * (n - 1)) < 1e-9:
         ordered = verts[::-1].copy()
     else:
         raise InvalidSpec("vertices are not in convex position in cyclic order")
@@ -182,7 +180,10 @@ def constant_diameter_odd_gon(vertices) -> SphericalBody:
 
     def moved(away):  # each vertex sigma_i along the great arc away from verts[away]
         b = verts[away]
-        t = normalize(b - np.sum(verts * b, axis=1)[:, None] * verts)
+        try:
+            t = normalize(b - np.sum(verts * b, axis=1)[:, None] * verts)
+        except ValueError:  # verts[away] and a vertex coincide to roundoff
+            raise InvalidSpec("vertices too close together to orient a corner arc") from None
         return np.cos(sigma)[:, None] * verts - np.sin(sigma)[:, None] * t
 
     keep = np.column_stack([sigma > 0.0, np.ones(n, dtype=bool)]).ravel()
@@ -222,7 +223,7 @@ def random_convex_polygon(seed: int, n: int = 8,
         if np.linalg.det(q) < 0:
             q[:, 2] = -q[:, 2]
         z = rng.uniform(math.cos(rho), 1.0, size=n)
-        phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
+        phi = rng.uniform(0.0, TWO_PI, size=n)
         s = np.sqrt(1.0 - z * z)
         pts = np.column_stack([s * np.cos(phi), s * np.sin(phi), z]) @ q.T
         try:

@@ -276,7 +276,7 @@ def body_from_doc(doc: dict, where: str = "body document") -> SphericalBody:
             f"{(k + 1) % m} from by {gaps[k]:.3g}")
     listed = copies[m:]
     if listed.shape != body.vertices.shape \
-            or (np.abs(listed - body.vertices) > 1e-10).any():
+            or (np.abs(listed - body.vertices) > CLOSURE_TOL).any():
         raise ParseError(f"{where}: vertices do not match the segment junctions")
     actual = body_kind(body)
     if actual != kind:

@@ -29,11 +29,10 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .body import SphericalBody
+from .body import HALF_PI, SphericalBody
 from .errors import ConsistencyError, InvalidResolution, InvalidSpec, NotSupporting
-from .sphere import Hemisphere, cross, dist, dot, lune_make, normalize
+from .sphere import cross, dist, dot, lune_make, normalize
 
-HALF_PI = 0.5 * math.pi
 SUPPORT_TOL = 1e-8       # |min dot| beyond this means "not a supporting hemisphere"
 CROSS_CHECK_TOL = 1e-8   # agreement between definition-based and dual-form widths
 MAX_PROBES = 64          # reduced_check probes at most this many corners
@@ -216,7 +215,7 @@ def _curve_diameter(arcs, n):
 def _checked_width(k, kp) -> float:
     """Lune thickness from the semicircle midpoints, cross-checked against
     the closed form pi - dist(centers)."""
-    lune = lune_make(Hemisphere(k), Hemisphere(kp))
+    lune = lune_make(k, kp)
     alt = math.pi - float(dist(k, kp))
     if abs(lune.thickness - alt) > CROSS_CHECK_TOL:
         raise ConsistencyError(

@@ -9,11 +9,9 @@ coordinate formatting, no timestamps).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .body import SphericalBody
+from .body import TWO_PI, SphericalBody
 from .sphere import normalize, orthonormal_frame
 from .wulff import WulffShape
 
@@ -54,11 +52,11 @@ def _sphere_svg(body: SphericalBody, view: np.ndarray) -> str:
     w = normalize(np.asarray(view, dtype=float))
     u, v = orthonormal_frame(w)
     out = [_HEADER.format(vb="-1.1 -1.1 2.2 2.2"), _STYLE]
-    circle = np.linspace(0.0, 2.0 * math.pi, 181)
+    circle = np.linspace(0.0, TWO_PI, 181)
     out.append(_path(np.column_stack([np.cos(circle), np.sin(circle)]),
                      "outline"))
     arcs = body.arcs
-    counts = np.maximum(2, np.ceil(_SEG_SAMPLES * (arcs.sweeps / (2.0 * math.pi)))).astype(int)
+    counts = np.maximum(2, np.ceil(_SEG_SAMPLES * (arcs.sweeps / TWO_PI))).astype(int)
     for i, k in enumerate(counts.tolist()):
         t = np.linspace(0.0, arcs.sweeps[i], k)[:, None]
         pts = arcs._point(np.full(k, i), np.cos(t), np.sin(t))

@@ -1,4 +1,4 @@
-"""Primitives on the unit sphere: distances, geodesic points, hemispheres and lunes.
+"""Primitives on the unit sphere: distances, geodesic points and lunes.
 
 All points are unit vectors in E^3 stored as numpy arrays of shape (3,).
 Angles are radians.
@@ -86,30 +86,18 @@ def geodesic_point(a, b, t: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Hemisphere:
-    """Closed half-sphere {p : p . center >= 0}."""
-
-    center: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", normalize(self.center))
-
-    def contains(self, p, tol: float = 1e-12) -> bool:
-        return bool(np.dot(np.asarray(p, dtype=float), self.center) >= -tol)
-
-
-@dataclass(frozen=True)
 class Lune:
     """Intersection of two hemispheres G and H with distinct, non-opposite centers.
 
+    g, h:    the unit centers of G and H, {p : p . g >= 0} and {p : p . h >= 0}.
     corners: the two points where the bounding great circles cross.
     mid_g:   midpoint of the bounding semicircle lying on bd(G).
     mid_h:   midpoint of the bounding semicircle lying on bd(H).
     thickness: distance between the two semicircle midpoints, in (0, pi).
     """
 
-    g: Hemisphere
-    h: Hemisphere
+    g: np.ndarray
+    h: np.ndarray
     corners: tuple
     mid_g: np.ndarray
     mid_h: np.ndarray
@@ -117,7 +105,7 @@ class Lune:
 
 
 def lune_make(g, h) -> Lune:
-    """Build the lune G intersect H from two hemispheres (or their centers).
+    """Build the lune G intersect H from the centers of G and H, normalized here.
 
     The midpoint of the semicircle bd(G) inside H is the point of bd(G)
     nearest h's center, its projection (ch - (cg . ch) cg) / sin, which is
@@ -125,11 +113,7 @@ def lune_make(g, h) -> Lune:
     ch x corner for H.  The cross products keep the digits that the
     projection loses at nearly equal or antipodal centers.
     """
-    if not isinstance(g, Hemisphere):
-        g = Hemisphere(np.asarray(g, dtype=float))
-    if not isinstance(h, Hemisphere):
-        h = Hemisphere(np.asarray(h, dtype=float))
-    cg, ch = g.center, h.center
+    cg, ch = normalize(g), normalize(h)
     ang = float(dist(cg, ch))
     if ang < DEGENERATE_TOL or ang > math.pi - DEGENERATE_TOL:
         raise DegenerateLune("hemisphere centers equal or antipodal")
@@ -139,7 +123,7 @@ def lune_make(g, h) -> Lune:
     mid_g = cross(corner, cg)
     mid_h = cross(ch, corner)
     thickness = float(dist(mid_g, mid_h))
-    return Lune(g=g, h=h, corners=(corner, -corner), mid_g=mid_g, mid_h=mid_h,
+    return Lune(g=cg, h=ch, corners=(corner, -corner), mid_g=mid_g, mid_h=mid_h,
                 thickness=thickness)
 
 
@@ -148,7 +132,7 @@ def lune_contains(lune: Lune, body, tol: float = 1e-10) -> bool:
 
     `body` is anything exposing support_min(directions) -> min dot over the body.
     """
-    dirs = np.stack([lune.g.center, lune.h.center])
+    dirs = np.stack([lune.g, lune.h])
     return bool(np.all(body.support_min(dirs) >= -tol))
 
 

@@ -25,15 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .body import SphericalBody, _rolled, hull_scan, polygon_from_vertices
+from .body import HALF_PI, TWO_PI, SphericalBody, _rolled, hull_scan, polygon_from_vertices
 from .errors import (DegenerateHull, EmptyInterior, InconsistentVerdicts,
                      InvalidSpec, InvariantViolation, NotInHemisphere,
                      PoleNotInterior)
 from .metrics import Verdict, classify
 from .sphere import normalize, orthonormal_frame
-
-TWO_PI = 2.0 * math.pi
-HALF_PI = 0.5 * math.pi
 
 
 @dataclass(frozen=True)
@@ -175,7 +172,8 @@ def wulff_shape(gamma: GammaFn, n: int = 720) -> WulffShape:
     ang = np.unique(np.concatenate([TWO_PI * np.arange(n) / n, gamma.angles]))
     g = gamma(ang)
     dirs = np.column_stack([np.cos(ang), np.sin(ang)])
-    pts = dirs / g[:, None]
+    with np.errstate(over="ignore"):  # 1 / a subnormal gamma reads inf
+        pts = dirs / g[:, None]
     try:
         idx = hull_scan(pts, np.arange(len(ang)))
     except DegenerateHull as exc:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lunes import body as bd
-from lunes import construct
+from lunes import construct, wulff
 from lunes.errors import LunesError
 
 HALF_PI = math.pi / 2
@@ -91,6 +91,14 @@ def mixed_cd_triangle_vertices(a: float, eps: float = 0.0) -> np.ndarray:
     sin_phi = math.sqrt(1.0 - cos_phi ** 2)
     return np.array([[0.0, 0.0, 1.0], [math.sin(a), 0.0, math.cos(a)],
                      [math.sin(a) * cos_phi, math.sin(a) * sin_phi, math.cos(a)]])
+
+
+def cd_induced() -> bd.SphericalBody:
+    """The 720-arc polygon that a constant-diameter triangle induces."""
+    tri = construct.constant_diameter_triangle(
+        np.array([0.6, 0.0, 0.8]), np.array([-0.3, 0.52, 0.8]), np.array([-0.3, -0.52, 0.8]))
+    frame = wulff.frame_at(tri.enclosing_center)
+    return wulff.induce_spherical(wulff.project_to_plane(tri, frame, n=720), frame)
 
 
 def lens(c1, r1, c2, r2) -> bd.SphericalBody:

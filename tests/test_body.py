@@ -228,6 +228,27 @@ class TestValidationOrder:
             bd.SphericalBody(bd.Boundary(c, r, s))
 
 
+class TestJunctionTolerance:
+    """CLOSURE_TOL also puts each endpoint on its circle."""
+
+    @staticmethod
+    def _cap_moved_out(off):
+        # the cap's lone start, which is also its end, turned `off` away
+        # from the center in the plane of the two
+        cap = construct.cap(np.array([0.6, 0.0, 0.8]), 0.5)
+        c, s = cap.centers[0], cap.starts[0]
+        moved = _slid(s, sphere.normalize(np.cross(c, s)), off)
+        assert float(sphere.dist(c, moved)) - 0.5 == pytest.approx(off, rel=1e-3)
+        return bd.Boundary(cap.centers, cap.radii, moved[None])
+
+    def test_endpoint_within_tolerance_validates(self):
+        bd.SphericalBody(self._cap_moved_out(0.5 * bd.CLOSURE_TOL))
+
+    def test_endpoint_past_tolerance_rejected(self):
+        with pytest.raises(InvariantViolation, match="^segment radius: segment 0 start"):
+            bd.SphericalBody(self._cap_moved_out(2 * bd.CLOSURE_TOL))
+
+
 class TestSupportKernel:
     """The rules of _closed_form and _Arcs._reduce."""
 

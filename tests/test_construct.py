@@ -228,6 +228,22 @@ class TestConstantDiameterOddGon:
         with pytest.raises(InvalidSpec):
             construct.constant_diameter_odd_gon(pts)
 
+    @pytest.mark.parametrize("eps", [1e-16, 5e-16])
+    def test_nearly_coincident_vertices_rejected(self, eps):
+        # vertex 1's far vertex is vertex 0, eps away: the great arc from one
+        # to the other has no direction left to roundoff
+        verts = np.array([[0.0, 0.0, 1.0], [eps, 0.0, 1.0], [0.0, eps, 1.0]])
+        with pytest.raises(InvalidSpec, match="too close together"):
+            construct.constant_diameter_triangle(*verts)
+        with pytest.raises(InvalidSpec, match="too close together"):
+            construct.constant_diameter_odd_gon(verts)
+
+    def test_close_vertices_build(self):
+        # 1e-15 apart the arc still has a direction: the body builds
+        verts = np.array([[0.0, 0.0, 1.0], [1e-15, 0.0, 1.0], [0.0, 1e-15, 1.0]])
+        body = construct.constant_diameter_triangle(*verts)
+        assert metrics.diameter(body).value == pytest.approx(HALF_PI, abs=1e-12)
+
     @pytest.mark.parametrize("eps", [1.8e-9, 1e-8, 3e-8])
     def test_tiny_corner_radius(self, eps):
         # a corner arc of radius eps: its dual arc, of radius pi/2 - eps,

@@ -15,7 +15,7 @@ from lunes import body as bd
 from lunes import cli, construct, io, metrics, render, wulff
 from lunes.errors import InvariantViolation, ParseError
 
-from conftest import STADIUM_LENS, lens
+from conftest import STADIUM_LENS, cd_induced, lens
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -99,13 +99,20 @@ class TestBodyDocuments:
         bad["vertices"] = [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
         with pytest.raises(ParseError, match="vertices"):
             io.body_from_doc(bad)
-        bad = copy.deepcopy(doc)
-        # one vertex slid 1e-8 along the sphere: unit, but off its junction
-        v = np.array(bad["vertices"][2])
+        # one vertex slid along the sphere: unit, and off its junction by
+        # more than CLOSURE_TOL in some component, or by less in every one
+        v = np.array(doc["vertices"][2])
         t = np.cross(Z, v)
-        bad["vertices"][2] = [float(x) for x in v + 1e-8 * t / np.linalg.norm(t)]
-        with pytest.raises(ParseError, match="vertices"):
-            io.body_from_doc(bad)
+        t /= np.linalg.norm(t)
+
+        def slid(off):
+            bad = copy.deepcopy(doc)
+            bad["vertices"][2] = [float(x) for x in v + off * t]
+            return bad
+        io.body_from_doc(slid(0.5 * bd.CLOSURE_TOL))
+        for off in (1e-8, 2 * bd.CLOSURE_TOL):
+            with pytest.raises(ParseError, match="vertices do not match"):
+                io.body_from_doc(slid(off))
 
     def test_non_unit_segment_end_rejected(self, octant):
         # each segment's "to" repeats the next "from": it is checked as the
@@ -151,6 +158,18 @@ class TestGammaAndReportDocuments:
                     "witness"} <= set(v)
             assert math.isfinite(v["deviation"])
         assert all(isinstance(x, bool) for x in doc["theorem_checks"].values())
+
+
+def _star_doc():
+    """A {5/2} pentagram of great arcs: it turns left at every vertex but
+    winds twice."""
+    v = construct.regular_polygon_vertices(5, 0.6)[2 * np.arange(5) % 5]
+    w = np.roll(v, -1, axis=0)
+    poles = np.cross(v, w)
+    poles /= np.linalg.norm(poles, axis=1)[:, None]
+    return {"schema_version": 1, "kind": "polygon", "vertices": v.tolist(), "metadata": {},
+            "segments": [{"center": c.tolist(), "radius": math.pi / 2, "from": a.tolist(),
+                          "to": b.tolist()} for c, a, b in zip(poles, v, w)]}
 
 
 def _malformed(doc, key, value):
@@ -366,7 +385,12 @@ class TestCli:
         assert r.returncode == 0, r.stderr
         r = run_cli("render", "cap.json", "--view", "0,0,1",
                     "--out", "cap.svg", cwd=tmp_path)
-        assert r.returncode == 0 and (tmp_path / "cap.svg").exists()
+        assert r.returncode == 0, r.stderr
+        io.save_gamma(wulff.GammaFn.constant(1.0), str(tmp_path / "one.json"))
+        r = run_cli("render", "one.json", "--out", "one.svg", cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        for svg in ("cap.svg", "one.svg"):
+            assert 'class="boundary"' in (tmp_path / svg).read_text()
         r = run_cli("analyze", "cap.json", "--out", "rep.json", cwd=tmp_path)
         assert r.returncode == 0, r.stderr
         r = run_cli("render", "rep.json", "--view", "0,0,1",
@@ -487,6 +511,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: closed boundary") and err.count("\n") == 1, err
 
+    def test_star_document_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(_star_doc()))
+        assert _main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: convexity: boundary does not wind once") \
+            and err.count("\n") == 1, err
+
     def test_huge_tolerance_gives_an_answer(self, tmp_path):
         # every finite tol >= 0 screens: the cap-cut depth is bounded by
         # the body, so 1e308 neither overflows nor fails a reduced gon
@@ -496,6 +528,53 @@ class TestCli:
         for args in (["analyze", "poly.json"], ["check", "reduced", "g7.json"]):
             r = run_cli("--tol", "1e308", *args, cwd=tmp_path)
             assert r.returncode == 0 and "Traceback" not in r.stderr, r.stdout + r.stderr
+
+    @pytest.mark.parametrize("what", [
+        "cd-triangle --v1 0,0,1 --v2 1e-16,0,1 --v3 0,1e-16,1",
+        "cd-oddgon --vertices 0,0,1;1e-16,0,1;0,1e-16,1",
+    ], ids=["cd-triangle", "cd-oddgon"])
+    def test_coincident_vertices_exit_2(self, tmp_path, capsys, what):
+        # a vertex 1e-16 from its far vertex leaves the arc between them no
+        # direction: an input error on one line, and no file written
+        out = tmp_path / "cd.json"
+        assert _main(["construct", *what.split(), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: vertices too close together") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        "wulff build --gamma {g} --out {o}", "wulff dual --gamma {g} --out {o}",
+        "wulff self-dual --gamma {g}", "wulff induce --gamma {g} --out {o}",
+        "render {g} --out {o}",
+    ], ids=["build", "dual", "self-dual", "induce", "render"])
+    def test_gamma_reciprocal_overflow_exit_2(self, tmp_path, capsys, command):
+        # 1 / 1e-320 overflows: an infinite dual point, refused on one line
+        # with no overflow warning (an error under Tier-1's filter)
+        g = tmp_path / "g.json"
+        io.save_gamma(wulff.GammaFn(2 * math.pi * np.arange(8) / 8,
+                                    np.array([1e-320] + [1.0] * 7)), str(g))
+        assert _main(command.format(g=g, o=tmp_path / "out").split()) == 2
+        err = capsys.readouterr().err
+        assert err == "error: degenerate half-plane family: non-finite point\n", err
+
+    @pytest.mark.parametrize("make, tol, lines", [
+        (lambda: construct.regular_odd_gon(65, 1.0), "1e-6",
+         ["thickness 1.000000000000", "reduced: pass"]),
+        (lambda: construct.regular_odd_gon(101, 1.0), "1e-6",
+         ["thickness 1.000000000000", "reduced: pass"]),
+        (cd_induced, "1e-4",
+         ["constant_width: pass", "constant_diameter: pass", "reduced: pass"]),
+    ], ids=["65-gon", "101-gon", "cd-induced"])
+    def test_analyze_many_arc_bodies(self, tmp_path, capsys, make, tol, lines):
+        # more corners than the lune search probes: regular gons with an
+        # exact tie at every vertex, and the 720-arc body a constant-diameter
+        # triangle induces, all three verdicts passing at the roundtrip's tol
+        path = str(tmp_path / "body.json")
+        io.save_body(make(), path)
+        assert _main(["--tol", tol, "analyze", path]) == 0
+        out = capsys.readouterr().out.splitlines()
+        for want in lines:
+            assert [line for line in out if line.startswith(want)], (want, out)
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_bad_tolerance_exit_2(self, tmp_path, tol):

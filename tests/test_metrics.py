@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from conftest import STADIUM_LENS, lens, random_cd_triangle_vertices
+from conftest import STADIUM_LENS, cd_induced, lens, random_cd_triangle_vertices
 
 from lunes import body as bd
-from lunes import construct, io, metrics, sphere, wulff
+from lunes import construct, io, metrics, sphere
 from lunes.errors import InvalidResolution, InvalidSpec, NotSupporting
 
 HALF_PI = math.pi / 2
@@ -275,11 +275,7 @@ class TestReduced:
         # 720 arcs, each corner's dual arc about 0.009 long: the scan takes
         # a few samples at the profile's spacing, and the climb still finds
         # every probed corner's best lune
-        tri = construct.constant_diameter_triangle(
-            np.array([0.6, 0.0, 0.8]), np.array([-0.3, 0.52, 0.8]),
-            np.array([-0.3, -0.52, 0.8]))
-        frame = wulff.frame_at(tri.enclosing_center)
-        body = wulff.induce_spherical(wulff.project_to_plane(tri, frame, n=720), frame)
+        body = cd_induced()
         assert len(body.corners) > metrics.MAX_PROBES
         scans, climb = [], metrics._climb
 

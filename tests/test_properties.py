@@ -36,7 +36,7 @@ from lunes.errors import (DegenerateHull, InconsistentVerdicts,
                           InvariantViolation, LunesError)
 from lunes.sphere import dist, orthonormal_frame
 
-from conftest import STADIUM_LENS, lens, mixed_cd_triangle_vertices
+from conftest import STADIUM_LENS, cd_induced, lens, mixed_cd_triangle_vertices
 
 DENSE = 4096  # boundary samples of the brute-force farthest-point oracle
 
@@ -226,17 +226,9 @@ def narrow_polygons(draw):
         assume(False)
 
 
-def _cd_induced():
-    """The 720-arc polygon that a constant-diameter triangle induces."""
-    tri = construct.constant_diameter_triangle(
-        np.array([0.6, 0.0, 0.8]), np.array([-0.3, 0.52, 0.8]), np.array([-0.3, -0.52, 0.8]))
-    frame = wulff.frame_at(tri.enclosing_center)
-    return wulff.induce_spherical(wulff.project_to_plane(tri, frame, n=720), frame)
-
-
 @settings(BOUNDED, max_examples=12)
 @given(narrow_polygons())
-@example(_cd_induced())
+@example(cd_induced())
 def test_far_point_from_polygon_is_a_vertex(body):
     # from inside a polygon of diameter at most pi/2 no edge dips to its
     # sinusoid's minimum, so every farthest point is a vertex: one at an
@@ -264,7 +256,7 @@ def _regular_gon(k):
 @given(st.one_of(many_arc_bodies(), narrow_polygons()))
 @example(_regular_gon(65))
 @example(_regular_gon(101))
-@example(_cd_induced())
+@example(cd_induced())
 def test_walk_attains_whole_table_minimum(body):
     for arcs in _curves(body):
         for n in (40, 96, 720, 1500):
@@ -292,7 +284,7 @@ def _support_rows(monkeypatch, arcs, n):
 
 
 @pytest.mark.parametrize("make", [lambda: _regular_gon(65), lambda: _regular_gon(101),
-                                  _cd_induced], ids=["65-gon", "101-gon", "cd-induced"])
+                                  cd_induced], ids=["65-gon", "101-gon", "cd-induced"])
 def test_profile_walks(monkeypatch, make):
     # ties at every vertex (the gons) and 720 arcs (the induced body) fire
     # no guard at the profile's resolution
@@ -311,7 +303,7 @@ def test_walk_needs_more_arcs_than_a_block(monkeypatch):
 def test_walk_needs_two_runs(monkeypatch):
     # one run spans at least half the perimeter, at least the diameter, so
     # the guard on long runs sends fewer than two runs to far_point
-    arcs = _cd_induced().arcs
+    arcs = cd_induced().arcs
     assert _support_rows(monkeypatch, arcs, 2 * bd._STRIDE - 1) == [2, 31]
 
 
@@ -319,7 +311,7 @@ def test_walk_guard_on_long_runs(monkeypatch):
     # 48 samples in 3 runs: each run is a third of the perimeter, more than
     # half the diameter, so a farthest point could lie inside a run; the
     # windows alone would pass
-    arcs = _cd_induced().arcs
+    arcs = cd_induced().arcs
     _, pts = arcs.sample_points(48)
     _, lo, _ = arcs._support(pts[::bd._STRIDE])
     assert 2 * np.max(np.mod(np.roll(lo, -1) - lo, arcs.count) + 1) <= arcs.count
@@ -329,7 +321,7 @@ def test_walk_guard_on_long_runs(monkeypatch):
 def test_walk_guard_on_wide_windows(monkeypatch):
     # a coarse winner one arc behind the one before it (ties can do that)
     # makes a window of every arc
-    arcs = _cd_induced().arcs
+    arcs = cd_induced().arcs
     support = bd._Arcs._support
 
     def wrapped(a, d):
@@ -367,7 +359,7 @@ def _block_minima(arcs, dirs):
 @settings(BOUNDED, max_examples=12)
 @given(many_arc_bodies(), st.integers(0, 2**32 - 1))
 @example(_regular_gon(65), 0)
-@example(_cd_induced(), 0)
+@example(cd_induced(), 0)
 def test_chords_bound_every_block(body, seed):
     # the chords join the blocks' first starts around the curve; every point
     # of a block, its arcs' ends included, lies within the block's slack of
@@ -408,7 +400,7 @@ def test_lune_scan_visits_few_blocks(monkeypatch):
     # on the induced 720-gon a block's slack (median 0.004) is a tenth of the
     # radius of a cap about it: a row of the lune search's scan evaluates
     # about 3.5 of the 45 blocks (bounded by such caps, 7.4)
-    body, tally = _cd_induced(), []
+    body, tally = cd_induced(), []
     pruned, blockwise = bd._Arcs._pruned, bd._Arcs._blockwise
 
     def rows(arcs, d):
@@ -443,7 +435,7 @@ def _climbed_diameter(arcs, n):
 
 @BOUNDED
 @given(st.one_of(polygons(), narrow_polygons()))
-@example(_cd_induced())
+@example(cd_induced())
 def test_polygon_diameter_is_the_best_sample(body):
     for arcs in (body.arcs, bd.polar_dual(body).arcs):
         assert np.all(arcs.radii == bd.HALF_PI)
@@ -453,7 +445,7 @@ def test_polygon_diameter_is_the_best_sample(body):
 
 @BOUNDED
 @given(st.one_of(polygons(), narrow_polygons()))
-@example(_cd_induced())
+@example(cd_induced())
 def test_polygon_diameter_is_a_vertex_pair(body):
     # a polygon's diameter has a vertex at one end; up to pi/2 no edge dips
     # to its sinusoid's minimum from inside, so both ends are vertices (the
@@ -1454,9 +1446,9 @@ NEXT_START_OFF = (_next_start_off_circle, "segment radius: segment 0 end")
                                 (_start_off_unit, "unit norm: segment [0-9]+ start")]))
 @example(SLIVER, WINDS_TWICE)
 @example(NEAR_TWINS, WINDS_TWICE)
-@example(_cd_induced(), WINDS_TWICE)
+@example(cd_induced(), WINDS_TWICE)
 @example(SLIVER, NEXT_START_OFF)
-@example(_cd_induced(), NEXT_START_OFF)
+@example(cd_induced(), NEXT_START_OFF)
 def test_broken_boundaries_rejected(body, breakage):
     breaker, invariant = breakage
     # a cap listed twice is two full circles, an open boundary; a cap's one

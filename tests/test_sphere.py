@@ -113,6 +113,23 @@ class TestLune:
                 assert sphere.lune_make(c, pole).thickness == pytest.approx(
                     math.pi / 2, abs=1e-10)
 
+    def test_centers_normalized_once(self):
+        # the lune holds the unit centers lune_make normalizes: scaling by 2
+        # rounds nothing, so the lune is the same bit for bit, and any scale
+        # gives unit centers
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            g, h = random_unit(rng), random_unit(rng)
+            want = sphere.lune_make(g, h)
+            got = sphere.lune_make(2 * g, 2 * h)
+            for a, b in ((want.g, got.g), (want.h, got.h), (want.mid_g, got.mid_g),
+                         (want.mid_h, got.mid_h), (want.corners[0], got.corners[0])):
+                assert np.array_equal(a, b)
+            assert want.thickness == got.thickness
+            lune = sphere.lune_make(2 * g, 3 * h)
+            assert np.all(np.abs(np.linalg.norm([lune.g, lune.h], axis=1) - 1.0) <= 1e-15)
+            assert np.allclose([lune.g, lune.h], [want.g, want.h], rtol=0.0, atol=1e-15)
+
     def test_degenerate_pairs_rejected(self):
         with pytest.raises(DegenerateLune):
             sphere.lune_make(E1, E1)
