@@ -73,31 +73,34 @@ def _validated(centers, radii, starts) -> Boundary:
     1e-12) is a full circle and must be alone.  Unit norms are checked on
     the centers and starts stacked, and distances on the starts and ends
     stacked, so a fault in any center is reported before one in a start, and
-    in any start before one in an end.  Returns read-only copies.
+    in any start before one in an end.  A check looks for its first fault
+    only when it fails, and vectors are rescaled only when one needs it.
+    Returns read-only copies.
     """
     c = np.array(centers, dtype=float).reshape(-1, 3)
     v = np.concatenate([c, np.array(starts, dtype=float).reshape(-1, 3)])
     with np.errstate(over="ignore"):  # a norm past the float range reads inf
         n = norm(v)
-    bad = np.flatnonzero(~(np.abs(n - 1.0) <= UNIT_TOL))  # NaN too
-    if len(bad):
-        k = int(bad[0])
+    off = np.abs(n - 1.0)
+    if not (off <= UNIT_TOL).all():  # NaN too
+        k = int(np.flatnonzero(~(off <= UNIT_TOL))[0])
         name, j = ("center", k) if k < len(c) else ("start", k - len(c))
         raise InvariantViolation("unit norm", f"segment {j} {name} has norm {float(n[k])!r}")
-    rescale = np.abs(n - 1.0) > 1e-13
-    v[rescale] /= n[rescale, None]
+    rescale = off > 1e-13
+    if rescale.any():
+        v[rescale] /= n[rescale, None]
     c, s = v[:len(c)], v[len(c):]
     e = _rolled(s)
     r = np.array(radii, dtype=float).reshape(-1)
     r[np.abs(r - HALF_PI) <= 1e-9] = HALF_PI
-    bad = np.flatnonzero(~((r >= ZERO_RADIUS) & (r <= HALF_PI)))
-    if len(bad):
+    inside = (r >= ZERO_RADIUS) & (r <= HALF_PI)
+    if not inside.all():
         raise InvariantViolation(
-            "radius range", f"radius {float(r[bad[0]])!r} outside (0, pi/2]")
+            "radius range", f"radius {float(r[~inside][0])!r} outside (0, pi/2]")
     d = dist(np.concatenate([c, c]), np.concatenate([s, e]))  # starts, then ends
-    bad = np.flatnonzero(np.abs(d - np.concatenate([r, r])) > CLOSURE_TOL)
-    if len(bad):
-        k = int(bad[0])
+    far = np.abs(d - np.concatenate([r, r])) > CLOSURE_TOL
+    if far.any():
+        k = int(np.flatnonzero(far)[0])
         name, j = ("start", k) if k < len(r) else ("end", k - len(r))
         raise InvariantViolation(
             "segment radius",
@@ -205,10 +208,13 @@ class _Arcs:
             raise InvariantViolation("degenerate segment", "zero-length boundary arc")
         u1 /= norm(u1)[:, None]
         self.u0, self.v0, self.u1, self.sweeps = u0, v0, u1, sweeps
-        self.table = np.concatenate([sin_r * u0, sin_r * v0, cos_r * b.centers])
-        for arr in (self.table, u0, v0, u1):
-            arr.flags.writeable = False
+        self.table = np.empty((3 * len(sweeps), 3))
         self.su0, self.sv0, self.cc = self.table.reshape(3, -1, 3)  # views: A, B and C
+        np.multiply(sin_r, u0, out=self.su0)
+        np.multiply(sin_r, v0, out=self.sv0)
+        np.multiply(cos_r, b.centers, out=self.cc)
+        for arr in (self.table, self.su0, self.sv0, self.cc, u0, v0, u1):
+            arr.flags.writeable = False
         self.lengths = sweeps * self.sin_r
         self.cum = np.concatenate([[0.0], np.cumsum(self.lengths)])
         self.total = float(self.cum[-1])
@@ -428,8 +434,12 @@ class _Arcs:
 def interleaved(keep, first: Boundary, second: Boundary) -> Boundary:
     """The arcs first[0], second[0], first[1], second[1], ... of two
     boundaries of m arcs, where keep (2m booleans) is True."""
-    return Boundary(*(np.stack([x, y], axis=1).reshape((-1,) + x.shape[1:])[keep]
-                      for x, y in zip(first, second)))
+    fields = []
+    for x, y in zip(first, second):
+        both = np.empty((2 * len(x),) + x.shape[1:])
+        both[::2], both[1::2] = x, y
+        fields.append(both[keep])
+    return Boundary(*fields)
 
 
 def _dual(b: Boundary, arcs: _Arcs):
@@ -507,9 +517,9 @@ class SphericalBody:
         self.centers = b.centers  # unscaled, shared with arcs.centers
 
         dual, turns, self._corner_row = _dual(b, self.arcs)
-        reflex = np.flatnonzero(turns < -CLOSURE_TOL)
-        if len(reflex):
-            k = int(reflex[0])
+        reflex = turns < -CLOSURE_TOL
+        if reflex.any():
+            k = int(np.flatnonzero(reflex)[0])
             raise InvariantViolation(
                 "convexity", f"reflex junction at the end of segment {k} "
                 f"(turn {float(turns[k]):.3g})")

@@ -8,10 +8,12 @@ an invariant fails with the invariant's name.
 
 Every document is laid out as json.dump(doc, indent=2, sort_keys=True)
 lays it out.  A body document is rendered from the boundary arrays instead,
-byte-identical to that: one template, one repr per center, start and
-radius.  It is read back in bulk: one pass over the segments for their keys
-and the shape of their vectors, one float conversion of every number, and
-array checks for finiteness.  The body is built from each segment's
+byte-identical to that: one repr per distinct number, told apart by its
+bits (0.0 and -0.0 are two), filled with the pieces of the segment and
+vertex templates into object arrays and joined once.  It is read back in
+bulk: one pass over the segments for their keys and the shape of their
+vectors, one float conversion of every number, and array checks for
+finiteness.  The body is built from each segment's
 center, radius and start ("from"); the vectors the document repeats, each
 segment's end ("to") and the listed vertices, must be unit and must match
 the built body's junctions.
@@ -135,45 +137,61 @@ def _indented(text: str, depth: int) -> str:
     return text.replace("\n", "\n" + "  " * depth)
 
 
-def _layout(obj, depth: int) -> str:
+def _layout(obj, depth: int) -> list:
     """json.dumps(obj, indent=2, sort_keys=True) on its own lines depth
-    levels deep, as a %-template: %s for each None."""
+    levels deep, split at each None: the text around its values."""
     text = json.dumps(obj, indent=2, sort_keys=True)
-    return "  " * depth + _indented(text, depth).replace("null", "%s")
+    return ("  " * depth + _indented(text, depth)).split("null")
 
 
-def _items(template: str, count: int, args: tuple) -> str:
-    """A list of count items one level deep, each laid out by template."""
-    return "[\n%s\n  ]" % (",\n".join([template] * count) % args) if count else "[]"
+def _cells(pieces: np.ndarray, values: np.ndarray) -> list:
+    """The text of a list one level deep as json.dumps lays it out, in
+    order, as the cells of one object array: an item per row of values
+    (reprs), each between the pieces of its template."""
+    count, k = values.shape
+    if not count:
+        return ["[]"]
+    cells = np.empty((count, 2 * k + 1), dtype=object)
+    cells[:, ::2] = pieces
+    cells[:, 1::2] = values
+    cells[1:, 0] = ",\n" + pieces[0]
+    cells[0, 0] = "[\n" + pieces[0]
+    cells[-1, -1] = pieces[-1] + "\n  ]"
+    return cells.ravel().tolist()
 
 
 # a body document and its items, laid out as json.dump lays them out
 _BODY = _layout(dict.fromkeys(["kind", "metadata", "schema_version", "segments",
-                               "vertices"]), 0) + "\n"
-_SEGMENT = _layout({"center": [None] * 3, "from": [None] * 3, "radius": None,
-                    "to": [None] * 3}, 2)
-_VERTEX = _layout([None] * 3, 2)
+                               "vertices"]), 0)
+_SEGMENT = np.array(_layout({"center": [None] * 3, "from": [None] * 3, "radius": None,
+                             "to": [None] * 3}, 2), dtype=object)
+_VERTEX = np.array(_layout([None] * 3, 2), dtype=object)
 
 
 def _body_text(body: SphericalBody) -> str:
     """json.dump(body_to_doc(body), fh, indent=2, sort_keys=True) plus a
-    newline, byte for byte, rendered from the arrays.  Each number's repr
-    (the shortest round-trip one, as json's) is made once, though each
-    junction appears three times: as the start of one arc, the end of the
-    one before, and a vertex."""
+    newline, byte for byte, rendered from the arrays.  Each junction
+    appears three times (as the start of one arc, the end of the one
+    before, and a vertex), and a polygon's radii are all pi/2, but each
+    distinct number's repr (the shortest round-trip one, as json's) is made
+    once.  Numbers are told apart by their bits, so 0.0 and -0.0 keep their
+    own reprs.  The segments and the vertices are filled into object arrays
+    between the pieces of their templates, and the document is joined once."""
     m = len(body.radii)
-    reprs = np.array(list(map(float.__repr__, _numbers(body).tolist())), dtype=object)
+    bits, inverse = np.unique(_numbers(body).view(np.int64), return_inverse=True)
+    distinct = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)
     arc = np.arange(m)[:, None]
     xyz = np.arange(3)
     # per arc: center, from, radius, to
     order = np.hstack([3 * arc + xyz, 3 * (m + arc) + xyz, 6 * m + arc,
                        3 * (m + (arc + 1) % m) + xyz])
+    reprs = distinct[inverse[order]]
     vertices = 0 if body.is_full_circle else m
-    return _BODY % (json.dumps(body_kind(body)),
-                    _indented(json.dumps(body.meta, indent=2, sort_keys=True), 1),
-                    SCHEMA_VERSION,
-                    _items(_SEGMENT, m, tuple(reprs[order.ravel()])),
-                    _items(_VERTEX, vertices, tuple(reprs[order[:vertices, 7:].ravel()])))
+    b = _BODY
+    return "".join([b[0], json.dumps(body_kind(body)), b[1],
+                    _indented(json.dumps(body.meta, indent=2, sort_keys=True), 1), b[2],
+                    str(SCHEMA_VERSION), b[3], *_cells(_SEGMENT, reprs), b[4],
+                    *_cells(_VERTEX, reprs[:vertices, 7:]), b[5], "\n"])
 
 
 _SEGMENT_KEYS = {"center", "from", "radius", "to"}

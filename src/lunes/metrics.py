@@ -40,7 +40,7 @@ _SCAN = (3, 33)          # lune-search samples per probed corner: fewest, most
 _ARG_TOL = 1e-12         # _climb stops at brackets this narrow (arc length)
 _FLAT = 1e-14            # _climb reads slopes this small as zero (roundoff)
 
-# per arc table, what _memo computed: profiles and diameters
+# per arc table, what _memo computed: profiles, diameters and checked widths
 _MEMO: WeakKeyDictionary = WeakKeyDictionary()
 
 
@@ -248,10 +248,11 @@ def thickness(body: SphericalBody, n: int = 720) -> ThicknessResult:
     Equals pi minus the diameter of the supporting-center curve (the polar
     dual boundary): its best profile sample of n, refined by tangent-line
     steps unless the curve is a polygon.  The witness lune is evaluated from
-    its semicircle midpoints and checked against pi - dist(centers).
+    its semicircle midpoints and checked against pi - dist(centers), once
+    per dual table and resolution.
     """
     _, k, kp = _curve_diameter(body.dual_arcs, n)
-    width = _checked_width(k, kp)
+    width = _memo(body.dual_arcs, ("thickness", _resolution(n)), lambda: _checked_width(k, kp))
     return ThicknessResult(value=width, witness=WidthSample(k, width, kp))
 
 

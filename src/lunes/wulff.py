@@ -82,13 +82,16 @@ class WulffShape:
             raise InvalidSpec("need at least 3 planar vertices")
         if not np.isfinite(verts).all():
             raise InvalidSpec("non-finite vertex")
-        nxt = _rolled(verts)
-        edges = nxt - verts
-        if float(np.sum(verts[:, 0] * nxt[:, 1] - verts[:, 1] * nxt[:, 0])) <= 0.0:
+        # checked on the shape scaled by a power of two, exactly, to max|v|
+        # in [0.5, 1): no product below overflows, whatever the shape's size
+        unit = np.ldexp(verts, -math.frexp(float(np.abs(verts).max()))[1])
+        nxt = _rolled(unit)
+        edges = nxt - unit
+        if float(np.sum(unit[:, 0] * nxt[:, 1] - unit[:, 1] * nxt[:, 0])) <= 0.0:
             raise InvariantViolation("convexity", "vertices not counterclockwise")
         ahead = _rolled(edges)
         turn = edges[:, 0] * ahead[:, 1] - edges[:, 1] * ahead[:, 0]
-        scale = float(np.abs(verts).max())
+        scale = float(np.abs(unit).max())
         if (turn < -1e-12 * scale ** 2).any():
             raise InvariantViolation("convexity", "reflex planar vertex")
         normals = np.column_stack([edges[:, 1], -edges[:, 0]])

@@ -557,6 +557,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "error: degenerate half-plane family: non-finite point\n", err
 
+    @pytest.mark.parametrize("tiny", [1e-160, 1e-200, 1e-300])
+    @pytest.mark.parametrize("command", [
+        "wulff dual --gamma {g} --out {o}", "wulff self-dual --gamma {g}",
+    ], ids=["dual", "self-dual"])
+    def test_tiny_gamma_sample_exit_0_or_2(self, tmp_path, capsys, command, tiny):
+        # 1 / tiny is finite but past 1e154, so the dual's edges are too:
+        # its checks square no such length, and it gets a verdict
+        g = tmp_path / "g.json"
+        io.save_gamma(wulff.GammaFn(2 * math.pi * np.arange(8) / 8,
+                                    np.array([tiny] + [1.0] * 7)), str(g))
+        assert _main(command.format(g=g, o=tmp_path / "out").split()) in (0, 2)
+        err = capsys.readouterr().err
+        assert err.count("\n") <= 1 and "Traceback" not in err, err
+
     @pytest.mark.parametrize("make, tol, lines", [
         (lambda: construct.regular_odd_gon(65, 1.0), "1e-6",
          ["thickness 1.000000000000", "reduced: pass"]),

@@ -95,6 +95,23 @@ class TestThicknessDiameter:
         metrics.is_constant_width(body, n=n)
         metrics.is_constant_diameter(body, n=n)
 
+    @pytest.mark.parametrize("make", [
+        lambda: construct.random_convex_polygon(8, n=7, max_diam=1.2),
+        lambda: construct.regular_odd_gon(5, 1.0)],
+        ids=["polygon", "regular_5_gon"])
+    def test_classify_builds_the_witness_lune_once(self, monkeypatch, make):
+        # reduced_check on a body with corners reads the thickness that
+        # classify already measured: one witness lune, checked once
+        body, made = make(), []
+
+        def counted(k, kp):
+            made.append(1)
+            return sphere.lune_make(k, kp)
+
+        monkeypatch.setattr(metrics, "lune_make", counted)
+        metrics.classify(body, n=240)
+        assert len(made) == 1
+
     def test_diameter_endpoints_on_body(self, cd_triangle):
         res = metrics.diameter(cd_triangle, n=240)
         assert res.value == pytest.approx(HALF_PI, abs=1e-9)

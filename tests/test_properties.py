@@ -1277,9 +1277,14 @@ def _nested_metadata_body():
 @BOUNDED
 @given(bodies)
 @example(_nested_metadata_body())
+@example(bd.polygon_from_vertices([[1.0, -0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+@example(construct.cap(np.array([0.6, 0.0, 0.8]), 0.5))
 def test_saved_text_is_the_indented_json_document(body):
     # save_body renders the document from the arrays; its bytes are those of
-    # json.dump(indent=2, sort_keys=True), and loading gives back the arrays
+    # json.dump(indent=2, sort_keys=True), and loading gives back the arrays.
+    # The examples: a polygon whose arrays hold 0.0 and -0.0 (each number's
+    # repr is made once per bit pattern, not per value) and three radii of
+    # pi/2, and a cap, whose vertices list is empty
     expected = json.dumps(io.body_to_doc(body), indent=2, sort_keys=True) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "a.json")
