@@ -96,7 +96,7 @@ def _validated(centers, radii, starts) -> Boundary:
     inside = (r >= ZERO_RADIUS) & (r <= HALF_PI)
     if not inside.all():
         raise InvariantViolation(
-            "radius range", f"radius {float(r[~inside][0])!r} outside (0, pi/2]")
+            "radius range", f"radius {float(r[~inside][0])!r} outside [{ZERO_RADIUS!r}, pi/2]")
     d = dist(np.concatenate([c, c]), np.concatenate([s, e]))  # starts, then ends
     far = np.abs(d - np.concatenate([r, r])) > CLOSURE_TOL
     if far.any():

@@ -5,10 +5,6 @@ class LunesError(Exception):
     """Base class for all geometry errors raised by this package."""
 
 
-class DegenerateArc(LunesError):
-    """Arc endpoints coincide or are antipodal, so the arc is not determined."""
-
-
 class DegenerateLune(LunesError):
     """Hemisphere centers coincide or are antipodal, so the lune degenerates."""
 

@@ -1,4 +1,4 @@
-"""Primitives on the unit sphere: distances, geodesic points and lunes.
+"""Primitives on the unit sphere: distances, frames and lunes.
 
 All points are unit vectors in E^3 stored as numpy arrays of shape (3,).
 Angles are radians.
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateArc, DegenerateLune
+from .errors import DegenerateLune
 
 # below this separation (or above pi minus it) paired points stop defining
 # a great circle / lune reliably
@@ -67,22 +67,6 @@ def dist(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return np.arctan2(norm(cross(a, b)), dot(a, b))
-
-
-def geodesic_point(a, b, t: float) -> np.ndarray:
-    """Point at parameter t in [0, 1] along the minor arc from a to b.
-
-    Raises DegenerateArc when a and b coincide or are antipodal, since the
-    connecting arc is then not unique.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.linalg.norm(a - b) < DEGENERATE_TOL or np.linalg.norm(a + b) < DEGENERATE_TOL:
-        raise DegenerateArc("arc endpoints coincide or are antipodal")
-    ang = float(dist(a, b))
-    s = math.sin(ang)
-    p = (math.sin((1.0 - t) * ang) * a + math.sin(t * ang) * b) / s
-    return normalize(p)
 
 
 @dataclass(frozen=True)

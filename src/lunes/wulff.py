@@ -15,7 +15,10 @@ equivalence report runs all five checks and treats any disagreement as
 an internal error.  Self-duality gaps are exact polygon Hausdorff
 distances, taken from the two support functions over the merged
 edge-normal angles in O((m + k) log(m + k)) for polygons of m and k
-vertices.
+vertices.  One scale rule: each planar computation runs on its input
+scaled by a power of two (_unit), exact in the normal range, and scales
+its result back, so W(2^j gamma) = 2^j W(gamma) bit for bit and no product
+leaves the float range.
 """
 
 from __future__ import annotations
@@ -82,9 +85,7 @@ class WulffShape:
             raise InvalidSpec("need at least 3 planar vertices")
         if not np.isfinite(verts).all():
             raise InvalidSpec("non-finite vertex")
-        # checked on the shape scaled by a power of two, exactly, to max|v|
-        # in [0.5, 1): no product below overflows, whatever the shape's size
-        unit = np.ldexp(verts, -math.frexp(float(np.abs(verts).max()))[1])
+        unit = _unit(verts)[0]  # no product below overflows, whatever the size
         nxt = _rolled(unit)
         edges = nxt - unit
         if float(np.sum(unit[:, 0] * nxt[:, 1] - unit[:, 1] * nxt[:, 0])) <= 0.0:
@@ -146,17 +147,29 @@ def polygon_gamma(shape: WulffShape) -> GammaFn:
     return GammaFn(ang, vals)
 
 
-def _polar(pa: np.ndarray) -> WulffShape:
-    """Intersection of the half-planes y . p <= 1 over the counterclockwise
+def _unit(x, k=None, axis=None):
+    """x * 2**-k and k: k as given, or the exponent that puts max|x| (over x,
+    or along axis, kept) in [0.5, 1).  Exact in the normal range; past it, x
+    reads inf, which WulffShape refuses, or rounds to a subnormal."""
+    if k is None:
+        k = np.frexp(np.abs(x).max(axis=axis, keepdims=axis is not None))[1]
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, -k), k
+
+
+def _polar(pa: np.ndarray, k: int = 0) -> WulffShape:
+    """Intersection of the half-planes y . p <= 2**k over the counterclockwise
     points p of pa, in convex position: its vertices are where the lines of
-    consecutive points meet."""
-    pb = _rolled(pa)
-    den = pa[:, 0] * pb[:, 1] - pa[:, 1] * pb[:, 0]
-    if (den <= 1e-300).any():
+    consecutive points meet.  Each pair of points is taken at its own unit
+    scale, as the polar of 2**e P is 2**-e times that of P, and its vertex
+    scaled back, so poles far apart in size still meet in range."""
+    x, y = pa.T
+    (ax, ay, bx, by), e = _unit(np.array([x, y, _rolled(x), _rolled(y)]), axis=0)
+    den = ax * by - ay * bx
+    if (den < np.finfo(float).tiny).any():  # a subnormal den has lost digits
         raise EmptyInterior("origin on or outside the polygon of half-plane poles")
-    verts = np.column_stack([(pb[:, 1] - pa[:, 1]) / den,
-                             (pa[:, 0] - pb[:, 0]) / den])
-    return WulffShape(verts)
+    verts = np.column_stack([(by - ay) / den, (ax - bx) / den])
+    return WulffShape(_unit(verts, e.T - k)[0])
 
 
 def wulff_shape(gamma: GammaFn, n: int = 720) -> WulffShape:
@@ -173,15 +186,18 @@ def wulff_shape(gamma: GammaFn, n: int = 720) -> WulffShape:
     if n < 3:
         raise InvalidSpec("need at least 3 directions")
     ang = np.unique(np.concatenate([TWO_PI * np.arange(n) / n, gamma.angles]))
-    g = gamma(ang)
+    g, k = _unit(gamma(ang))  # the largest sample at unit scale
     dirs = np.column_stack([np.cos(ang), np.sin(ang)])
-    with np.errstate(over="ignore"):  # 1 / a subnormal gamma reads inf
+    with np.errstate(over="ignore"):  # inf only for gamma max / min past ~2**1023
         pts = dirs / g[:, None]
+    # the dual points, of sizes 1 to 2**r, centered on size 1: no product of
+    # two leaves the float range while r stays below about 1000
+    pts, c = _unit(pts, _unit(pts)[1] // 2)
     try:
         idx = hull_scan(pts, np.arange(len(ang)))
     except DegenerateHull as exc:
         raise EmptyInterior(f"degenerate half-plane family: {exc}") from exc
-    return _polar(pts[idx])
+    return _polar(pts[idx], k - c)
 
 
 def dual_wulff(shape: WulffShape, n: int = 720) -> WulffShape:
@@ -312,12 +328,15 @@ def induce_spherical(shape: WulffShape, frame: ProjectionFrame,
     the spherical polygon over the lifted vertices (x, y) ->
     normalize(N + x u + y v), one edge per edge of the shape, in the shape's
     vertex order.  n is accepted for compatibility and ignored: the lift is
-    exact.
+    exact.  A shape past unit size is lifted at its own scale, as
+    normalize(2**-k (N + x u + y v)), where no sum overflows; a smaller one
+    as it stands.
 
     The pole N is tried first as the enclosing center (SphericalBody).
     """
-    x, y = shape.vertices.T
-    lifted = normalize(frame.pole + x[:, None] * frame.u + y[:, None] * frame.v)
+    k = max(_unit(shape.vertices)[1], 0)
+    x, y = _unit(shape.vertices, k)[0].T
+    lifted = normalize(_unit(frame.pole, k)[0] + x[:, None] * frame.u + y[:, None] * frame.v)
     body = polygon_from_vertices(lifted, enclosing_center=frame.pole)
     body.meta.update({"kind": "induced"})
     return body

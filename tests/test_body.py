@@ -227,6 +227,14 @@ class TestValidationOrder:
                 rf"radius {re.escape(repr(float(r[0])))}$")):
             bd.SphericalBody(bd.Boundary(c, r, s))
 
+    def test_radius_below_zero_radius_names_the_interval(self):
+        r = 0.5 * bd.ZERO_RADIUS
+        start = np.array([math.sin(r), 0.0, math.cos(r)])
+        with pytest.raises(InvariantViolation, match=(
+                rf"^radius range: radius {re.escape(repr(r))} outside "
+                rf"\[{re.escape(repr(bd.ZERO_RADIUS))}, pi/2\]$")):
+            bd.SphericalBody(bd.Boundary(Z[None], [r], start[None]))
+
 
 class TestJunctionTolerance:
     """CLOSURE_TOL also puts each endpoint on its circle."""
@@ -343,7 +351,8 @@ class TestMembership:
                 i, j = rng.integers(0, len(pts), size=2)
                 if np.linalg.norm(pts[i] - pts[j]) < 1e-9:
                     continue
-                p = sphere.geodesic_point(pts[i], pts[j], rng.uniform())
+                t = rng.uniform()
+                p = sphere.normalize((1 - t) * pts[i] + t * pts[j])
                 assert body.contains(p, tol=1e-9)
                 done += 1
 
@@ -397,8 +406,8 @@ class TestExtremePoints:
             while len(inner) < 6:
                 q = random_unit(rng)
                 if q @ g > 0.05 and q @ h > 0.05:
-                    inner.append(sphere.geodesic_point(
-                        corner, q, rng.uniform(0.2, 0.8)))
+                    t = rng.uniform(0.2, 0.8)
+                    inner.append(sphere.normalize((1 - t) * corner + t * q))
             hull = bd.hull_from_points([corner] + inner)
             ext = bd.extreme_points(hull)
             assert any(np.linalg.norm(v - corner) <= 1e-9

@@ -571,6 +571,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") <= 1 and "Traceback" not in err, err
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e-100,
+                                       1e100, 1e160, 1e200, 1e300])
+    @pytest.mark.parametrize("command, codes", [
+        ("wulff build --gamma {g} --out {o}", (0,)),
+        ("wulff dual --gamma {g} --out {o}", (0,)),
+        ("wulff self-dual --gamma {g}", (1,)),
+        ("wulff induce --gamma {g} --out {o}", (0, 2)),
+        ("render {g} --out {o}", (0, 2)),
+    ], ids=["build", "dual", "self-dual", "induce", "render"])
+    def test_far_scale_gamma(self, tmp_path, capsys, command, codes, scale):
+        # W(s gamma) = s W(gamma) at any normal scale: the shape and its dual
+        # build, the verdict is a gap (the dual of s W is dual(W) / s), and a lift
+        # too small or too large for the sphere is refused on one line
+        g = tmp_path / "g.json"
+        io.save_gamma(wulff.GammaFn.constant(scale), str(g))
+        code = _main(command.format(g=g, o=tmp_path / "out").split())
+        out, err = capsys.readouterr()
+        assert code in codes, (code, out, err)
+        assert err.count("\n") == (code == 2), err
+        assert "Traceback" not in out + err and "Warning" not in out + err
+
     @pytest.mark.parametrize("make, tol, lines", [
         (lambda: construct.regular_odd_gon(65, 1.0), "1e-6",
          ["thickness 1.000000000000", "reduced: pass"]),

@@ -1001,6 +1001,27 @@ def test_wulff_shape_beside_a_far_dual_point(tiny, n):
     assert float(np.max(shape.vertices @ u.T - gamma(ang))) <= 1e-13
 
 
+@settings(BOUNDED, max_examples=40)
+@given(st.lists(st.floats(0.5, 2.0), min_size=3, max_size=24),
+       st.floats(-300.0, 300.0))
+@example([1.0] * 8, -300.0)
+@example([1.0] * 8, 300.0)
+def test_wulff_shape_scales_with_gamma(values, exponent):
+    # W(s gamma) = s W(gamma) for s anywhere in the normal float range: the
+    # planar layer works at unit scale whatever the scale it is given.  The
+    # bound is the roundoff of the polar's vertex formula, which meets lines
+    # delta apart (the least gap between wulff_shape's directions) with a
+    # relative error of about 1e-16 / delta, at s near 1 as well
+    s = 10.0 ** exponent
+    ang = 2 * math.pi * np.arange(len(values)) / len(values)
+    dirs = np.unique(np.concatenate([2 * math.pi * np.arange(720) / 720, ang]))
+    delta = float(np.diff(np.append(dirs, dirs[0] + 2 * math.pi)).min())
+    one = wulff.wulff_shape(wulff.GammaFn(ang, values))
+    shape = wulff.wulff_shape(wulff.GammaFn(ang, s * np.array(values)))
+    size = s * float(np.max(np.abs(one.vertices)))
+    assert wulff.hausdorff_polygons(shape, one.scaled(s)) <= 4e-16 * size / delta
+
+
 def test_degenerate_hull_inputs_rejected():
     arc = np.array([[math.cos(t), math.sin(t), 0.0] for t in (0.0, 0.2, 0.5, 0.9)])
     for pts in (arc, arc[:2]):  # on one great circle; two points

@@ -50,18 +50,6 @@ class TestDist:
 
 
 class TestGeodesic:
-    def test_endpoints_and_midpoint(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            a, b = random_unit(rng), random_unit(rng)
-            if sphere.dist(a, b) > math.pi - 1e-3:
-                continue
-            assert np.allclose(sphere.geodesic_point(a, b, 0.0), a, atol=1e-14)
-            assert np.allclose(sphere.geodesic_point(a, b, 1.0), b, atol=1e-12)
-            m = sphere.geodesic_point(a, b, 0.5)
-            assert sphere.dist(a, m) == pytest.approx(sphere.dist(m, b),
-                                                      abs=1e-12)
-
     def test_orthonormal_frame(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

@@ -90,6 +90,24 @@ class TestWulffShape:
         theta = ang[np.abs(np.arange(64) - 17) > 1]
         assert np.allclose(b.radial(theta), a.radial(theta), atol=1e-12)
 
+    @pytest.mark.parametrize("far", [1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300])
+    def test_one_far_sample(self, far):
+        # one of 8 samples far from the other seven: its dual point lies
+        # 1 / far out, or deep inside, and the dual points are centered on
+        # size 1 so no product of two leaves the range.  A tiny sample is a
+        # face beside the origin; a huge one is no face, so the shape is the
+        # one a nearer sample (far ** 0.1) gives, bit for bit
+        ang = 2 * math.pi * np.arange(8) / 8
+        gamma = wulff.GammaFn(ang, np.array([far] + [1.0] * 7))
+        near = wulff.wulff_shape(wulff.GammaFn(ang, np.array([far ** 0.1] + [1.0] * 7)))
+        shape = wulff.wulff_shape(gamma)
+        dirs = np.unique(np.concatenate([2 * math.pi * np.arange(720) / 720, ang]))
+        u = np.column_stack([np.cos(dirs), np.sin(dirs)])
+        assert float(np.max(shape.vertices @ u.T - gamma(dirs))) <= 1e-13
+        assert len(shape.vertices) == len(near.vertices)
+        if far > 1.0:
+            assert np.array_equal(shape.vertices, near.vertices)
+
     @pytest.mark.parametrize("scale", [1e-15, 1.0, 1e15])
     def test_vertices_checked_as_given(self, scale):
         # nothing is merged: a repeated vertex, a ring closed by a copy of
@@ -180,6 +198,24 @@ class TestDualWulff:
             d = wulff.dual_wulff(shape)
             assert wulff.hausdorff_polygons(d, dual.scaled(1.0 / s)) <= 1e-12 / s
             assert wulff.hausdorff_polygons(wulff.dual_wulff(d), shape) <= 1e-12 * s
+
+    @pytest.mark.parametrize("values", [
+        lambda ang: np.ones_like(ang),
+        lambda ang: 0.5 * (1.0 + 0.08 * np.cos(3 * ang + 1.1)),
+    ], ids=["constant", "build_style"])
+    def test_power_of_two_scale_is_exact(self, values):
+        # W(2^j gamma) = 2^j W(gamma) and its dual is 2^-j dual(W(gamma)),
+        # bit for bit, across the normal float range
+        ang = 2 * math.pi * np.arange(720) / 720
+        one = wulff.wulff_shape(wulff.GammaFn(ang, values(ang)))
+        dual = wulff.dual_wulff(one)
+        for j in range(-1000, 1001, 50):
+            shape = wulff.wulff_shape(wulff.GammaFn(ang, np.ldexp(values(ang), j)))
+            assert np.array_equal(shape.vertices, np.ldexp(one.vertices, j)), j
+            assert np.array_equal(shape.normals, one.normals), j
+            assert np.array_equal(shape.offsets, np.ldexp(one.offsets, j)), j
+            d = wulff.dual_wulff(shape)
+            assert np.array_equal(d.vertices, np.ldexp(dual.vertices, -j)), j
 
 
 class TestProjection:
