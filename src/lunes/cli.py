@@ -257,7 +257,3 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # numpy refuses an array past memory at once
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -35,6 +35,9 @@ from .errors import (DegenerateHull, EmptyInterior, InconsistentVerdicts,
 from .metrics import Verdict, classify
 from .sphere import normalize, orthonormal_frame
 
+# max|x| is below the least normal float exactly when _unit's k is below this
+_TINY_EXP = int(np.frexp(np.finfo(float).tiny)[1])
+
 
 @dataclass(frozen=True)
 class GammaFn:
@@ -76,7 +79,9 @@ class WulffShape:
 
     Vertices counterclockwise, winding once, none repeated: checked as
     given, with relative tolerances only, so a shape and its multiples pass
-    or fail together.  Edge normals and offsets are derived at construction.
+    or fail together.  A shape below the normal float range is refused, as
+    its vertices hold only a subnormal's digits.  Edge normals and offsets
+    are derived at construction.
     """
 
     def __init__(self, vertices):
@@ -85,7 +90,10 @@ class WulffShape:
             raise InvalidSpec("need at least 3 planar vertices")
         if not np.isfinite(verts).all():
             raise InvalidSpec("non-finite vertex")
-        unit = _unit(verts)[0]  # no product below overflows, whatever the size
+        unit, k = _unit(verts)  # no product below overflows, whatever the size
+        if k < _TINY_EXP:
+            raise InvalidSpec(f"largest vertex coordinate {np.abs(verts).max():.3g} "
+                              "below the normal float range")
         nxt = _rolled(unit)
         edges = nxt - unit
         if float(np.sum(unit[:, 0] * nxt[:, 1] - unit[:, 1] * nxt[:, 0])) <= 0.0:
@@ -119,8 +127,9 @@ class WulffShape:
         return ratio.min(axis=1)
 
     def contains(self, p, tol: float = 1e-12) -> bool:
+        """Whether p is in the shape, within tol times its largest offset."""
         p = np.asarray(p, dtype=float)
-        return bool(np.all(self.normals @ p <= self.offsets + tol))
+        return bool(np.all(self.normals @ p <= self.offsets + tol * self.offsets.max()))
 
     def scaled(self, s: float) -> "WulffShape":
         return WulffShape(float(s) * self.vertices)

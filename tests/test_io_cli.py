@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -592,6 +593,22 @@ class TestCli:
         assert err.count("\n") == (code == 2), err
         assert "Traceback" not in out + err and "Warning" not in out + err
 
+    @pytest.mark.parametrize("command", [
+        "wulff build --gamma {g} --out {o}", "wulff dual --gamma {g} --out {o}",
+        "wulff self-dual --gamma {g}", "wulff induce --gamma {g} --out {o}",
+        "render {g} --out {o}",
+    ], ids=["build", "dual", "self-dual", "induce", "render"])
+    def test_subnormal_gamma_exit_2(self, tmp_path, capsys, command):
+        # its shape's vertices would sit on the 4.9e-324 grid: refused on
+        # one line, and no file is written
+        g, out = tmp_path / "g.json", tmp_path / "out"
+        io.save_gamma(wulff.GammaFn.constant(1.4481e-319), str(g))
+        assert _main(command.format(g=g, o=out).split()) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: largest vertex coordinate 1.45e-319 below the "
+                       "normal float range\n"), err
+        assert not out.exists()
+
     @pytest.mark.parametrize("make, tol, lines", [
         (lambda: construct.regular_odd_gon(65, 1.0), "1e-6",
          ["thickness 1.000000000000", "reduced: pass"]),
@@ -653,3 +670,48 @@ class TestCli:
             assert not [m for m in modules if m.split(".")[0] == "scipy"], args
             assert {m.split(".", 1)[1] for m in modules
                     if m.startswith("lunes.")} == loaded, args
+
+
+def run_child(code, cwd):
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=child_env(),
+                          capture_output=True, text=True)
+
+
+class TestEntry:
+    """The process entry, `lunes.__main__.main`, run in child processes
+    only: it freezes what the process has imported, which must not happen
+    to the test process."""
+
+    def test_import_has_no_side_effects(self, tmp_path):
+        # the entry must switch the collector off before numpy is imported
+        r = run_child("import gc, sys, lunes.__main__; print('numpy' in sys.modules, "
+                      "gc.isenabled(), gc.get_freeze_count())", tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "False True 0\n", r.stdout + r.stderr
+
+    @pytest.mark.parametrize("route", [
+        "lunes.__main__.main()",
+        "runpy.run_module('lunes', run_name='__main__', alter_sys=True)",
+    ], ids=["script", "dash_m"])
+    def test_command_runs_with_imports_frozen(self, tmp_path, route):
+        # the installed script calls main(), `python -m lunes` runs the
+        # module as __main__; either way the command runs with the collector
+        # on and the imported objects in the permanent generation
+        r = run_child(f"""
+import gc, runpy, sys
+import lunes.__main__, lunes.cli
+def probe(args):
+    print(args.command, gc.isenabled(), gc.get_freeze_count() > 0)
+    return 3
+lunes.cli._run = probe
+sys.argv = ["lunes", "roundtrip", "body.json"]
+sys.exit({route})
+""", tmp_path)
+        assert r.returncode == 3, r.stdout + r.stderr
+        assert r.stdout == "roundtrip True True\n", r.stdout + r.stderr
+
+    def test_console_script_is_the_entry(self):
+        # read as text: Python 3.10 has no tomllib
+        text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+        scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert scripts.splitlines() == ['lunes = "lunes.__main__:main"'], scripts

@@ -138,6 +138,26 @@ class TestWulffShape:
         with pytest.raises(EmptyInterior):
             wulff.WulffShape(SQUARE + 5.0)
 
+    @pytest.mark.parametrize("k", range(-20, 21, 5))
+    def test_contains_is_scale_free(self, k):
+        # the tolerance is relative to the shape's size: a vertex is in, a
+        # point 1e-9 of the half-width past a face is out, at any scale
+        scale = 10.0 ** k
+        shape = wulff.WulffShape(scale * SQUARE)
+        assert shape.contains(scale * SQUARE[0])
+        assert not shape.contains(np.array([scale * (1 + 1e-9), 0.0]))
+        assert not shape.contains(np.array([0.0, -scale * (1 + 1e-9)]))
+
+    def test_subnormal_shape_refused(self):
+        # a gamma of 1.4481e-319 would give a 720-gon on the 4.9e-324 grid,
+        # breaking its own half-planes; the least normal float still builds
+        with pytest.raises(InvalidSpec, match="below the normal float range"):
+            wulff.wulff_shape(wulff.GammaFn.constant(1.4481e-319))
+        with pytest.raises(InvalidSpec, match="below the normal float range"):
+            wulff.WulffShape(5e-324 * SQUARE)
+        tiny = np.finfo(float).tiny
+        assert np.array_equal(wulff.WulffShape(tiny * SQUARE).vertices, tiny * SQUARE)
+
     def test_polygon_gamma_round_trip(self, square):
         g = wulff.polygon_gamma(square)
         for n in (360, 720, 1440):
