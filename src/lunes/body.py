@@ -222,13 +222,12 @@ class _Arcs:
 
     def _locate(self, s):
         """The arc holding each cumulative arc-length parameter s, and the
-        cosine and sine (columns) of the angle along it; at a junction, the
-        arc that starts there."""
+        angle along it (0 exactly at its start): the one map from parameters
+        to arcs.  At a junction, the arc that starts there."""
         s = np.mod(np.atleast_1d(np.asarray(s, dtype=float)), self.total)
         # s >= 0 = cum[0], but it can round up to total: clamp the top only
         idx = np.minimum(np.searchsorted(self.cum, s, side="right") - 1, self.count - 1)
-        t = (s - self.cum[idx]) / self.sin_r[idx]
-        return idx, np.cos(t)[:, None], np.sin(t)[:, None]
+        return idx, (s - self.cum[idx]) / self.sin_r[idx]
 
     def point_at(self, s):
         """Boundary point at cumulative arc-length parameter s (vectorized)."""
@@ -238,15 +237,16 @@ class _Arcs:
         """point_at(s) and the unit tangent d point_at / ds there,
         counterclockwise, from one lookup (vectorized); at a junction, of
         the arc that starts there."""
-        idx, cos_t, sin_t = self._locate(s)
-        return (self._point(idx, cos_t, sin_t),
-                cos_t * self.v0.take(idx, 0) - sin_t * self.u0.take(idx, 0))
+        idx, t = self._locate(s)
+        cos_t, sin_t = np.cos(t)[:, None], np.sin(t)[:, None]
+        return self._point(idx, t), cos_t * self.v0.take(idx, 0) - sin_t * self.u0.take(idx, 0)
 
-    def _point(self, idx, cos_t, sin_t):
-        """The point at angle t along arc idx (cos t and sin t as columns):
-        the one formula for a point on an arc."""
-        return (self.cc.take(idx, 0) + cos_t * self.su0.take(idx, 0)
-                + sin_t * self.sv0.take(idx, 0))
+    def _point(self, idx, t):
+        """The point at angle t along arc idx (vectorized, t broadcast to
+        idx): the one formula for a point on an arc."""
+        t = np.asarray(t, dtype=float)[..., None]
+        return (self.cc.take(idx, 0) + np.cos(t) * self.su0.take(idx, 0)
+                + np.sin(t) * self.sv0.take(idx, 0))
 
     def far_point(self, dirs) -> np.ndarray:
         """The curve's farthest point from each direction: where p . x is
@@ -296,7 +296,7 @@ class _Arcs:
             return params, pts, self.far_point(pts)
         coarse = pts[::_STRIDE]
         _, lo, t = self._support(coarse)
-        reach = dist(coarse, self._point(lo, np.cos(t)[:, None], np.sin(t)[:, None]))
+        reach = dist(coarse, self._point(lo, t))
         gap = np.diff(np.append(params[::_STRIDE], params[0] + self.total))
         span = np.mod(_rolled(lo) - lo, m) + 1  # arcs per window
         if gap.max() >= 0.5 * reach.max() or 2 * span.max() > m:
@@ -308,7 +308,7 @@ class _Arcs:
             win = np.mod(lo[runs, None] + np.minimum(np.arange(width), span[runs, None] - 1), m)
             at = rows[runs].ravel()
             _, arc[at], t[at] = _sliced(self._windowed, 3 * _STRIDE * width, win, pts[rows[runs]])
-        return params, pts, self._point(arc, np.cos(t)[:, None], np.sin(t)[:, None])
+        return params, pts, self._point(arc, t)
 
     def _windowed(self, win, x):
         """_reduce of the points x[i] (_STRIDE x 3) over the arcs win[i]."""
@@ -334,7 +334,7 @@ class _Arcs:
         made once from the arc and angle that won the minimum.
         """
         vals, arc, t = self._support(dirs)
-        return vals, self._point(arc, np.cos(t)[:, None], np.sin(t)[:, None])
+        return vals, self._point(arc, t)
 
     def _support(self, dirs):
         """Per direction, the support minimum and the arc and angle along it
@@ -382,7 +382,7 @@ class _Arcs:
         of arccos near 0 (2e-8)."""
         m = self.count
         idx = np.minimum(np.arange(-(-m // _BLOCK) * _BLOCK), m - 1).reshape(-1, _BLOCK)
-        s = self._point(np.append(idx[:, 0], 0), 1.0, 0.0)
+        s = self._point(np.append(idx[:, 0], 0), 0.0)
         s0, s1 = s[:-1], s[1:]
         cos_s = dot(s0, s1)
         w = s1 - cos_s[:, None] * s0
@@ -390,9 +390,9 @@ class _Arcs:
         flat = sin_s < 1e-12  # the first arc's tangent at s0 serves as v0
         chord = np.concatenate([s0, normalize(np.where(flat[:, None], self.v0[idx[:, 0]], w)), s1])
         sweep = np.where(flat, 0.0, np.arctan2(sin_s, cos_s))
-        half = 0.5 * self.sweeps[:, None]
-        mid = self._point(np.arange(m), np.cos(half), np.sin(half))[idx]
-        reach = 2.0 * np.arcsin(np.minimum(1.0, self.sin_r * np.sin(0.5 * half[:, 0])))
+        half = 0.5 * self.sweeps
+        mid = self._point(np.arange(m), half)[idx]
+        reach = 2.0 * np.arcsin(np.minimum(1.0, self.sin_r * np.sin(0.5 * half)))
         a, b, c = np.einsum("kbj,bij->kbi", chord.reshape(3, -1, 3), mid)
         up = np.arctan2(b, a)
         near = np.where((up >= 0.0) & (up <= sweep[:, None]), np.sqrt(a * a + b * b),
@@ -588,10 +588,6 @@ class SphericalBody:
     def is_polygon(self) -> bool:
         return bool((self.radii == HALF_PI).all())
 
-    def support_min(self, dirs) -> np.ndarray:
-        """Minimum of p . dir over the body, per direction (shape (k,))."""
-        return self.arcs.support_extreme(dirs)
-
     def contains(self, p, tol: float = 1e-9) -> bool:
         """Membership within angular slack tol, via the supporting centers."""
         p = np.asarray(p, dtype=float).reshape(1, 3)
@@ -768,13 +764,6 @@ def hull_from_points(points) -> SphericalBody:
 # -- module-level operations ----------------------------------------------
 
 
-def boundary_sample(body: SphericalBody, n: int) -> np.ndarray:
-    """n boundary points in order, arc-length-even per segment, junctions included."""
-    if n < body.arcs.count:
-        raise ValueError("need at least one sample per boundary segment")
-    return body.arcs.sample_points(n)[1]
-
-
 def extreme_points(body: SphericalBody) -> ExtremeSet:
     """Corners (junctions where the tangent turns) plus strictly convex arcs."""
     corners = body.corners
@@ -809,8 +798,8 @@ def distance_to_body(body: SphericalBody, pts, tol: float = 1e-9) -> np.ndarray:
 
 def hausdorff_bodies(a: SphericalBody, b: SphericalBody, n: int = 720) -> float:
     """Symmetric boundary-sampled Hausdorff distance between two bodies."""
-    pa = boundary_sample(a, max(n, a.arcs.count))
-    pb = boundary_sample(b, max(n, b.arcs.count))
+    pa = a.arcs.sample_points(max(n, a.arcs.count))[1]
+    pb = b.arcs.sample_points(max(n, b.arcs.count))[1]
     d_ab = float(np.max(distance_to_body(b, pa)))
     d_ba = float(np.max(distance_to_body(a, pb)))
     return max(d_ab, d_ba)

@@ -234,7 +234,7 @@ def width_at(body: SphericalBody, support_center, n: int = 720) -> WidthSample:
     """
     _resolution(n)
     k = normalize(np.asarray(support_center, dtype=float))
-    margin = float(body.support_min(k)[0])
+    margin = float(body.arcs.support_extreme(k)[0])
     if abs(margin) > SUPPORT_TOL:
         raise NotSupporting(f"support minimum {margin:.3g} is not zero")
     opposing = body.dual_arcs.far_point(k)[0]
@@ -348,7 +348,7 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdi
     if curved.any():
         params, centers, far, _ = _profile(dual, n)
         if not curved.all():  # leave out the samples on the corners' arcs
-            on = curved[np.searchsorted(dual.cum, params, side="right") - 1]
+            on = curved[dual._locate(params)[0]]
             centers, far = centers[on], far[on]
         reach, least = _curve_diameter(dual, n)[0], float(far.min())
         excess = reach - least  # the largest width there less the thickness

@@ -58,8 +58,7 @@ def _sphere_svg(body: SphericalBody, view: np.ndarray) -> str:
     arcs = body.arcs
     counts = np.maximum(2, np.ceil(_SEG_SAMPLES * (arcs.sweeps / TWO_PI))).astype(int)
     for i, k in enumerate(counts.tolist()):
-        t = np.linspace(0.0, arcs.sweeps[i], k)[:, None]
-        pts = arcs._point(np.full(k, i), np.cos(t), np.sin(t))
+        pts = arcs._point(np.full(k, i), np.linspace(0.0, arcs.sweeps[i], k))
         xy = np.column_stack([pts @ u, pts @ v])
         visible = pts @ w >= 0.0
         for vis, sl in _runs(visible):

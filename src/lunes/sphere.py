@@ -114,10 +114,10 @@ def lune_make(g, h) -> Lune:
 def lune_contains(lune: Lune, body, tol: float = 1e-10) -> bool:
     """True when the body lies inside both hemispheres of the lune.
 
-    `body` is anything exposing support_min(directions) -> min dot over the body.
+    `body` is a SphericalBody: its arc table gives the support minima.
     """
     dirs = np.stack([lune.g, lune.h])
-    return bool(np.all(body.support_min(dirs) >= -tol))
+    return bool(np.all(body.arcs.support_extreme(dirs) >= -tol))
 
 
 def orthonormal_frame(n) -> tuple:

@@ -150,6 +150,7 @@ def polygon_gamma(shape: WulffShape) -> GammaFn:
     grid = 1440
     normals = shape.normals
     ang = np.mod(np.arctan2(normals[:, 1], normals[:, 0]), TWO_PI)
+    ang[ang == TWO_PI] = 0.0  # an angle just below 0 rounds up to 2 pi
     ang = np.unique(np.concatenate([TWO_PI * np.arange(grid) / grid, ang]))
     dirs = np.column_stack([np.cos(ang), np.sin(ang)])
     vals = (dirs @ shape.vertices.T).max(axis=1)
@@ -323,8 +324,9 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
                else PoleNotInterior)(f"projection pole: {refused}")
     arcs = body.arcs
     s = arcs.sample_params(max(n, arcs.count))
-    arc = np.searchsorted(arcs.cum, s, side="right") - 1
-    pts = arcs.point_at(s[(arcs.radii[arc] < HALF_PI) | (s == arcs.cum[arc])])
+    arc, t = arcs._locate(s)
+    keep = (arcs.radii[arc] < HALF_PI) | (t == 0.0)
+    pts = arcs._point(arc[keep], t[keep])
     w = pts @ frame.pole
     return WulffShape(np.column_stack([pts @ frame.u / w, pts @ frame.v / w]))
 

@@ -52,7 +52,7 @@ class TestHull:
 
     def test_idempotent_on_polygon_samples(self, random_polygons):
         for poly in random_polygons[:6]:
-            again = bd.hull_from_points(bd.boundary_sample(poly, 48))
+            again = bd.hull_from_points(poly.arcs.sample_points(48)[1])
             assert vertex_sets_match(again.vertices, poly.vertices, tol=1e-9)
             assert bd.hausdorff_bodies(poly, again, n=240) <= 1e-9
 
@@ -332,7 +332,7 @@ class TestMembership:
 
     def test_boundary_points_contained(self, octant, quarter_cap):
         for body in (octant, quarter_cap):
-            for p in bd.boundary_sample(body, 64):
+            for p in body.arcs.sample_points(64)[1]:
                 assert body.contains(p, tol=1e-9)
 
     def test_contains_many_matches_scalar(self, cd_triangle):
@@ -345,7 +345,7 @@ class TestMembership:
     def test_geodesic_convexity(self, random_polygons, cd_triangle):
         rng = np.random.default_rng(9)
         for body in [cd_triangle] + random_polygons[:2]:
-            pts = bd.boundary_sample(body, 100)
+            pts = body.arcs.sample_points(100)[1]
             done = 0
             while done < 350:
                 i, j = rng.integers(0, len(pts), size=2)
@@ -359,18 +359,14 @@ class TestMembership:
 
 class TestBoundarySample:
     def test_octant_three_samples_hit_vertices(self, octant):
-        pts = bd.boundary_sample(octant, 3)
+        pts = octant.arcs.sample_points(3)[1]
         assert vertex_sets_match(pts, np.eye(3), tol=1e-12)
 
     def test_cap_samples_azimuthally_even(self, quarter_cap):
-        pts = bd.boundary_sample(quarter_cap, 360)
+        pts = quarter_cap.arcs.sample_points(360)[1]
         az = np.unwrap(np.arctan2(pts[:, 1], pts[:, 0]))
         spacing = np.diff(az)
         assert np.all(np.abs(np.abs(spacing) - 2 * math.pi / 360) < 1e-9)
-
-    def test_too_few_samples_rejected(self, octant):
-        with pytest.raises(ValueError):
-            bd.boundary_sample(octant, 2)
 
 
 class TestExtremePoints:
@@ -431,7 +427,7 @@ class TestSupportingCenters:
         for body in (octant, quarter_cap, cd_triangle):
             for c in bd.supporting_hemisphere_centers(body, n=48):
                 # containment with the boundary touching partial H(c)
-                assert abs(np.asarray(body.support_min(c)).item()) < 1e-10
+                assert abs(np.asarray(body.arcs.support_extreme(c)).item()) < 1e-10
 
 
 class TestPolarDual:
@@ -452,7 +448,7 @@ class TestPolarDual:
             assert bd.hausdorff_bodies(poly, twice, n=240) <= 1e-6
 
     def test_distance_to_body(self, quarter_cap):
-        on = bd.boundary_sample(quarter_cap, 16)
+        on = quarter_cap.arcs.sample_points(16)[1]
         off = np.array([sphere.normalize([0.0, 0.0, 1.0]),
                         sphere.normalize([1.0, 0.0, 0.0])])
         d_on = bd.distance_to_body(quarter_cap, on)

@@ -609,6 +609,22 @@ class TestCli:
                        "normal float range\n"), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("samples", [96, 720, 1440])
+    def test_wulff_dual_keeps_normals_below_zero(self, tmp_path, capsys, k, samples):
+        # on five of these nine, a dual edge normal sits just below angle 0,
+        # where the mod into [0, 2 pi) rounds it up to 2 pi
+        g, out = tmp_path / "g.json", tmp_path / "o.json"
+        ang = 0.5 * math.pi * np.arange(4)
+        io.save_gamma(wulff.GammaFn(ang, 1.0 + 0.05 * k * np.cos(2 * ang)), str(g))
+        code = _main(["--samples", str(samples), "wulff", "dual", "--gamma", str(g),
+                      "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.out.startswith(f"wrote {out} ") and captured.out.count("\n") == 1
+        assert captured.err == ""
+        assert io.load_document(str(out))["kind"] == "gamma"
+
     @pytest.mark.parametrize("make, tol, lines", [
         (lambda: construct.regular_odd_gon(65, 1.0), "1e-6",
          ["thickness 1.000000000000", "reduced: pass"]),

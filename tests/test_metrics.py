@@ -276,7 +276,7 @@ class TestReduced:
         corners = np.repeat(body.vertices[idx], samples, axis=0)
         partners = (-math.cos(thick) * dual.point_at(phis.ravel())
                     + math.sin(thick) * corners)
-        return body.support_min(partners).reshape(len(rows), samples).max(axis=1).min()
+        return body.arcs.support_extreme(partners).reshape(len(rows), samples).max(axis=1).min()
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     @pytest.mark.parametrize("target", [0.4, 1.0, HALF_PI])

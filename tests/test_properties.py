@@ -373,8 +373,7 @@ def test_chords_bound_every_block(body, seed):
         assert np.array_equal(s1, np.roll(s0, -1, axis=0))
         assert np.max(np.abs(sweep - dist(s0, s1))) <= 1e-15
         tau = np.linspace(0.0, 1.0, 33) * arcs.sweeps[idx][..., None]
-        x = arcs._point(np.repeat(idx.ravel(), 33), np.cos(tau).reshape(-1, 1),
-                        np.sin(tau).reshape(-1, 1)).reshape(len(idx), -1, 3)
+        x = arcs._point(np.repeat(idx.ravel(), 33), tau.ravel()).reshape(len(idx), -1, 3)
         assert np.all(_to_chords(x, s0, s1) <= slack[:, None])
         randoms = sphere.normalize(rng.normal(size=(64, 3)))
         dirs = np.concatenate([randoms, s0, -s0, s1, -s1])

@@ -172,6 +172,18 @@ class TestDualWulff:
         w = square.radial(g.angles + math.pi)
         assert np.max(np.abs(g.values * w - 1.0)) <= 1e-12
 
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("n", [96, 720, 1440])
+    def test_dual_gamma_angles_in_range(self, k, n):
+        # some of these duals have an edge normal within 4.4e-16 below angle
+        # 0, which np.mod(., 2 pi) rounds up to 2 pi
+        ang = 0.5 * math.pi * np.arange(4)
+        g = wulff.GammaFn(ang, 1.0 + 0.05 * k * np.cos(2 * ang))
+        dual = wulff.dual_wulff(wulff.wulff_shape(g, n=n))
+        got = wulff.polygon_gamma(dual)
+        assert got.angles[0] == 0.0 and got.angles[-1] < 2 * math.pi
+        assert got(0.0) == np.max(dual.vertices[:, 0])  # the support along angle 0
+
     def test_square_dual_is_diamond(self, square):
         d = wulff.dual_wulff(square, n=720)
         assert wulff.hausdorff_polygons(d, wulff.WulffShape(DIAMOND.copy())) \
