@@ -9,11 +9,13 @@ projection at a pole N carries these polygons to spherical convex bodies
 and back; it maps great circles to lines, so a polygon lifts exactly to the
 spherical polygon over its lifted vertices.  A body projects, about a pole
 inside it, to its boundary samples in boundary order, one point per great
-arc: the image is convex as it stands, and no hull is taken.  That turns
-the self-duality question into width/diameter checks on the sphere; the
-equivalence report runs all five checks and treats any disagreement as
-an internal error.  Self-duality gaps are exact polygon Hausdorff
-distances, taken from the two support functions over the merged
+arc: the image is convex as it stands, and no hull is taken.  The image
+keeps the body and the frame it came from, and lifts back to that body's
+own arcs, not to the polygon over its samples.  That turns the
+self-duality question into width/diameter checks on the sphere, run on the
+body itself; the equivalence report runs all five checks and treats any
+disagreement as an internal error.  Self-duality gaps are exact polygon
+Hausdorff distances, taken from the two support functions over the merged
 edge-normal angles in O((m + k) log(m + k)) for polygons of m and k
 vertices.  One scale rule: each planar computation runs on its input
 scaled by a power of two (_unit), exact in the normal range, and scales
@@ -28,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .body import HALF_PI, TWO_PI, SphericalBody, _rolled, hull_scan, polygon_from_vertices
+from .body import (HALF_PI, TWO_PI, Boundary, SphericalBody, _rolled, hull_scan,
+                   polygon_from_vertices)
 from .errors import (DegenerateHull, EmptyInterior, InconsistentVerdicts,
                      InvalidSpec, InvariantViolation, NotInHemisphere,
                      PoleNotInterior)
@@ -81,8 +84,13 @@ class WulffShape:
     given, with relative tolerances only, so a shape and its multiples pass
     or fail together.  A shape below the normal float range is refused, as
     its vertices hold only a subnormal's digits.  Edge normals and offsets
-    are derived at construction.
+    are derived at construction.  A shape that project_to_plane returns
+    also keeps the body it projected and the frame (_source), which
+    induce_spherical lifts in place of the vertices; every other shape has
+    none.
     """
+
+    _source = None  # (Boundary, ProjectionFrame), set by project_to_plane
 
     def __init__(self, vertices):
         verts = np.atleast_2d(np.asarray(vertices, dtype=float))
@@ -317,6 +325,10 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
     hull to take.  A polygon's image is its projected vertices.  The pole
     must be one the body accepts as its enclosing center
     (SphericalBody.refusal): NotInHemisphere or PoleNotInterior otherwise.
+
+    The shape keeps the body's boundary arrays and the frame as its source,
+    so induce_spherical returns the body's own arcs, not the polygon over
+    the samples (Han and Nishimura, J. Math. Soc. Japan 69, 2017).
     """
     refused = body.refusal(frame.pole)
     if refused is not None:
@@ -328,23 +340,37 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
     keep = (arcs.radii[arc] < HALF_PI) | (t == 0.0)
     pts = arcs._point(arc[keep], t[keep])
     w = pts @ frame.pole
-    return WulffShape(np.column_stack([pts @ frame.u / w, pts @ frame.v / w]))
+    shape = WulffShape(np.column_stack([pts @ frame.u / w, pts @ frame.v / w]))
+    shape._source = (Boundary(body.centers, body.radii, body.starts), frame)
+    return shape
 
 
 def induce_spherical(shape: WulffShape, frame: ProjectionFrame,
                      n: int = 720) -> SphericalBody:
     """Spherical body induced by the shape: inverse central projection.
 
-    Central projection maps great circles to lines, so the body is exactly
-    the spherical polygon over the lifted vertices (x, y) ->
-    normalize(N + x u + y v), one edge per edge of the shape, in the shape's
-    vertex order.  n is accepted for compatibility and ignored: the lift is
-    exact.  A shape past unit size is lifted at its own scale, as
-    normalize(2**-k (N + x u + y v)), where no sum overflows; a smaller one
-    as it stands.
+    A shape from project_to_plane lifts to the body it projected, its own
+    arcs: as they stand when frame is the projection frame (pole, u and v
+    equal), otherwise with centers and starts carried by the rotation from
+    the projection frame to this one.  Any other shape (from a gamma, from
+    vertices, dual_wulff or scaled) is a polygon; central projection maps
+    great circles to lines, so its body is exactly the spherical polygon
+    over the lifted vertices (x, y) -> normalize(N + x u + y v), one edge
+    per edge of the shape, in the shape's vertex order.  n is accepted for
+    compatibility and ignored: the lift is exact.  A shape past unit size is
+    lifted at its own scale, as normalize(2**-k (N + x u + y v)), where no
+    sum overflows; a smaller one as it stands.
 
     The pole N is tried first as the enclosing center (SphericalBody).
     """
+    if shape._source is not None:
+        b, src = shape._source
+        if not all(map(np.array_equal, (src.pole, src.u, src.v),
+                       (frame.pole, frame.u, frame.v))):
+            rot = np.stack([src.u, src.v, src.pole]).T @ np.stack([frame.u, frame.v, frame.pole])
+            rows = np.concatenate([b.centers, b.starts]) @ rot
+            b = Boundary(rows[:len(b.radii)], b.radii, rows[len(b.radii):])
+        return SphericalBody(b, enclosing_center=frame.pole, meta={"kind": "induced"})
     k = max(_unit(shape.vertices)[1], 0)
     x, y = _unit(shape.vertices, k)[0].T
     lifted = normalize(_unit(frame.pole, k)[0] + x[:, None] * frame.u + y[:, None] * frame.v)
@@ -380,8 +406,11 @@ def self_dual_equivalence_report(shape: WulffShape, frame: ProjectionFrame,
     Conditions: constant width pi/2; reduced with thickness pi/2; reduced
     with diameter pi/2; constant diameter pi/2.  Each is a Verdict gated on
     both the property check and the pi/2 value, measured by one
-    metrics.classify of the induced body.  The self-duality gap is the
-    exact Hausdorff distance to the closed-form dual.  Disagreement
+    metrics.classify of the induced body: for a shape from project_to_plane
+    the projected body itself, so a self-dual body meets all four to
+    roundoff.  The self-duality gap is the exact Hausdorff distance from the
+    shape, the sampled image, to its closed-form dual; on a self-dual body
+    it falls as O(1/n**2) with the sample count.  Disagreement
     beyond tolerance slack (one strict pass at <= tol together with one
     failure at > 10*tol) raises InconsistentVerdicts.  dual_n is accepted
     for compatibility and ignored: the dual is exact.

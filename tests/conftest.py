@@ -94,11 +94,14 @@ def mixed_cd_triangle_vertices(a: float, eps: float = 0.0) -> np.ndarray:
 
 
 def cd_induced() -> bd.SphericalBody:
-    """The 720-arc polygon that a constant-diameter triangle induces."""
+    """The 720-arc polygon over the projection of a constant-diameter
+    triangle: its image's vertices, lifted as a vertex-only shape, which
+    keeps no source to lift instead."""
     tri = construct.constant_diameter_triangle(
         np.array([0.6, 0.0, 0.8]), np.array([-0.3, 0.52, 0.8]), np.array([-0.3, -0.52, 0.8]))
     frame = wulff.frame_at(tri.enclosing_center)
-    return wulff.induce_spherical(wulff.project_to_plane(tri, frame, n=720), frame)
+    shape = wulff.WulffShape(wulff.project_to_plane(tri, frame, n=720).vertices)
+    return wulff.induce_spherical(shape, frame)
 
 
 def lens(c1, r1, c2, r2) -> bd.SphericalBody:

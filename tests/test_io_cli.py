@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -253,14 +254,16 @@ class TestRenderSvg:
 
     def test_arcs_drawn_by_sweep(self, tmp_path, cd_triangle):
         # an arc gets its sweep's share of 96 points: a full circle all 96,
-        # each of the 720 short arcs of the body a constant-diameter triangle
-        # induces 2, so a view of it stays under 0.1 MB (1.48 MB at 96 each)
+        # each of the 720 short arcs of the polygon over a constant-diameter
+        # triangle's image 2, so a view of it stays under 0.1 MB (1.48 MB at
+        # 96 each)
         p = tmp_path / "cap.svg"
         render.render_svg(construct.cap(Z, 0.5), Z, str(p))
         boundary = [line for line in p.read_text().splitlines() if 'class="boundary"' in line]
         assert len(boundary) == 1 and boundary[0].count(" L ") == 95
         frame = wulff.frame_at(cd_triangle.enclosing_center)
-        body = wulff.induce_spherical(wulff.project_to_plane(cd_triangle, frame, n=720), frame)
+        shape = wulff.WulffShape(wulff.project_to_plane(cd_triangle, frame, n=720).vertices)
+        body = wulff.induce_spherical(shape, frame)
         assert body.arcs.count == 720
         for view in (frame.pole, -frame.pole, frame.u):
             render.render_svg(body, view, str(p))
@@ -379,6 +382,22 @@ class TestCli:
         assert r.returncode == 1
         assert "self_dual" in r.stdout
         assert "Traceback" not in r.stderr, r.stderr
+
+    @pytest.mark.parametrize("tol", ["1e-6", "1e-4", "0.001"])
+    def test_roundtrip_states_its_tolerance(self, tmp_path, capsys, tol):
+        # the first line names the tolerance decided at, 1e-4 at the least,
+        # as `wulff self-dual` does; the four conditions follow
+        path = str(tmp_path / "tri.json")
+        io.save_body(construct.constant_diameter_triangle(
+            np.array([0.6, 0.0, 0.8]), np.array([-0.3, 0.52, 0.8]),
+            np.array([-0.3, -0.52, 0.8])), path)
+        assert _main(["--tol", tol, "roundtrip", path]) == 0
+        out = capsys.readouterr().out.splitlines()
+        want = f"{max(float(tol), 1e-4):g}"
+        assert re.fullmatch(r"self_dual: True \(gap [0-9.e+-]+, tolerance " + re.escape(want)
+                            + r"\)", out[0]), out
+        assert len(out) == 5 and all(line.split(": ")[1].startswith("True ")
+                                     for line in out[1:]), out
 
     def test_render_and_report_rejection(self, tmp_path):
         r = run_cli("construct", "cap", "--center", "0,0,1", "--rho", "0.5",

@@ -271,10 +271,12 @@ class TestProjection:
 
     @pytest.mark.parametrize("which", ["random_polygon", "cd_triangle"])
     def test_induce_lifts_vertices(self, which, cd_triangle):
+        # a shape built from the image's vertices keeps no source, so it
+        # lifts as the polygon over its lifted vertices
         body = (construct.random_convex_polygon(13, n=7, max_diam=1.0)
                 if which == "random_polygon" else cd_triangle)
         fr = wulff.frame_at(body.enclosing_center)
-        shape = wulff.project_to_plane(body, fr, n=720)
+        shape = wulff.WulffShape(wulff.project_to_plane(body, fr, n=720).vertices)
         induced = wulff.induce_spherical(shape, fr)
         xy = shape.vertices
         lifts = sphere.normalize(fr.pole + xy[:, :1] * fr.u + xy[:, 1:] * fr.v)
@@ -300,6 +302,18 @@ class TestProjection:
         fr = wulff.frame_at(body.enclosing_center)
         shape = wulff.project_to_plane(body, fr, n=720)
         assert all(wulff.self_dual_equivalence_report(shape, fr, tol=1e-4, n=720).booleans)
+
+    @pytest.mark.parametrize("eps", [1e-9, 1.78e-9, 3.16e-9, 5.62e-9, 1e-8])
+    def test_tiny_corner_radius_round_trip_below_1e_8(self, eps):
+        # the polygon over the 720 samples of a corner arc this small has an
+        # edge whose great circle misses its end by over 1e-10; the lift
+        # returns the body's own arcs, so all five conditions hold
+        body = construct.constant_diameter_triangle(*mixed_cd_triangle_vertices(1.0, eps))
+        fr = wulff.frame_at(body.enclosing_center)
+        shape = wulff.project_to_plane(body, fr, n=720)
+        rep = wulff.self_dual_equivalence_report(shape, fr, tol=1e-4, n=720)
+        assert rep.booleans == [True] * 5
+        assert rep.induced_body.arcs.count == len(body.radii)
 
     @pytest.mark.parametrize("a", [0.8, 1.0, 1.3])
     def test_great_arc_projects_to_one_edge(self, a):
@@ -364,7 +378,8 @@ def _lifted(shape, fr):
 
 
 def _roundtrip_shapes():
-    """Projections at their own enclosing centers: eight constant-diameter
+    """Vertex-only shapes over the projections at their own enclosing
+    centers, so that each lifts as a polygon: eight constant-diameter
     triangles and four random polygons of seed 1, then the triangle that the
     CI smoke step projects."""
     rng = np.random.default_rng(1)
@@ -376,7 +391,7 @@ def _roundtrip_shapes():
         np.array([0.6, 0.0, 0.8]), np.array([-0.3, 0.52, 0.8]), np.array([-0.3, -0.52, 0.8])))
     for body in bodies:
         fr = wulff.frame_at(body.enclosing_center)
-        yield wulff.project_to_plane(body, fr, n=720), fr
+        yield wulff.WulffShape(wulff.project_to_plane(body, fr, n=720).vertices), fr
 
 
 class TestInducedCenter:
@@ -432,6 +447,74 @@ class TestInducedCenter:
         assert induced.arcs.count == 4
 
 
+def _lift_cases():
+    """(body, frame) pairs: a constant-diameter triangle, a random polygon,
+    the octant and a triangle with a corner arc of radius 1e-9, each at its
+    own enclosing center."""
+    bodies = {
+        "cd_triangle": construct.constant_diameter_triangle(
+            np.array([0.6, 0.0, 0.8]), np.array([-0.3, 0.52, 0.8]),
+            np.array([-0.3, -0.52, 0.8])),
+        "random_polygon": construct.random_convex_polygon(13, n=7, max_diam=1.0),
+        "octant": bd.polygon_from_vertices(np.eye(3)),
+        "tiny_corner": construct.constant_diameter_triangle(
+            *mixed_cd_triangle_vertices(1.0, 1e-9)),
+    }
+    return {k: (b, wulff.frame_at(b.enclosing_center)) for k, b in bodies.items()}
+
+
+LIFT_CASES = ["cd_triangle", "random_polygon", "octant", "tiny_corner"]
+
+
+class TestExactLift:
+    @pytest.mark.parametrize("which", LIFT_CASES)
+    def test_own_frame_returns_the_body(self, which):
+        body, fr = _lift_cases()[which]
+        induced = wulff.induce_spherical(wulff.project_to_plane(body, fr, n=720), fr)
+        for got, want in zip((induced.centers, induced.radii, induced.starts),
+                             (body.centers, body.radii, body.starts)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(induced.enclosing_center, fr.pole)
+        assert induced.meta == {"kind": "induced"}
+
+    @pytest.mark.parametrize("which", LIFT_CASES[:3])
+    def test_other_frame_rotates_the_body(self, which):
+        # a second pole inside the body, and the projection pole with its
+        # tangent basis turned a quarter: the lift is the body carried by the
+        # rotation that takes the projection frame to the lifting one.  Not
+        # the tiny corner: its polar dual takes tangents off an arc of radius
+        # 1e-9, which scale the rotation's roundoff by 1e9
+        body, fr = _lift_cases()[which]
+        shape = wulff.project_to_plane(body, fr, n=720)
+        tilted = wulff.frame_at(sphere.normalize(fr.pole + 0.02 * fr.u - 0.01 * fr.v))
+        turned = wulff.ProjectionFrame(pole=fr.pole, u=fr.v, v=-fr.u)
+        for other in (tilted, turned):
+            assert body.refusal(other.pole) is None
+            rot = np.column_stack([other.u, other.v, other.pole]) @ np.stack([fr.u, fr.v, fr.pole])
+            induced = wulff.induce_spherical(shape, other)
+            assert np.array_equal(induced.radii, body.radii)
+            assert induced.centers.shape == body.centers.shape
+            assert np.max(np.abs(induced.centers - body.centers @ rot.T)) <= 1e-15
+            assert np.max(np.abs(induced.starts - body.starts @ rot.T)) <= 1e-15
+            assert np.array_equal(induced.enclosing_center, other.pole)
+
+    def test_sourceless_shapes_lift_as_polygons(self):
+        # only the shape project_to_plane returns keeps its source: a shape
+        # from a gamma, from the image's vertices, its dual and its multiple
+        # lift as the polygons over their lifted vertices
+        body, fr = _lift_cases()["cd_triangle"]
+        shape = wulff.project_to_plane(body, fr, n=720)
+        assert wulff.induce_spherical(shape, fr).arcs.count == 6
+        theta = 2 * math.pi * np.arange(360) / 360
+        gamma = wulff.GammaFn(theta, 1.0 + 0.05 * np.cos(3 * theta))
+        for other in (wulff.wulff_shape(gamma), wulff.WulffShape(shape.vertices),
+                      wulff.dual_wulff(shape), shape.scaled(0.5)):
+            induced = wulff.induce_spherical(other, fr)
+            assert induced.is_polygon and induced.arcs.count == len(other.vertices)
+            lifts = _lifted(other, fr)
+            assert np.max(np.abs(induced.vertices - np.roll(lifts, -1, axis=0))) <= 1e-15
+
+
 class TestSelfDualReport:
     def test_disk_all_true(self, disk):
         rep = wulff.self_dual_equivalence_report(disk, wulff.frame_at(Z),
@@ -451,6 +534,10 @@ class TestSelfDualReport:
         rep = wulff.self_dual_equivalence_report(shape, fr, tol=1e-4, n=720,
                                                  dual_n=2880)
         assert rep.booleans == [True] * 5
+        # the conditions are read off the body's own 6 arcs, to roundoff;
+        # the gap stays that of the sampled image
+        assert rep.induced_body.arcs.count == 6
+        assert max(v.deviation for v in rep.four_conditions.values()) <= 1e-12
 
     def test_octant_projection_self_dual(self, octant):
         # the projected octant is a triangle with corners, exactly self-dual
