@@ -238,8 +238,13 @@ class _Arcs:
         counterclockwise, from one lookup (vectorized); at a junction, of
         the arc that starts there."""
         idx, t = self._locate(s)
-        cos_t, sin_t = np.cos(t)[:, None], np.sin(t)[:, None]
-        return self._point(idx, t), cos_t * self.v0.take(idx, 0) - sin_t * self.u0.take(idx, 0)
+        return self._point(idx, t), self._tangent(idx, t)
+
+    def _tangent(self, idx, t):
+        """The unit tangent, counterclockwise, at angle t along arc idx
+        (vectorized), of that arc even at its end."""
+        t = np.asarray(t, dtype=float)[..., None]
+        return np.cos(t) * self.v0.take(idx, 0) - np.sin(t) * self.u0.take(idx, 0)
 
     def _point(self, idx, t):
         """The point at angle t along arc idx (vectorized, t broadcast to

@@ -218,11 +218,12 @@ def _run(args) -> int:
         body = io.load_body(args.body)
         frame = wulff.frame_at(body.enclosing_center)
         shape = wulff.project_to_plane(body, frame, n=n)
-        # the gap is that of the sampled image, O(1/n**2) on a self-dual body
+        # the gap is that of the sampled image, O(1/n**2) on a self-dual body,
+        # and is stated with the bound on its sampling error
         tol = max(tol, 1e-4)
         report = wulff.self_dual_equivalence_report(shape, frame, tol=tol, n=n)
-        print(f"self_dual: {report.self_dual} "
-              f"(gap {report.hausdorff_gap:.3g}, tolerance {tol:g})")
+        print(f"self_dual: {report.self_dual} (gap {report.hausdorff_gap:.3g} "
+              f"+/- {report.gap_error:.3g}, tolerance {tol:g})")
         for name, verdict in report.four_conditions.items():
             print(f"{name}: {verdict.passed} (deviation {verdict.deviation:.3g})")
         return 0 if all(report.booleans) else 1

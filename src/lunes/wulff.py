@@ -10,17 +10,18 @@ and back; it maps great circles to lines, so a polygon lifts exactly to the
 spherical polygon over its lifted vertices.  A body projects, about a pole
 inside it, to its boundary samples in boundary order, one point per great
 arc: the image is convex as it stands, and no hull is taken.  The image
-keeps the body and the frame it came from, and lifts back to that body's
-own arcs, not to the polygon over its samples.  That turns the
-self-duality question into width/diameter checks on the sphere, run on the
-body itself; the equivalence report runs all five checks and treats any
-disagreement as an internal error.  Self-duality gaps are exact polygon
-Hausdorff distances, taken from the two support functions over the merged
-edge-normal angles in O((m + k) log(m + k)) for polygons of m and k
-vertices.  One scale rule: each planar computation runs on its input
-scaled by a power of two (_unit), exact in the normal range, and scales
-its result back, so W(2^j gamma) = 2^j W(gamma) bit for bit and no product
-leaves the float range.
+keeps the body it came from, the frame, and a bound on how far the body's
+exact image reaches past the samples' polygon; in that frame it lifts back
+to the body's own arcs.  That turns the self-duality question into
+width/diameter checks on the sphere, run on the body itself; the
+equivalence report runs all five checks and treats any disagreement beyond
+what tolerance and sampling allow as an internal error.  Self-duality gaps
+are exact polygon Hausdorff distances, taken from the two support
+functions over the merged edge-normal angles in O((m + k) log(m + k)) for
+polygons of m and k vertices.  One scale rule: each planar computation
+runs on its input scaled by a power of two (_unit), exact in the normal
+range, and scales its result back, so W(2^j gamma) = 2^j W(gamma) bit for
+bit and no product leaves the float range.
 """
 
 from __future__ import annotations
@@ -85,12 +86,13 @@ class WulffShape:
     or fail together.  A shape below the normal float range is refused, as
     its vertices hold only a subnormal's digits.  Edge normals and offsets
     are derived at construction.  A shape that project_to_plane returns
-    also keeps the body it projected and the frame (_source), which
-    induce_spherical lifts in place of the vertices; every other shape has
-    none.
+    also keeps the body it projected, the frame and the image's sampling
+    error (_source); in that frame induce_spherical lifts the body in place
+    of the vertices.  Every other shape has none, so two shapes with equal
+    vertices can lift to different bodies.
     """
 
-    _source = None  # (Boundary, ProjectionFrame), set by project_to_plane
+    _source = None  # (Boundary, ProjectionFrame, float), set by project_to_plane
 
     def __init__(self, vertices):
         verts = np.atleast_2d(np.asarray(vertices, dtype=float))
@@ -326,9 +328,16 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
     must be one the body accepts as its enclosing center
     (SphericalBody.refusal): NotInHemisphere or PoleNotInterior otherwise.
 
-    The shape keeps the body's boundary arrays and the frame as its source,
-    so induce_spherical returns the body's own arcs, not the polygon over
-    the samples (Han and Nishimura, J. Math. Soc. Japan 69, 2017).
+    The shape keeps the body's boundary arrays, the frame and the image's
+    sampling error as its source, so in that frame induce_spherical returns
+    the body's own arcs, not the polygon over the samples (Han and
+    Nishimura, J. Math. Soc. Japan 69, 2017).  Every piece of curve between
+    two samples lies on one arc, and its image is a convex arc inside the
+    triangle that the chord cuts off the two end tangents, of height
+    |c| / (cot a + cot b) over a chord c at angles a and b to them (none
+    when a + b reaches pi); a great arc's piece is its chord.  So the exact
+    image reaches at most the largest height past the samples' polygon,
+    which is the sampling error.
     """
     refused = body.refusal(frame.pole)
     if refused is not None:
@@ -338,39 +347,62 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
     s = arcs.sample_params(max(n, arcs.count))
     arc, t = arcs._locate(s)
     keep = (arcs.radii[arc] < HALF_PI) | (t == 0.0)
-    pts = arcs._point(arc[keep], t[keep])
+    arc, t = arc[keep], t[keep]
+    pts = arcs._point(arc, t)
     w = pts @ frame.pole
-    shape = WulffShape(np.column_stack([pts @ frame.u / w, pts @ frame.v / w]))
-    shape._source = (Boundary(body.centers, body.radii, body.starts), frame)
+    xy = np.column_stack([pts @ frame.u / w, pts @ frame.v / w])
+    shape = WulffShape(xy)
+    # each piece runs from its sample to the next, on its arc or at its end
+    nxt = _rolled(t)
+    end = np.where((_rolled(arc) == arc) & (nxt > t), nxt, arcs.sweeps[arc])
+    chord = _rolled(xy) - xy
+    tangents = _image_tangent(arcs, np.tile(arc, 2), np.concatenate([t, end]),
+                              np.concatenate([pts, _rolled(pts)]), frame)
+    cot = _cot_to(np.tile(chord, (2, 1)), tangents).reshape(2, -1).sum(axis=0)
+    # a piece that turns by pi or more has no such triangle: no bound
+    with np.errstate(divide="ignore"):
+        sag = np.where(cot > 0.0, np.hypot(*chord.T) / cot, np.inf)
+    sag[arcs.radii[arc] >= HALF_PI] = 0.0
+    shape._source = (Boundary(body.centers, body.radii, body.starts), frame, float(sag.max()))
     return shape
+
+
+def _image_tangent(arcs, idx, t, p, frame: ProjectionFrame) -> np.ndarray:
+    """A tangent, of any length, to the image of arc idx at angle t, its
+    point p: the derivative of (p.u / p.N, p.v / p.N) times (p.N)**2."""
+    d = arcs._tangent(idx, t)
+    basis = np.column_stack([frame.u, frame.v, frame.pole])
+    (pu, pv, pn), (du, dv, dn) = (p @ basis).T, (d @ basis).T
+    return np.column_stack([du * pn - pu * dn, dv * pn - pv * dn])
+
+
+def _cot_to(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cotangent of the unsigned angle between the rows of a and b: inf when
+    they are parallel, so that a straight piece has height 0."""
+    with np.errstate(divide="ignore"):
+        return np.sum(a * b, axis=1) / np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
 
 
 def induce_spherical(shape: WulffShape, frame: ProjectionFrame,
                      n: int = 720) -> SphericalBody:
     """Spherical body induced by the shape: inverse central projection.
 
-    A shape from project_to_plane lifts to the body it projected, its own
-    arcs: as they stand when frame is the projection frame (pole, u and v
-    equal), otherwise with centers and starts carried by the rotation from
-    the projection frame to this one.  Any other shape (from a gamma, from
-    vertices, dual_wulff or scaled) is a polygon; central projection maps
-    great circles to lines, so its body is exactly the spherical polygon
-    over the lifted vertices (x, y) -> normalize(N + x u + y v), one edge
-    per edge of the shape, in the shape's vertex order.  n is accepted for
-    compatibility and ignored: the lift is exact.  A shape past unit size is
-    lifted at its own scale, as normalize(2**-k (N + x u + y v)), where no
-    sum overflows; a smaller one as it stands.
+    A shape from project_to_plane, lifted in its projection frame (pole, u
+    and v equal), is the body it projected: its own arcs.  Any other shape
+    (from a gamma, from vertices, dual_wulff or scaled), or that shape in
+    another frame, is a polygon; central projection maps great circles to
+    lines, so its body is exactly the spherical polygon over the lifted
+    vertices (x, y) -> normalize(N + x u + y v), one edge per edge of the
+    shape, in the shape's vertex order.  n is accepted for compatibility
+    and ignored: the lift is exact.  A shape past unit size is lifted at its
+    own scale, as normalize(2**-k (N + x u + y v)), where no sum overflows;
+    a smaller one as it stands.
 
     The pole N is tried first as the enclosing center (SphericalBody).
     """
-    if shape._source is not None:
-        b, src = shape._source
-        if not all(map(np.array_equal, (src.pole, src.u, src.v),
-                       (frame.pole, frame.u, frame.v))):
-            rot = np.stack([src.u, src.v, src.pole]).T @ np.stack([frame.u, frame.v, frame.pole])
-            rows = np.concatenate([b.centers, b.starts]) @ rot
-            b = Boundary(rows[:len(b.radii)], b.radii, rows[len(b.radii):])
-        return SphericalBody(b, enclosing_center=frame.pole, meta={"kind": "induced"})
+    source = _source_in(shape, frame)
+    if source is not None:
+        return SphericalBody(source[0], enclosing_center=frame.pole, meta={"kind": "induced"})
     k = max(_unit(shape.vertices)[1], 0)
     x, y = _unit(shape.vertices, k)[0].T
     lifted = normalize(_unit(frame.pole, k)[0] + x[:, None] * frame.u + y[:, None] * frame.v)
@@ -379,19 +411,31 @@ def induce_spherical(shape: WulffShape, frame: ProjectionFrame,
     return body
 
 
+def _source_in(shape: WulffShape, frame: ProjectionFrame):
+    """The shape's source when frame is the one it was projected in, else None."""
+    src = shape._source
+    if src is not None and all(map(np.array_equal, (src[1].pole, src[1].u, src[1].v),
+                                   (frame.pole, frame.u, frame.v))):
+        return src
+    return None
+
+
 @dataclass
 class DualityReport:
     """Self-duality verdict plus the four equivalent spherical conditions.
 
     The five booleans (self_dual and the four conditions) must agree; a
     strict pass coexisting with a hard failure raises InconsistentVerdicts
-    upstream rather than being resolved silently.
+    upstream rather than being resolved silently.  gap_error bounds how far
+    hausdorff_gap, the samples' gap, can sit from that of the body's exact
+    image: 0 for a polygon, which its samples are.
     """
 
     self_dual: bool
     hausdorff_gap: float
     four_conditions: dict = field(default_factory=dict)
     induced_body: SphericalBody | None = None
+    gap_error: float = 0.0
 
     @property
     def booleans(self) -> list[bool]:
@@ -406,16 +450,26 @@ def self_dual_equivalence_report(shape: WulffShape, frame: ProjectionFrame,
     Conditions: constant width pi/2; reduced with thickness pi/2; reduced
     with diameter pi/2; constant diameter pi/2.  Each is a Verdict gated on
     both the property check and the pi/2 value, measured by one
-    metrics.classify of the induced body: for a shape from project_to_plane
-    the projected body itself, so a self-dual body meets all four to
-    roundoff.  The self-duality gap is the exact Hausdorff distance from the
-    shape, the sampled image, to its closed-form dual; on a self-dual body
-    it falls as O(1/n**2) with the sample count.  Disagreement
-    beyond tolerance slack (one strict pass at <= tol together with one
-    failure at > 10*tol) raises InconsistentVerdicts.  dual_n is accepted
-    for compatibility and ignored: the dual is exact.
+    metrics.classify of the induced body: for a shape from project_to_plane,
+    in its own frame, the projected body itself, so a self-dual body meets
+    all four to roundoff.  The self-duality gap is the exact Hausdorff
+    distance from the shape, the sampled image, to its closed-form dual.
+    For such a shape the exact image W lies within the sampling error h of
+    the shape P, and P in W; so the supports differ by at most h, the
+    radial functions of the duals (the reciprocal supports) by at most
+    h / rho**2, rho being P's least offset, and the gap of W lies within
+    gap_error = h (1 + 1 / rho**2) of the shape's.  self_dual passes when
+    gap - gap_error <= tol: at a sample count too coarse to tell, a body
+    whose conditions fail can read self-dual, but a self-dual body always
+    does.  Disagreement beyond tolerance slack (one strict pass, at <= tol,
+    together with one failure at > 10*tol, the gap taken at its worst for
+    each) raises InconsistentVerdicts.  dual_n is accepted for
+    compatibility and ignored: the dual is exact.
     """
-    sd, gap = is_self_dual(shape, tol=tol)
+    gap = is_self_dual(shape, tol=tol)[1]
+    source = _source_in(shape, frame)
+    err = 0.0 if source is None else source[2] * (1.0 + 1.0 / float(shape.offsets.min()) ** 2)
+    sd = bool(gap - err <= tol)
     body = induce_spherical(shape, frame)
     rep = classify(body, tol=tol, n=n)
     th, dm, cw, cd, red = (rep.thickness, rep.diameter, rep.constant_width,
@@ -435,17 +489,18 @@ def self_dual_equivalence_report(shape: WulffShape, frame: ProjectionFrame,
         "reduced_diameter_half_pi": gated("self_dual_aux", red, dm.value),
         "constant_diameter_half_pi": gated("self_dual_aux", cd, dm.value),
     }
-    report = DualityReport(self_dual=sd, hausdorff_gap=gap,
-                           four_conditions=conditions, induced_body=body)
-    devs = [gap] + [v.deviation for v in conditions.values()]
+    report = DualityReport(self_dual=sd, hausdorff_gap=gap, four_conditions=conditions,
+                           induced_body=body, gap_error=err)
+    devs = [v.deviation for v in conditions.values()]
     flags = [sd] + [v.passed for v in conditions.values()]
     if any(flags) and not all(flags):
-        strict_pass = any(f and d <= tol for f, d in zip(flags, devs))
-        hard_fail = any((not f) and d > 10.0 * tol for f, d in zip(flags, devs))
+        strict_pass = any(f and d <= tol for f, d in zip(flags, [gap + err] + devs))
+        hard_fail = any((not f) and d > 10.0 * tol
+                        for f, d in zip(flags, [gap - err] + devs))
         if strict_pass and hard_fail:
             raise InconsistentVerdicts(
                 "equivalent self-duality conditions disagree: "
                 + ", ".join(f"{k}={v.passed} (dev {v.deviation:.3g})"
                             for k, v in conditions.items())
-                + f", self_dual={sd} (gap {gap:.3g})")
+                + f", self_dual={sd} (gap {gap:.3g} +/- {err:.3g})")
     return report

@@ -385,8 +385,9 @@ class TestCli:
 
     @pytest.mark.parametrize("tol", ["1e-6", "1e-4", "0.001"])
     def test_roundtrip_states_its_tolerance(self, tmp_path, capsys, tol):
-        # the first line names the tolerance decided at, 1e-4 at the least,
-        # as `wulff self-dual` does; the four conditions follow
+        # the first line names the gap with its sampling error and the
+        # tolerance decided at, 1e-4 at the least, as `wulff self-dual`
+        # does; the four conditions follow
         path = str(tmp_path / "tri.json")
         io.save_body(construct.constant_diameter_triangle(
             np.array([0.6, 0.0, 0.8]), np.array([-0.3, 0.52, 0.8]),
@@ -394,8 +395,24 @@ class TestCli:
         assert _main(["--tol", tol, "roundtrip", path]) == 0
         out = capsys.readouterr().out.splitlines()
         want = f"{max(float(tol), 1e-4):g}"
-        assert re.fullmatch(r"self_dual: True \(gap [0-9.e+-]+, tolerance " + re.escape(want)
-                            + r"\)", out[0]), out
+        assert re.fullmatch(r"self_dual: True \(gap [0-9.e+-]+ \+/- [0-9.e+-]+, tolerance "
+                            + re.escape(want) + r"\)", out[0]), out
+        assert len(out) == 5 and all(line.split(": ")[1].startswith("True ")
+                                     for line in out[1:]), out
+
+    @pytest.mark.parametrize("samples", ["64", "200"])
+    def test_roundtrip_coarse_samples(self, tmp_path, capsys, samples):
+        # fewer samples leave the gap over tol, but within its sampling
+        # error: all five conditions still hold, and the command passes
+        path = str(tmp_path / "tri.json")
+        io.save_body(construct.constant_diameter_triangle(
+            np.array([0.6, 0.0, 0.8]), np.array([-0.3, 0.52, 0.8]),
+            np.array([-0.3, -0.52, 0.8])), path)
+        assert _main(["--samples", samples, "roundtrip", path]) == 0
+        out = capsys.readouterr().out.splitlines()
+        gap, err = map(float, re.fullmatch(
+            r"self_dual: True \(gap (\S+) \+/- (\S+), tolerance 0.0001\)", out[0]).groups())
+        assert 1e-4 < gap <= err
         assert len(out) == 5 and all(line.split(": ")[1].startswith("True ")
                                      for line in out[1:]), out
 

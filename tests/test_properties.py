@@ -1227,6 +1227,25 @@ def test_report_raises_on_disagreeing_verdicts(octant, monkeypatch):
         wulff.self_dual_equivalence_report(shape, fr, tol=1e-4, n=720)
 
 
+
+def test_report_raises_when_the_gap_bound_passes_strictly(cd_triangle, monkeypatch):
+    # at tol 1e-3 the sampled gap plus its sampling error is below tol, so
+    # the exact image is within tol of self-dual: a strict pass, which a
+    # constant width verdict failing far beyond tolerance contradicts
+    original = metrics.is_constant_width
+
+    def failing_width(body, tol=1e-6, n=720):
+        verdict = original(body, tol=tol, n=n)
+        return replace(verdict, passed=False, deviation=1.0)
+
+    fr = wulff.frame_at(cd_triangle.enclosing_center)
+    shape = wulff.project_to_plane(cd_triangle, fr, n=720)
+    rep = wulff.self_dual_equivalence_report(shape, fr, tol=1e-3, n=720)
+    assert 0.0 < rep.gap_error and rep.hausdorff_gap + rep.gap_error <= 1e-3
+    monkeypatch.setattr(metrics, "is_constant_width", failing_width)
+    with pytest.raises(InconsistentVerdicts):
+        wulff.self_dual_equivalence_report(shape, fr, tol=1e-3, n=720)
+
 # -- bodies: polar dual, persistence, validation --------------------------------
 
 

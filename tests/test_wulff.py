@@ -478,24 +478,25 @@ class TestExactLift:
         assert induced.meta == {"kind": "induced"}
 
     @pytest.mark.parametrize("which", LIFT_CASES[:3])
-    def test_other_frame_rotates_the_body(self, which):
+    def test_other_frame_lifts_the_polygon(self, which):
         # a second pole inside the body, and the projection pole with its
-        # tangent basis turned a quarter: the lift is the body carried by the
-        # rotation that takes the projection frame to the lifting one.  Not
-        # the tiny corner: its polar dual takes tangents off an arc of radius
-        # 1e-9, which scale the rotation's roundoff by 1e9
+        # tangent basis turned a quarter: the source is the body as seen
+        # from the projection frame only, so in these the shape lifts as
+        # the polygon over its lifted vertices, as a vertex-only shape does.
+        # Not the tiny corner: that polygon's edges over a corner arc of
+        # radius 1e-9 miss their ends by over 1e-10
         body, fr = _lift_cases()[which]
         shape = wulff.project_to_plane(body, fr, n=720)
         tilted = wulff.frame_at(sphere.normalize(fr.pole + 0.02 * fr.u - 0.01 * fr.v))
         turned = wulff.ProjectionFrame(pole=fr.pole, u=fr.v, v=-fr.u)
         for other in (tilted, turned):
             assert body.refusal(other.pole) is None
-            rot = np.column_stack([other.u, other.v, other.pole]) @ np.stack([fr.u, fr.v, fr.pole])
             induced = wulff.induce_spherical(shape, other)
-            assert np.array_equal(induced.radii, body.radii)
-            assert induced.centers.shape == body.centers.shape
-            assert np.max(np.abs(induced.centers - body.centers @ rot.T)) <= 1e-15
-            assert np.max(np.abs(induced.starts - body.starts @ rot.T)) <= 1e-15
+            polygon = wulff.induce_spherical(wulff.WulffShape(shape.vertices), other)
+            assert induced.is_polygon and induced.arcs.count == len(shape.vertices)
+            for got, want in zip((induced.centers, induced.radii, induced.starts),
+                                 (polygon.centers, polygon.radii, polygon.starts)):
+                assert np.array_equal(got, want)
             assert np.array_equal(induced.enclosing_center, other.pole)
 
     def test_sourceless_shapes_lift_as_polygons(self):
@@ -538,6 +539,65 @@ class TestSelfDualReport:
         # the gap stays that of the sampled image
         assert rep.induced_body.arcs.count == 6
         assert max(v.deviation for v in rep.four_conditions.values()) <= 1e-12
+
+    @pytest.mark.parametrize("n", [64, 200])
+    def test_cd_triangle_coarse_samples(self, cd_triangle, n):
+        # the samples' gap exceeds tol here, but lies within the bound on its
+        # sampling error, so the image can be self-dual; the conditions say
+        # it is, and all five agree
+        fr = wulff.frame_at(cd_triangle.enclosing_center)
+        shape = wulff.project_to_plane(cd_triangle, fr, n=n)
+        rep = wulff.self_dual_equivalence_report(shape, fr, tol=1e-4, n=n)
+        assert rep.booleans == [True] * 5
+        assert 1e-4 < rep.hausdorff_gap <= rep.gap_error
+        assert max(v.deviation for v in rep.four_conditions.values()) <= 1e-12
+
+    @pytest.mark.parametrize("r", [0.6, math.pi / 4 + 1e-3, 1.0])
+    def test_gap_error_bounds_the_exact_image(self, r):
+        # a cap of radius r projects about its center to the disk of radius
+        # R = tan r, whose dual is the disk of radius 1 / R: the exact gap is
+        # |R - 1 / R|, and each sampled gap lies within its stated error
+        body = construct.cap(Z, r)
+        fr = wulff.frame_at(Z)
+        exact = abs(math.tan(r) - 1.0 / math.tan(r))
+        for n in (8, 16, 64, 200, 720):
+            rep = wulff.self_dual_equivalence_report(wulff.project_to_plane(body, fr, n=n), fr,
+                                                     tol=1e-4, n=720)
+            assert 0.0 < rep.gap_error < math.inf
+            assert abs(rep.hausdorff_gap - exact) <= rep.gap_error
+
+    def test_gap_error_falls_with_the_samples(self, cd_triangle):
+        # the sampling error is a chord's sag: a quarter for twice the samples
+        fr = wulff.frame_at(cd_triangle.enclosing_center)
+        errs = [wulff.self_dual_equivalence_report(
+            wulff.project_to_plane(cd_triangle, fr, n=n), fr, tol=1e-4, n=720).gap_error
+                for n in (720, 1440)]
+        assert errs[1] == pytest.approx(errs[0] / 4, rel=0.1)
+
+    def test_coarse_samples_cannot_exclude(self):
+        # a cap just wider than pi/4 is not self-dual; at 16 samples its
+        # gap, 0.004 exactly, hides under the sampling error, so self_dual
+        # reads True beside four failing conditions, without an error; at
+        # 720 the gap excludes it and all five fail
+        body = construct.cap(Z, math.pi / 4 + 1e-3)
+        fr = wulff.frame_at(Z)
+        coarse, fine = (wulff.self_dual_equivalence_report(
+            wulff.project_to_plane(body, fr, n=n), fr, tol=1e-4, n=720) for n in (16, 720))
+        assert coarse.booleans == [True] + [False] * 4
+        assert coarse.hausdorff_gap + coarse.gap_error > 1e-4
+        assert fine.booleans == [False] * 5
+
+    @pytest.mark.parametrize("which", ["random_polygon", "octant"])
+    def test_polygon_gap_is_exact(self, which):
+        # a polygon's image is a polygon, its samples: no sampling error
+        body, fr = _lift_cases()[which]
+        shape = wulff.project_to_plane(body, fr, n=720)
+        rep = wulff.self_dual_equivalence_report(shape, fr, tol=1e-4, n=720)
+        assert rep.gap_error == 0.0
+        vertex_only = wulff.self_dual_equivalence_report(wulff.WulffShape(shape.vertices), fr,
+                                                         tol=1e-4, n=720)
+        assert vertex_only.gap_error == 0.0
+        assert rep.booleans == vertex_only.booleans
 
     def test_octant_projection_self_dual(self, octant):
         # the projected octant is a triangle with corners, exactly self-dual
