@@ -188,6 +188,10 @@ class _Arcs:
     such a window is no cheaper than the pruned query).  Otherwise, or on
     at most _BLOCK arcs, it is far_point, as is a profile of fewer than
     2 _STRIDE samples: one of its runs spans half the perimeter, at least D.
+
+    A table computes each sampling once per count (samples), and keeps it
+    and the results of metrics in memo while it lives: a body and the
+    copies that share its table share them.
     """
 
     def __init__(self, b: Boundary):
@@ -219,6 +223,15 @@ class _Arcs:
         self.cum = np.concatenate([[0.0], np.cumsum(self.lengths)])
         self.total = float(self.cum[-1])
         self.count = len(sweeps)
+        self._memo = {}
+
+    def memo(self, key, compute):
+        """compute(), once per key on this table, kept while the table lives:
+        samples here, and the profiles, diameters and checked widths of
+        metrics."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     def _locate(self, s):
         """The arc holding each cumulative arc-length parameter s, and the
@@ -286,9 +299,23 @@ class _Arcs:
         k = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
         return self.cum[arc] + self.lengths[arc] * k / counts[arc]
 
+    def samples(self, n: int):
+        """sample_params(n), the arc and the angle along it of each sample
+        (_locate), and its point, read-only, computed once per count: every
+        sampling of the table reads this copy."""
+        def compute():
+            params = self.sample_params(n)
+            arc, t = self._locate(params)
+            out = (params, arc, t, self._point(arc, t))
+            for a in out:
+                a.flags.writeable = False
+            return out
+        return self.memo(("samples", n), compute)
+
     def sample_points(self, n: int):
-        params = self.sample_params(n)
-        return params, self.point_at(params)
+        """samples(n)'s parameters and points, read-only."""
+        params, _, _, pts = self.samples(n)
+        return params, pts
 
     def sample_far(self, n: int):
         """sample_points(n) and each sample's farthest point, by the walk
@@ -507,7 +534,9 @@ class SphericalBody:
     The boundary is held in `centers`, `radii` and `starts` (read-only
     arrays; arc i ends at the start of arc i + 1, so each junction is stored
     once), the polar dual boundary in `dual_boundary`, and the arc tables of
-    both in `arcs` and `dual_arcs`.
+    both in `arcs` and `dual_arcs`.  None of them is written after
+    construction, so a shallow copy with another accepted enclosing center
+    shares them all (induce_spherical).
     """
 
     def __init__(self, boundary: Boundary, enclosing_center=None, meta=None):

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -39,9 +38,6 @@ MAX_PROBES = 64          # reduced_check probes at most this many corners
 _SCAN = (3, 33)          # lune-search samples per probed corner: fewest, most
 _ARG_TOL = 1e-12         # _climb stops at brackets this narrow (arc length)
 _FLAT = 1e-14            # _climb reads slopes this small as zero (roundoff)
-
-# per arc table, what _memo computed: profiles, diameters and checked widths
-_MEMO: WeakKeyDictionary = WeakKeyDictionary()
 
 
 @dataclass
@@ -106,14 +102,6 @@ def _tolerance(tol) -> None:
         raise InvalidSpec(f"tolerance must be at least 0, got {tol!r}")
 
 
-def _memo(arcs, key, compute):
-    """compute(), once per arc table and key, kept while the table lives."""
-    memo = _MEMO.setdefault(arcs, {})
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
-
-
 def _profile(arcs, n):
     """(params, points, farthest distances, farthest points) of max(n, arc
     count, 8) samples of the curve (every junction among them), read-only,
@@ -127,7 +115,7 @@ def _profile(arcs, n):
         for a in out:
             a.flags.writeable = False
         return out
-    return _memo(arcs, ("profile", n), compute)
+    return arcs.memo(("profile", n), compute)
 
 
 def _climb(fn, grid, j, val, g):
@@ -209,7 +197,7 @@ def _curve_diameter(arcs, n):
             q = arcs.far_point(p)[0]
             p.flags.writeable = q.flags.writeable = False
         return float(dist(p, q)), p, q
-    return _memo(arcs, ("diameter", _resolution(n)), compute)
+    return arcs.memo(("diameter", _resolution(n)), compute)
 
 
 def _checked_width(k, kp) -> float:
@@ -252,7 +240,7 @@ def thickness(body: SphericalBody, n: int = 720) -> ThicknessResult:
     per dual table and resolution.
     """
     _, k, kp = _curve_diameter(body.dual_arcs, n)
-    width = _memo(body.dual_arcs, ("thickness", _resolution(n)), lambda: _checked_width(k, kp))
+    width = body.dual_arcs.memo(("thickness", _resolution(n)), lambda: _checked_width(k, kp))
     return ThicknessResult(value=width, witness=WidthSample(k, width, kp))
 
 

@@ -12,7 +12,8 @@ inside it, to its boundary samples in boundary order, one point per great
 arc: the image is convex as it stands, and no hull is taken.  The image
 keeps the body it came from, the frame, and a bound on how far the body's
 exact image reaches past the samples' polygon; in that frame it lifts back
-to the body's own arcs.  That turns the self-duality question into
+to that body, seen from the pole, with its validated arrays and arc tables
+shared, not rebuilt.  That turns the self-duality question into
 width/diameter checks on the sphere, run on the body itself; the
 equivalence report runs all five checks and treats any disagreement beyond
 what tolerance and sampling allow as an internal error.  Self-duality gaps
@@ -26,18 +27,19 @@ bit and no product leaves the float range.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .body import (HALF_PI, TWO_PI, Boundary, SphericalBody, _rolled, hull_scan,
+from .body import (HALF_PI, TWO_PI, SphericalBody, _rolled, hull_scan,
                    polygon_from_vertices)
 from .errors import (DegenerateHull, EmptyInterior, InconsistentVerdicts,
                      InvalidSpec, InvariantViolation, NotInHemisphere,
                      PoleNotInterior)
 from .metrics import Verdict, classify
-from .sphere import normalize, orthonormal_frame
+from .sphere import norm, normalize, orthonormal_frame
 
 # max|x| is below the least normal float exactly when _unit's k is below this
 _TINY_EXP = int(np.frexp(np.finfo(float).tiny)[1])
@@ -92,7 +94,7 @@ class WulffShape:
     vertices can lift to different bodies.
     """
 
-    _source = None  # (Boundary, ProjectionFrame, float), set by project_to_plane
+    _source = None  # (SphericalBody, ProjectionFrame, float), set by project_to_plane
 
     def __init__(self, vertices):
         verts = np.atleast_2d(np.asarray(vertices, dtype=float))
@@ -303,12 +305,21 @@ class ProjectionFrame:
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=float))
         gram = np.stack([self.u, self.v, self.pole])
-        if np.max(np.abs(gram @ gram.T - np.eye(3))) > 1e-12:
+        with np.errstate(invalid="ignore"):  # inf * 0 in a non-finite basis
+            off = np.max(np.abs(gram @ gram.T - np.eye(3)))
+        if not off <= 1e-12:  # NaN too
             raise InvalidSpec("frame basis not orthonormal")
 
 
 def frame_at(pole) -> ProjectionFrame:
-    n = normalize(np.asarray(pole, dtype=float))
+    """The frame at pole, normalized, with orthonormal_frame's tangent basis.
+    InvalidSpec for a pole that is not a finite nonzero 3-vector."""
+    p = np.asarray(pole, dtype=float)
+    with np.errstate(over="ignore"):  # a norm past the float range reads inf
+        length = float(norm(p)) if p.shape == (3,) else math.nan
+    if not 1e-15 <= length < math.inf:  # NaN too
+        raise InvalidSpec(f"projection pole must be a finite nonzero 3-vector, got {pole!r}")
+    n = normalize(p)
     u, v = orthonormal_frame(n)
     return ProjectionFrame(pole=n, u=u, v=v)
 
@@ -328,10 +339,11 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
     must be one the body accepts as its enclosing center
     (SphericalBody.refusal): NotInHemisphere or PoleNotInterior otherwise.
 
-    The shape keeps the body's boundary arrays, the frame and the image's
-    sampling error as its source, so in that frame induce_spherical returns
-    the body's own arcs, not the polygon over the samples (Han and
-    Nishimura, J. Math. Soc. Japan 69, 2017).  Every piece of curve between
+    The samples are the arc table's own (_Arcs.samples), which the body's
+    profiles read too.  The shape keeps the body itself, the frame and the
+    image's sampling error as its source, so in that frame induce_spherical
+    returns the body, not the polygon over the samples (Han and Nishimura,
+    J. Math. Soc. Japan 69, 2017).  Every piece of curve between
     two samples lies on one arc, and its image is a convex arc inside the
     triangle that the chord cuts off the two end tangents, of height
     |c| / (cot a + cot b) over a chord c at angles a and b to them (none
@@ -344,11 +356,9 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
         raise (NotInHemisphere if refused.invariant == "enclosing hemisphere"
                else PoleNotInterior)(f"projection pole: {refused}")
     arcs = body.arcs
-    s = arcs.sample_params(max(n, arcs.count))
-    arc, t = arcs._locate(s)
+    _, arc, t, pts = arcs.samples(max(n, arcs.count))
     keep = (arcs.radii[arc] < HALF_PI) | (t == 0.0)
-    arc, t = arc[keep], t[keep]
-    pts = arcs._point(arc, t)
+    arc, t, pts = arc[keep], t[keep], pts[keep]
     w = pts @ frame.pole
     xy = np.column_stack([pts @ frame.u / w, pts @ frame.v / w])
     shape = WulffShape(xy)
@@ -363,7 +373,7 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
     with np.errstate(divide="ignore"):
         sag = np.where(cot > 0.0, np.hypot(*chord.T) / cot, np.inf)
     sag[arcs.radii[arc] >= HALF_PI] = 0.0
-    shape._source = (Boundary(body.centers, body.radii, body.starts), frame, float(sag.max()))
+    shape._source = (body, frame, float(sag.max()))
     return shape
 
 
@@ -388,7 +398,11 @@ def induce_spherical(shape: WulffShape, frame: ProjectionFrame,
     """Spherical body induced by the shape: inverse central projection.
 
     A shape from project_to_plane, lifted in its projection frame (pole, u
-    and v equal), is the body it projected: its own arcs.  Any other shape
+    and v equal), is the body it projected, seen from the pole: a copy with
+    the pole as its enclosing center and its own meta, sharing the source's
+    read-only arrays, arcs, dual_arcs and dual_boundary.  The projection
+    validated that body and had it accept the pole, so nothing is validated
+    again.  Any other shape
     (from a gamma, from vertices, dual_wulff or scaled), or that shape in
     another frame, is a polygon; central projection maps great circles to
     lines, so its body is exactly the spherical polygon over the lifted
@@ -400,9 +414,17 @@ def induce_spherical(shape: WulffShape, frame: ProjectionFrame,
 
     The pole N is tried first as the enclosing center (SphericalBody).
     """
-    source = _source_in(shape, frame)
+    return _induced(shape, frame, _source_in(shape, frame))
+
+
+def _induced(shape: WulffShape, frame: ProjectionFrame, source) -> SphericalBody:
+    """induce_spherical, given the shape's source in frame (_source_in)."""
     if source is not None:
-        return SphericalBody(source[0], enclosing_center=frame.pole, meta={"kind": "induced"})
+        # the projection validated the body and had it accept the pole
+        # (refusal): seen from the pole, it is a copy sharing every array
+        body = copy.copy(source[0])
+        body.enclosing_center, body.meta = normalize(frame.pole), {"kind": "induced"}
+        return body
     k = max(_unit(shape.vertices)[1], 0)
     x, y = _unit(shape.vertices, k)[0].T
     lifted = normalize(_unit(frame.pole, k)[0] + x[:, None] * frame.u + y[:, None] * frame.v)
@@ -428,7 +450,9 @@ class DualityReport:
     strict pass coexisting with a hard failure raises InconsistentVerdicts
     upstream rather than being resolved silently.  gap_error bounds how far
     hausdorff_gap, the samples' gap, can sit from that of the body's exact
-    image: 0 for a polygon, which its samples are.
+    image: 0 for a polygon, which its samples are.  induced_body is the body
+    the conditions were measured on; for a shape from project_to_plane, in
+    its own frame, it shares the projected body's arrays and arc tables.
     """
 
     self_dual: bool
@@ -470,7 +494,7 @@ def self_dual_equivalence_report(shape: WulffShape, frame: ProjectionFrame,
     source = _source_in(shape, frame)
     err = 0.0 if source is None else source[2] * (1.0 + 1.0 / float(shape.offsets.min()) ** 2)
     sd = bool(gap - err <= tol)
-    body = induce_spherical(shape, frame)
+    body = _induced(shape, frame, source)
     rep = classify(body, tol=tol, n=n)
     th, dm, cw, cd, red = (rep.thickness, rep.diameter, rep.constant_width,
                            rep.constant_diameter, rep.reduced)

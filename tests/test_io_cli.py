@@ -1,5 +1,7 @@
 """Persistence, SVG rendering, and the command-line surface."""
 
+import argparse
+import contextlib
 import copy
 import json
 import math
@@ -7,10 +9,13 @@ import os
 import re
 import subprocess
 import sys
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lunes
 from lunes import body as bd
@@ -722,6 +727,67 @@ class TestCli:
             assert not [m for m in modules if m.split(".")[0] == "scipy"], args
             assert {m.split(".", 1)[1] for m in modules
                     if m.startswith("lunes.")} == loaded, args
+
+
+# the command surface's numeric options, each with a valid value
+NUMERIC = {"--samples": "64", "--tol": "1e-4", "--seed": "7", "--rho": "0.5",
+           "--thickness": "1.0", "--max-diam": "1.0", "--n": "5"}
+
+
+def _numeric_options(parser, path=()):
+    """(subcommand path, option) for each option of NUMERIC that the parser
+    or one of its subparsers declares."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _numeric_options(sub, path + (name,))
+        yield from ((path, opt) for opt in action.option_strings if opt in NUMERIC)
+
+
+def _required(parser, path, out):
+    """argv for path's subcommand with its required options: NUMERIC's value
+    of a numeric one, out for any other."""
+    for name in path:
+        parser = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices[name]
+    return [*path, *(x for a in parser._actions if a.required and a.option_strings
+                     for x in (a.option_strings[0], NUMERIC.get(a.option_strings[0], out)))]
+
+
+NUMERIC_OPTIONS = sorted(set(_numeric_options(cli.build_parser())))
+
+
+@pytest.fixture(scope="module")
+def poly_doc(tmp_path_factory):
+    path = tmp_path_factory.mktemp("numeric") / "poly.json"
+    io.save_body(construct.random_convex_polygon(3, n=6, max_diam=1.0), str(path))
+    return path
+
+
+def test_numeric_options_cover_the_parser():
+    assert {opt for _, opt in NUMERIC_OPTIONS} == set(NUMERIC)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(option=st.sampled_from(NUMERIC_OPTIONS),
+       command=st.sampled_from([("analyze",), ("roundtrip",), ("check", "reduced"),
+                                ("construct", "random")]),
+       value=st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-320", "1e308", None])
+       | st.integers(-3, 4).map(str))
+def test_numeric_options_exit_cleanly(poly_doc, option, command, value):
+    # any value of a numeric option, in process: a verdict or a usage or
+    # input error, never an uncaught exception
+    (path, opt), out = option, str(poly_doc.with_name("out.json"))
+    value = NUMERIC[opt] if value is None else value
+    if path:  # a subcommand's own option, after its required ones
+        argv = _required(cli.build_parser(), path, out) + [opt, value]
+    else:  # a global option, before a command
+        argv = [opt, value] + (_required(cli.build_parser(), command, out)
+                               if command[0] == "construct" else [*command, str(poly_doc)])
+    with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(StringIO()) as err:
+        code = _main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def run_child(code, cwd):

@@ -256,6 +256,14 @@ class TestProjection:
         m = np.array([fr.u, fr.v, fr.pole])
         assert np.allclose(m @ m.T, np.eye(3), atol=1e-12)
 
+    @pytest.mark.parametrize("pole", [[math.nan, 0.0, 1.0], [math.inf, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    def test_bad_pole_refused(self, pole):
+        # a NaN basis fails no "> tol" test, so the frame requires "<= tol"
+        with pytest.raises(InvalidSpec):
+            wulff.frame_at(pole)
+        with pytest.raises(InvalidSpec):
+            wulff.ProjectionFrame(pole=pole, u=[1.0, 0.0, 0.0], v=[0.0, 1.0, 0.0])
+
     def test_quarter_cap_projects_to_unit_disk(self, quarter_cap):
         fr = wulff.frame_at(Z)
         shape = wulff.project_to_plane(quarter_cap, fr, n=720)
@@ -499,6 +507,38 @@ class TestExactLift:
                 assert np.array_equal(got, want)
             assert np.array_equal(induced.enclosing_center, other.pole)
 
+    @pytest.mark.parametrize("which", LIFT_CASES)
+    def test_roundtrip_builds_one_body(self, which, monkeypatch, tmp_path):
+        # load -> frame_at -> project_to_plane -> report, as lunes roundtrip
+        # runs it: the load validates the boundary and its dual and samples
+        # its center probe; the lift shares the loaded body's tables, and the
+        # projection and the report's profile read one sampling of 720
+        path = str(tmp_path / "body.json")
+        io.save_body(_lift_cases()[which][0], path)
+        calls = {"validated": 0, "init": 0, "params": []}
+        validated, init, params = bd._validated, bd.SphericalBody.__init__, bd._Arcs.sample_params
+
+        def count_validated(*a):
+            calls["validated"] += 1
+            return validated(*a)
+
+        def count_init(self, *a, **k):
+            calls["init"] += 1
+            init(self, *a, **k)
+
+        monkeypatch.setattr(bd, "_validated", count_validated)
+        monkeypatch.setattr(bd.SphericalBody, "__init__", count_init)
+        monkeypatch.setattr(bd._Arcs, "sample_params",
+                            lambda self, n: calls["params"].append((self, n)) or params(self, n))
+        body = io.load_body(path)
+        fr = wulff.frame_at(body.enclosing_center)
+        rep = wulff.self_dual_equivalence_report(wulff.project_to_plane(body, fr, n=720), fr,
+                                                 tol=1e-4, n=720)
+        induced = rep.induced_body
+        sampled = sum(n == 720 and arcs in (body.arcs, induced.arcs) for arcs, n in calls["params"])
+        shared = induced.arcs is body.arcs and induced.dual_arcs is body.dual_arcs
+        assert (calls["validated"], calls["init"], sampled, shared) == (2, 1, 1, True)
+
     def test_sourceless_shapes_lift_as_polygons(self):
         # only the shape project_to_plane returns keeps its source: a shape
         # from a gamma, from the image's vertices, its dual and its multiple
@@ -586,6 +626,35 @@ class TestSelfDualReport:
         assert coarse.booleans == [True] + [False] * 4
         assert coarse.hausdorff_gap + coarse.gap_error > 1e-4
         assert fine.booleans == [False] * 5
+
+    @pytest.mark.parametrize("which", LIFT_CASES)
+    def test_report_equals_a_fresh_body(self, which):
+        # the lift shares the projected body's tables; the report must read,
+        # bit for bit, what classify reads off a body validated afresh from
+        # the same arrays about the pole
+        body, fr = _lift_cases()[which]
+        rep = wulff.self_dual_equivalence_report(wulff.project_to_plane(body, fr, n=720), fr,
+                                                 tol=1e-4, n=720)
+        fresh = bd.SphericalBody(bd.Boundary(body.centers, body.radii, body.starts), fr.pole)
+        ref = metrics.classify(fresh, tol=1e-4, n=720)
+        assert rep.induced_body.arcs is not fresh.arcs
+        got = metrics.classify(rep.induced_body, tol=1e-4, n=720)
+        assert json.dumps(io.report_to_doc(got)) == json.dumps(io.report_to_doc(ref))
+        for name, (base, value) in {
+                "constant_width_half_pi": (ref.constant_width, ref.constant_width.witness["w_mean"]),
+                "reduced_thickness_half_pi": (ref.reduced, ref.thickness.value),
+                "reduced_diameter_half_pi": (ref.reduced, ref.diameter.value),
+                "constant_diameter_half_pi": (ref.constant_diameter, ref.diameter.value)}.items():
+            v = rep.four_conditions[name]
+            assert v.witness == {"value": value, "base_kind": base.kind,
+                                 "base_deviation": base.deviation}
+            assert v.deviation == max(base.deviation, abs(value - bd.HALF_PI))
+            assert v.passed == (base.passed and v.deviation <= 1e-4)
+        for got_arr, want in zip((rep.induced_body.enclosing_center, rep.induced_body.centers,
+                                  rep.induced_body.radii, rep.induced_body.starts),
+                                 (fresh.enclosing_center, fresh.centers, fresh.radii,
+                                  fresh.starts)):
+            assert np.array_equal(got_arr, want)
 
     @pytest.mark.parametrize("which", ["random_polygon", "octant"])
     def test_polygon_gap_is_exact(self, which):
