@@ -189,9 +189,9 @@ class _Arcs:
     at most _BLOCK arcs, it is far_point, as is a profile of fewer than
     2 _STRIDE samples: one of its runs spans half the perimeter, at least D.
 
-    A table computes each sampling once per count (samples), and keeps it
-    and the results of metrics in memo while it lives: a body and the
-    copies that share its table share them.
+    A table computes each sampling once per count (samples), and keeps it,
+    the body's refusals and the results of metrics in memo while it lives:
+    a body and the copies that share its table share them.
     """
 
     def __init__(self, b: Boundary):
@@ -227,8 +227,8 @@ class _Arcs:
 
     def memo(self, key, compute):
         """compute(), once per key on this table, kept while the table lives:
-        samples here, and the profiles, diameters and checked widths of
-        metrics."""
+        samples and the body's refusals here, and the profiles, diameters
+        and checked widths of metrics."""
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
@@ -348,8 +348,8 @@ class _Arcs:
         table = self.table.reshape(3, self.count, 3).take(win, 1).transpose(1, 0, 3, 2)
         v = (x[:, None] @ table).swapaxes(0, 1)
         found = _closed_form(*v, self.sweeps.take(win)[:, None])
-        return self._reduce(*(y.reshape(k * _STRIDE, -1) for y in found),
-                            np.repeat(win, _STRIDE, axis=0))
+        return self._reduce(*(y.reshape(k * _STRIDE, -1).T for y in found),
+                            np.repeat(win, _STRIDE, axis=0).T)
 
     def support_extreme(self, dirs) -> np.ndarray:
         """Per-direction minimum of the dot product over the whole curve:
@@ -378,27 +378,30 @@ class _Arcs:
         arcs = np.arange(self.count)
         return _sliced(lambda d: self._reduce(*self._whole(d), arcs), 3 * self.count, dirs)
 
-    def _reduce(self, start, crit, t, arcs):
-        """Each row's least candidate of _closed_form (rows x arcs), its arc
-        and the angle along it (0 at the start): the row's least start
-        unless its least critical value is strictly lower, the first arc
-        among equals; arcs numbers the candidates' arcs, for all rows (1-D)
-        or per row (2-D)."""
-        rows = np.arange(len(start))
-        i, j = start.argmin(axis=1), crit.argmin(axis=1)
-        low_start, low_crit = start[rows, i], crit[rows, j]
-        critical = low_crit < low_start
-        slot = np.where(critical, j, i)
-        arc = arcs.take(slot) if arcs.ndim == 1 else arcs[rows, slot]
-        return np.where(critical, low_crit, low_start), arc, np.where(critical, t[rows, j], 0.0)
+    @staticmethod
+    def _reduce(start, crit, t, arcs):
+        """Each query's least candidate of _closed_form, laid out arcs first
+        (arcs x queries, any strides), its arc and the angle along it (0 at
+        the start): the least start unless the least critical value is
+        strictly lower, the first arc among equals.  That is the first least
+        of the starts stacked above the critical values, one argmin along
+        the arcs.  The stack keeps the candidates' memory order, so where
+        the arcs lie last in memory (windows, blocks) argmin copies nothing;
+        the whole table's arcs-first stack is copied once.  arcs numbers the
+        candidates' arcs, for all queries (1-D) or per query (2-D)."""
+        m, cols = len(start), np.arange(start.shape[1])
+        both = np.concatenate([start, crit])
+        first = both.argmin(axis=0)
+        slot = first % m
+        arc = arcs.take(slot) if arcs.ndim == 1 else arcs[slot, cols]
+        return both[first, cols], arc, np.where(first >= m, t[slot, cols], 0.0)
 
     def _whole(self, d):
         """_closed_form on every arc, laid out arcs first: the (3m x k)
         product with the k directions gives A . d, B . d and C . d as
-        contiguous (m x k) rows.  Returns the candidates transposed, per
-        direction (views)."""
+        contiguous (m x k) rows, which _reduce takes as they are."""
         v = (self.table @ d.T).reshape(3, self.count, -1)
-        return [y.T for y in _closed_form(*v, self.sweeps[:, None])]
+        return _closed_form(*v, self.sweeps[:, None])
 
     @cached_property
     def _blocks(self):
@@ -437,7 +440,8 @@ class _Arcs:
         """_reduce over block b[i] in direction d[i], for each i."""
         idx, table, sweeps, *_ = self._blocks
         v = (table.take(b, 0) @ d[:, :, None]).reshape(-1, 3, _BLOCK).swapaxes(0, 1)
-        return self._reduce(*_closed_form(*v, sweeps.take(b, 0)), idx.take(b, 0))
+        found = _closed_form(*v, sweeps.take(b, 0))
+        return self._reduce(*(y.T for y in found), idx.take(b, 0).T)
 
     def _low(self, d):
         """Per block and direction, min over S_b of y . d less h_b: no point x
@@ -576,16 +580,21 @@ class SphericalBody:
         """What the unit vector center fails as an enclosing center, or None:
         the body must lie in its open hemisphere with margin above
         ENCLOSING_MIN_DOT ("enclosing hemisphere"), and hold a cap of radius
-        asin(INTERIOR_MIN) about it, to roundoff ("nonempty interior")."""
-        margin = float(self.arcs.support_extreme(center)[0])
-        if not margin > ENCLOSING_MIN_DOT:  # NaN too
-            return InvariantViolation(
-                "enclosing hemisphere", f"boundary reaches dot {margin:.3g} with the center")
-        interior = float(self.dual_arcs.support_extreme(center)[0])
-        if not interior >= INTERIOR_MIN * (1.0 - 1e-9):
-            return InvariantViolation(
-                "nonempty interior", f"interior cap radius only asin({interior:.3g})")
-        return None
+        asin(INTERIOR_MIN) about it, to roundoff ("nonempty interior").
+        Answered once per center's bytes on the arc table, which the copies
+        sharing both tables share; each refusal is a fresh exception."""
+        center = np.asarray(center, dtype=float)
+
+        def rule():
+            margin = float(self.arcs.support_extreme(center)[0])
+            if not margin > ENCLOSING_MIN_DOT:  # NaN too
+                return "enclosing hemisphere", f"boundary reaches dot {margin:.3g} with the center"
+            interior = float(self.dual_arcs.support_extreme(center)[0])
+            if not interior >= INTERIOR_MIN * (1.0 - 1e-9):
+                return "nonempty interior", f"interior cap radius only asin({interior:.3g})"
+            return None
+        failed = self.arcs.memo(("refusal", center.tobytes()), rule)
+        return None if failed is None else InvariantViolation(*failed)
 
     def _check_winding(self):
         """The boundary winds once counterclockwise about the enclosing

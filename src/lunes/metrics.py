@@ -15,8 +15,10 @@ curve of many arcs the profile walks the curve, searching each sample only
 between the farthest points of two coarse samples (body._Arcs.sample_far).
 A polygon's diameter is its profile's best sample: it has a vertex at one
 end, and the profile holds every vertex.  The diameter of any other curve
-and the lune search of reduced_check refine a best sample by tangent-line
-steps on its exact value and slope (the envelope theorem).
+is its best sample too when that sample's own one-sided slopes show it is
+the maximum; otherwise it, and the lune search of reduced_check, refine a
+best sample by tangent-line steps on its exact value and slope (the
+envelope theorem).
 Every returned width is evaluated from its lune's semicircle midpoints and
 cross-checked against the closed form pi - dist(centers).
 """
@@ -174,12 +176,16 @@ def _curve_diameter(arcs, n):
     farthest point), whose slope is -p'(s) . q*(s) by the envelope theorem
     (one-sided at a junction, from each arc's tangent); _climb follows both
     from the profile's best sample (the first tied with the best,
-    _first_tied) and its farthest point q.  On a polygon
-    (every arc great) that sample is p: a diameter with neither end at a
-    vertex would grow by moving its ends apart along their edges, so one end
-    is a vertex, and the profile holds every vertex with its exact farthest
-    point.  Returns (value, p, q) with dist(p, q) = value, never below that
-    sample's to roundoff, once per curve and resolution; p and q read-only.
+    _first_tied) and its farthest point q, unless that sample's own
+    one-sided slopes, read off the profile with q, show it is the maximum
+    (_settled): then it is p, with q, as on a polygon (every arc great).
+    There a diameter with neither end at a vertex would grow by moving its
+    ends apart along their edges, so one end is a vertex, and the profile
+    holds every vertex with its exact farthest point.  The slopes with q are
+    the exact ones where the farthest point is unique; at a tie the
+    farthest distance has a kink that is no strict maximum.  Returns
+    (value, p, q) with dist(p, q) = value, never below that sample's to
+    roundoff, once per curve and resolution; p and q read-only.
     """
     def fn(s, rows, q=None):
         p, tangent = arcs.tangent_at(s)
@@ -190,7 +196,7 @@ def _curve_diameter(arcs, n):
         params, pts, far, far_pts = _profile(arcs, n)
         i = _first_tied(far, far.max(), far.max())
         p, q = pts[i], far_pts[i]
-        if not (arcs.radii == HALF_PI).all():
+        if not ((arcs.radii == HALF_PI).all() or _settled(arcs, len(params), i, q)):
             grid = np.concatenate([params[-1:] - arcs.total, params, params[:1] + arcs.total])
             start = fn(params[i:i + 1], None, q)
             p = arcs.point_at(_climb(fn, grid[None], np.array([i + 1]), *start)[0])[0]
@@ -198,6 +204,19 @@ def _curve_diameter(arcs, n):
             p.flags.writeable = q.flags.writeable = False
         return float(dist(p, q)), p, q
     return arcs.memo(("diameter", _resolution(n)), compute)
+
+
+def _settled(arcs, n, i, q) -> bool:
+    """Whether sample i of arcs.samples(n), with its farthest point q, is a
+    maximum of -p . q* by its own one-sided slopes -tangent . q: to the right
+    the tangent of its arc there; to the left the same, or at a junction
+    (angle 0) the end tangent of the arc before (a lone full circle's own)."""
+    _, arc, t, _ = arcs.samples(n)
+    a, at = arc[i], t[i]
+    before = (a - 1) % arcs.count
+    back = (before, arcs.sweeps[before]) if at == 0.0 else (a, at)
+    right, left = -dot(arcs._tangent(np.array([a, back[0]]), np.array([at, back[1]])), q)
+    return right <= _FLAT and left >= -_FLAT
 
 
 def _checked_width(k, kp) -> float:
@@ -235,7 +254,8 @@ def thickness(body: SphericalBody, n: int = 720) -> ThicknessResult:
 
     Equals pi minus the diameter of the supporting-center curve (the polar
     dual boundary): its best profile sample of n, refined by tangent-line
-    steps unless the curve is a polygon.  The witness lune is evaluated from
+    steps unless the curve is a polygon or the sample's own one-sided
+    slopes show it is the maximum.  The witness lune is evaluated from
     its semicircle midpoints and checked against pi - dist(centers), once
     per dual table and resolution.
     """
@@ -249,7 +269,8 @@ def diameter(body: SphericalBody, n: int = 720) -> DiameterResult:
 
     Attained on the boundary: the best profile sample of n, refined by
     tangent-line steps unless the body is a polygon, whose diameter has a
-    vertex at one end and so is the best sample exactly (_curve_diameter).
+    vertex at one end and so is the best sample exactly, or the sample's own
+    one-sided slopes show it is the maximum (_curve_diameter).
     """
     val, p, q = _curve_diameter(body.arcs, n)
     return DiameterResult(value=val, p=p, q=q)

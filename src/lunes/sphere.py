@@ -95,17 +95,18 @@ def lune_make(g, h) -> Lune:
     nearest h's center, its projection (ch - (cg . ch) cg) / sin, which is
     corner x cg for the unit corner (cg x ch) / sin; symmetrically,
     ch x corner for H.  The cross products keep the digits that the
-    projection loses at nearly equal or antipodal centers.
+    projection loses at nearly equal or antipodal centers.  Both centers are
+    normalized in one pass and both midpoints crossed in one; each pass is
+    elementwise, so its bits are those of one vector at a time.
     """
-    cg, ch = normalize(g), normalize(h)
+    cg, ch = normalize(np.array([g, h], dtype=float))
     ang = float(dist(cg, ch))
     if ang < DEGENERATE_TOL or ang > math.pi - DEGENERATE_TOL:
         raise DegenerateLune("hemisphere centers equal or antipodal")
     # cg x ch = cg x (ch - cg) = cg x (ch + cg): the shorter of ch -/+ cg is
     # exact where cg x ch would cancel
     corner = normalize(cross(cg, ch - cg if cg @ ch > 0.0 else ch + cg))
-    mid_g = cross(corner, cg)
-    mid_h = cross(ch, corner)
+    mid_g, mid_h = cross(np.array([corner, ch]), np.array([cg, corner]))
     thickness = float(dist(mid_g, mid_h))
     return Lune(g=cg, h=ch, corners=(corner, -corner), mid_g=mid_g, mid_h=mid_h,
                 thickness=thickness)

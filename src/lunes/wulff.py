@@ -338,6 +338,8 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
     hull to take.  A polygon's image is its projected vertices.  The pole
     must be one the body accepts as its enclosing center
     (SphericalBody.refusal): NotInHemisphere or PoleNotInterior otherwise.
+    The body answers once per center, so in its own frame (the pole its
+    enclosing center, bit for bit) the projection makes no support query.
 
     The samples are the arc table's own (_Arcs.samples), which the body's
     profiles read too.  The shape keeps the body itself, the frame and the

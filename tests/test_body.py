@@ -313,6 +313,30 @@ class TestSupportKernel:
         assert arc.tolist() == self.WANT_SLOT
         assert t.tolist() == self.WANT_T
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reduce_is_the_two_argmin_rule(self, seed):
+        # bit for bit the least start unless the least critical value is
+        # strictly lower, each the first among equals (argmin's choice), on
+        # tied, signed-zero, infinite and all-NaN queries, with the arcs
+        # first or last in memory and numbered for all queries or per query
+        rng = np.random.default_rng(seed)
+        m, k = 7, 60
+        start = rng.integers(-2, 3, (m, k)) * np.where(rng.uniform(size=(m, k)) < 0.5, 1.0, -1.0)
+        crit = np.where(rng.uniform(size=(m, k)) < 0.5, math.inf,
+                        rng.integers(-3, 3, (m, k)) * 1.0)
+        start[:, 0], crit[:, 0] = math.nan, math.inf  # a NaN direction's candidates
+        t = rng.uniform(0.0, 6.0, (m, k))
+        cols, i, j = np.arange(k), start.argmin(axis=0), crit.argmin(axis=0)
+        critical = crit[j, cols] < start[i, cols]
+        for arcs in (rng.permutation(m), rng.integers(0, 99, (m, k))):
+            numbered = (lambda s: arcs[s]) if arcs.ndim == 1 else (lambda s: arcs[s, cols])
+            want = (np.where(critical, crit[j, cols], start[i, cols]),
+                    numbered(np.where(critical, j, i)), np.where(critical, t[j, cols], 0.0))
+            for layout in (np.asarray, lambda x: np.ascontiguousarray(x.T).T):
+                got = bd._Arcs._reduce(*map(layout, (start, crit, t)), layout(arcs))
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+        assert math.isnan(got[0][0])
+
     def test_reduce_ties_on_a_window(self, pentagon_arcs, monkeypatch):
         # _windowed's rows each number their own window of arcs (2-D)
         rows = np.minimum(np.arange(bd._STRIDE), 4)

@@ -112,6 +112,59 @@ class TestThicknessDiameter:
         metrics.classify(body, n=240)
         assert len(made) == 1
 
+    @pytest.mark.parametrize("make", [
+        lambda: construct.constant_diameter_triangle(
+            *random_cd_triangle_vertices(np.random.default_rng(3))),
+        lambda: construct.cap(Z, 0.7)], ids=["cd_triangle", "cap"])
+    def test_settled_curves_query_nothing_past_their_profiles(self, monkeypatch, make):
+        # classify's thickness and diameter read their curves' best samples
+        # off the profiles: past each profile, _curve_diameter makes no
+        # support query (no climb, no set-up, no re-query of p and q)
+        body, inside, queries = make(), [], []
+        curve_diameter, support = metrics._curve_diameter, bd._Arcs._support
+
+        def profiled_first(arcs, n):
+            metrics._profile(arcs, n)
+            inside.append(arcs)
+            try:
+                return curve_diameter(arcs, n)
+            finally:
+                inside.pop()
+
+        def counted(arcs, dirs):
+            if inside:
+                queries.append(len(np.atleast_2d(dirs)))
+            return support(arcs, dirs)
+
+        monkeypatch.setattr(metrics, "_curve_diameter", profiled_first)
+        monkeypatch.setattr(bd._Arcs, "_support", counted)
+        report = metrics.classify(body, tol=1e-6, n=720)
+        assert queries == []
+        assert report.constant_width.passed and report.constant_diameter.passed
+
+    def test_unsettled_sample_still_climbs(self):
+        # the polar dual of this lens has its best profile sample off the
+        # maximum: its one-sided slopes do not settle it, and the climb
+        # moves it by 3.7e-6, bit for bit as the climb route alone does
+        h = 0.2
+        arcs = lens((math.sin(h), 0.0, math.cos(h)), 0.5,
+                    (-math.sin(h), 0.0, math.cos(h)), 0.4).dual_arcs
+        params, _, far, far_pts = metrics._profile(arcs, 720)
+        i = metrics._first_tied(far, far.max(), far.max())
+        assert not metrics._settled(arcs, len(params), i, far_pts[i])
+
+        def fn(s, rows):
+            p, tangent = arcs.tangent_at(s)
+            q = arcs.far_point(p)
+            return -sphere.dot(p, q), -sphere.dot(tangent, q)
+
+        grid = np.concatenate([params[-1:] - arcs.total, params, params[:1] + arcs.total])
+        p, tangent = arcs.tangent_at(params[i:i + 1])
+        start = -sphere.dot(p, far_pts[i]), -sphere.dot(tangent, far_pts[i])
+        p = arcs.point_at(metrics._climb(fn, grid[None], np.array([i + 1]), *start)[0])[0]
+        climbed = float(sphere.dist(p, arcs.far_point(p)[0]))
+        assert metrics._curve_diameter(arcs, 720)[0] == climbed > far.max() + 1e-6
+
     def test_diameter_endpoints_on_body(self, cd_triangle):
         res = metrics.diameter(cd_triangle, n=240)
         assert res.value == pytest.approx(HALF_PI, abs=1e-9)

@@ -592,11 +592,43 @@ def test_lune_midpoints_near_equal_and_antipodal_centers(g, w, log_eps, antipoda
     h = math.cos(eps) * g + math.sin(eps) * sphere.normalize(q)
     h = -h if antipodal else h
     lune = sphere.lune_make(g, h)
+    assert all(map(_same, _lune_fields(lune), _lune_one_at_a_time(g, h)))
     assert abs(lune.thickness - (math.pi - float(dist(g, h)))) <= 1e-15
     assert abs(lune.mid_g @ g) <= 1e-15 and abs(lune.mid_h @ h) <= 1e-15
     for x in (lune.mid_g, lune.mid_h, *lune.corners):
         assert abs(sphere.norm(x) - 1.0) <= 1e-15
     assert max(abs(lune.corners[0] @ g), abs(lune.corners[0] @ h)) <= 1e-15
+
+
+def _lune_one_at_a_time(g, h):
+    """lune_make's fields, each vector formed alone: the reference that its
+    stacked passes (both centers normalized in one, both midpoints crossed
+    in one) must equal bit for bit."""
+    cg, ch = sphere.normalize(g), sphere.normalize(h)
+    corner = sphere.normalize(sphere.cross(cg, ch - cg if cg @ ch > 0.0 else ch + cg))
+    mid_g, mid_h = sphere.cross(corner, cg), sphere.cross(ch, corner)
+    return cg, ch, corner, -corner, mid_g, mid_h, float(dist(mid_g, mid_h))
+
+
+def _lune_fields(lune):
+    return (lune.g, lune.h, *lune.corners, lune.mid_g, lune.mid_h, lune.thickness)
+
+
+def test_lune_make_stacked_passes_match_one_at_a_time():
+    # 2,000 pairs of unnormalized centers: a third at random, a third 1e-8
+    # to 1e-1 from equal, a third as far from antipodal
+    rng = np.random.default_rng(39)
+    for k in range(2000):
+        g, w = rng.normal(size=(2, 3))
+        if k % 3:
+            eps = 10.0 ** rng.uniform(-8.0, -1.0)
+            u = sphere.normalize(g)
+            h = math.cos(eps) * u + math.sin(eps) * sphere.normalize(sphere.cross(u, w))
+            h = -h if k % 3 == 2 else h
+        else:
+            h = w
+        want = _lune_one_at_a_time(g, h)
+        assert all(map(_same, _lune_fields(sphere.lune_make(g, h)), want)), k
 
 
 # -- constant width of every width ---------------------------------------------
@@ -723,6 +755,26 @@ def test_body_and_dual_share_constant_width(body):
                 for b in (body, bd.polar_dual(body))]
     assume(all(v.deviation <= 1e-9 or v.deviation > 1e-3 for v in verdicts))
     assert verdicts[0].passed == verdicts[1].passed
+
+
+# -- settled diameters ---------------------------------------------------------
+
+# a curve's best profile sample is its diameter when the sample's own one-sided
+# slopes settle it (metrics._settled); otherwise _climb refines it
+
+
+@settings(BOUNDED, max_examples=40)
+@given(st.one_of(caps(), cd_triangles(), many_arc_bodies(), lenses(),
+                 reuleaux_gons().map(lambda case: case[0])))
+def test_diameter_read_off_the_profile_matches_the_climb(body):
+    # on both curves: the climb from a far_point profile's best sample
+    # reaches the same value, and no diameter is below the best sample by
+    # more than the 64-ulp tie that picks it (_first_tied)
+    for arcs in _curves(body):
+        far = metrics._profile(arcs, 720)[2]
+        value = metrics._curve_diameter(arcs, 720)[0]
+        assert abs(value - _climbed_diameter(arcs, 720)) <= 1e-14
+        assert value >= far.max() - 64 * np.spacing(far.max())
 
 
 # -- the exact-slope maximiser -------------------------------------------------

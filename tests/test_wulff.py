@@ -358,6 +358,19 @@ class TestProjection:
         with pytest.raises(PoleNotInterior):
             wulff.project_to_plane(cap, wulff.frame_at(pole))
 
+    def test_refused_pole_raises_every_time(self):
+        # a body answers each center once, but every projection at a
+        # refused pole raises, with a fresh exception
+        cap = construct.cap(Z, 0.3)
+        for pole, error in ((np.array([1.0, 0, 0]), NotInHemisphere),
+                            (np.array([math.sin(0.5), 0.0, math.cos(0.5)]), PoleNotInterior)):
+            raised = []
+            for _ in range(2):
+                with pytest.raises(error) as info:
+                    wulff.project_to_plane(cap, wulff.frame_at(pole))
+                raised.append(info.value)
+            assert raised[0] is not raised[1] and str(raised[0]) == str(raised[1])
+
 
     def test_close_vertices_induce(self):
         # gamma sampled at 360 angles: wulff_shape returns two vertices
@@ -506,6 +519,18 @@ class TestExactLift:
                                  (polygon.centers, polygon.radii, polygon.starts)):
                 assert np.array_equal(got, want)
             assert np.array_equal(induced.enclosing_center, other.pole)
+
+    @pytest.mark.parametrize("which", LIFT_CASES)
+    def test_own_frame_projection_makes_no_support_query(self, which, monkeypatch):
+        # the body's constructor answered the refusal of its enclosing
+        # center, so projecting with that center as the pole queries nothing
+        body = _lift_cases()[which][0]
+        center, queries, support = body.enclosing_center, [], bd._Arcs._support
+        frame = wulff.ProjectionFrame(center, *sphere.orthonormal_frame(center))
+        monkeypatch.setattr(bd._Arcs, "_support",
+                            lambda arcs, d: queries.append(d) or support(arcs, d))
+        wulff.project_to_plane(body, frame, n=720)
+        assert queries == []
 
     @pytest.mark.parametrize("which", LIFT_CASES)
     def test_roundtrip_builds_one_body(self, which, monkeypatch, tmp_path):
