@@ -191,7 +191,9 @@ class _Arcs:
 
     A table computes each sampling once per count (samples), and keeps it,
     the body's refusals and the results of metrics in memo while it lives:
-    a body and the copies that share its table share them.
+    a body and the copies that share its table share them.  A sample's arc
+    and angle come from its placement (_placed); _locate maps any other
+    parameter.
     """
 
     def __init__(self, b: Boundary):
@@ -235,8 +237,9 @@ class _Arcs:
 
     def _locate(self, s):
         """The arc holding each cumulative arc-length parameter s, and the
-        angle along it (0 exactly at its start): the one map from parameters
-        to arcs.  At a junction, the arc that starts there."""
+        angle along it (0 exactly at its start): the one map from a
+        parameter to its arc, which the samples' placement matches.  At a
+        junction, the arc that starts there."""
         s = np.mod(np.atleast_1d(np.asarray(s, dtype=float)), self.total)
         # s >= 0 = cum[0], but it can round up to total: clamp the top only
         idx = np.minimum(np.searchsorted(self.cum, s, side="right") - 1, self.count - 1)
@@ -272,18 +275,23 @@ class _Arcs:
         where arccos of the support minimum loses them."""
         return self.support_min_at(dirs)[1]
 
-    def sample_params(self, n: int) -> np.ndarray:
-        """n arc-length parameters; when n >= arc count, every arc start
-        (hence every junction) is included, else they are evenly spaced.
+    def _placed(self, n: int):
+        """n arc-length parameters, each with its arc and the angle along it:
+        when n >= arc count, every arc start (hence every junction) is
+        included, else they are evenly spaced.
 
         Per-arc counts blend the arc-length share with a chord-sag share
         (sweep * sqrt(sin r)): sharply curved short arcs get enough samples
         to keep the inscribed-polygon error balanced across arcs, while the
         length half of the blend bounds the spacing anywhere by 2*total/n.
+        A sample placed k / count of the way along its arc has that arc, and
+        its angle is _locate's expression on it: nothing is searched for.
+        The evenly spaced parameters are mapped by _locate.
         """
         m = self.count
         if n < m:
-            return np.arange(n) / n * self.total
+            params = np.arange(n) / n * self.total
+            return (params, *self._locate(params))
         counts = np.ones(m, dtype=int)
         rem = n - m
         if rem > 0:
@@ -297,15 +305,17 @@ class _Arcs:
                 counts[order[:short]] += 1
         arc = np.repeat(np.arange(m), counts)
         k = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
-        return self.cum[arc] + self.lengths[arc] * k / counts[arc]
+        start = self.cum[arc]
+        params = start + self.lengths[arc] * k / counts[arc]
+        return params, arc, (params - start) / self.sin_r[arc]
 
     def samples(self, n: int):
-        """sample_params(n), the arc and the angle along it of each sample
-        (_locate), and its point, read-only, computed once per count: every
-        sampling of the table reads this copy."""
+        """The parameters of n samples (_placed), the arc and the angle
+        along it of each, from its placement, and its point, read-only,
+        computed once per count: every sampling of the table reads this
+        copy.  _locate maps any other parameter."""
         def compute():
-            params = self.sample_params(n)
-            arc, t = self._locate(params)
+            params, arc, t = self._placed(n)
             out = (params, arc, t, self._point(arc, t))
             for a in out:
                 a.flags.writeable = False
@@ -568,7 +578,7 @@ class SphericalBody:
         if enclosing_center is not None:
             enclosing_center = normalize(np.asarray(enclosing_center, dtype=float))
         if enclosing_center is None or self.refusal(enclosing_center) is not None:
-            probe = self.arcs.point_at(self.arcs.sample_params(max(16, 4 * m)))
+            probe = self.arcs._point(*self.arcs._placed(max(16, 4 * m))[1:])
             enclosing_center = normalize(find_enclosing_center(probe))
             violation = self.refusal(enclosing_center)
             if violation is not None:

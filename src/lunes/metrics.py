@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -179,6 +180,8 @@ def _curve_diameter(arcs, n):
     _first_tied) and its farthest point q, unless that sample's own
     one-sided slopes, read off the profile with q, show it is the maximum
     (_settled): then it is p, with q, as on a polygon (every arc great).
+    A climb starts from the sample's value with q and the right slope that
+    _settled formed.
     There a diameter with neither end at a vertex would grow by moving its
     ends apart along their edges, so one end is a vertex, and the profile
     holds every vertex with its exact farthest point.  The slopes with q are
@@ -187,18 +190,21 @@ def _curve_diameter(arcs, n):
     (value, p, q) with dist(p, q) = value, never below that sample's to
     roundoff, once per curve and resolution; p and q read-only.
     """
-    def fn(s, rows, q=None):
+    def fn(s, rows):
         p, tangent = arcs.tangent_at(s)
-        q = arcs.far_point(p) if q is None else q
+        q = arcs.far_point(p)
         return -dot(p, q), -dot(tangent, q)
 
     def compute():
         params, pts, far, far_pts = _profile(arcs, n)
         i = _first_tied(far, far.max(), far.max())
         p, q = pts[i], far_pts[i]
-        if not ((arcs.radii == HALF_PI).all() or _settled(arcs, len(params), i, q)):
+        if (arcs.radii == HALF_PI).all():
+            return float(dist(p, q)), p, q
+        settled, slope = _settled(arcs, len(params), i, q)
+        if not settled:
             grid = np.concatenate([params[-1:] - arcs.total, params, params[:1] + arcs.total])
-            start = fn(params[i:i + 1], None, q)
+            start = -dot(pts[i:i + 1], q), np.array([slope])
             p = arcs.point_at(_climb(fn, grid[None], np.array([i + 1]), *start)[0])[0]
             q = arcs.far_point(p)[0]
             p.flags.writeable = q.flags.writeable = False
@@ -206,17 +212,30 @@ def _curve_diameter(arcs, n):
     return arcs.memo(("diameter", _resolution(n)), compute)
 
 
-def _settled(arcs, n, i, q) -> bool:
+class _Slopes(NamedTuple):
+    """_settled's answer, true when the sample is a maximum, with the
+    sample's slope to the right, where a climb from it starts."""
+
+    settled: bool
+    right: float
+
+    def __bool__(self):
+        return self.settled
+
+
+def _settled(arcs, n, i, q) -> _Slopes:
     """Whether sample i of arcs.samples(n), with its farthest point q, is a
     maximum of -p . q* by its own one-sided slopes -tangent . q: to the right
     the tangent of its arc there; to the left the same, or at a junction
-    (angle 0) the end tangent of the arc before (a lone full circle's own)."""
+    (angle 0) the end tangent of the arc before (a lone full circle's own).
+    The sample's arc and angle are those tangent_at finds for its parameter,
+    so the right slope is the one a climb from the sample starts with."""
     _, arc, t, _ = arcs.samples(n)
     a, at = arc[i], t[i]
     before = (a - 1) % arcs.count
     back = (before, arcs.sweeps[before]) if at == 0.0 else (a, at)
     right, left = -dot(arcs._tangent(np.array([a, back[0]]), np.array([at, back[1]])), q)
-    return right <= _FLAT and left >= -_FLAT
+    return _Slopes(bool(right <= _FLAT and left >= -_FLAT), right)
 
 
 def _checked_width(k, kp) -> float:
@@ -357,7 +376,7 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdi
     if curved.any():
         params, centers, far, _ = _profile(dual, n)
         if not curved.all():  # leave out the samples on the corners' arcs
-            on = curved[dual._locate(params)[0]]
+            on = curved[dual.samples(len(params))[1]]
             centers, far = centers[on], far[on]
         reach, least = _curve_diameter(dual, n)[0], float(far.min())
         excess = reach - least  # the largest width there less the thickness

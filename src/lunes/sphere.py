@@ -117,7 +117,7 @@ def lune_contains(lune: Lune, body, tol: float = 1e-10) -> bool:
 
     `body` is a SphericalBody: its arc table gives the support minima.
     """
-    dirs = np.stack([lune.g, lune.h])
+    dirs = np.array([lune.g, lune.h])
     return bool(np.all(body.arcs.support_extreme(dirs) >= -tol))
 
 

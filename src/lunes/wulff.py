@@ -19,7 +19,9 @@ equivalence report runs all five checks and treats any disagreement beyond
 what tolerance and sampling allow as an internal error.  Self-duality gaps
 are exact polygon Hausdorff distances, taken from the two support
 functions over the merged edge-normal angles in O((m + k) log(m + k)) for
-polygons of m and k vertices.  One scale rule: each planar computation
+polygons of m and k vertices: each interval's supporting vertices are read
+off the merge order, and its ends evaluated at the unit edge normals, with
+no trigonometry per interval.  One scale rule: each planar computation
 runs on its input scaled by a power of two (_unit), exact in the normal
 range, and scales its result back, so W(2^j gamma) = 2^j W(gamma) bit for
 bit and no product leaves the float range.
@@ -116,13 +118,14 @@ class WulffShape:
         if (turn < -1e-12 * scale ** 2).any():
             raise InvariantViolation("convexity", "reflex planar vertex")
         normals = np.column_stack([edges[:, 1], -edges[:, 0]])
-        norms = np.linalg.norm(normals, axis=1)
+        n0, n1 = normals.T
+        norms = np.sqrt(n0 * n0 + n1 * n1)
         if (norms <= 1e-15 * scale).any():
             raise InvalidSpec("repeated vertex")
-        if abs(float(np.arctan2(turn, np.sum(edges * ahead, axis=1)).sum()) - TWO_PI) > 1e-6:
+        if abs(float(np.arctan2(turn, _dot2(edges, ahead)).sum()) - TWO_PI) > 1e-6:
             raise InvariantViolation("convexity", "vertices do not wind once")
         normals = normals / norms[:, None]
-        offsets = np.sum(normals * verts, axis=1)
+        offsets = _dot2(normals, verts)
         if (offsets <= 0.0).any():
             raise EmptyInterior("origin not strictly interior")
         self.vertices = verts
@@ -145,6 +148,14 @@ class WulffShape:
 
     def scaled(self, s: float) -> "WulffShape":
         return WulffShape(float(s) * self.vertices)
+
+
+def _dot2(a, b) -> np.ndarray:
+    """a . b per row of two, np.sum(a * b, axis=1) bit for bit without its
+    wrapper, by sphere.dot's rule: adding 0.0 last turns a sum of -0.0 into
+    +0.0, as the sum from add.reduce's identity does."""
+    p = a * b
+    return p[:, 0] + p[:, 1] + 0.0
 
 
 def polygon_gamma(shape: WulffShape) -> GammaFn:
@@ -235,22 +246,30 @@ def dual_wulff(shape: WulffShape, n: int = 720) -> WulffShape:
     return _polar(-shape.vertices)
 
 
-def _normal_angles(verts: np.ndarray) -> np.ndarray:
-    """Outward normal angles of the edges i -> i+1 of a convex counterclockwise
-    polygon, unwrapped to a nondecreasing run from that of edge 0.  A turn
-    below zero, which roundoff can leave at a straight vertex, holds the
-    angle where it was."""
-    edges = _rolled(verts) - verts
-    t = np.arctan2(-edges[:, 0], edges[:, 1])
+def _breakpoints(verts: np.ndarray):
+    """The edges i -> i + 1 of a convex counterclockwise polygon, as rows
+    in order of outward normal angle around the circle from 0: the angles
+    mod 2 pi, each edge's unit outward normal (x and y rows) and the vertex
+    at its end, which supports the directions from its normal to the next
+    edge's, at unit scale, with the exponent k that _unit scaled by.  The
+    angles only order the edges.  They are unwrapped from edge 0's, a turn
+    below zero, which roundoff can leave at a straight vertex, held where it
+    was, and rotated to start at the first edge past 0; where roundoff puts
+    the last edge's angle past the first's, the first is held at the last's,
+    so that a stable merge (hausdorff_polygons) keeps the polygon's order."""
+    unit, k = _unit(verts)
+    x, y = unit.T
+    ex, ey = _rolled(x) - x, _rolled(y) - y
+    t = np.arctan2(-ex, ey)
     turns = np.mod(np.diff(t) + math.pi, TWO_PI) - math.pi
-    return t[0] + np.maximum.accumulate(np.concatenate([[0.0], np.cumsum(turns)]))
-
-
-def _support_vertex(verts: np.ndarray, normals: np.ndarray, theta):
-    """The vertex attaining the polygon's support in each direction theta:
-    vertex i supports the directions between the normals of edges i-1 and i."""
-    theta = normals[0] + np.mod(theta - normals[0], TWO_PI)
-    return verts[np.searchsorted(normals, theta) % len(verts)]
+    t = t[0] + np.maximum.accumulate(np.concatenate([[0.0], np.cumsum(turns)]))
+    first = int(np.count_nonzero(t < (0.0 if t[0] < 0.0 else TWO_PI)))
+    keys = np.mod(t, TWO_PI)
+    normals = np.array([ey, -ex]) / np.hypot(ex, ey)
+    end = (first + 1) % len(t)  # vertex i + 1 ends edge i
+    return (np.maximum.accumulate(np.concatenate([keys[first:], keys[:first]])),
+            np.concatenate([normals[:, first:], normals[:, :first]], axis=1),
+            np.concatenate([unit.T[:, end:], unit.T[:, :end]], axis=1), int(k))
 
 
 def hausdorff_polygons(a: WulffShape, b: WulffShape) -> float:
@@ -258,26 +277,33 @@ def hausdorff_polygons(a: WulffShape, b: WulffShape) -> float:
 
     For convex sets H(A, B) = max over unit u of |h_A(u) - h_B(u)|, h being
     the support function.  Between consecutive edge normals of A and B
-    (merged by angle) the supporting vertices a and b are fixed, so
-    h_A - h_B = (a - b) . u is a sinusoid in the angle of u; its largest
-    magnitude on each interval lies at the interval's ends or at the
-    critical angle atan2(a - b) (plus pi) when that falls inside.  Only the
-    counterclockwise vertices are used, so the origin need not be inside.
+    (_breakpoints, merged by angle once, with a stable sort) the supporting
+    vertices a and b are fixed: each polygon's is the one after its last
+    normal at or before the interval, or after its last normal overall,
+    read off the merge order with no search.  So h_A - h_B = (a - b) . u is
+    a sinusoid in the angle of u, whose largest magnitude on the interval
+    lies at its ends, (a - b) . u at the unit normals u0 and u1 there, or
+    is |a - b| where a - b or b - a lies between u0 and u1: there the cross
+    products u0 x (a - b) and (a - b) x u1 have one sign (an interval spans
+    less than pi).  The signs are compared, not multiplied, and the normals
+    are unit vectors, so no product leaves the float range at any scale.
+    Both polygons are taken at the larger one's unit scale, and the result
+    scaled back.  Only the counterclockwise vertices are used, so the
+    origin need not be inside.
     """
-    ta = _normal_angles(a.vertices)
-    tb = _normal_angles(b.vertices)
-    lo = np.sort(np.mod(np.concatenate([ta, tb]), TWO_PI))
-    sweep = np.diff(np.append(lo, lo[0] + TWO_PI))
-    mid = np.mod(lo + 0.5 * sweep, TWO_PI)
-    d = _support_vertex(a.vertices, ta, mid) - _support_vertex(b.vertices, tb, mid)
-    # (a - b) . u(lo + t) = alpha cos t + beta sin t
-    cos_lo, sin_lo = np.cos(lo), np.sin(lo)
-    alpha = d[:, 0] * cos_lo + d[:, 1] * sin_lo
-    beta = d[:, 1] * cos_lo - d[:, 0] * sin_lo
-    at_end = alpha * np.cos(sweep) + beta * np.sin(sweep)
-    inside = np.mod(np.arctan2(beta, alpha), math.pi) <= sweep
-    peak = np.where(inside, np.hypot(alpha, beta), 0.0)
-    return float(np.max(np.maximum(np.maximum(np.abs(alpha), np.abs(at_end)), peak)))
+    ta, na, va, ka = _breakpoints(a.vertices)
+    tb, nb, vb, kb = _breakpoints(b.vertices)
+    k = max(ka, kb)
+    order = np.argsort(np.concatenate([ta, tb]), kind="stable")
+    on_a = order < len(ta)
+    dx, dy = (np.ldexp(va.take(np.cumsum(on_a) - 1, 1), ka - k)
+              - np.ldexp(vb.take(np.cumsum(~on_a) - 1, 1), kb - k))
+    ux, uy = np.concatenate([na, nb], axis=1).take(order, 1)
+    wx, wy = _rolled(ux), _rolled(uy)
+    ends = np.maximum(np.abs(dx * ux + dy * uy), np.abs(dx * wx + dy * wy))
+    inside = np.signbit(ux * dy - uy * dx) == np.signbit(dx * wy - dy * wx)
+    peak = np.where(inside, np.hypot(dx, dy), 0.0)
+    return math.ldexp(float(np.max(np.maximum(ends, peak))), k)
 
 
 def is_self_dual(shape: WulffShape, tol: float = 1e-6,
@@ -304,7 +330,7 @@ class ProjectionFrame:
         for name in ("pole", "u", "v"):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=float))
-        gram = np.stack([self.u, self.v, self.pole])
+        gram = np.array([self.u, self.v, self.pole])
         with np.errstate(invalid="ignore"):  # inf * 0 in a non-finite basis
             off = np.max(np.abs(gram @ gram.T - np.eye(3)))
         if not off <= 1e-12:  # NaN too
@@ -351,7 +377,10 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
     |c| / (cot a + cot b) over a chord c at angles a and b to them (none
     when a + b reaches pi); a great arc's piece is its chord.  So the exact
     image reaches at most the largest height past the samples' polygon,
-    which is the sampling error.
+    which is the sampling error.  Each sample's point and tangent are put in
+    the frame basis once: a piece's end tangent is the next piece's start
+    tangent on the same arc, and only a piece that ends at its arc's end
+    takes that arc's end tangent.
     """
     refused = body.refusal(frame.pole)
     if refused is not None:
@@ -364,13 +393,19 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
     w = pts @ frame.pole
     xy = np.column_stack([pts @ frame.u / w, pts @ frame.v / w])
     shape = WulffShape(xy)
-    # each piece runs from its sample to the next, on its arc or at its end
-    nxt = _rolled(t)
-    end = np.where((_rolled(arc) == arc) & (nxt > t), nxt, arcs.sweeps[arc])
+    basis = np.column_stack([frame.u, frame.v, frame.pole])
+    p = pts @ basis
+    # each piece runs from its sample to the next, on its arc, where its end
+    # tangent is the next piece's start tangent, or, the last on its arc, to
+    # its arc's end
+    last = np.flatnonzero(~((_rolled(arc) == arc) & (_rolled(t) > t)))
+    d = arcs._tangent(np.concatenate([arc, arc[last]]),
+                      np.concatenate([t, arcs.sweeps[arc[last]]])) @ basis
+    start = _image_tangent(p, d[:len(t)])
+    end = _rolled(start)
+    end[last] = _image_tangent(p.take((last + 1) % len(t), 0), d[len(t):])
     chord = _rolled(xy) - xy
-    tangents = _image_tangent(arcs, np.tile(arc, 2), np.concatenate([t, end]),
-                              np.concatenate([pts, _rolled(pts)]), frame)
-    cot = _cot_to(np.tile(chord, (2, 1)), tangents).reshape(2, -1).sum(axis=0)
+    cot = _cot_to(chord, start) + _cot_to(chord, end)
     # a piece that turns by pi or more has no such triangle: no bound
     with np.errstate(divide="ignore"):
         sag = np.where(cot > 0.0, np.hypot(*chord.T) / cot, np.inf)
@@ -379,12 +414,11 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
     return shape
 
 
-def _image_tangent(arcs, idx, t, p, frame: ProjectionFrame) -> np.ndarray:
-    """A tangent, of any length, to the image of arc idx at angle t, its
-    point p: the derivative of (p.u / p.N, p.v / p.N) times (p.N)**2."""
-    d = arcs._tangent(idx, t)
-    basis = np.column_stack([frame.u, frame.v, frame.pole])
-    (pu, pv, pn), (du, dv, dn) = (p @ basis).T, (d @ basis).T
+def _image_tangent(p, d) -> np.ndarray:
+    """Tangents, of any length, to the image at points p with tangents d,
+    both as rows in the frame basis (u, v, N): the derivative of
+    (p.u / p.N, p.v / p.N) times (p.N)**2."""
+    (pu, pv, pn), (du, dv, dn) = p.T, d.T
     return np.column_stack([du * pn - pu * dn, dv * pn - pv * dn])
 
 
@@ -392,7 +426,7 @@ def _cot_to(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cotangent of the unsigned angle between the rows of a and b: inf when
     they are parallel, so that a straight piece has height 0."""
     with np.errstate(divide="ignore"):
-        return np.sum(a * b, axis=1) / np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+        return _dot2(a, b) / np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
 
 
 def induce_spherical(shape: WulffShape, frame: ProjectionFrame,

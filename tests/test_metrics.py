@@ -165,6 +165,20 @@ class TestThicknessDiameter:
         climbed = float(sphere.dist(p, arcs.far_point(p)[0]))
         assert metrics._curve_diameter(arcs, 720)[0] == climbed > far.max() + 1e-6
 
+    def test_unsettled_climb_starts_from_the_settled_slope(self, monkeypatch):
+        # the climb on that lens starts from the best sample's value and the
+        # right slope _settled formed: one tangent_at per climb step, and
+        # none for the start (5 calls when the start was looked up again)
+        h = 0.2
+        arcs = lens((math.sin(h), 0.0, math.cos(h)), 0.5,
+                    (-math.sin(h), 0.0, math.cos(h)), 0.4).dual_arcs
+        metrics._profile(arcs, 720)
+        calls, tangent_at = [], bd._Arcs.tangent_at
+        monkeypatch.setattr(bd._Arcs, "tangent_at",
+                            lambda self, s: calls.append(len(s)) or tangent_at(self, s))
+        metrics._curve_diameter(arcs, 720)
+        assert calls == [1, 1, 1, 1]
+
     def test_diameter_endpoints_on_body(self, cd_triangle):
         res = metrics.diameter(cd_triangle, n=240)
         assert res.value == pytest.approx(HALF_PI, abs=1e-9)

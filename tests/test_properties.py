@@ -180,7 +180,7 @@ def test_prescaled_rows_match_unscaled_arcs(body, seed):
     # with the formulas on u0, v0, the centers, cos r and sin r
     rng = np.random.default_rng(seed)
     for arcs in _curves(body):
-        s = np.concatenate([arcs.sample_params(64), rng.uniform(0.0, arcs.total, 64)])
+        s = np.concatenate([arcs.samples(64)[0], rng.uniform(0.0, arcs.total, 64)])
         i = np.minimum(np.searchsorted(arcs.cum, s, side="right") - 1, arcs.count - 1)
         t = ((s - arcs.cum[i]) / arcs.sin_r[i])[:, None]
         along = np.cos(t) * arcs.u0[i] + np.sin(t) * arcs.v0[i]
@@ -757,6 +757,32 @@ def test_body_and_dual_share_constant_width(body):
     assert verdicts[0].passed == verdicts[1].passed
 
 
+# -- placed samples ------------------------------------------------------------
+
+@st.composite
+def tiny_corner_triangles(draw):
+    """Constant-diameter triangles with a corner arc of radius 1e-3, 1e-6 or
+    1e-9, or none (mixed_cd_triangle_vertices)."""
+    eps = draw(st.sampled_from([0.0, 1e-3, 1e-6, 1e-9]))
+    return construct.constant_diameter_triangle(
+        *mixed_cd_triangle_vertices(draw(st.floats(0.9, 1.1)), eps))
+
+
+@settings(BOUNDED, max_examples=40)
+@given(st.one_of(bodies, many_arc_bodies(), lenses(), tiny_corner_triangles()))
+@example(construct.cap(np.array([0.6, 0.0, 0.8]), 1e-6))
+@example(cd_induced())
+def test_placed_samples_are_where_locate_puts_them(body):
+    # a sample's arc and angle come from its placement, not from a search:
+    # they are _locate's for its parameter, bit for bit, on both curves
+    for arcs in _curves(body):
+        m = arcs.count
+        for n in (m, m + 1, 720, 4 * m):
+            params, arc, t, _ = arcs.samples(n)
+            want_arc, want_t = arcs._locate(params)
+            assert _same(arc, want_arc) and _same(t, want_t)
+
+
 # -- settled diameters ---------------------------------------------------------
 
 # a curve's best profile sample is its diameter when the sample's own one-sided
@@ -1232,6 +1258,39 @@ def test_hausdorff_polygons_matches_brute_force(pair):
     a, b = pair
     got = wulff.hausdorff_polygons(SimpleNamespace(vertices=a), SimpleNamespace(vertices=b))
     assert abs(got - _brute_hausdorff(a, b)) <= 1e-12
+
+
+def test_hausdorff_polygons_on_a_projected_720_gon_and_its_dual():
+    # the gap of roundtrip: a constant-diameter triangle's image, 720
+    # samples, against its dual; at 2**1000 and 2**-1000 the gap scales by
+    # exactly that factor, where the reference's squares would leave the
+    # float range
+    tri = construct.constant_diameter_triangle(
+        np.array([0.6, 0.0, 0.8]), np.array([-0.3, 0.52, 0.8]), np.array([-0.3, -0.52, 0.8]))
+    frame = wulff.frame_at(tri.enclosing_center)
+    shape = wulff.project_to_plane(tri, frame, n=720)
+    dual = wulff.dual_wulff(shape)
+    gap = wulff.hausdorff_polygons(shape, dual)
+    assert abs(gap - _brute_hausdorff(shape.vertices, dual.vertices)) <= 1e-12
+    for j in (1000, -1000):
+        assert wulff.hausdorff_polygons(shape.scaled(2.0 ** j), dual.scaled(2.0 ** j)) \
+            == math.ldexp(gap, j)
+
+
+# a square with a straight vertex on its right edge, at each index in turn:
+# at index 0, its first and last edges' normal angles tie across 0
+STRAIGHT = np.array([[1.0, 0.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+
+
+@pytest.mark.parametrize("shift", range(5))
+def test_hausdorff_polygons_with_a_straight_vertex(shift):
+    a = np.roll(STRAIGHT, -shift, axis=0)
+    for b in (2.0 * np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+              0.5 * STRAIGHT, STRAIGHT + 0.1):
+        for x, y in ((a, b), (b, a)):
+            got = wulff.hausdorff_polygons(SimpleNamespace(vertices=x),
+                                           SimpleNamespace(vertices=y))
+            assert abs(got - _brute_hausdorff(x, y)) <= 1e-12
 
 
 # -- exact Wulff dual ----------------------------------------------------------

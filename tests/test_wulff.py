@@ -11,7 +11,7 @@ from lunes import construct, io, metrics, sphere, wulff
 from lunes.errors import (EmptyInterior, InvalidSpec, InvariantViolation,
                           NotInHemisphere, PoleNotInterior)
 
-from conftest import mixed_cd_triangle_vertices, random_cd_triangle_vertices
+from conftest import lens, mixed_cd_triangle_vertices, random_cd_triangle_vertices
 
 Z = np.array([0.0, 0.0, 1.0])
 SQUARE = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
@@ -487,6 +487,33 @@ def _lift_cases():
 LIFT_CASES = ["cd_triangle", "random_polygon", "octant", "tiny_corner"]
 
 
+def _two_tangent_error(body, frame, n):
+    """project_to_plane's sampling error with both end tangents of every
+    piece formed on their own, the end one from the next sample on the same
+    arc or from the arc's end: the reference for one tangent per sample."""
+    arcs = body.arcs
+    _, arc, t, pts = arcs.samples(max(n, arcs.count))
+    keep = (arcs.radii[arc] < bd.HALF_PI) | (t == 0.0)
+    arc, t, pts = arc[keep], t[keep], pts[keep]
+    w = pts @ frame.pole
+    xy = np.column_stack([pts @ frame.u / w, pts @ frame.v / w])
+    nxt = np.roll(t, -1)
+    end = np.where((np.roll(arc, -1) == arc) & (nxt > t), nxt, arcs.sweeps[arc])
+    basis = np.column_stack([frame.u, frame.v, frame.pole])
+    p = np.concatenate([pts, np.roll(pts, -1, axis=0)]) @ basis
+    d = arcs._tangent(np.tile(arc, 2), np.concatenate([t, end])) @ basis
+    tangents = np.column_stack([d[:, 0] * p[:, 2] - p[:, 0] * d[:, 2],
+                                d[:, 1] * p[:, 2] - p[:, 1] * d[:, 2]])
+    chord = np.tile(np.roll(xy, -1, axis=0) - xy, (2, 1))
+    with np.errstate(divide="ignore"):
+        cot = (np.sum(chord * tangents, axis=1)
+               / np.abs(chord[:, 0] * tangents[:, 1] - chord[:, 1] * tangents[:, 0]))
+        cot = cot.reshape(2, -1).sum(axis=0)
+        sag = np.where(cot > 0.0, np.hypot(*chord[:len(cot)].T) / cot, np.inf)
+    sag[arcs.radii[arc] >= bd.HALF_PI] = 0.0
+    return float(sag.max())
+
+
 class TestExactLift:
     @pytest.mark.parametrize("which", LIFT_CASES)
     def test_own_frame_returns_the_body(self, which):
@@ -520,6 +547,23 @@ class TestExactLift:
                 assert np.array_equal(got, want)
             assert np.array_equal(induced.enclosing_center, other.pole)
 
+    @pytest.mark.parametrize("which", LIFT_CASES + ["lens"])
+    def test_sampling_error_takes_one_tangent_per_sample(self, which):
+        # a piece's end tangent is the next piece's start tangent on one
+        # arc, and its arc's own end tangent at a junction (the lens's
+        # corners): the sampling error is that of two tangents per piece,
+        # bit for bit
+        if which == "lens":
+            h = 0.2
+            body = lens((math.sin(h), 0.0, math.cos(h)), 0.5,
+                        (-math.sin(h), 0.0, math.cos(h)), 0.4)
+            fr = wulff.frame_at(body.enclosing_center)
+        else:
+            body, fr = _lift_cases()[which]
+        for n in (64, 720, 2880):
+            got = wulff.project_to_plane(body, fr, n=n)._source[2]
+            assert got.hex() == _two_tangent_error(body, fr, n).hex()
+
     @pytest.mark.parametrize("which", LIFT_CASES)
     def test_own_frame_projection_makes_no_support_query(self, which, monkeypatch):
         # the body's constructor answered the refusal of its enclosing
@@ -541,7 +585,7 @@ class TestExactLift:
         path = str(tmp_path / "body.json")
         io.save_body(_lift_cases()[which][0], path)
         calls = {"validated": 0, "init": 0, "params": []}
-        validated, init, params = bd._validated, bd.SphericalBody.__init__, bd._Arcs.sample_params
+        validated, init, placed = bd._validated, bd.SphericalBody.__init__, bd._Arcs._placed
 
         def count_validated(*a):
             calls["validated"] += 1
@@ -553,8 +597,8 @@ class TestExactLift:
 
         monkeypatch.setattr(bd, "_validated", count_validated)
         monkeypatch.setattr(bd.SphericalBody, "__init__", count_init)
-        monkeypatch.setattr(bd._Arcs, "sample_params",
-                            lambda self, n: calls["params"].append((self, n)) or params(self, n))
+        monkeypatch.setattr(bd._Arcs, "_placed",
+                            lambda self, n: calls["params"].append((self, n)) or placed(self, n))
         body = io.load_body(path)
         fr = wulff.frame_at(body.enclosing_center)
         rep = wulff.self_dual_equivalence_report(wulff.project_to_plane(body, fr, n=720), fr,
