@@ -477,6 +477,15 @@ class _Arcs:
         return vals, arc, t
 
 
+def _azimuth_steps(starts, u, v):
+    """The azimuths of the starts in the tangent basis (u, v) and the steps
+    to the next, mod 2 pi: one that roundoff puts just below 0 counts as 0."""
+    az = np.arctan2(starts @ v, starts @ u)
+    d = np.mod(_rolled(az) - az, TWO_PI)
+    d[d > TWO_PI - 1e-9] = 0.0
+    return az, d
+
+
 def interleaved(keep, first: Boundary, second: Boundary) -> Boundary:
     """The arcs first[0], second[0], first[1], second[1], ... of two
     boundaries of m arcs, where keep (2m booleans) is True."""
@@ -612,15 +621,10 @@ class SphericalBody:
         p), so the azimuth of p about c rises at a rate proportional to
         c . K, which the interior check keeps above INTERIOR_MIN: it rises
         strictly along every arc, by less than 2 pi.  The winding is then
-        the sum of the arcs' start-to-next-start azimuth steps mod 2 pi, on
-        m azimuths, with no sampling; a step that roundoff puts just below
-        zero (a very short arc) counts as zero, not as a turn."""
+        the sum of the arcs' azimuth steps (_azimuth_steps), unsampled."""
         if self.is_full_circle:
             return
-        u, v = orthonormal_frame(self.enclosing_center)
-        az = np.arctan2(self.starts @ v, self.starts @ u)
-        d = np.mod(_rolled(az) - az, TWO_PI)
-        d[d > TWO_PI - 1e-9] = 0.0
+        d = _azimuth_steps(self.starts, *orthonormal_frame(self.enclosing_center))[1]
         if abs(float(d.sum()) - TWO_PI) > 1e-6:
             raise InvariantViolation(
                 "convexity", "boundary does not wind once counterclockwise")

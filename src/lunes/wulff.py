@@ -10,21 +10,22 @@ and back; it maps great circles to lines, so a polygon lifts exactly to the
 spherical polygon over its lifted vertices.  A body projects, about a pole
 inside it, to its boundary samples in boundary order, one point per great
 arc: the image is convex as it stands, and no hull is taken.  The image
-keeps the body it came from, the frame, and a bound on how far the body's
-exact image reaches past the samples' polygon; in that frame it lifts back
-to that body, seen from the pole, with its validated arrays and arc tables
+keeps the body it came from and the frame; in that frame it lifts back to
+that body, seen from the pole, with its validated arrays and arc tables
 shared, not rebuilt.  That turns the self-duality question into
-width/diameter checks on the sphere, run on the body itself; the
-equivalence report runs all five checks and treats any disagreement beyond
-what tolerance and sampling allow as an internal error.  Self-duality gaps
-are exact polygon Hausdorff distances, taken from the two support
-functions over the merged edge-normal angles in O((m + k) log(m + k)) for
-polygons of m and k vertices: each interval's supporting vertices are read
-off the merge order, and its ends evaluated at the unit edge normals, with
-no trigonometry per interval.  One scale rule: each planar computation
-runs on its input scaled by a power of two (_unit), exact in the normal
-range, and scales its result back, so W(2^j gamma) = 2^j W(gamma) bit for
-bit and no product leaves the float range.
+width/diameter checks on the sphere, run on the body itself, and the gap
+into one read off the body and its polar dual, whose image is the dual
+Wulff shape (Nishimura and Sakemi, J. Math. Soc. Japan 66, 2014); the
+equivalence report treats any disagreement beyond what tolerance and
+roundoff allow as an internal error.  Polygon gaps are exact Hausdorff
+distances, taken from the two support functions over the merged
+edge-normal angles in O((m + k) log(m + k)) for polygons of m and k
+vertices: each interval's supporting vertices are read off the merge
+order, and its ends evaluated at the unit edge normals, with no
+trigonometry per interval.  One scale rule: each planar computation runs
+on its input scaled by a power of two (_unit), exact in the normal range,
+and scales its result back, so W(2^j gamma) = 2^j W(gamma) bit for bit
+and no product leaves the float range.
 """
 
 from __future__ import annotations
@@ -35,16 +36,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .body import (HALF_PI, TWO_PI, SphericalBody, _rolled, hull_scan,
-                   polygon_from_vertices)
+from .body import (HALF_PI, TWO_PI, SphericalBody, _azimuth_steps, _rolled,
+                   hull_scan, polygon_from_vertices)
 from .errors import (DegenerateHull, EmptyInterior, InconsistentVerdicts,
                      InvalidSpec, InvariantViolation, NotInHemisphere,
                      PoleNotInterior)
-from .metrics import Verdict, classify
+from .metrics import Verdict, _climb, classify
 from .sphere import norm, normalize, orthonormal_frame
 
 # max|x| is below the least normal float exactly when _unit's k is below this
 _TINY_EXP = int(np.frexp(np.finfo(float).tiny)[1])
+_GAP_SAMPLES = 8  # _radial_gap scans each interval in this many steps
+# a deviation's roundoff: two angles near pi/2 (or cotangents near 1), each
+# a few ulps off, differ by at most 32 ulps of pi/2 (7.1e-15)
+_ROUNDOFF = 32 * math.ulp(HALF_PI)
 
 
 @dataclass(frozen=True)
@@ -90,13 +95,13 @@ class WulffShape:
     or fail together.  A shape below the normal float range is refused, as
     its vertices hold only a subnormal's digits.  Edge normals and offsets
     are derived at construction.  A shape that project_to_plane returns
-    also keeps the body it projected, the frame and the image's sampling
-    error (_source); in that frame induce_spherical lifts the body in place
-    of the vertices.  Every other shape has none, so two shapes with equal
-    vertices can lift to different bodies.
+    also keeps the body it projected and the frame (_source); in that frame
+    induce_spherical lifts the body in place of the vertices, and the
+    equivalence report reads the gap off it.  Every other shape has none, so
+    two shapes with equal vertices can lift to different bodies.
     """
 
-    _source = None  # (SphericalBody, ProjectionFrame, float), set by project_to_plane
+    _source = None  # (SphericalBody, ProjectionFrame), set by project_to_plane
 
     def __init__(self, vertices):
         verts = np.atleast_2d(np.asarray(vertices, dtype=float))
@@ -368,19 +373,10 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
     enclosing center, bit for bit) the projection makes no support query.
 
     The samples are the arc table's own (_Arcs.samples), which the body's
-    profiles read too.  The shape keeps the body itself, the frame and the
-    image's sampling error as its source, so in that frame induce_spherical
-    returns the body, not the polygon over the samples (Han and Nishimura,
-    J. Math. Soc. Japan 69, 2017).  Every piece of curve between
-    two samples lies on one arc, and its image is a convex arc inside the
-    triangle that the chord cuts off the two end tangents, of height
-    |c| / (cot a + cot b) over a chord c at angles a and b to them (none
-    when a + b reaches pi); a great arc's piece is its chord.  So the exact
-    image reaches at most the largest height past the samples' polygon,
-    which is the sampling error.  Each sample's point and tangent are put in
-    the frame basis once: a piece's end tangent is the next piece's start
-    tangent on the same arc, and only a piece that ends at its arc's end
-    takes that arc's end tangent.
+    profiles read too.  The shape keeps the body itself and the frame as
+    its source, so in that frame induce_spherical returns the body, not the
+    polygon over the samples (Han and Nishimura, J. Math. Soc. Japan 69,
+    2017), and the report reads the gap of its exact image.
     """
     refused = body.refusal(frame.pole)
     if refused is not None:
@@ -388,45 +384,61 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
                else PoleNotInterior)(f"projection pole: {refused}")
     arcs = body.arcs
     _, arc, t, pts = arcs.samples(max(n, arcs.count))
-    keep = (arcs.radii[arc] < HALF_PI) | (t == 0.0)
-    arc, t, pts = arc[keep], t[keep], pts[keep]
+    pts = pts[(arcs.radii[arc] < HALF_PI) | (t == 0.0)]
     w = pts @ frame.pole
-    xy = np.column_stack([pts @ frame.u / w, pts @ frame.v / w])
-    shape = WulffShape(xy)
-    basis = np.column_stack([frame.u, frame.v, frame.pole])
-    p = pts @ basis
-    # each piece runs from its sample to the next, on its arc, where its end
-    # tangent is the next piece's start tangent, or, the last on its arc, to
-    # its arc's end
-    last = np.flatnonzero(~((_rolled(arc) == arc) & (_rolled(t) > t)))
-    d = arcs._tangent(np.concatenate([arc, arc[last]]),
-                      np.concatenate([t, arcs.sweeps[arc[last]]])) @ basis
-    start = _image_tangent(p, d[:len(t)])
-    end = _rolled(start)
-    end[last] = _image_tangent(p.take((last + 1) % len(t), 0), d[len(t):])
-    chord = _rolled(xy) - xy
-    cot = _cot_to(chord, start) + _cot_to(chord, end)
-    # a piece that turns by pi or more has no such triangle: no bound
-    with np.errstate(divide="ignore"):
-        sag = np.where(cot > 0.0, np.hypot(*chord.T) / cot, np.inf)
-    sag[arcs.radii[arc] >= HALF_PI] = 0.0
-    shape._source = (body, frame, float(sag.max()))
+    shape = WulffShape(np.column_stack([pts @ frame.u / w, pts @ frame.v / w]))
+    shape._source = (body, frame)
     return shape
 
 
-def _image_tangent(p, d) -> np.ndarray:
-    """Tangents, of any length, to the image at points p with tangents d,
-    both as rows in the frame basis (u, v, N): the derivative of
-    (p.u / p.N, p.v / p.N) times (p.N)**2."""
-    (pu, pv, pn), (du, dv, dn) = p.T, d.T
-    return np.column_stack([du * pn - pu * dn, dv * pn - pv * dn])
+def _radial_cot(arcs, basis, phi, k):
+    """cot R and d cot R / d phi where the ray cos R N + sin R a(phi) leaves
+    arc k's circle (center c, radius r; basis (u, v, N)): R = atan2(c . a,
+    c . N) + atan2(s, cos r), s = sqrt((sin r - |b|)(sin r + |b|)), b = c .
+    a', a product that keeps a 1e-9 corner arc's digits; R' = b (s c . N +
+    cos r c . a) / (s rho**2), rho = hypot(c . a, c . N).  k broadcasts."""
+    cu, cv, n = np.moveaxis(arcs.centers[k] @ basis, -1, 0)
+    cos_r, sin_r, cos, sin = arcs.cos_r[k], arcs.sin_r[k], np.cos(phi), np.sin(phi)
+    a, b = cos * cu + sin * cv, cos * cv - sin * cu
+    s = np.sqrt(np.maximum((sin_r - np.abs(b)) * (sin_r + np.abs(b)), 0.0))
+    r = np.arctan2(a, n) + np.arctan2(s, cos_r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 1.0 / np.tan(r), -b * (s * n + cos_r * a) / (s * (a * a + n * n) * np.sin(r) ** 2)
 
 
-def _cot_to(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cotangent of the unsigned angle between the rows of a and b: inf when
-    they are parallel, so that a straight piece has height 0."""
-    with np.errstate(divide="ignore"):
-        return _dot2(a, b) / np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+def _radial_gap(body: SphericalBody, frame: ProjectionFrame) -> float:
+    """Self-duality gap of the body C's exact image W in frame.  W's dual is
+    the image of the polar dual D, as (N + x) . (N - y) = 1 - x . y, so the
+    gap is max over phi of |cot R_D(phi) - cot R_C(phi)|, their supports at
+    -a(phi).  Between the merged start azimuths of C and D (_azimuth_steps)
+    each is one arc, the azimuth rising along it (_check_winding): each
+    interval is scanned at _GAP_SAMPLES + 1 azimuths, then climbed."""
+    (az, step), (dual_az, dual_step) = (_azimuth_steps(starts, frame.u, frame.v)
+                                        for starts in (body.starts, body.dual_boundary.starts))
+    # each side's start azimuths from the body's first, rising from 0
+    at, dual_at = (np.concatenate([[0.0], np.cumsum(d[:-1])]) for d in (step, dual_step))
+    dual_at += np.mod(dual_az[0] - az[0], TWO_PI)
+    first = int(np.count_nonzero(dual_at < TWO_PI))
+    dual_at = np.maximum.accumulate(np.concatenate([dual_at[first:] - TWO_PI, dual_at[:first]]))
+    # a stable merge: an interval's arc is its side's last start at or before it
+    keys = np.concatenate([at, dual_at])
+    order = np.argsort(keys, kind="stable")
+    lo, on_body = np.minimum(keys[order], TWO_PI), order < len(at)
+    arcs = ((body.arcs, np.cumsum(on_body) - 1), (body.dual_arcs, np.roll(
+        np.arange(len(dual_at)), -first).take(np.cumsum(~on_body) - 1)))
+    basis = np.column_stack([frame.u, frame.v, frame.pole])
+
+    def fn(phi, rows):
+        (f0, g0), (f, g) = (_radial_cot(table, basis, phi, k.take(rows).reshape(
+            rows.shape + (1,) * (phi.ndim - 1))) for table, k in arcs)
+        return np.abs(f - f0), np.where(f < f0, g0 - g, g - g0)
+
+    rows = np.arange(len(lo))
+    grid = az[0] + lo[:, None] + ((np.append(lo[1:], TWO_PI) - lo)[:, None]
+                                  * (np.arange(_GAP_SAMPLES + 1) / _GAP_SAMPLES))
+    val, slope = fn(grid, rows)
+    j = val.argmax(axis=1)
+    return float(np.max(_climb(fn, grid, j, val[rows, j], slope[rows, j])[1]))
 
 
 def induce_spherical(shape: WulffShape, frame: ProjectionFrame,
@@ -438,15 +450,14 @@ def induce_spherical(shape: WulffShape, frame: ProjectionFrame,
     the pole as its enclosing center and its own meta, sharing the source's
     read-only arrays, arcs, dual_arcs and dual_boundary.  The projection
     validated that body and had it accept the pole, so nothing is validated
-    again.  Any other shape
-    (from a gamma, from vertices, dual_wulff or scaled), or that shape in
-    another frame, is a polygon; central projection maps great circles to
-    lines, so its body is exactly the spherical polygon over the lifted
-    vertices (x, y) -> normalize(N + x u + y v), one edge per edge of the
-    shape, in the shape's vertex order.  n is accepted for compatibility
-    and ignored: the lift is exact.  A shape past unit size is lifted at its
-    own scale, as normalize(2**-k (N + x u + y v)), where no sum overflows;
-    a smaller one as it stands.
+    again.  Any other shape (from a gamma, from vertices, dual_wulff or
+    scaled), or that shape in another frame, is a polygon; central
+    projection maps great circles to lines, so its body is exactly the
+    spherical polygon over the lifted vertices (x, y) -> normalize(N + x u +
+    y v), one edge per edge of the shape, in the shape's vertex order.  n is
+    accepted for compatibility and ignored: the lift is exact.  A shape past
+    unit size is lifted at its own scale, as normalize(2**-k (N + x u + y
+    v)), where no sum overflows; a smaller one as it stands.
 
     The pole N is tried first as the enclosing center (SphericalBody).
     """
@@ -454,11 +465,11 @@ def induce_spherical(shape: WulffShape, frame: ProjectionFrame,
 
 
 def _induced(shape: WulffShape, frame: ProjectionFrame, source) -> SphericalBody:
-    """induce_spherical, given the shape's source in frame (_source_in)."""
+    """induce_spherical, given the shape's source body in frame (_source_in)."""
     if source is not None:
         # the projection validated the body and had it accept the pole
         # (refusal): seen from the pole, it is a copy sharing every array
-        body = copy.copy(source[0])
+        body = copy.copy(source)
         body.enclosing_center, body.meta = normalize(frame.pole), {"kind": "induced"}
         return body
     k = max(_unit(shape.vertices)[1], 0)
@@ -469,12 +480,12 @@ def _induced(shape: WulffShape, frame: ProjectionFrame, source) -> SphericalBody
     return body
 
 
-def _source_in(shape: WulffShape, frame: ProjectionFrame):
-    """The shape's source when frame is the one it was projected in, else None."""
+def _source_in(shape: WulffShape, frame: ProjectionFrame) -> SphericalBody | None:
+    """The body the shape was projected from if frame is its frame, else None."""
     src = shape._source
     if src is not None and all(map(np.array_equal, (src[1].pole, src[1].u, src[1].v),
                                    (frame.pole, frame.u, frame.v))):
-        return src
+        return src[0]
     return None
 
 
@@ -484,9 +495,7 @@ class DualityReport:
 
     The five booleans (self_dual and the four conditions) must agree; a
     strict pass coexisting with a hard failure raises InconsistentVerdicts
-    upstream rather than being resolved silently.  gap_error bounds how far
-    hausdorff_gap, the samples' gap, can sit from that of the body's exact
-    image: 0 for a polygon, which its samples are.  induced_body is the body
+    upstream rather than being resolved silently.  induced_body is the body
     the conditions were measured on; for a shape from project_to_plane, in
     its own frame, it shares the projected body's arrays and arc tables.
     """
@@ -495,7 +504,6 @@ class DualityReport:
     hausdorff_gap: float
     four_conditions: dict = field(default_factory=dict)
     induced_body: SphericalBody | None = None
-    gap_error: float = 0.0
 
     @property
     def booleans(self) -> list[bool]:
@@ -512,24 +520,17 @@ def self_dual_equivalence_report(shape: WulffShape, frame: ProjectionFrame,
     both the property check and the pi/2 value, measured by one
     metrics.classify of the induced body: for a shape from project_to_plane,
     in its own frame, the projected body itself, so a self-dual body meets
-    all four to roundoff.  The self-duality gap is the exact Hausdorff
-    distance from the shape, the sampled image, to its closed-form dual.
-    For such a shape the exact image W lies within the sampling error h of
-    the shape P, and P in W; so the supports differ by at most h, the
-    radial functions of the duals (the reciprocal supports) by at most
-    h / rho**2, rho being P's least offset, and the gap of W lies within
-    gap_error = h (1 + 1 / rho**2) of the shape's.  self_dual passes when
-    gap - gap_error <= tol: at a sample count too coarse to tell, a body
-    whose conditions fail can read self-dual, but a self-dual body always
-    does.  Disagreement beyond tolerance slack (one strict pass, at <= tol,
-    together with one failure at > 10*tol, the gap taken at its worst for
-    each) raises InconsistentVerdicts.  dual_n is accepted for
-    compatibility and ignored: the dual is exact.
+    all four to roundoff.  The gap is exact too: for such a shape whose
+    body has a curved arc, its exact image's (_radial_gap); for any other,
+    its own image, the Hausdorff distance to its closed-form dual.
+    self_dual passes when the gap is at most tol.  One strict pass (<= tol)
+    with one failure past both 10*tol and _ROUNDOFF raises
+    InconsistentVerdicts.  dual_n is accepted and ignored: the dual is exact.
     """
-    gap = is_self_dual(shape, tol=tol)[1]
     source = _source_in(shape, frame)
-    err = 0.0 if source is None else source[2] * (1.0 + 1.0 / float(shape.offsets.min()) ** 2)
-    sd = bool(gap - err <= tol)
+    gap = (is_self_dual(shape, tol=tol)[1] if source is None or source.is_polygon
+           else _radial_gap(source, frame))
+    sd = bool(gap <= tol)
     body = _induced(shape, frame, source)
     rep = classify(body, tol=tol, n=n)
     th, dm, cw, cd, red = (rep.thickness, rep.diameter, rep.constant_width,
@@ -549,18 +550,16 @@ def self_dual_equivalence_report(shape: WulffShape, frame: ProjectionFrame,
         "reduced_diameter_half_pi": gated("self_dual_aux", red, dm.value),
         "constant_diameter_half_pi": gated("self_dual_aux", cd, dm.value),
     }
-    report = DualityReport(self_dual=sd, hausdorff_gap=gap, four_conditions=conditions,
-                           induced_body=body, gap_error=err)
-    devs = [v.deviation for v in conditions.values()]
+    report = DualityReport(sd, gap, conditions, body)
+    devs = [gap] + [v.deviation for v in conditions.values()]
     flags = [sd] + [v.passed for v in conditions.values()]
     if any(flags) and not all(flags):
-        strict_pass = any(f and d <= tol for f, d in zip(flags, [gap + err] + devs))
-        hard_fail = any((not f) and d > 10.0 * tol
-                        for f, d in zip(flags, [gap - err] + devs))
+        strict_pass = any(f and d <= tol for f, d in zip(flags, devs))
+        hard_fail = any(not f and d > max(10.0 * tol, _ROUNDOFF) for f, d in zip(flags, devs))
         if strict_pass and hard_fail:
             raise InconsistentVerdicts(
                 "equivalent self-duality conditions disagree: "
                 + ", ".join(f"{k}={v.passed} (dev {v.deviation:.3g})"
                             for k, v in conditions.items())
-                + f", self_dual={sd} (gap {gap:.3g} +/- {err:.3g})")
+                + f", self_dual={sd} (gap {gap:.3g})")
     return report

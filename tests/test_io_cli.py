@@ -388,38 +388,48 @@ class TestCli:
         assert "self_dual" in r.stdout
         assert "Traceback" not in r.stderr, r.stderr
 
-    @pytest.mark.parametrize("tol", ["1e-6", "1e-4", "0.001"])
+    @pytest.mark.parametrize("tol", ["1e-6", "1e-4", "0.001", "1e-12"])
     def test_roundtrip_states_its_tolerance(self, tmp_path, capsys, tol):
-        # the first line names the gap with its sampling error and the
-        # tolerance decided at, 1e-4 at the least, as `wulff self-dual`
-        # does; the four conditions follow
+        # the first line names the exact gap and the tolerance given, as
+        # `wulff self-dual` does; the four conditions follow
         path = str(tmp_path / "tri.json")
         io.save_body(construct.constant_diameter_triangle(
             np.array([0.6, 0.0, 0.8]), np.array([-0.3, 0.52, 0.8]),
             np.array([-0.3, -0.52, 0.8])), path)
         assert _main(["--tol", tol, "roundtrip", path]) == 0
         out = capsys.readouterr().out.splitlines()
-        want = f"{max(float(tol), 1e-4):g}"
-        assert re.fullmatch(r"self_dual: True \(gap [0-9.e+-]+ \+/- [0-9.e+-]+, tolerance "
-                            + re.escape(want) + r"\)", out[0]), out
+        gap = re.fullmatch(r"self_dual: True \(gap (\S+), tolerance "
+                           + re.escape(f"{float(tol):g}") + r"\)", out[0])
+        assert gap and float(gap.group(1)) <= 1e-12, out
         assert len(out) == 5 and all(line.split(": ")[1].startswith("True ")
                                      for line in out[1:]), out
 
-    @pytest.mark.parametrize("samples", ["64", "200"])
+    @pytest.mark.parametrize("samples", ["16", "64", "200", "720"])
     def test_roundtrip_coarse_samples(self, tmp_path, capsys, samples):
-        # fewer samples leave the gap over tol, but within its sampling
-        # error: all five conditions still hold, and the command passes
+        # the gap is read off the body, not its samples: at any count it
+        # is roundoff, all five conditions hold and the command passes
         path = str(tmp_path / "tri.json")
         io.save_body(construct.constant_diameter_triangle(
             np.array([0.6, 0.0, 0.8]), np.array([-0.3, 0.52, 0.8]),
             np.array([-0.3, -0.52, 0.8])), path)
         assert _main(["--samples", samples, "roundtrip", path]) == 0
         out = capsys.readouterr().out.splitlines()
-        gap, err = map(float, re.fullmatch(
-            r"self_dual: True \(gap (\S+) \+/- (\S+), tolerance 0.0001\)", out[0]).groups())
-        assert 1e-4 < gap <= err
+        gap = re.fullmatch(r"self_dual: True \(gap (\S+), tolerance 1e-06\)", out[0])
+        assert gap and float(gap.group(1)) <= 1e-12, out
         assert len(out) == 5 and all(line.split(": ")[1].startswith("True ")
                                      for line in out[1:]), out
+
+    def test_roundtrip_below_roundoff_is_a_verdict(self, tmp_path, capsys):
+        # a tolerance of 0 is below the roundoff of the gap and the
+        # deviations: a verdict fail (exit 1), as `check --tol 0` gives,
+        # not an internal error
+        path = str(tmp_path / "tri.json")
+        io.save_body(construct.constant_diameter_triangle(
+            np.array([0.6, 0.0, 0.8]), np.array([-0.3, 0.52, 0.8]),
+            np.array([-0.3, -0.52, 0.8])), path)
+        assert _main(["--tol", "0", "roundtrip", path]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"self_dual: False \(gap \S+, tolerance 0\)", out[0]), out
 
     def test_render_and_report_rejection(self, tmp_path):
         r = run_cli("construct", "cap", "--center", "0,0,1", "--rho", "0.5",

@@ -13,6 +13,7 @@ Example counts are bounded and the search is derandomized, so the suite is
 deterministic and its runtime fixed; it lives apart from the acceptance gate.
 """
 
+import contextlib
 import copy
 import itertools
 import json
@@ -21,6 +22,7 @@ import os
 import tempfile
 from dataclasses import replace
 from fractions import Fraction
+from io import StringIO
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,12 +33,13 @@ from scipy.optimize import minimize
 from scipy.spatial import ConvexHull, QhullError
 
 from lunes import body as bd
-from lunes import construct, io, metrics, sphere, wulff
+from lunes import cli, construct, io, metrics, sphere, wulff
 from lunes.errors import (DegenerateHull, InconsistentVerdicts,
                           InvariantViolation, LunesError)
 from lunes.sphere import dist, orthonormal_frame
 
-from conftest import STADIUM_LENS, cd_induced, lens, mixed_cd_triangle_vertices
+from conftest import (STADIUM_LENS, cd_induced, lens, mixed_cd_triangle_vertices,
+                      random_cd_triangle_vertices)
 
 DENSE = 4096  # boundary samples of the brute-force farthest-point oracle
 
@@ -1339,9 +1342,8 @@ def test_report_raises_on_disagreeing_verdicts(octant, monkeypatch):
 
 
 
-def test_report_raises_when_the_gap_bound_passes_strictly(cd_triangle, monkeypatch):
-    # at tol 1e-3 the sampled gap plus its sampling error is below tol, so
-    # the exact image is within tol of self-dual: a strict pass, which a
+def test_report_raises_when_the_gap_passes_strictly(cd_triangle, monkeypatch):
+    # at tol 1e-3 the exact gap, roundoff, is a strict pass, which a
     # constant width verdict failing far beyond tolerance contradicts
     original = metrics.is_constant_width
 
@@ -1351,11 +1353,48 @@ def test_report_raises_when_the_gap_bound_passes_strictly(cd_triangle, monkeypat
 
     fr = wulff.frame_at(cd_triangle.enclosing_center)
     shape = wulff.project_to_plane(cd_triangle, fr, n=720)
-    rep = wulff.self_dual_equivalence_report(shape, fr, tol=1e-3, n=720)
-    assert 0.0 < rep.gap_error and rep.hausdorff_gap + rep.gap_error <= 1e-3
+    assert wulff.self_dual_equivalence_report(shape, fr, tol=1e-3, n=720).hausdorff_gap <= 1e-12
     monkeypatch.setattr(metrics, "is_constant_width", failing_width)
     with pytest.raises(InconsistentVerdicts):
         wulff.self_dual_equivalence_report(shape, fr, tol=1e-3, n=720)
+
+
+def _self_dual_body(i):
+    """Self-dual body i of 18: a constant-diameter triangle of seed i for i
+    below 15, else the regular 3-, 5- or 7-gon of thickness pi/2."""
+    if i < 15:
+        return construct.constant_diameter_triangle(
+            *random_cd_triangle_vertices(np.random.default_rng(i)))
+    return construct.regular_odd_gon(2 * (i - 15) + 3, bd.HALF_PI)
+
+
+@settings(BOUNDED, max_examples=60)
+@given(st.integers(0, 17), st.sampled_from([0.0, 5e-324, 1e-17, 1e-16, 1e-15, 1e-12, 1e-6, 1e-3]))
+def test_self_dual_bodies_never_read_inconsistent(i, tol):
+    # below roundoff a verdict may fail, but a deviation of roundoff is no
+    # hard failure: the report does not raise, and `lunes roundtrip` exits
+    # with a verdict, 0 or 1, never 2
+    body = _self_dual_body(i)
+    fr = wulff.frame_at(body.enclosing_center)
+    wulff.self_dual_equivalence_report(wulff.project_to_plane(body, fr, n=720), fr,
+                                       tol=tol, n=720)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "body.json")
+        io.save_body(body, path)
+        with contextlib.redirect_stdout(StringIO()):
+            assert cli.main(["--tol", repr(tol), "roundtrip", path]) in (0, 1)
+
+
+@BOUNDED
+@given(polygons())
+def test_radial_gap_equals_the_polygon_gap_on_polygons(body):
+    # a polygon's image is its projected vertices: the gap read off the
+    # body and its polar dual is the polygon gap, to roundoff
+    fr = wulff.frame_at(body.enclosing_center)
+    shape = wulff.project_to_plane(body, fr, n=720)
+    polygon = wulff.hausdorff_polygons(shape, wulff.dual_wulff(shape))
+    assert abs(wulff._radial_gap(body, fr) - polygon) <= 1e-12 * max(1.0, polygon)
+
 
 # -- bodies: polar dual, persistence, validation --------------------------------
 

@@ -488,9 +488,12 @@ LIFT_CASES = ["cd_triangle", "random_polygon", "octant", "tiny_corner"]
 
 
 def _two_tangent_error(body, frame, n):
-    """project_to_plane's sampling error with both end tangents of every
-    piece formed on their own, the end one from the next sample on the same
-    arc or from the arc's end: the reference for one tangent per sample."""
+    """How far the body's exact image can reach past the polygon of its n
+    samples, as project_to_plane keeps them: a test oracle.  Every piece of
+    curve between two samples lies on one arc, and its image is a convex
+    arc inside the triangle that the chord cuts off the two end tangents,
+    of height |c| / (cot a + cot b) over a chord c at angles a and b to
+    them (none when a + b reaches pi); a great arc's piece is its chord."""
     arcs = body.arcs
     _, arc, t, pts = arcs.samples(max(n, arcs.count))
     keep = (arcs.radii[arc] < bd.HALF_PI) | (t == 0.0)
@@ -512,6 +515,17 @@ def _two_tangent_error(body, frame, n):
         sag = np.where(cot > 0.0, np.hypot(*chord[:len(cot)].T) / cot, np.inf)
     sag[arcs.radii[arc] >= bd.HALF_PI] = 0.0
     return float(sag.max())
+
+
+def _gap_cases():
+    """_lift_cases, a lens, and caps of radius 0.6, pi/4 + 1e-3 and 1 about
+    the z axis, each at its own enclosing center."""
+    h = 0.2
+    bodies = {"lens": lens((math.sin(h), 0.0, math.cos(h)), 0.5,
+                           (-math.sin(h), 0.0, math.cos(h)), 0.4)}
+    bodies.update({f"cap_{r:.3g}": construct.cap(Z, r) for r in (0.6, math.pi / 4 + 1e-3, 1.0)})
+    return {**_lift_cases(), **{k: (b, wulff.frame_at(b.enclosing_center))
+                                for k, b in bodies.items()}}
 
 
 class TestExactLift:
@@ -546,23 +560,6 @@ class TestExactLift:
                                  (polygon.centers, polygon.radii, polygon.starts)):
                 assert np.array_equal(got, want)
             assert np.array_equal(induced.enclosing_center, other.pole)
-
-    @pytest.mark.parametrize("which", LIFT_CASES + ["lens"])
-    def test_sampling_error_takes_one_tangent_per_sample(self, which):
-        # a piece's end tangent is the next piece's start tangent on one
-        # arc, and its arc's own end tangent at a junction (the lens's
-        # corners): the sampling error is that of two tangents per piece,
-        # bit for bit
-        if which == "lens":
-            h = 0.2
-            body = lens((math.sin(h), 0.0, math.cos(h)), 0.5,
-                        (-math.sin(h), 0.0, math.cos(h)), 0.4)
-            fr = wulff.frame_at(body.enclosing_center)
-        else:
-            body, fr = _lift_cases()[which]
-        for n in (64, 720, 2880):
-            got = wulff.project_to_plane(body, fr, n=n)._source[2]
-            assert got.hex() == _two_tangent_error(body, fr, n).hex()
 
     @pytest.mark.parametrize("which", LIFT_CASES)
     def test_own_frame_projection_makes_no_support_query(self, which, monkeypatch):
@@ -644,57 +641,79 @@ class TestSelfDualReport:
         rep = wulff.self_dual_equivalence_report(shape, fr, tol=1e-4, n=720,
                                                  dual_n=2880)
         assert rep.booleans == [True] * 5
-        # the conditions are read off the body's own 6 arcs, to roundoff;
-        # the gap stays that of the sampled image
+        # the conditions and the gap are read off the body's own 6 arcs and
+        # their polar dual, to roundoff
         assert rep.induced_body.arcs.count == 6
         assert max(v.deviation for v in rep.four_conditions.values()) <= 1e-12
+        assert rep.hausdorff_gap <= 1e-12
 
     @pytest.mark.parametrize("n", [64, 200])
     def test_cd_triangle_coarse_samples(self, cd_triangle, n):
-        # the samples' gap exceeds tol here, but lies within the bound on its
-        # sampling error, so the image can be self-dual; the conditions say
-        # it is, and all five agree
+        # the gap is the exact image's, read off the body and its polar
+        # dual, so a coarse image decides as a fine one: all five hold at
+        # a tolerance of 1e-12
         fr = wulff.frame_at(cd_triangle.enclosing_center)
         shape = wulff.project_to_plane(cd_triangle, fr, n=n)
-        rep = wulff.self_dual_equivalence_report(shape, fr, tol=1e-4, n=n)
+        rep = wulff.self_dual_equivalence_report(shape, fr, tol=1e-12, n=n)
         assert rep.booleans == [True] * 5
-        assert 1e-4 < rep.hausdorff_gap <= rep.gap_error
+        assert rep.hausdorff_gap <= 1e-12
         assert max(v.deviation for v in rep.four_conditions.values()) <= 1e-12
 
+    @pytest.mark.parametrize("eps", [None, 1e-9, 1.78e-9, 3.16e-9, 5.62e-9, 1e-8])
+    def test_self_dual_triangles_at_16_samples(self, eps):
+        # the README's triangle (eps None), and triangles with a corner arc
+        # of radius eps: at 16 samples the gap is roundoff, and all five
+        # hold at 1e-12
+        if eps is None:
+            body = _lift_cases()["cd_triangle"][0]
+        else:
+            body = construct.constant_diameter_triangle(*mixed_cd_triangle_vertices(1.0, eps))
+        fr = wulff.frame_at(body.enclosing_center)
+        rep = wulff.self_dual_equivalence_report(wulff.project_to_plane(body, fr, n=16), fr,
+                                                 tol=1e-12, n=16)
+        assert rep.hausdorff_gap <= 1e-12
+        assert rep.booleans == [True] * 5
+
     @pytest.mark.parametrize("r", [0.6, math.pi / 4 + 1e-3, 1.0])
-    def test_gap_error_bounds_the_exact_image(self, r):
+    def test_cap_gap_is_exact(self, r):
         # a cap of radius r projects about its center to the disk of radius
-        # R = tan r, whose dual is the disk of radius 1 / R: the exact gap is
-        # |R - 1 / R|, and each sampled gap lies within its stated error
+        # tan r, whose dual is the disk of radius cot r: the gap is |tan r -
+        # cot r|, here as |2 / tan 2r|, which does not cancel, at any count.
+        # The gap is a difference of two cotangents near 1, so it holds
+        # their roundoff, 1e-15 (4.5 ulps of 1), beside 1e-14 relative
         body = construct.cap(Z, r)
         fr = wulff.frame_at(Z)
-        exact = abs(math.tan(r) - 1.0 / math.tan(r))
+        exact = abs(2.0 / math.tan(2.0 * r))
         for n in (8, 16, 64, 200, 720):
             rep = wulff.self_dual_equivalence_report(wulff.project_to_plane(body, fr, n=n), fr,
                                                      tol=1e-4, n=720)
-            assert 0.0 < rep.gap_error < math.inf
-            assert abs(rep.hausdorff_gap - exact) <= rep.gap_error
+            assert abs(rep.hausdorff_gap - exact) <= 1e-14 * exact + 1e-15
 
-    def test_gap_error_falls_with_the_samples(self, cd_triangle):
-        # the sampling error is a chord's sag: a quarter for twice the samples
-        fr = wulff.frame_at(cd_triangle.enclosing_center)
-        errs = [wulff.self_dual_equivalence_report(
-            wulff.project_to_plane(cd_triangle, fr, n=n), fr, tol=1e-4, n=720).gap_error
-                for n in (720, 1440)]
-        assert errs[1] == pytest.approx(errs[0] / 4, rel=0.1)
-
-    def test_coarse_samples_cannot_exclude(self):
-        # a cap just wider than pi/4 is not self-dual; at 16 samples its
-        # gap, 0.004 exactly, hides under the sampling error, so self_dual
-        # reads True beside four failing conditions, without an error; at
-        # 720 the gap excludes it and all five fail
+    def test_coarse_samples_exclude(self):
+        # a cap just wider than pi/4 is not self-dual, by a gap of 0.004:
+        # read off the body, the gap excludes it at 16 samples as at 720
         body = construct.cap(Z, math.pi / 4 + 1e-3)
         fr = wulff.frame_at(Z)
-        coarse, fine = (wulff.self_dual_equivalence_report(
-            wulff.project_to_plane(body, fr, n=n), fr, tol=1e-4, n=720) for n in (16, 720))
-        assert coarse.booleans == [True] + [False] * 4
-        assert coarse.hausdorff_gap + coarse.gap_error > 1e-4
-        assert fine.booleans == [False] * 5
+        for n in (16, 720):
+            rep = wulff.self_dual_equivalence_report(wulff.project_to_plane(body, fr, n=n), fr,
+                                                     tol=1e-4, n=n)
+            assert rep.booleans == [False] * 5
+            assert rep.hausdorff_gap == pytest.approx(0.004, rel=1e-5)
+
+    @pytest.mark.parametrize("which", LIFT_CASES + ["lens", "cap_0.6", "cap_0.786", "cap_1"])
+    def test_sampled_gap_within_the_two_tangent_bound(self, which):
+        # the samples' polygon P lies in the exact image W, and W within h
+        # of P (_two_tangent_error), so their supports differ by at most h,
+        # and those of their duals, the reciprocal radial functions, by at
+        # most h / rho**2, rho being P's least offset: the samples' gap lies
+        # within h (1 + 1 / rho**2) of the exact image's, to roundoff
+        body, fr = _gap_cases()[which]
+        exact = wulff._radial_gap(body, fr)
+        for n in (16, 64, 720):
+            shape = wulff.project_to_plane(body, fr, n=n)
+            sampled = wulff.hausdorff_polygons(shape, wulff.dual_wulff(shape))
+            bound = _two_tangent_error(body, fr, n) * (1.0 + 1.0 / float(shape.offsets.min()) ** 2)
+            assert abs(sampled - exact) <= bound + 1e-12 * max(1.0, exact)
 
     @pytest.mark.parametrize("which", LIFT_CASES)
     def test_report_equals_a_fresh_body(self, which):
@@ -727,14 +746,18 @@ class TestSelfDualReport:
 
     @pytest.mark.parametrize("which", ["random_polygon", "octant"])
     def test_polygon_gap_is_exact(self, which):
-        # a polygon's image is a polygon, its samples: no sampling error
+        # a polygon's image is a polygon, its samples: the report takes its
+        # polygon gap, and the body's radial gap agrees, the premise of the
+        # polygon branch; the shape of its vertices alone reads the same
         body, fr = _lift_cases()[which]
         shape = wulff.project_to_plane(body, fr, n=720)
         rep = wulff.self_dual_equivalence_report(shape, fr, tol=1e-4, n=720)
-        assert rep.gap_error == 0.0
+        polygon = wulff.hausdorff_polygons(shape, wulff.dual_wulff(shape))
+        assert rep.hausdorff_gap == polygon
+        assert abs(wulff._radial_gap(body, fr) - polygon) <= 1e-12 * max(1.0, polygon)
         vertex_only = wulff.self_dual_equivalence_report(wulff.WulffShape(shape.vertices), fr,
                                                          tol=1e-4, n=720)
-        assert vertex_only.gap_error == 0.0
+        assert vertex_only.hausdorff_gap == polygon
         assert rep.booleans == vertex_only.booleans
 
     def test_octant_projection_self_dual(self, octant):
