@@ -707,8 +707,9 @@ def find_enclosing_center(points, min_dot: float = ENCLOSING_MIN_DOT) -> np.ndar
     if not np.isfinite(pts).all():
         raise NoEnclosingHemisphere("non-finite point")
     mean = pts.mean(axis=0)
-    if np.linalg.norm(mean) > 1e-12:
-        best = mean / np.linalg.norm(mean)
+    length = np.linalg.norm(mean)
+    if length > 1e-12:
+        best = mean / length
         if float((pts @ best).min()) > 10 * min_dot:
             return best
     p = pts[np.random.default_rng(0).permutation(len(pts))]

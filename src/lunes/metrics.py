@@ -20,7 +20,9 @@ the maximum; otherwise it, and the lune search of reduced_check, refine a
 best sample by tangent-line steps on its exact value and slope (the
 envelope theorem).
 Every returned width is evaluated from its lune's semicircle midpoints and
-cross-checked against the closed form pi - dist(centers).
+cross-checked against the closed form pi - dist(centers).  A polygon
+thinner than pi/2 is reduced or not by a closed form; any other body takes
+a numerical screen at its extreme points.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .body import HALF_PI, SphericalBody
 from .errors import ConsistencyError, InvalidResolution, InvalidSpec, NotSupporting
-from .sphere import cross, dist, dot, lune_make, normalize
+from .sphere import cross, dist, dot, lune_make, norm, normalize
 
 SUPPORT_TOL = 1e-8       # |min dot| beyond this means "not a supporting hemisphere"
 CROSS_CHECK_TOL = 1e-8   # agreement between definition-based and dual-form widths
@@ -41,6 +43,9 @@ MAX_PROBES = 64          # reduced_check probes at most this many corners
 _SCAN = (3, 33)          # lune-search samples per probed corner: fewest, most
 _ARG_TOL = 1e-12         # _climb stops at brackets this narrow (arc length)
 _FLAT = 1e-14            # _climb reads slopes this small as zero (roundoff)
+# a deviation's roundoff: two angles near pi/2 (or cotangents near 1), each
+# a few ulps off, differ by at most 32 ulps of pi/2 (7.1e-15)
+_ROUNDOFF = 32 * math.ulp(HALF_PI)
 
 
 @dataclass
@@ -197,7 +202,8 @@ def _curve_diameter(arcs, n):
 
     def compute():
         params, pts, far, far_pts = _profile(arcs, n)
-        i = _first_tied(far, far.max(), far.max())
+        top = far.max()
+        i = _first_tied(far, top, top)
         p, q = pts[i], far_pts[i]
         if (arcs.radii == HALF_PI).all():
             return float(dist(p, q)), p, q
@@ -350,8 +356,62 @@ def _probed_corners(body: SphericalBody) -> np.ndarray:
     return idx[np.lexsort((*body.vertices[idx].T[::-1], -turns))[:MAX_PROBES]]
 
 
+def _worst(dev, pts) -> int:
+    """The index of the largest of dev, ties (64 ulps of pi) broken by the
+    points' coordinates, so that where the boundary starts does not matter."""
+    tied = np.flatnonzero(dev >= dev.max() - 64 * np.spacing(math.pi))
+    return int(tied[np.lexsort(pts[tied].T[::-1])[0]])
+
+
+def _closed_form(body: SphericalBody, thick: float, tol: float) -> Verdict:
+    """Lassak's rule (Colloq. Math. 138, 2015) for a polygon thinner than
+    pi/2: reduced exactly when it has 2k + 1 corners, each at distance thick
+    from its opposite side (corner i + k to i + k + 1) with its foot inside
+    that side.  Sides run corner to corner; the side after a corner lies on
+    the circle of the next arc's center.  Modes: even_gon (deviation: the
+    worst |distance to the opposite corner - thick|), vertex_distance and
+    foot_outside (along the circle), each past tol, witness the worst corner."""
+    first = (body.corners + 1) % len(body.radii)
+    m, k = len(first), len(first) // 2
+    # per row i: corner i, then the opposite corner, or side i's end and
+    # the corner that faces it
+    corners = body.starts[first[(np.arange(m)[:, None] + ((0, k) if m % 2 == 0
+                                                          else (0, 1, k + 1))) % m]]
+    if m % 2 == 0:
+        start, far = corners.transpose(1, 0, 2)
+        dev = np.abs(dist(start, far) - thick)
+        i = _worst(dev, start)
+        return Verdict(kind="reduced_necessary", passed=False, deviation=float(dev[i]),
+                       tolerance=tol, witness={"mode": "even_gon", "corner": start[i],
+                                               "corners": m, "opposite_corner": far[i]})
+    start, end, v = corners.transpose(1, 0, 2)
+    pole = body.centers[first]
+    ahead = cross(pole, start)  # the side's direction at its start
+    distance = np.arctan2(dot(v, pole), norm(cross(v, pole)))
+    along = np.arctan2(dot(v, ahead), dot(v, start))
+    outside = np.maximum(-along, along - np.arctan2(dot(end, ahead), dot(end, start)))
+    excess = np.abs(distance - thick)
+    for mode, dev in (("vertex_distance", excess), ("foot_outside", outside)):
+        if dev.max() > tol:
+            i = _worst(dev, v)
+            return Verdict(kind="reduced_necessary", passed=False, deviation=float(dev[i]),
+                           tolerance=tol,
+                           witness={"mode": mode, "corner": v[i], "side_start": start[i],
+                                    "side_end": end[i], "distance": float(distance[i]),
+                                    "foot": math.cos(along[i]) * start[i]
+                                    + math.sin(along[i]) * ahead[i]})
+    return Verdict(kind="reduced_necessary", passed=True,
+                   deviation=max(float(excess.max()), float(outside.max()), 0.0), tolerance=tol,
+                   witness={"route": "closed_form", "corners": m,
+                            "distance_excess": float(excess.max()),
+                            "foot_outside": float(outside.max())})
+
+
 def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdict:
-    """Necessary-condition screen for reducedness, at every extreme point.
+    """Reducedness: decided in closed form for a polygon (every arc great)
+    of thickness below pi/2 - tol, and below pi/2 by more than roundoff
+    (_closed_form); a necessary-condition screen at every extreme point of
+    any other body.
 
     Through each extreme point e of a reduced body passes a lune of the
     body's thickness that holds the body, with e at the midpoint of one
@@ -359,17 +419,17 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdi
     radius below pi/2, every point is extreme with one supporting
     hemisphere, so the width there is the thickness: the arc screen fails
     (mode arc_width) when the widths at the dual profile's samples on the
-    arcs' own pieces exceed the thickness by more than tol.  At each probed
-    corner (all, or the MAX_PROBES of largest turn, ties broken by
-    position): (a) search for that lune (mode lune_search); (b) verify that
-    slicing off a cap of depth min(10*tol, thickness/2) at e lowers the
-    thickness by more than min(tol, thickness/20) (mode cap_cut), so every
-    finite tol screens.  A failing verdict reports the worst sample or
-    corner, so it does not depend on where the boundary starts; a passing
-    one what it screened.
+    arcs' own pieces exceed the thickness by more than tol.  The corners
+    then go to the probes (_corner_probes).  A failing verdict reports the
+    worst sample or corner, so it does not depend on where the boundary
+    starts; a passing one what it screened, or the route closed_form.
     """
     n = _resolution(n)
     _tolerance(tol)
+    if body.is_polygon:
+        thick = thickness(body, n).value
+        if thick < HALF_PI - max(tol, _ROUNDOFF):  # a vertex off its side's pole
+            return _closed_form(body, thick, tol)
     dual = body.dual_arcs
     screened = {}
     curved = dual.radii < HALF_PI
@@ -387,6 +447,19 @@ def reduced_check(body: SphericalBody, tol: float = 1e-6, n: int = 720) -> Verdi
                            witness={"mode": "arc_width", "point": body.arcs.far_point(k)[0],
                                     "support_center": k, "width": math.pi - least})
         screened = {"arc_samples": len(far), "arc_width_excess": excess}
+    return _corner_probes(body, tol, n, screened)
+
+
+def _corner_probes(body: SphericalBody, tol: float, n: int, screened=None) -> Verdict:
+    """reduced_check's probes at each probed corner e (all, or the MAX_PROBES
+    of largest turn, ties broken by position): (a) search for a lune of the
+    body's thickness that holds the body with e at a semicircle midpoint
+    (mode lune_search); (b) verify that slicing off a cap of depth
+    min(10*tol, thickness/2) at e lowers the thickness by more than min(tol,
+    thickness/20) (mode cap_cut), so every finite tol screens.  A pass
+    carries the arc screen's figures (screened)."""
+    screened = screened or {}
+    dual = body.dual_arcs
     corner_idx = _probed_corners(body)
     if not len(corner_idx):
         return Verdict(kind="reduced_necessary", passed=True, deviation=0.0,

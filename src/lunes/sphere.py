@@ -18,8 +18,28 @@ from .errors import DegenerateLune
 DEGENERATE_TOL = 1e-9
 
 
+def _cross3(a, b) -> tuple:
+    """cross, norm and dot of 3-vectors given as floats: the same terms in the
+    same order, so the same bits, with no array per term."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
+def _norm3(v) -> float:
+    x, y, z = v
+    return math.sqrt(x * x + y * y + z * z)
+
+
+def _dot3(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + 0.0
+
+
 def cross(a, b) -> np.ndarray:
-    """a x b over the last axis, by component into one array: np.cross's arithmetic."""
+    """a x b over the last axis, by component into one array: np.cross's
+    arithmetic; for two 3-vectors, on floats (_cross3)."""
+    if getattr(a, "shape", None) == (3,) == getattr(b, "shape", None):
+        return np.array(_cross3(a.tolist(), b.tolist()))
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     x = a1 * b2
@@ -52,6 +72,11 @@ def dot(a, b) -> np.ndarray:
 def normalize(v) -> np.ndarray:
     """Return v scaled to unit length (works on batches along the last axis)."""
     v = np.asarray(v, dtype=float)
+    if v.shape == (3,):  # one vector: its norm on floats, as norm forms it
+        n = _norm3(v.tolist())
+        if n < 1e-15:
+            raise ValueError("cannot normalize a zero vector")
+        return v / n
     n = norm(v)[..., None]
     if (n < 1e-15).any():
         raise ValueError("cannot normalize a zero vector")
@@ -62,10 +87,14 @@ def dist(a, b):
     """Great-circle distance in [0, pi].
 
     Uses atan2(|a x b|, a.b), which stays accurate near 0 and near pi
-    where acos of a dot product loses digits.  Broadcasts over leading axes.
+    where acos of a dot product loses digits.  Broadcasts over leading axes;
+    one pair is taken on floats, term for term the same.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if a.shape == (3,) == b.shape:
+        a, b = a.tolist(), b.tolist()
+        return np.arctan2(_norm3(_cross3(a, b)), _dot3(a, b))
     return np.arctan2(norm(cross(a, b)), dot(a, b))
 
 
@@ -96,20 +125,23 @@ def lune_make(g, h) -> Lune:
     corner x cg for the unit corner (cg x ch) / sin; symmetrically,
     ch x corner for H.  The cross products keep the digits that the
     projection loses at nearly equal or antipodal centers.  Both centers are
-    normalized in one pass and both midpoints crossed in one; each pass is
-    elementwise, so its bits are those of one vector at a time.
+    normalized in one pass; the rest is taken on floats, term for term as
+    cross and dist take it, so its bits are those of the array forms.
     """
     cg, ch = normalize(np.array([g, h], dtype=float))
-    ang = float(dist(cg, ch))
+    a, b = cg.tolist(), ch.tolist()
+    ang = float(np.arctan2(_norm3(_cross3(a, b)), _dot3(a, b)))  # dist(cg, ch)
     if ang < DEGENERATE_TOL or ang > math.pi - DEGENERATE_TOL:
         raise DegenerateLune("hemisphere centers equal or antipodal")
     # cg x ch = cg x (ch - cg) = cg x (ch + cg): the shorter of ch -/+ cg is
     # exact where cg x ch would cancel
-    corner = normalize(cross(cg, ch - cg if cg @ ch > 0.0 else ch + cg))
-    mid_g, mid_h = cross(np.array([corner, ch]), np.array([cg, corner]))
-    thickness = float(dist(mid_g, mid_h))
-    return Lune(g=cg, h=ch, corners=(corner, -corner), mid_g=mid_g, mid_h=mid_h,
-                thickness=thickness)
+    side = [y - x for x, y in zip(a, b)] if cg @ ch > 0.0 else [y + x for x, y in zip(a, b)]
+    corner = normalize(np.array(_cross3(a, side)))
+    c = corner.tolist()
+    mid_g, mid_h = _cross3(c, a), _cross3(b, c)
+    thickness = float(np.arctan2(_norm3(_cross3(mid_g, mid_h)), _dot3(mid_g, mid_h)))
+    return Lune(g=cg, h=ch, corners=(corner, -corner), mid_g=np.array(mid_g),
+                mid_h=np.array(mid_h), thickness=thickness)
 
 
 def lune_contains(lune: Lune, body, tol: float = 1e-10) -> bool:
@@ -123,8 +155,7 @@ def lune_contains(lune: Lune, body, tol: float = 1e-10) -> bool:
 
 def orthonormal_frame(n) -> tuple:
     """Deterministic right-handed tangent basis (u, v) with u x v = n."""
-    n = normalize(n)
-    ref = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    u = normalize(cross(ref, n))
-    v = cross(n, u)
-    return u, v
+    n = normalize(n).tolist()
+    ref = (0.0, 0.0, 1.0) if abs(n[2]) < 0.9 else (1.0, 0.0, 0.0)
+    u = normalize(np.array(_cross3(ref, n)))
+    return u, np.array(_cross3(n, u.tolist()))

@@ -41,15 +41,12 @@ from .body import (HALF_PI, TWO_PI, SphericalBody, _azimuth_steps, _rolled,
 from .errors import (DegenerateHull, EmptyInterior, InconsistentVerdicts,
                      InvalidSpec, InvariantViolation, NotInHemisphere,
                      PoleNotInterior)
-from .metrics import Verdict, _climb, classify
+from .metrics import _ROUNDOFF, Verdict, _climb, classify
 from .sphere import norm, normalize, orthonormal_frame
 
 # max|x| is below the least normal float exactly when _unit's k is below this
 _TINY_EXP = int(np.frexp(np.finfo(float).tiny)[1])
 _GAP_SAMPLES = 8  # _radial_gap scans each interval in this many steps
-# a deviation's roundoff: two angles near pi/2 (or cotangents near 1), each
-# a few ulps off, differ by at most 32 ulps of pi/2 (7.1e-15)
-_ROUNDOFF = 32 * math.ulp(HALF_PI)
 
 
 @dataclass(frozen=True)
@@ -251,18 +248,37 @@ def dual_wulff(shape: WulffShape, n: int = 720) -> WulffShape:
     return _polar(-shape.vertices)
 
 
+def _convex(verts: np.ndarray) -> np.ndarray:
+    """The vertices of a counterclockwise polygon that turn left or go
+    straight: rounds drop every vertex whose edges turn right (a negative
+    cross product), which roundoff leaves at tiny edges, until none does.
+    Such a vertex lies inside its neighbours' chord, so the support
+    function, and the Hausdorff distance, are those of the vertices kept;
+    and the kept edges' normal angles rise monotonically, as the merge of
+    hausdorff_polygons needs."""
+    while True:
+        x, y = verts.T
+        ex, ey = _rolled(x) - x, _rolled(y) - y
+        keep = np.roll(ex, 1) * ey - np.roll(ey, 1) * ex >= 0.0  # at each vertex
+        if keep.all():
+            return verts
+        verts = verts[keep]
+
+
 def _breakpoints(verts: np.ndarray):
-    """The edges i -> i + 1 of a convex counterclockwise polygon, as rows
-    in order of outward normal angle around the circle from 0: the angles
-    mod 2 pi, each edge's unit outward normal (x and y rows) and the vertex
-    at its end, which supports the directions from its normal to the next
-    edge's, at unit scale, with the exponent k that _unit scaled by.  The
-    angles only order the edges.  They are unwrapped from edge 0's, a turn
-    below zero, which roundoff can leave at a straight vertex, held where it
-    was, and rotated to start at the first edge past 0; where roundoff puts
-    the last edge's angle past the first's, the first is held at the last's,
-    so that a stable merge (hausdorff_polygons) keeps the polygon's order."""
+    """The edges i -> i + 1 of a convex counterclockwise polygon (_convex),
+    as rows in order of outward normal angle around the circle from 0: the
+    angles mod 2 pi, each edge's unit outward normal (x and y rows) and the
+    vertex at its end, which supports the directions from its normal to the
+    next edge's, at unit scale, with the exponent k that _unit scaled by.
+    The angles only order the edges.  They are unwrapped from edge 0's, a
+    turn below zero, which roundoff can leave at a straight vertex, held
+    where it was, and rotated to start at the first edge past 0; where
+    roundoff puts the last edge's angle past the first's, the first is held
+    at the last's, so that a stable merge (hausdorff_polygons) keeps the
+    polygon's order."""
     unit, k = _unit(verts)
+    unit = _convex(unit)
     x, y = unit.T
     ex, ey = _rolled(x) - x, _rolled(y) - y
     t = np.arctan2(-ex, ey)

@@ -10,6 +10,7 @@ import pytest
 
 from lunes import body as bd
 from lunes import construct, wulff
+from lunes.sphere import orthonormal_frame as sphere_frame
 from lunes.errors import LunesError
 
 HALF_PI = math.pi / 2
@@ -91,6 +92,62 @@ def mixed_cd_triangle_vertices(a: float, eps: float = 0.0) -> np.ndarray:
     sin_phi = math.sqrt(1.0 - cos_phi ** 2)
     return np.array([[0.0, 0.0, 1.0], [math.sin(a), 0.0, math.cos(a)],
                      [math.sin(a) * cos_phi, math.sin(a) * sin_phi, math.cos(a)]])
+
+
+def _facing(v: np.ndarray):
+    """Per side i of the odd gon v (from vertex i to i + 1, counterclockwise),
+    the distance of the vertex i + k + 1 that faces it from its great circle,
+    and how far that vertex's foot lies outside the side, along the circle
+    (negative inside)."""
+    n = len(v)
+    a, b, w = v, np.roll(v, -1, axis=0), np.roll(v, -(n // 2 + 1), axis=0)
+    pole = np.cross(a, b)
+    pole /= np.linalg.norm(pole, axis=1)[:, None]
+    ahead = np.cross(pole, a)
+    dist = np.arctan2(np.sum(w * pole, axis=1), np.linalg.norm(np.cross(w, pole), axis=1))
+    along = np.arctan2(np.sum(w * ahead, axis=1), np.sum(w * a, axis=1))
+    length = np.arctan2(np.sum(b * ahead, axis=1), np.sum(b * a, axis=1))
+    return dist, np.maximum(-along, along - length)
+
+
+def equidistant_gon_vertices(rng: np.random.Generator, n: int, thickness: float,
+                             jitter=(0.003, 0.03)) -> np.ndarray | None:
+    """The vertices of an odd n-gon near the regular one of the given
+    thickness (below pi/2), each vertex at that distance from the side it
+    faces: each regular vertex moved by a random jitter (radians, uniform in
+    the given range) in a random direction, then Gauss-Newton steps,
+    least-norm on the tangent planes, to a residual of 1e-15.  None when
+    the steps do not settle."""
+    v = construct.regular_odd_gon(n, thickness).vertices
+    frames = np.array([sphere_frame(p) for p in v])
+    turn = rng.uniform(0.0, 2 * math.pi, n)[:, None]
+    v = v + rng.uniform(*jitter, n)[:, None] * (np.cos(turn) * frames[:, 0]
+                                                + np.sin(turn) * frames[:, 1])
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    for _ in range(40):
+        r = _facing(v)[0] - thickness
+        if np.abs(r).max() <= 1e-15:
+            return v
+        frames = np.array([sphere_frame(p) for p in v])
+        jac = np.empty((n, 2 * n))
+        for j in range(2 * n):
+            moved = v.copy()
+            moved[j // 2] += 1e-7 * frames[j // 2, j % 2]
+            moved[j // 2] /= np.linalg.norm(moved[j // 2])
+            jac[:, j] = (_facing(moved)[0] - thickness - r) / 1e-7
+        delta = np.linalg.lstsq(jac, -r, rcond=None)[0].reshape(n, 2)
+        v = v + np.einsum("ij,ijk->ik", delta, frames)
+        v /= np.linalg.norm(v, axis=1)[:, None]
+    return None
+
+
+def reduced_gon_vertices(rng: np.random.Generator, n: int, thickness: float,
+                         jitter=(0.003, 0.03)) -> np.ndarray | None:
+    """equidistant_gon_vertices kept only when every vertex's foot lies
+    inside the side it faces: by Lassak's rule (Colloq. Math. 138, 2015) a
+    reduced polygon; None otherwise."""
+    v = equidistant_gon_vertices(rng, n, thickness, jitter)
+    return v if v is not None and (_facing(v)[1] < 0.0).all() else None
 
 
 def cd_induced() -> bd.SphericalBody:

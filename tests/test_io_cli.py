@@ -800,6 +800,102 @@ def test_numeric_options_exit_cleanly(poly_doc, option, command, value):
     assert "Traceback" not in err.getvalue(), argv
 
 
+# leaves a mutated document may hold: non-finite and extreme numbers, wrong
+# types, short vectors
+POOL = [math.nan, math.inf, -math.inf, 1e-300, -1e-300, 2**63, -(2**63), 0, -0.0, "x",
+        None, True, False, {}, [], [0.0], [1.0, 0.0], [math.nan] * 3]
+
+
+class _Obj(list):
+    """A JSON object as its [key, value] pairs, which may repeat a key."""
+
+
+def _tree(x):
+    if isinstance(x, dict):
+        return _Obj([k, _tree(v)] for k, v in x.items())
+    return [_tree(v) for v in x] if isinstance(x, list) else x
+
+
+def _text(x) -> str:
+    """JSON text of a _tree, NaN and Infinity written as json.dump writes them."""
+    if isinstance(x, _Obj):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_text(v)}" for k, v in x) + "}"
+    if isinstance(x, list):
+        return "[" + ", ".join(map(_text, x)) + "]"
+    return json.dumps(x)
+
+
+def _containers(x) -> list:
+    """x, if a list or an object, and every one inside it."""
+    if not isinstance(x, list):
+        return []
+    items = (v for _, v in x) if isinstance(x, _Obj) else x
+    return [x] + [c for v in items for c in _containers(v)]
+
+
+def _mutate(tree, rnd):
+    """One random mutation of the tree, in place: a value replaced from
+    POOL, a key deleted or repeated, or a list shuffled, truncated or
+    extended."""
+    node = rnd.choice(_containers(tree))
+    if not node:
+        node.append(["x", 1.0] if isinstance(node, _Obj) else 1.0)
+        return
+    i = rnd.randrange(len(node))
+    how = rnd.choice(["value", "drop", "repeat", "shuffle", "truncate"])
+    if how == "value":
+        if isinstance(node, _Obj):
+            node[i][1] = copy.deepcopy(rnd.choice(POOL))
+        else:
+            node[i] = copy.deepcopy(rnd.choice(POOL))
+    elif how == "drop":
+        del node[i]
+    elif how == "repeat":
+        node.insert(rnd.randrange(len(node) + 1), copy.deepcopy(node[i]))
+    elif how == "shuffle":
+        rnd.shuffle(node)
+    else:
+        del node[i:]
+
+
+@pytest.fixture(scope="module")
+def valid_docs(tmp_path_factory):
+    """The text of a valid document of each kind: cap, odd-gon,
+    constant-diameter and random-polygon bodies, a gamma and a report."""
+    out = tmp_path_factory.mktemp("valid")
+    bodies = [construct.cap(Z, 0.5), construct.regular_odd_gon(5, 1.0),
+              construct.constant_diameter_triangle(*np.eye(3)),
+              construct.random_convex_polygon(3, n=6, max_diam=1.0)]
+    docs = [io.body_to_doc(b) for b in bodies]
+    docs.append(io.gamma_to_doc(wulff.GammaFn.constant(1.0)))
+    io.save_report(metrics.classify(bodies[1], n=64), str(out / "report.json"))
+    docs.append(json.loads((out / "report.json").read_text()))
+    return docs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(which=st.integers(0, 5), rnd=st.randoms(use_true_random=False),
+       mutations=st.integers(1, 3),
+       command=st.sampled_from([("analyze",), ("check", "reduced"), ("roundtrip",),
+                                ("wulff", "self-dual", "--gamma"), ("render",)]))
+def test_mutated_documents_exit_cleanly(valid_docs, tmp_path_factory, which, rnd,
+                                        mutations, command):
+    # a valid document with leaves replaced, keys deleted or repeated, and
+    # lists shuffled, truncated or extended, through each command that reads
+    # one: a verdict or an input error, never an uncaught exception
+    tree = _tree(copy.deepcopy(valid_docs[which]))
+    for _ in range(mutations):
+        _mutate(tree, rnd)
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(_text(tree))
+    argv = [*command, str(path)] + (["--out", str(path.with_suffix(".svg"))]
+                                    if command[0] == "render" else [])
+    with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(StringIO()) as err:
+        code = _main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+
+
 def run_child(code, cwd):
     return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=child_env(),
                           capture_output=True, text=True)

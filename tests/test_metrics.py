@@ -317,18 +317,23 @@ class TestReduced:
         # the cap-cut probe is bounded by the body, depth min(10 tol,
         # thickness / 2): an unbounded cut, deeper than about twice the
         # thickness, no longer thins a reduced gon, and at 1e308 its depth
-        # overflowed
+        # overflowed.  reduced_check decides the gon in closed form while
+        # its thickness is below pi/2 - tol, and by the probes above
         gon = construct.regular_odd_gon(n, target)
         for tol in self.TOLS:
-            v = metrics.reduced_check(gon, tol=tol, n=720)
-            assert v.passed, (tol, v.witness)
+            for v in (metrics.reduced_check(gon, tol=tol, n=720),
+                      metrics._corner_probes(gon, tol, 720)):
+                assert v.passed, (tol, v.witness)
 
     def test_bounded_cut_still_fails_the_square_and_random_polygons(self):
+        # the probes, and reduced_check (in closed form below pi/2 - tol)
         square = bd.polygon_from_vertices(construct.regular_polygon_vertices(4, 0.7))
         for tol in self.TOLS[:8]:
+            assert not metrics._corner_probes(square, tol, 720).passed, tol
             assert not metrics.reduced_check(square, tol=tol, n=720).passed, tol
         for seed in range(30):
             body = construct.random_convex_polygon(seed)
+            assert not metrics._corner_probes(body, 1e-6, 720).passed, seed
             assert not metrics.reduced_check(body, tol=1e-6, n=720).passed, seed
 
     @staticmethod
@@ -351,7 +356,7 @@ class TestReduced:
         # the reported margin is the worst corner's best lune; no point of a
         # dense scan along any corner's dual arc finds a better lune there
         gon = construct.regular_odd_gon(n, target)
-        v = metrics.reduced_check(gon, tol=1e-6, n=720)
+        v = metrics._corner_probes(gon, 1e-6, 720)
         assert v.passed
         assert v.witness["worst_support_margin"] >= self._dense_margin(gon, 4001) - 1e-15
 
@@ -389,7 +394,7 @@ class TestReduced:
                 return fn(s, rows)
             return climb(fn_counted, grid, j, *start)
         monkeypatch.setattr(metrics, "_climb", counted)
-        assert metrics.reduced_check(gon, tol=1e-6, n=720).passed
+        assert metrics._corner_probes(gon, 1e-6, 720).passed
         assert len(evals) == 1 and evals[0] <= 6
 
     def test_failing_verdict_independent_of_labelling(self):
@@ -410,7 +415,8 @@ class TestReduced:
 
     def test_probes_independent_of_labelling(self):
         # a hull of 114 corners, more than MAX_PROBES: the probed corners are
-        # those of largest turn, so every relabelling probes the same ones
+        # those of largest turn, so every relabelling probes the same ones;
+        # reduced_check decides it in closed form, with the same witness too
         rng = np.random.default_rng(3)
         u, v = sphere.orthonormal_frame(Z)
         polar = 0.6 * (1.0 + 0.001 * rng.uniform(-1.0, 1.0, 200))
@@ -419,15 +425,19 @@ class TestReduced:
                + np.cos(polar)[:, None] * Z)
         hull = bd.hull_from_points(pts)
         assert len(hull.corners) > metrics.MAX_PROBES
-        seen = []
+        probed, decided = [], []
         for k in range(0, len(hull.vertices), 15):
             rolled = bd.polygon_from_vertices(np.roll(hull.vertices, k, axis=0),
                                               enclosing_center=hull.enclosing_center)
-            seen.append(metrics.reduced_check(rolled, tol=1e-6, n=720))
-        assert not any(v.passed for v in seen)
-        for v in seen[1:]:
-            assert v.deviation == pytest.approx(seen[0].deviation, abs=1e-12)
-            assert v.witness["mode"] == seen[0].witness["mode"]
+            probed.append(metrics._corner_probes(rolled, 1e-6, 720))
+            decided.append(metrics.reduced_check(rolled, tol=1e-6, n=720))
+        for seen in (probed, decided):
+            assert not any(v.passed for v in seen)
+            for v in seen[1:]:
+                assert v.deviation == pytest.approx(seen[0].deviation, abs=1e-12)
+                assert v.witness["mode"] == seen[0].witness["mode"]
+                assert np.allclose(v.witness["corner"], seen[0].witness["corner"],
+                                   rtol=0.0, atol=1e-12)
 
 
 class TestClassify:

@@ -38,8 +38,9 @@ from lunes.errors import (DegenerateHull, InconsistentVerdicts,
                           InvariantViolation, LunesError)
 from lunes.sphere import dist, orthonormal_frame
 
-from conftest import (STADIUM_LENS, cd_induced, lens, mixed_cd_triangle_vertices,
-                      random_cd_triangle_vertices)
+from conftest import (STADIUM_LENS, _facing, cd_induced, equidistant_gon_vertices, lens,
+                      mixed_cd_triangle_vertices, random_cd_triangle_vertices,
+                      reduced_gon_vertices)
 
 DENSE = 4096  # boundary samples of the brute-force farthest-point oracle
 
@@ -935,17 +936,98 @@ def test_sized_lune_scan_matches_full_scan(body):
     # the lune search samples each probed dual arc at the profile's spacing;
     # the climb from those samples reaches the lunes that the most samples,
     # _SCAN[1], lead to.  A regular odd-gon's best lunes sit on kinks inside
-    # its long corner arcs, which a climb from the arc ends alone misses
-    sized = metrics.reduced_check(body, tol=1e-6, n=720)
+    # its long corner arcs, which a climb from the arc ends alone misses.
+    # The probes are run directly: reduced_check decides polygons below
+    # pi/2 in closed form
+    sized = metrics._corner_probes(body, 1e-6, 720)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "_SCAN", (metrics._SCAN[1],) * 2)
-        full = metrics.reduced_check(body, tol=1e-6, n=720)
+        full = metrics._corner_probes(body, 1e-6, 720)
     assert sized.passed == full.passed
     assert abs(sized.deviation - full.deviation) <= 1e-12
     for key in ("worst_support_margin", "support_margin", "thickness_drop"):
         assert (key in sized.witness) == (key in full.witness)
         if key in sized.witness:
             assert abs(sized.witness[key] - full.witness[key]) <= 1e-12
+
+
+# -- reduced polygons in closed form -------------------------------------------
+
+
+def _cut(v, i, eps=1e-3):
+    """The polygon v with vertex i cut off: replaced by the two points eps
+    from it along its edges."""
+    w = [sphere.normalize(v[i] + eps * (v[j] - v[i])) for j in (i - 1, (i + 1) % len(v))]
+    return bd.polygon_from_vertices(np.concatenate([v[:i], w, v[i + 1:]]))
+
+
+def _cut_drops(v):
+    """How much cutting off each vertex (_cut) lowers the thickness: the
+    oracle for reducedness, with no lune or corner probe."""
+    thick = metrics.thickness(bd.polygon_from_vertices(v), n=720).value
+    return np.array([thick - metrics.thickness(_cut(v, i), n=720).value
+                     for i in range(len(v))])
+
+
+@settings(BOUNDED, max_examples=12)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([5, 7, 9]),
+       thick=st.sampled_from([0.5, 0.9, 1.3]))
+def test_reduced_gons_pass_in_closed_form(seed, n, thick):
+    # odd gons with every vertex at the thickness from the side it faces,
+    # each foot inside: reduced (Lassak, Colloq. Math. 138, 2015), which the
+    # cut oracle confirms, and classify's checks hold with reduced passing
+    v = reduced_gon_vertices(np.random.default_rng(seed), n, thick)
+    assume(v is not None)
+    body = bd.polygon_from_vertices(v)
+    assert abs(metrics.thickness(body, n=720).value - thick) <= 1e-12
+    for tol in (1e-6, 1e-9):
+        verdict = metrics.reduced_check(body, tol=tol, n=720)
+        assert verdict.passed and verdict.witness["route"] == "closed_form", verdict.witness
+        assert verdict.deviation <= 1e-12
+    rep = metrics.classify(body, tol=1e-6, n=720)
+    assert rep.reduced.passed and all(rep.checks.values())
+    assert np.all(_cut_drops(v) >= 1e-9)
+
+
+@settings(BOUNDED, max_examples=12)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([5, 7, 9]),
+       thick=st.sampled_from([0.5, 0.9, 1.3]), pulled=st.integers(0, 8))
+def test_a_vertex_pulled_outward_fails_on_its_distance(seed, n, thick, pulled):
+    # 1e-3 away from the polygon's center: that vertex now lies farther from
+    # the side it faces than the thickness
+    v = reduced_gon_vertices(np.random.default_rng(seed), n, thick)
+    assume(v is not None)
+    i = pulled % n
+    v[i] = sphere.normalize(v[i] + 1e-3 * (v[i] - sphere.normalize(v.sum(axis=0))))
+    verdict = metrics.reduced_check(bd.polygon_from_vertices(v), tol=1e-6, n=720)
+    assert not verdict.passed and verdict.witness["mode"] == "vertex_distance"
+    assert verdict.deviation > 1e-6
+
+
+@pytest.mark.parametrize("n, thick, seed, jitter", [
+    (5, 0.9, 7, (0.03, 0.1)), (7, 0.5, 0, (0.03, 0.1)), (5, 1.3, 0, (0.03, 0.1))])
+def test_a_foot_outside_fails_and_a_cut_lowers_nothing(n, thick, seed, jitter):
+    # every vertex at the thickness from the side it faces, but one foot
+    # outside its side: not reduced, as a cut that keeps the thickness shows
+    v = equidistant_gon_vertices(np.random.default_rng(seed), n, thick, jitter)
+    assert v is not None and _facing(v)[1].max() > 1e-3
+    verdict = metrics.reduced_check(bd.polygon_from_vertices(v), tol=1e-6, n=720)
+    assert not verdict.passed and verdict.witness["mode"] == "foot_outside"
+    assert verdict.deviation == pytest.approx(_facing(v)[1].max(), abs=1e-12)
+    assert _cut_drops(v).min() <= 1e-12
+
+
+def test_closed_form_agrees_with_the_probes():
+    # regular 3- to 9-gons (the odd ones reduced, the even ones not) and
+    # seeded random polygons, all below pi/2
+    regular = [bd.polygon_from_vertices(construct.regular_polygon_vertices(k, r))
+               for k in range(3, 10) for r in (0.2, 0.45, 0.7)]
+    random = [construct.random_convex_polygon(seed, n=4 + seed % 6) for seed in range(24)]
+    for body in regular + random:
+        assert metrics.thickness(body, n=720).value < bd.HALF_PI - 1e-6
+        verdict = metrics.reduced_check(body, tol=1e-6, n=720)
+        assert verdict.passed == metrics._corner_probes(body, 1e-6, 720).passed
+        assert verdict.passed == (body in regular and len(body.corners) % 2 == 1)
 
 
 # -- planar hull ---------------------------------------------------------------
@@ -1255,8 +1337,19 @@ def polygon_pairs(draw):
     return a, b
 
 
+def _tiny_corner_image_and_dual():
+    """The image of a constant-diameter triangle with a 1e-9 corner at 2880
+    samples, and its dual: the dual's edges at the corner are about 2.5e-12
+    long, and roundoff turns 90 of its vertices right by up to 0.024 rad."""
+    tri = construct.constant_diameter_triangle(*mixed_cd_triangle_vertices(1.0, 1e-9))
+    shape = wulff.WulffShape(wulff.project_to_plane(
+        tri, wulff.frame_at(tri.enclosing_center), n=2880).vertices)
+    return shape.vertices, wulff.dual_wulff(shape).vertices
+
+
 @settings(BOUNDED, max_examples=60)
 @given(polygon_pairs())
+@example(_tiny_corner_image_and_dual())
 def test_hausdorff_polygons_matches_brute_force(pair):
     a, b = pair
     got = wulff.hausdorff_polygons(SimpleNamespace(vertices=a), SimpleNamespace(vertices=b))
