@@ -94,7 +94,7 @@ def mixed_cd_triangle_vertices(a: float, eps: float = 0.0) -> np.ndarray:
                      [math.sin(a) * cos_phi, math.sin(a) * sin_phi, math.cos(a)]])
 
 
-def _facing(v: np.ndarray):
+def facing(v: np.ndarray):
     """Per side i of the odd gon v (from vertex i to i + 1, counterclockwise),
     the distance of the vertex i + k + 1 that faces it from its great circle,
     and how far that vertex's foot lies outside the side, along the circle
@@ -125,7 +125,7 @@ def equidistant_gon_vertices(rng: np.random.Generator, n: int, thickness: float,
                                                 + np.sin(turn) * frames[:, 1])
     v /= np.linalg.norm(v, axis=1)[:, None]
     for _ in range(40):
-        r = _facing(v)[0] - thickness
+        r = facing(v)[0] - thickness
         if np.abs(r).max() <= 1e-15:
             return v
         frames = np.array([sphere_frame(p) for p in v])
@@ -134,7 +134,7 @@ def equidistant_gon_vertices(rng: np.random.Generator, n: int, thickness: float,
             moved = v.copy()
             moved[j // 2] += 1e-7 * frames[j // 2, j % 2]
             moved[j // 2] /= np.linalg.norm(moved[j // 2])
-            jac[:, j] = (_facing(moved)[0] - thickness - r) / 1e-7
+            jac[:, j] = (facing(moved)[0] - thickness - r) / 1e-7
         delta = np.linalg.lstsq(jac, -r, rcond=None)[0].reshape(n, 2)
         v = v + np.einsum("ij,ijk->ik", delta, frames)
         v /= np.linalg.norm(v, axis=1)[:, None]
@@ -147,7 +147,7 @@ def reduced_gon_vertices(rng: np.random.Generator, n: int, thickness: float,
     inside the side it faces: by Lassak's rule (Colloq. Math. 138, 2015) a
     reduced polygon; None otherwise."""
     v = equidistant_gon_vertices(rng, n, thickness, jitter)
-    return v if v is not None and (_facing(v)[1] < 0.0).all() else None
+    return v if v is not None and (facing(v)[1] < 0.0).all() else None
 
 
 def cd_induced() -> bd.SphericalBody:

@@ -38,7 +38,7 @@ from lunes.errors import (DegenerateHull, InconsistentVerdicts,
                           InvariantViolation, LunesError)
 from lunes.sphere import dist, orthonormal_frame
 
-from conftest import (STADIUM_LENS, _facing, cd_induced, equidistant_gon_vertices, lens,
+from conftest import (STADIUM_LENS, cd_induced, equidistant_gon_vertices, facing, lens,
                       mixed_cd_triangle_vertices, random_cd_triangle_vertices,
                       reduced_gon_vertices)
 
@@ -1010,10 +1010,10 @@ def test_a_foot_outside_fails_and_a_cut_lowers_nothing(n, thick, seed, jitter):
     # every vertex at the thickness from the side it faces, but one foot
     # outside its side: not reduced, as a cut that keeps the thickness shows
     v = equidistant_gon_vertices(np.random.default_rng(seed), n, thick, jitter)
-    assert v is not None and _facing(v)[1].max() > 1e-3
+    assert v is not None and facing(v)[1].max() > 1e-3
     verdict = metrics.reduced_check(bd.polygon_from_vertices(v), tol=1e-6, n=720)
     assert not verdict.passed and verdict.witness["mode"] == "foot_outside"
-    assert verdict.deviation == pytest.approx(_facing(v)[1].max(), abs=1e-12)
+    assert verdict.deviation == pytest.approx(facing(v)[1].max(), abs=1e-12)
     assert _cut_drops(v).min() <= 1e-12
 
 
