@@ -198,27 +198,30 @@ class _Arcs:
 
     def __init__(self, b: Boundary):
         """Each arc's frame, once: u0 and u1 the unit radial directions at
-        the start and the end, v0 = center x u0, and the sweep (2 pi for a
+        the start and the end, both from one stacked (p - C) / sin r with
+        the table's C rows, v0 = center x u0, and the sweep (2 pi for a
         full circle)."""
         self.centers, self.radii = b.centers, b.radii
         self.cos_r, self.sin_r = np.cos(b.radii), np.sin(b.radii)
         cos_r, sin_r = self.cos_r[:, None], self.sin_r[:, None]
-        u0 = (b.starts - cos_r * b.centers) / sin_r
-        u0 /= norm(u0)[:, None]
+        m = len(b.radii)
+        self.table = np.empty((3 * m, 3))
+        self.su0, self.sv0, self.cc = self.table.reshape(3, -1, 3)  # views: A, B and C
+        np.multiply(cos_r, b.centers, out=self.cc)
+        ends = (np.concatenate([b.starts, _rolled(b.starts)]).reshape(2, m, 3) - self.cc) / sin_r
+        u0, u1 = ends
+        norms = norm(ends)
+        u0 /= norms[0, :, None]
         v0 = cross(b.centers, u0)
-        u1 = (_rolled(b.starts) - cos_r * b.centers) / sin_r
         sweeps = np.mod(np.arctan2(dot(u1, v0), dot(u1, u0)), TWO_PI)
-        if len(sweeps) == 1:
+        if m == 1:
             sweeps[0] = TWO_PI
         if (sweeps < 1e-12).any():
             raise InvariantViolation("degenerate segment", "zero-length boundary arc")
-        u1 /= norm(u1)[:, None]
+        u1 /= norms[1, :, None]
         self.u0, self.v0, self.u1, self.sweeps = u0, v0, u1, sweeps
-        self.table = np.empty((3 * len(sweeps), 3))
-        self.su0, self.sv0, self.cc = self.table.reshape(3, -1, 3)  # views: A, B and C
         np.multiply(sin_r, u0, out=self.su0)
         np.multiply(sin_r, v0, out=self.sv0)
-        np.multiply(cos_r, b.centers, out=self.cc)
         for arr in (self.table, self.su0, self.sv0, self.cc, u0, v0, u1):
             arr.flags.writeable = False
         self.lengths = sweeps * self.sin_r
@@ -365,9 +368,14 @@ class _Arcs:
         """Per-direction minimum of the dot product over the whole curve:
         the support minimum, negative when the curve dips below the
         hemisphere of the direction.  The maximum over the curve is
-        -support_extreme(-dirs).
+        -support_extreme(-dirs).  Of one 3-vector: the least candidate
+        over the whole table as _reduce takes it, with no arc or angle.
         """
-        return self._support(dirs)[0]
+        d = np.asarray(dirs, dtype=float)
+        if d.shape != (3,):
+            return self._support(d)[0]
+        both = np.concatenate(_closed_form(*(self.table @ d).reshape(3, -1), self.sweeps)[:2])
+        return both[[both.argmin()]]
 
     def support_min_at(self, dirs):
         """The support minimum in each direction plus the point where it is
@@ -488,13 +496,13 @@ def _azimuth_steps(starts, u, v):
 
 def interleaved(keep, first: Boundary, second: Boundary) -> Boundary:
     """The arcs first[0], second[0], first[1], second[1], ... of two
-    boundaries of m arcs, where keep (2m booleans) is True."""
-    fields = []
-    for x, y in zip(first, second):
-        both = np.empty((2 * len(x),) + x.shape[1:])
-        both[::2], both[1::2] = x, y
-        fields.append(both[keep])
-    return Boundary(*fields)
+    boundaries of m arcs, where keep (2m booleans) is True: one take of
+    the rows (center, radius, start) of a (2m x 7) table."""
+    table = np.empty((len(first.radii), 2, 7))
+    for side, b in enumerate((first, second)):
+        table[:, side, :3], table[:, side, 3], table[:, side, 4:] = b
+    rows = table.reshape(-1, 7)[keep]
+    return Boundary(rows[:, :3], rows[:, 3], rows[:, 4:])
 
 
 def _dual(b: Boundary, arcs: _Arcs):
@@ -505,20 +513,21 @@ def _dual(b: Boundary, arcs: _Arcs):
     contributes a great arc about the junction point sweeping the supporting
     centers.  At cos r c + sin r w on an arc (w = arcs.u0 at its start,
     arcs.u1 at its end) the supporting center is sin r c - cos r w, read
-    off the frame with no cancellation (cos r is 0 on a great arc).  The
-    pieces keep the boundary order, each arc's own piece before the one of
-    the junction at its end; a smooth junction (|turn| at most CLOSURE_TOL)
-    has none.  Returns the dual boundary (not yet validated), the signed
+    off the frame with no cancellation (cos r is 0 on a great arc); sin r c
+    is formed once for both ends.  The pieces keep the boundary order, each
+    arc's own piece before the one of the junction at its end, one take of
+    both (interleaved); a smooth junction (|turn| at most CLOSURE_TOL) has
+    none.  Returns the dual boundary (not yet validated), the signed
     turn angle at the end of every arc (negative at a reflex junction), and
     the dual row of the great arc at each corner (-1 at a smooth junction).
     """
     m = len(b.radii)
     great = b.radii == HALF_PI
     cos_r = np.where(great, 0.0, arcs.cos_r)[:, None]
-    sin_r = arcs.sin_r[:, None]
+    sin_c = arcs.sin_r[:, None] * b.centers
     junctions = _rolled(b.starts)
-    at_start = sin_r * b.centers - cos_r * arcs.u0
-    at_end = sin_r * b.centers - cos_r * arcs.u1
+    at_start = sin_c - cos_r * arcs.u0
+    at_end = sin_c - cos_r * arcs.u1
     at_next = _rolled(at_start)
     # the supporting centers at a convex corner turn counterclockwise about
     # it, from the one before the corner to the one after: a reflex junction
@@ -526,7 +535,9 @@ def _dual(b: Boundary, arcs: _Arcs):
     axis = cross(at_end, at_next)  # shared by the orientation and dist's formula
     turns = np.copysign(np.arctan2(norm(axis), dot(at_end, at_next)),
                         np.einsum("ij,ij->i", axis, junctions))  # 0 on a full circle
-    keep = np.column_stack([~great, turns > CLOSURE_TOL]).ravel()
+    keep = np.empty(2 * m, dtype=bool)
+    np.logical_not(great, out=keep[::2])
+    np.greater(turns, CLOSURE_TOL, out=keep[1::2])
     dual = interleaved(keep, Boundary(b.centers, HALF_PI - b.radii, at_start),
                        Boundary(junctions, np.full(m, HALF_PI), at_end))
     row = np.cumsum(keep) - 1
@@ -706,7 +717,7 @@ def find_enclosing_center(points, min_dot: float = ENCLOSING_MIN_DOT) -> np.ndar
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.isfinite(pts).all():
         raise NoEnclosingHemisphere("non-finite point")
-    mean = pts.mean(axis=0)
+    mean = np.add.reduce(pts, 0) / len(pts)  # pts.mean(axis=0), bit for bit
     length = np.linalg.norm(mean)
     if length > 1e-12:
         best = mean / length

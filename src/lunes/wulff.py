@@ -47,6 +47,7 @@ from .sphere import norm, normalize, orthonormal_frame
 # max|x| is below the least normal float exactly when _unit's k is below this
 _TINY_EXP = int(np.frexp(np.finfo(float).tiny)[1])
 _GAP_SAMPLES = 8  # _radial_gap scans each interval in this many steps
+_EYE3 = np.eye(3)  # a frame's basis must be orthonormal to within 1e-12 of it
 
 
 @dataclass(frozen=True)
@@ -353,7 +354,7 @@ class ProjectionFrame:
                                np.asarray(getattr(self, name), dtype=float))
         gram = np.array([self.u, self.v, self.pole])
         with np.errstate(invalid="ignore"):  # inf * 0 in a non-finite basis
-            off = np.max(np.abs(gram @ gram.T - np.eye(3)))
+            off = np.max(np.abs(gram @ gram.T - _EYE3))
         if not off <= 1e-12:  # NaN too
             raise InvalidSpec("frame basis not orthonormal")
 
@@ -407,14 +408,14 @@ def project_to_plane(body: SphericalBody, frame: ProjectionFrame,
     return shape
 
 
-def _radial_cot(arcs, basis, phi, k):
+def _radial_cot(rows, cos, sin):
     """cot R and d cot R / d phi where the ray cos R N + sin R a(phi) leaves
-    arc k's circle (center c, radius r; basis (u, v, N)): R = atan2(c . a,
-    c . N) + atan2(s, cos r), s = sqrt((sin r - |b|)(sin r + |b|)), b = c .
-    a', a product that keeps a 1e-9 corner arc's digits; R' = b (s c . N +
-    cos r c . a) / (s rho**2), rho = hypot(c . a, c . N).  k broadcasts."""
-    cu, cv, n = np.moveaxis(arcs.centers[k] @ basis, -1, 0)
-    cos_r, sin_r, cos, sin = arcs.cos_r[k], arcs.sin_r[k], np.cos(phi), np.sin(phi)
+    a circle (center c, radius r; basis (u, v, N)): R = atan2(c . a, c . N)
+    + atan2(s, cos r), s = sqrt((sin r - |b|)(sin r + |b|)), b = c . a', a
+    product that keeps a 1e-9 corner arc's digits; R' = b (s c . N + cos r
+    c . a) / (s rho**2), rho = hypot(c . a, c . N).  rows: c . u, c . v,
+    c . N, cos r and sin r, broadcast to cos phi and sin phi."""
+    cu, cv, n, cos_r, sin_r = rows
     a, b = cos * cu + sin * cv, cos * cv - sin * cu
     s = np.sqrt(np.maximum((sin_r - np.abs(b)) * (sin_r + np.abs(b)), 0.0))
     r = np.arctan2(a, n) + np.arctan2(s, cos_r)
@@ -428,7 +429,9 @@ def _radial_gap(body: SphericalBody, frame: ProjectionFrame) -> float:
     gap is max over phi of |cot R_D(phi) - cot R_C(phi)|, their supports at
     -a(phi).  Between the merged start azimuths of C and D (_azimuth_steps)
     each is one arc, the azimuth rising along it (_check_winding): each
-    interval is scanned at _GAP_SAMPLES + 1 azimuths, then climbed."""
+    interval is scanned at _GAP_SAMPLES + 1 azimuths, then climbed.  Each
+    table's centers are put in the basis (u, v, N) once, as _radial_cot's
+    rows per interval."""
     (az, step), (dual_az, dual_step) = (_azimuth_steps(starts, frame.u, frame.v)
                                         for starts in (body.starts, body.dual_boundary.starts))
     # each side's start azimuths from the body's first, rising from 0
@@ -440,13 +443,15 @@ def _radial_gap(body: SphericalBody, frame: ProjectionFrame) -> float:
     keys = np.concatenate([at, dual_at])
     order = np.argsort(keys, kind="stable")
     lo, on_body = np.minimum(keys[order], TWO_PI), order < len(at)
-    arcs = ((body.arcs, np.cumsum(on_body) - 1), (body.dual_arcs, np.roll(
-        np.arange(len(dual_at)), -first).take(np.cumsum(~on_body) - 1)))
     basis = np.column_stack([frame.u, frame.v, frame.pole])
+    sides = [np.concatenate([(arcs.centers @ basis).T, [arcs.cos_r, arcs.sin_r]]).take(k, 1)
+             for arcs, k in ((body.arcs, np.cumsum(on_body) - 1), (body.dual_arcs, np.roll(
+                 np.arange(len(dual_at)), -first).take(np.cumsum(~on_body) - 1)))]
 
     def fn(phi, rows):
-        (f0, g0), (f, g) = (_radial_cot(table, basis, phi, k.take(rows).reshape(
-            rows.shape + (1,) * (phi.ndim - 1))) for table, k in arcs)
+        cos, sin = np.cos(phi), np.sin(phi)
+        (f0, g0), (f, g) = (_radial_cot(side.take(rows, 1).reshape(
+            (5,) + rows.shape + (1,) * (phi.ndim - 1)), cos, sin) for side in sides)
         return np.abs(f - f0), np.where(f < f0, g0 - g, g - g0)
 
     rows = np.arange(len(lo))

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import cap_points, random_unit
+from conftest import (STADIUM_LENS, cap_points, cd_induced, lens,
+                      mixed_cd_triangle_vertices, random_unit)
 
 from lunes import body as bd
 from lunes import construct, sphere
@@ -270,7 +271,14 @@ class TestSupportKernel:
         assert crit.tolist() == [[-0.5, -0.5, math.inf, math.inf, -0.75]]
         assert t[0, 0] == 2 * math.pi and t[0, 1] == math.pi and math.isnan(t[0, 3])
 
-    @pytest.mark.parametrize("seed", range(3))
+    # a cap, a lens, constant-diameter triangles with a zero corner radius
+    # (one, and all three: the octant) and the 720-arc induced polygon
+    TABLE_BODIES = (
+        lambda: construct.cap(Z, 0.7), lambda: lens(*STADIUM_LENS),
+        lambda: construct.constant_diameter_odd_gon(mixed_cd_triangle_vertices(1.0)),
+        lambda: construct.constant_diameter_odd_gon(np.eye(3)), cd_induced)
+
+    @pytest.mark.parametrize("seed", range(len(TABLE_BODIES)))
     def test_closed_form_is_its_formula(self, seed):
         # bit for bit c + a, np.where(t <= sweeps, c - sqrt(a^2 + b^2), inf)
         # and t, with sweeps broadcast and c an array or a scalar, NaNs included
@@ -284,6 +292,36 @@ class TestSupportKernel:
             want = (cc + a, np.where(t <= sweeps, cc - np.sqrt(a * a + b * b), math.inf), t)
             for x, y in zip(bd._closed_form(a, b, cc, sweeps), want):
                 assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        # the rows it reads, formed stacked, are the per-arc formulas: u0 and
+        # u1 = (p - cos r c) / sin r at the start and end p, normalized; v0 =
+        # c x u0; the sweep from u1 before normalizing, 2 pi for a full
+        # circle; the table sin r u0, sin r v0, cos r c
+        body = self.TABLE_BODIES[seed]()
+        for arcs, b in ((body.arcs, body), (body.dual_arcs, bd.Boundary(*body.dual_boundary))):
+            cos_r, sin_r = np.cos(b.radii)[:, None], np.sin(b.radii)[:, None]
+            u0, u1 = ((p - cos_r * b.centers) / sin_r
+                      for p in (b.starts, np.roll(b.starts, -1, axis=0)))
+            u0 = u0 / np.linalg.norm(u0, axis=1)[:, None]
+            v0 = np.cross(b.centers, u0)
+            sweeps = np.mod(np.arctan2(np.sum(u1 * v0, axis=1), np.sum(u1 * u0, axis=1)),
+                            2 * math.pi)
+            if len(sweeps) == 1:
+                sweeps[0] = 2 * math.pi
+            u1 = u1 / np.linalg.norm(u1, axis=1)[:, None]
+            assert np.array_equal(arcs.u0, u0) and np.array_equal(arcs.u1, u1)
+            assert np.array_equal(arcs.v0, v0) and np.array_equal(arcs.sweeps, sweeps)
+            assert np.array_equal(arcs.table, np.concatenate(
+                [sin_r * u0, sin_r * v0, cos_r * b.centers]))
+        # interleaved on a random keep mask is the per-arc loop
+        m = 9
+        first, second = (bd.Boundary(rng.normal(size=(m, 3)), rng.uniform(size=m),
+                                     rng.normal(size=(m, 3))) for _ in range(2))
+        keep = rng.uniform(size=2 * m) < 0.6
+        rows = [(side.centers[i], side.radii[i], side.starts[i])
+                for i in range(m) for j, side in enumerate((first, second)) if keep[2 * i + j]]
+        got = bd.interleaved(keep, first, second)
+        for k, field in enumerate(got):
+            assert np.array_equal(field, np.array([row[k] for row in rows]).reshape(field.shape))
 
     # candidates of 5 arcs in 5 directions: a start tied with a critical
     # value; starts tied; critical values tied; a critical value strictly

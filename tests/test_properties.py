@@ -152,6 +152,15 @@ def test_farthest_point_beats_dense_sampling(body):
         _, queries = arcs.sample_points(64)
         vals, farthest = arcs.support_min_at(queries)
         assert np.array_equal(vals, arcs.support_extreme(queries))
+        # one 3-vector takes the least candidate alone: bit for bit the
+        # value _reduce takes of it, and the batched query's minimum but for
+        # the last bits, in which a matrix-vector product may round A . d,
+        # B . d and C . d other than the batch's matrix product does
+        for q, v in zip(queries, vals):
+            one = arcs.support_extreme(q)[0]
+            assert one.tobytes() == arcs._support(q[None])[0][0].tobytes()
+            assert abs(one - v) <= 1e-15
+        assert np.isnan(arcs.support_extreme(np.full(3, math.nan))[0])
         # the returned point attains the returned minimum ...
         assert np.max(np.abs(np.sum(queries * farthest, axis=1) - vals)) <= 1e-12
         # ... and no boundary point lies farther
@@ -163,6 +172,8 @@ def test_farthest_point_beats_dense_sampling(body):
         # distance: the slope search settles at the true maximum
         diam, _, _ = metrics._curve_diameter(arcs, 720)
         assert diam >= np.max(dist(dense, arcs.far_point(dense))) - 1e-13
+    assert (str(body.refusal(np.full(3, math.nan)))
+            == "enclosing hemisphere: boundary reaches dot nan with the center")
 
 
 def _whole_table(arcs, dirs):
